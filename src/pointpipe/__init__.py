@@ -17,7 +17,6 @@ from .graph import (
     StageSpec,
     Throughputs,
     ValidationError,
-    derive_work,
     load_pipeline,
     parse_pipeline,
     serialize_pipeline,
@@ -32,18 +31,11 @@ from .optimizer import (
     solve,
 )
 from .oracle import OracleReport, verify_against_oracle
-from .simulator import (
-    BankModel,
-    SimTrace,
-    peak_occupancy,
-    simulate,
-    simulate_banked,
-)
+from .simulator import SimTrace, simulate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BankModel",
     "ConstraintSystem",
     "Edge",
     "OracleReport",
@@ -59,15 +51,12 @@ __all__ = [
     "Throughputs",
     "ValidationError",
     "build_constraints",
-    "derive_work",
     "load_pipeline",
     "optimize",
     "parse_pipeline",
-    "peak_occupancy",
     "schedule_chunks",
     "serialize_pipeline",
     "simulate",
-    "simulate_banked",
     "solve",
     "verify_against_oracle",
 ]

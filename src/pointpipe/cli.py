@@ -22,7 +22,6 @@ from .graph import PipelineError, load_pipeline
 from .optimizer import (
     ScheduleError,
     ScheduleSolution,
-    build_constraints,
     optimize,
     schedule_chunks,
     _frac_to_json,
@@ -94,30 +93,19 @@ def _queries(args, cloud: PointCloud) -> np.ndarray:
     if getattr(args, "query_input", None):
         qc = cloudio.load(args.query_input, fmt=args.format)
         return qc.points
-    count = args.queries
-    if count < 1:
-        raise CliError("--queries must be positive")
-    return synthetic_cloud(count, args.seed + 1)
+    return synthetic_cloud(args.queries, args.seed + 1)
 
 
-def _parse_deadline(args, tree, queries, k) -> int | None:
-    if args.deadline is not None and args.deadline_frac is not None:
-        raise CliError("--deadline and --deadline-frac are mutually exclusive")
-    if args.deadline is not None:
-        if args.deadline.lower() in ("inf", "none"):
-            return None
-        try:
-            value = int(args.deadline)
-        except ValueError:
-            raise CliError("--deadline must be an integer or 'inf'") from None
-        if value < 1:
-            raise CliError("--deadline must be >= 1")
-        return value
-    if args.deadline_frac is not None:
-        frac = Fraction(args.deadline_frac)
-        prof = profile_deadline(tree, queries, k, frac)
-        return prof.deadline
-    return None
+def _parse_deadline(text: str | None) -> int | None:
+    if text is None or text.lower() in ("inf", "none"):
+        return None
+    try:
+        value = int(text)
+    except ValueError:
+        raise CliError("--deadline must be an integer or 'inf'") from None
+    if value < 1:
+        raise CliError("--deadline must be >= 1")
+    return value
 
 
 # -- scheduling commands ------------------------------------------------------
@@ -125,7 +113,7 @@ def _parse_deadline(args, tree, queries, k) -> int | None:
 def cmd_optimize(args) -> int:
     graph = load_pipeline(args.graph)
     solution = optimize(graph, pruned=not args.no_prune, horizon=args.horizon)
-    if args.chunks > 1:
+    if args.chunks != 1:  # schedule_chunks rejects a count below 1
         solution = schedule_chunks(solution, graph, args.chunks)
     doc = solution.dumps(element_bytes=args.element_bytes)
     _write(args.out, doc)
@@ -191,7 +179,11 @@ def cmd_knn(args) -> int:
     cloud, meta = _load_cloud(args)
     tree = kdtree_build(cloud.points, leaf_size=args.leaf_size)
     queries = _queries(args, cloud)
-    deadline = _parse_deadline(args, tree, queries, args.k)
+    if args.deadline is not None and args.deadline_frac is not None:
+        raise CliError("--deadline and --deadline-frac are mutually exclusive")
+    deadline = _parse_deadline(args.deadline)
+    if args.deadline_frac is not None:
+        deadline = profile_deadline(tree, queries, args.k, Fraction(args.deadline_frac)).deadline
 
     lines = ["query,rank,point,dist2,steps,truncated"]
     hits = 0
@@ -218,13 +210,9 @@ def cmd_knn(args) -> int:
 
 def cmd_range(args) -> int:
     cloud, meta = _load_cloud(args)
-    if args.radius <= 0:
-        raise CliError("--radius must be positive")
     tree = kdtree_build(cloud.points, leaf_size=args.leaf_size)
     queries = _queries(args, cloud)
-    deadline = None
-    if args.deadline is not None and args.deadline.lower() not in ("inf", "none"):
-        deadline = int(args.deadline)
+    deadline = _parse_deadline(args.deadline)
 
     lines = ["query,rank,point,dist2,steps,truncated"]
     exact = 0
@@ -315,6 +303,8 @@ def cmd_sort(args) -> int:
         lo = float(cloud.points[:, axis].min())
         hi = float(cloud.points[:, axis].max())
         n = args.chunks
+        if n < 1:
+            raise CliError("--chunks must be >= 1")
         cuts = [lo + (hi - lo) * i / n for i in range(1, n)]
     perm = chunked_sort(cloud, axis, cuts)
     _write(args.out, "\n".join(str(i) for i in perm) + "\n")
@@ -436,10 +426,9 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, PipelineError, ScheduleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-    except OSError as exc:
+    except (CliError, PipelineError, ScheduleError, OSError, ValueError) as exc:
+        # Kernels and the scheduler reject bad arguments with ValueError;
+        # every such rejection is a usage error.
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

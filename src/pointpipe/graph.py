@@ -282,11 +282,6 @@ class PipelineGraph:
             self.edge_volume[e] = self.work[e.producer]
 
 
-def derive_work(graph: PipelineGraph) -> dict[str, int]:
-    """Per-stage output-element totals for one chunk."""
-    return dict(graph.work)
-
-
 # -- pipeline description files ---------------------------------------------
 
 _STAGE_KEYS = {"id", "kind", "i_shape", "o_shape", "i_freq", "o_freq", "reuse", "stage"}

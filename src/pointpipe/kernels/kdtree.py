@@ -109,9 +109,7 @@ class KnnCursor:
 
     ``next_node`` reports the node the search wants to visit next (popping
     entries its pruning rule discards, which costs nothing); ``visit``
-    performs the visit, spending one step. Splitting the traversal this way
-    lets several cursors advance in lock step against a banked memory, and
-    a plain loop over one cursor is the sequential search.
+    performs the visit, spending one step.
     """
 
     def __init__(self, tree: KdTree, query: np.ndarray, k: int,
@@ -189,11 +187,6 @@ class KnnCursor:
         near, far = (node.left, node.right) if gap < 0 else (node.right, node.left)
         self._stack.append((far, gap * gap))
         self._stack.append((near, 0.0))
-
-    def skip(self, node: KdNode) -> None:
-        """Drop ``node`` (and so the subtree beneath it) without visiting."""
-        assert self._stack and self._stack[-1][0] is node
-        self._stack.pop()
 
     def result(self) -> SearchResult:
         ordered = sorted((-d2, -idx) for d2, idx in self._heap)

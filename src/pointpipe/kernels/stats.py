@@ -1,4 +1,4 @@
-"""Measurement helpers: chunk-access counts and recall."""
+"""Measurement helper: chunk-access counts."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import ChunkGrid
-from .kdtree import KdTree, SearchResult, brute_force_knn, knn_search
+from .kdtree import KdTree, knn_search
 
 
 @dataclass
@@ -41,18 +41,3 @@ def chunk_access_stats(
         per_query=counts,
         total_cells=grid.cell_count,
     )
-
-
-def recall_at_k(
-    results: list[SearchResult], points: np.ndarray, queries: np.ndarray, k: int
-) -> float:
-    """Mean fraction of the true k nearest neighbors each result found."""
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if len(results) != len(queries):
-        raise ValueError("one result per query required")
-    total = 0.0
-    for res, q in zip(results, queries):
-        truth = {idx for idx, _ in brute_force_knn(points, q, k)}
-        found = {idx for idx, _ in res.neighbors}
-        total += len(found & truth) / k
-    return total / len(results)

@@ -7,26 +7,25 @@ tau_in unique elements per cycle starting at its start cycle, and emits
 tau_out elements per cycle once its internal pipeline (depth ``stage``
 cycles) has filled.
 
-Per edge p -> c with volume V (= producer's output), write start
-w_p = s_p + depth_p, write end e_p = w_p + V/tau_out:
+Per edge p -> c, ``EdgeModel`` holds everything the graph fixes: the
+volume V, the producer's write rate and the consumer's read rate, both
+pipeline depths and both active durations. The schedule enters only
+through the offset d = s_c - s_p, and the model gives, as functions of d:
 
-- availability: an element is readable the cycle after it is written, so a
-  local consumer needs ``w_c >= w_p + 1`` and the producer must stay ahead
-  of the consumer's cumulative demand through the consumer's window; both
-  collapse to two linear endpoint rows (the per-timestamp family they prune
-  is emitted in unpruned mode).
-- a global consumer starts only after the producer has written everything:
-  ``s_c >= e_p``.
-- buffer occupancy peaks either when overwriting starts (t_o) or when the
-  producer stops writing, and never exceeds V; the exact peak is
-  ``min(V, max(b1, b2))`` with b1 = tau_out*(t_o - w_p) and
-  b2 = V - tau_in*(e_p - t_o). The min is encoded with one binary selector
-  per local edge; global edges pin LB = V outright.
-
-Overwrite may not begin before the consumer retires data: t_o is bounded
-below by the consumer's first-read-capable cycle (w_c) on local edges and
-by the consumer's completion (e_c) on global edges, and minimization drives
-it to that bound.
+- ``min_offset``: the smallest feasible d. A token is readable the cycle
+  after it is written, so a local consumer needs w_c >= w_p + 1, and the
+  producer must stay ahead of the consumer's cumulative demand through the
+  consumer's read window; both collapse to two linear endpoint rows (the
+  per-timestamp family they prune is emitted in unpruned mode). A Global
+  consumer starts only after the producer has written everything.
+- ``overwrite_delay``: overwriting may not begin before the consumer retires
+  data, at its first-read-capable cycle on local edges and at its
+  completion on Global edges; minimization drives the overwrite start to
+  that bound.
+- ``peak(d)``: the exact buffer occupancy peak, reached when overwriting
+  starts or when the producer stops writing. The MILP encodes its two
+  branches with one binary saturation selector per local edge; Global edges
+  pin the buffer to V outright.
 """
 
 from __future__ import annotations
@@ -44,7 +43,12 @@ _ZERO = Fraction(0)
 
 
 class ScheduleError(Exception):
-    """Scheduling failed (infeasible system or exhausted horizon)."""
+    """Scheduling failed (infeasible system, exhausted horizon or node limit)."""
+
+
+class SearchLimitError(ScheduleError):
+    """The exact search ran out of branch-and-bound nodes before it proved
+    an optimum; unlike its parent, this says nothing about feasibility."""
 
 
 def edge_key(e: Edge) -> str:
@@ -56,13 +60,22 @@ def _frac_to_json(x: Fraction) -> int | str:
 
 
 def _frac_from_json(v: int | str) -> Fraction:
-    return Fraction(v) if isinstance(v, int) else Fraction(v)
+    return Fraction(v)
 
 
-@dataclass
-class _EdgeInfo:
+@dataclass(frozen=True)
+class EdgeModel:
+    """One edge p -> c as the graph fixes it, and its buffer as a function
+    of the start offset d = s_c - s_p alone.
+
+    Times below are relative to the producer's start: the producer writes
+    from ``depth_p`` to ``write_end`` and the consumer's overwriting starts
+    at ``d + overwrite_delay``.
+    """
+
     edge: Edge
-    volume: int
+    key: str
+    volume: Fraction
     out_rate: Fraction       # producer write rate
     in_rate: Fraction        # consumer read rate
     depth_p: int
@@ -72,30 +85,55 @@ class _EdgeInfo:
     drain: Fraction          # cycles to retire this edge's volume (V / in_rate)
     is_global: bool
 
+    @property
+    def write_end(self) -> Fraction:
+        return self.depth_p + self.dur_p
 
-def _edge_infos(graph: PipelineGraph) -> list[_EdgeInfo]:
-    infos = []
+    @property
+    def overwrite_delay(self) -> Fraction:
+        """Cycles from the consumer's start to the edge's overwrite start."""
+        return self.depth_c + self.dur_c if self.is_global else Fraction(self.depth_c)
+
+    @property
+    def min_offset(self) -> int:
+        """Earliest feasible consumer-minus-producer start offset."""
+        if self.is_global:
+            return ceil(self.write_end)
+        gap_avail = Fraction(self.depth_p - self.depth_c + 1)
+        gap_rate = self.write_end + 1 - self.depth_c - self.drain
+        return ceil(max(gap_avail, gap_rate))
+
+    @property
+    def window_steps(self) -> int:
+        """Rows of the unpruned availability family: the consumer's read
+        window on a grid fine enough to hit every demand kink."""
+        return int(self.drain * lcm(self.in_rate.denominator, self.drain.denominator))
+
+    def peak(self, d: int) -> Fraction:
+        """Exact peak occupancy at a feasible offset ``d``, nondecreasing in
+        ``d``: min(V, max(b1, b2)) with b1 = out_rate*(t_o - w_p), the fill
+        when overwriting begins, and b2 = V - in_rate*(e_p - t_o), the fill
+        when writing ends. Every feasible Global offset saturates at V."""
+        t_o = d + self.overwrite_delay
+        b1 = self.out_rate * (t_o - self.depth_p)
+        b2 = self.volume - self.in_rate * (self.write_end - t_o)
+        return max(_ZERO, min(self.volume, max(b1, b2)))
+
+
+def edge_models(graph: PipelineGraph) -> list[EdgeModel]:
+    """One ``EdgeModel`` per edge, in ``graph.edges`` order."""
+    models = []
     for e in graph.edges:
-        p = graph.stage(e.producer)
-        c = graph.stage(e.consumer)
-        v = graph.edge_volume[e]
-        out_rate = p.throughputs().tau_out
-        in_rate = c.throughputs().tau_in
-        infos.append(
-            _EdgeInfo(
-                edge=e,
-                volume=v,
-                out_rate=out_rate,
-                in_rate=in_rate,
-                depth_p=p.stage_depth,
-                depth_c=c.stage_depth,
-                dur_p=Fraction(v) / out_rate,
-                dur_c=graph.duration[e.consumer],
-                drain=Fraction(v) / in_rate,
-                is_global=c.dependency_class == GLOBAL,
-            )
-        )
-    return infos
+        p, c = graph.stage(e.producer), graph.stage(e.consumer)
+        v = Fraction(graph.edge_volume[e])
+        out_rate, in_rate = p.throughputs().tau_out, c.throughputs().tau_in
+        models.append(EdgeModel(
+            edge=e, key=edge_key(e), volume=v, out_rate=out_rate, in_rate=in_rate,
+            depth_p=p.stage_depth, depth_c=c.stage_depth,
+            dur_p=v / out_rate, dur_c=graph.duration[e.consumer], drain=v / in_rate,
+            is_global=c.dependency_class == GLOBAL,
+        ))
+    return models
 
 
 def default_horizon(graph: PipelineGraph) -> int:
@@ -106,23 +144,12 @@ def default_horizon(graph: PipelineGraph) -> int:
 def earliest_starts(graph: PipelineGraph, horizon: int) -> dict[str, int]:
     """Cascaded earliest feasible start per stage; error if past the horizon."""
     starts: dict[str, int] = {}
-    infos = {i.edge: i for i in _edge_infos(graph)}
+    models = edge_models(graph)
     for sid in graph.topo_order:
-        lo = 0
-        for e in graph.edges:
-            if e.consumer != sid:
-                continue
-            info = infos[e]
-            if info.is_global:
-                gap = Fraction(info.depth_p) + info.dur_p
-            else:
-                gap_avail = Fraction(info.depth_p - info.depth_c + 1)
-                # producer must reach V by the consumer's demand saturation
-                gap_rate = (
-                    info.dur_p + 1 + info.depth_p - info.depth_c - info.drain
-                )
-                gap = max(gap_avail, gap_rate)
-            lo = max(lo, ceil(Fraction(starts[e.producer]) + gap))
+        lo = max(
+            [0] + [starts[m.edge.producer] + m.min_offset
+                   for m in models if m.edge.consumer == sid]
+        )
         if lo > horizon:
             raise ScheduleError(
                 f"stage {sid!r} cannot start before cycle {lo}, past horizon {horizon}; "
@@ -140,6 +167,7 @@ class ConstraintSystem:
     pruned: bool
     horizon: int
     problem: Problem
+    edges: list[EdgeModel]
     start_var: dict[str, int]
     overwrite_var: dict[Edge, int]
     buffer_var: dict[Edge, int]
@@ -165,7 +193,7 @@ def build_constraints(
         horizon = default_horizon(graph)
     earliest = earliest_starts(graph, horizon)  # raises if past the horizon
 
-    infos = _edge_infos(graph)
+    models = edge_models(graph)
     prob = Problem()
     labels: list[str] = []
     start_var: dict[str, int] = {}
@@ -180,10 +208,8 @@ def build_constraints(
         )
         labels.append(f"start-nonnegative[{s.id}]")
 
-    # Large enough to disable a branch row anywhere in the bounded box.
-    for info in infos:
-        e = info.edge
-        key = edge_key(e)
+    for m in models:
+        e, key = m.edge, m.key
         sp = start_var[e.producer]
         sc = start_var[e.consumer]
         to_var = prob.add_variable(f"overwrite[{key}]", lower=0)
@@ -191,138 +217,86 @@ def build_constraints(
         overwrite_var[e] = to_var
         buffer_var[e] = lb_var
 
-        v = Fraction(info.volume)
-        w_p_const = Fraction(info.depth_p)          # w_p = s_p + depth_p
-        e_p_const = w_p_const + info.dur_p          # e_p = s_p + depth_p + dur_p
-
-        if info.is_global:
+        if m.is_global:
             # Consumer may not start until the producer finished writing.
-            prob.add_ge({sc: 1, sp: -1}, e_p_const)
+            prob.add_ge({sc: 1, sp: -1}, m.write_end)
             labels.append(f"dep-global[{key}]")
             # Overwrite waits for the global consumer's completion.
-            prob.add_ge(
-                {to_var: 1, sc: -1}, Fraction(info.depth_c) + info.dur_c
-            )
+            prob.add_ge({to_var: 1, sc: -1}, m.overwrite_delay)
             labels.append(f"overwrite-start[{key}]")
             # Full buffering is forced; the peak is the whole volume.
-            prob.add_ge({lb_var: 1}, v)
+            prob.add_ge({lb_var: 1}, m.volume)
             labels.append(f"buffer-full[{key}]")
             continue
 
         # Availability boundary: first readable element appears one cycle
         # after the producer's first write.
-        prob.add_ge({sc: 1, sp: -1}, Fraction(info.depth_p - info.depth_c + 1))
+        prob.add_ge({sc: 1, sp: -1}, Fraction(m.depth_p - m.depth_c + 1))
         labels.append(f"dep-start[{key}]")
 
         if pruned:
             # Window endpoint: supply covers the edge volume by the time the
             # consumer's cumulative demand saturates.
-            rhs = v - info.out_rate * (
-                Fraction(info.depth_c) + info.drain - 1 - w_p_const
-            )
-            prob.add_ge({sc: info.out_rate, sp: -info.out_rate}, rhs)
+            rhs = m.volume - m.out_rate * (m.depth_c + m.drain - 1 - m.depth_p)
+            prob.add_ge({sc: m.out_rate, sp: -m.out_rate}, rhs)
             labels.append(f"dep-end[{key}]")
         else:
-            # Per-timestamp family over the consumer read window, offset s
+            # Per-timestamp family over the consumer read window, offset
             # from the consumer's start on a grid hitting every demand kink.
-            grid = lcm(info.in_rate.denominator, info.drain.denominator)
-            steps = int(info.drain * grid)
+            steps = m.window_steps
             for n in range(1, steps + 1):
-                off = Fraction(info.depth_c) + Fraction(n, grid)
-                demand = min(v, info.in_rate * (off - info.depth_c))
-                rhs = demand - info.out_rate * (off - 1 - w_p_const)
-                prob.add_ge({sc: info.out_rate, sp: -info.out_rate}, rhs)
+                off = m.depth_c + m.drain * Fraction(n, steps)
+                demand = min(m.volume, m.in_rate * (off - m.depth_c))
+                rhs = demand - m.out_rate * (off - 1 - m.depth_p)
+                prob.add_ge({sc: m.out_rate, sp: -m.out_rate}, rhs)
                 labels.append(f"dep-t[{key}]@{off}")
 
         # Overwrite may start once the consumer can retire data.
-        prob.add_ge({to_var: 1, sc: -1}, Fraction(info.depth_c))
+        prob.add_ge({to_var: 1, sc: -1}, m.overwrite_delay)
         labels.append(f"overwrite-start[{key}]")
 
-        # Peak occupancy: min(V, max(b1, b2)) via a binary saturation
+        # Peak occupancy (``EdgeModel.peak``) via a binary saturation
         # selector; both selections over-approximate the peak and their
         # minimum equals it, so minimization lands exactly on the peak.
         z_var = prob.add_variable(f"saturated[{key}]", lower=0, upper=1, integer=True)
+        # Large enough to disable a branch row anywhere in the bounded box.
         big_m = (
-            max(info.out_rate, info.in_rate)
-            * (horizon + info.depth_c + info.dur_c + info.dur_p + info.depth_p + 2)
-            + v
+            max(m.out_rate, m.in_rate)
+            * (horizon + m.depth_c + m.dur_c + m.dur_p + m.depth_p + 2)
+            + m.volume
             + 1
         )
-        # b1 = out_rate * (t_o - w_p): occupancy when overwriting begins.
+        # b1: occupancy when overwriting begins.
         prob.add_ge(
-            {lb_var: 1, to_var: -info.out_rate, sp: info.out_rate, z_var: big_m},
-            -info.out_rate * w_p_const,
+            {lb_var: 1, to_var: -m.out_rate, sp: m.out_rate, z_var: big_m},
+            -m.out_rate * m.depth_p,
         )
         labels.append(f"buffer-peak-at-overwrite[{key}]")
-        # b2 = V - in_rate * (e_p - t_o): occupancy when writing ends.
+        # b2: occupancy when writing ends.
         prob.add_ge(
-            {lb_var: 1, to_var: -info.in_rate, sp: info.in_rate, z_var: big_m},
-            v - info.in_rate * e_p_const,
+            {lb_var: 1, to_var: -m.in_rate, sp: m.in_rate, z_var: big_m},
+            m.volume - m.in_rate * m.write_end,
         )
         labels.append(f"buffer-peak-at-write-end[{key}]")
-        prob.add_ge({lb_var: 1, z_var: -v}, 0)
+        prob.add_ge({lb_var: 1, z_var: -m.volume}, 0)
         labels.append(f"buffer-saturated[{key}]")
-        # Redundant but selector-independent floor; keeps relaxation bounds
-        # sharp while the selectors are still fractional.
-        prob.variables[lb_var].lower = _edge_floor(info)
+        # Redundant but selector-independent floor: the peak is
+        # nondecreasing in the offset, so its value at the earliest feasible
+        # offset bounds every schedule, and keeps relaxation bounds sharp
+        # while the selectors are still fractional.
+        prob.variables[lb_var].lower = m.peak(m.min_offset)
 
     return ConstraintSystem(
         graph=graph,
         pruned=pruned,
         horizon=horizon,
         problem=prob,
+        edges=models,
         start_var=start_var,
         overwrite_var=overwrite_var,
         buffer_var=buffer_var,
         row_labels=labels,
     )
-
-
-def _min_edge_offset(info: _EdgeInfo) -> int:
-    """Earliest feasible consumer-minus-producer start offset for one edge."""
-    if info.is_global:
-        return ceil(Fraction(info.depth_p) + info.dur_p)
-    gap_avail = Fraction(info.depth_p - info.depth_c + 1)
-    gap_rate = info.dur_p + 1 + info.depth_p - info.depth_c - info.drain
-    return ceil(max(gap_avail, gap_rate))
-
-
-def _edge_floor(info: _EdgeInfo) -> Fraction:
-    """Peak occupancy at the earliest feasible offset: a valid lower bound
-    on the edge's buffer in every feasible schedule, since the peak is
-    nondecreasing in the consumer's start."""
-    v = Fraction(info.volume)
-    if info.is_global:
-        return v
-    offset = _min_edge_offset(info)
-    t_o = Fraction(offset + info.depth_c)
-    w_p = Fraction(info.depth_p)
-    e_p = w_p + info.dur_p
-    b1 = info.out_rate * (t_o - w_p)
-    b2 = v - info.in_rate * (e_p - t_o)
-    return max(_ZERO, min(v, max(b1, b2)))
-
-
-def overwrite_start(graph: PipelineGraph, starts: dict[str, int], e: Edge) -> Fraction:
-    """Earliest legal overwrite time for an edge under a start assignment."""
-    c = graph.stage(e.consumer)
-    if c.dependency_class == GLOBAL:
-        return Fraction(starts[e.consumer] + c.stage_depth) + graph.duration[e.consumer]
-    return Fraction(starts[e.consumer] + c.stage_depth)
-
-
-def edge_peak(graph: PipelineGraph, starts: dict[str, int], e: Edge) -> Fraction:
-    """Exact peak occupancy of one edge buffer under a start assignment."""
-    p = graph.stage(e.producer)
-    v = Fraction(graph.edge_volume[e])
-    out_rate = p.throughputs().tau_out
-    in_rate = graph.stage(e.consumer).throughputs().tau_in
-    w_p = Fraction(starts[e.producer] + p.stage_depth)
-    e_p = w_p + v / out_rate
-    t_o = overwrite_start(graph, starts, e)
-    b1 = out_rate * (t_o - w_p)
-    b2 = v - in_rate * (e_p - t_o)
-    return max(_ZERO, min(v, max(b1, b2)))
 
 
 @dataclass
@@ -403,9 +377,10 @@ def _solution_from_starts(
 ) -> ScheduleSolution:
     buffers: dict[str, Fraction] = {}
     overwrites: dict[str, Fraction] = {}
-    for e in graph.edges:
-        buffers[edge_key(e)] = edge_peak(graph, starts, e)
-        overwrites[edge_key(e)] = overwrite_start(graph, starts, e)
+    for m in system.edges:
+        s_p, s_c = starts[m.edge.producer], starts[m.edge.consumer]
+        buffers[m.key] = m.peak(s_c - s_p)
+        overwrites[m.key] = s_c + m.overwrite_delay
     write_ends = [
         Fraction(starts[s.id] + s.stage_depth) + graph.duration[s.id]
         for s in graph.stages
@@ -419,6 +394,13 @@ def _solution_from_starts(
         makespan=makespan,
         horizon=system.horizon,
     )
+
+
+def _solve_milp(prob: Problem) -> solver.Solution:
+    try:
+        return solve_milp(prob)
+    except solver.NodeLimitError as exc:
+        raise SearchLimitError(f"schedule optimization stopped: {exc}") from None
 
 
 def solve(system: ConstraintSystem) -> ScheduleSolution:
@@ -437,13 +419,14 @@ def solve(system: ConstraintSystem) -> ScheduleSolution:
     # construction, so its total is a valid optimum cutoff.
     greedy = earliest_starts(graph, system.horizon)
     greedy_total = sum(
-        (edge_peak(graph, greedy, e) for e in graph.edges), _ZERO
+        (m.peak(greedy[m.edge.consumer] - greedy[m.edge.producer]) for m in system.edges),
+        _ZERO,
     )
     base = system.problem.copy()
     base.add_le(
         {system.buffer_var[e]: Fraction(1) for e in graph.edges}, greedy_total
     )
-    sol = solve_milp(base)
+    sol = _solve_milp(base)
     if sol.status != solver.OPTIMAL:
         raise ScheduleError(f"schedule optimization {sol.status}")
     assert sol.objective is not None
@@ -462,7 +445,7 @@ def solve(system: ConstraintSystem) -> ScheduleSolution:
         for sid, val in fixed.items():
             prob.add_eq({system.start_var[sid]: 1}, val)
         prob.variables[system.start_var[s.id]].objective = Fraction(1)
-        step = solve_milp(prob)
+        step = _solve_milp(prob)
         if step.status != solver.OPTIMAL:
             raise ScheduleError("lexicographic refinement failed unexpectedly")
         assert step.values is not None
@@ -480,15 +463,20 @@ def solve(system: ConstraintSystem) -> ScheduleSolution:
 def optimize(
     graph: PipelineGraph, pruned: bool = True, horizon: int | None = None
 ) -> ScheduleSolution:
-    """Build constraints, solve, and attach pruned/unpruned row counts."""
-    chosen = build_constraints(graph, pruned=pruned, horizon=horizon)
-    other = build_constraints(graph, pruned=not pruned, horizon=chosen.horizon)
-    solution = solve(chosen)
-    counts = {
-        "pruned": chosen.constraint_count if pruned else other.constraint_count,
-        "unpruned": other.constraint_count if pruned else chosen.constraint_count,
-    }
-    solution.constraint_counts = counts
+    """Build constraints, solve, and attach pruned/unpruned row counts.
+
+    The other mode's count is derived, not built: unpruned mode replaces
+    each local edge's one endpoint row by ``window_steps`` rows.
+    """
+    system = build_constraints(graph, pruned=pruned, horizon=horizon)
+    solution = solve(system)
+    extra = sum(m.window_steps - 1 for m in system.edges if not m.is_global)
+    rows = system.constraint_count
+    solution.constraint_counts = (
+        {"pruned": rows, "unpruned": rows + extra}
+        if pruned
+        else {"pruned": rows - extra, "unpruned": rows}
+    )
     return solution
 
 
@@ -507,19 +495,13 @@ def schedule_chunks(
     if chunk_count < 1:
         raise ValueError("chunk_count must be >= 1")
     interval = max(graph.duration.values())
-    for e in graph.edges:
-        key = edge_key(e)
-        p = graph.stage(e.producer)
-        v = Fraction(graph.edge_volume[e])
-        out_rate = p.throughputs().tau_out
-        in_rate = graph.stage(e.consumer).throughputs().tau_in
-        w_p = Fraction(solution.start_cycles[e.producer] + p.stage_depth)
-        e_p = w_p + v / out_rate
-        t_o = solution.overwrite_starts[key]
-        if t_o >= e_p:
+    for m in edge_models(graph):
+        # Overwrite start relative to the producer's start, as in EdgeModel.
+        t_o = solution.overwrite_starts[m.key] - solution.start_cycles[m.edge.producer]
+        if t_o >= m.write_end:
             # Saturated edge: the next chunk's writes must never outrun the
             # previous chunk's frees.
-            need = (t_o - w_p) + max(_ZERO, v / in_rate - v / out_rate)
+            need = (t_o - m.depth_p) + max(_ZERO, m.drain - m.dur_p)
             interval = max(interval, need)
 
     bubbles = {

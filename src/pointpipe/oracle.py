@@ -21,9 +21,12 @@ from math import ceil
 
 from .graph import Edge, PipelineGraph
 from .optimizer import (
+    EdgeModel,
     ScheduleError,
+    SearchLimitError,
     build_constraints,
     default_horizon,
+    edge_models,
     solve,
 )
 from .simulator import edge_curves, edge_stall_margin
@@ -33,21 +36,13 @@ _ZERO = Fraction(0)
 
 class _EdgeEval:
     """Feasibility and exact peak for one edge as a function of the
-    consumer-minus-producer start offset; memoized per offset."""
+    consumer-minus-producer start offset; memoized per offset. Scored by
+    the simulator's curves, never by ``EdgeModel``'s closed forms."""
 
-    def __init__(self, graph: PipelineGraph, e: Edge):
-        self.graph = graph
-        self.e = e
+    def __init__(self, model: EdgeModel):
+        self.model = model
         self._memo: dict[int, tuple[bool, Fraction]] = {}
-        p = graph.stage(e.producer)
-        c = graph.stage(e.consumer)
-        slack = ceil(
-            p.stage_depth
-            + c.stage_depth
-            + graph.duration[e.producer]
-            + graph.duration[e.consumer]
-            + 2
-        )
+        slack = ceil(model.depth_p + model.depth_c + model.dur_p + model.dur_c + 2)
         # Offsets at least `slack` are always feasible (producer fully done
         # with a cycle to spare before the consumer needs anything) and the
         # smallest feasible offset cannot sit below -slack, so feasibility
@@ -63,16 +58,13 @@ class _EdgeEval:
         self.min_cost = self.evaluate(lo)[1]
         # Offset beyond which the peak saturates at the full edge volume and
         # stops changing: overwrite start at or past the producer's write end.
-        w_end = Fraction(p.stage_depth) + graph.duration[e.producer]
-        self.sat_offset = max(
-            self.min_offset, ceil(w_end - Fraction(c.stage_depth))
-        )
+        self.sat_offset = max(self.min_offset, ceil(model.write_end - model.depth_c))
 
     def evaluate(self, offset: int) -> tuple[bool, Fraction]:
         hit = self._memo.get(offset)
         if hit is None:
-            starts = {self.e.producer: 0, self.e.consumer: offset}
-            curves = edge_curves(self.graph, starts, self.e)
+            e = self.model.edge
+            curves = edge_curves(self.model, {e.producer: 0, e.consumer: offset})
             margin, _ = edge_stall_margin(curves)
             peak = _ZERO
             for t in curves.occupancy_kinks():
@@ -115,7 +107,7 @@ def exhaustive_minimum(
     feasible vector exists within the horizon.
     """
     order = graph.topo_order
-    evals = {e: _EdgeEval(graph, e) for e in graph.edges}
+    evals = {m.edge: _EdgeEval(m) for m in edge_models(graph)}
     in_edges: dict[str, list[Edge]] = {sid: [] for sid in order}
     for e in graph.edges:
         in_edges[e.consumer].append(e)
@@ -189,6 +181,8 @@ def verify_against_oracle(
         solution = solve(build_constraints(graph, pruned=True, horizon=horizon))
         solver_total = solution.total_buffer
         solver_starts = solution.start_cycles
+    except SearchLimitError:
+        raise
     except ScheduleError:
         solver_feasible = False
 

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
 
-from .graph import GLOBAL, Edge, PipelineGraph
-from .optimizer import ScheduleSolution, edge_key
+from .graph import PipelineGraph
+from .optimizer import EdgeModel, ScheduleSolution, edge_key, edge_models
 
 _ZERO = Fraction(0)
 
@@ -102,33 +102,31 @@ class EdgeCurves:
 
 
 def edge_curves(
-    graph: PipelineGraph,
+    model: EdgeModel,
     starts: dict[str, int],
-    e: Edge,
     overwrite: Fraction | None = None,
     shift: Fraction = _ZERO,
 ) -> EdgeCurves:
-    """Curves for ``e`` under ``starts``, optionally time-shifted (chunks)."""
-    p = graph.stage(e.producer)
-    c = graph.stage(e.consumer)
-    v = Fraction(graph.edge_volume[e])
-    out_rate = p.throughputs().tau_out
-    in_rate = c.throughputs().tau_in
-    w_p = Fraction(starts[e.producer] + p.stage_depth)
-    w_c = Fraction(starts[e.consumer] + c.stage_depth)
+    """Curves for one edge under ``starts``, optionally time-shifted (chunks).
+
+    ``overwrite`` is the edge's absolute overwrite start; by default the
+    earliest legal one, ``overwrite_delay`` after the consumer's start.
+    """
+    s_p = Fraction(starts[model.edge.producer])
+    s_c = Fraction(starts[model.edge.consumer])
     if overwrite is None:
-        overwrite = w_c + graph.duration[e.consumer] if c.dependency_class == GLOBAL else w_c
+        overwrite = s_c + model.overwrite_delay
     return EdgeCurves(
-        key=edge_key(e),
-        volume=v,
-        out_rate=out_rate,
-        in_rate=in_rate,
-        write_start=w_p + shift,
-        write_end=w_p + v / out_rate + shift,
-        demand_start=w_c + shift,
+        key=model.key,
+        volume=model.volume,
+        out_rate=model.out_rate,
+        in_rate=model.in_rate,
+        write_start=s_p + model.depth_p + shift,
+        write_end=s_p + model.write_end + shift,
+        demand_start=s_c + model.depth_c + shift,
         overwrite_start=overwrite + shift,
-        consumer_start=Fraction(starts[e.consumer]) + shift,
-        is_global=c.dependency_class == GLOBAL,
+        consumer_start=s_c + shift,
+        is_global=model.is_global,
     )
 
 
@@ -234,6 +232,8 @@ def simulate(
     Violations are reported in the trace, never raised. ``chunk_count > 1``
     requires the solution's initiation interval (see ``schedule_chunks``).
     """
+    if chunk_count < 1:
+        raise ValueError("chunk_count must be >= 1")
     if chunk_count > 1 and solution.initiation_interval is None:
         raise ValueError("multi-chunk simulation needs a chunked schedule")
     interval = solution.initiation_interval or _ZERO
@@ -247,16 +247,16 @@ def simulate(
     curves_by_key: dict[str, list[EdgeCurves]] = {}
     end_of_run = _ZERO
 
-    for e in graph.edges:
-        key = edge_key(e)
+    for m in edge_models(graph):
+        key = m.key
         overwrite = solution.overwrite_starts.get(key)
         chunk_curves = [
-            edge_curves(graph, starts, e, overwrite=overwrite, shift=k * interval)
+            edge_curves(m, starts, overwrite=overwrite, shift=k * interval)
             for k in range(chunk_count)
         ]
         curves_by_key[key] = chunk_curves
 
-        for k, cur in enumerate(chunk_curves):
+        for cur in chunk_curves:
             margin, when = edge_stall_margin(cur)
             if margin < 0:
                 cause = (
@@ -265,7 +265,7 @@ def simulate(
                     else "consumer demand outruns readable supply"
                 )
                 stall_events.append(
-                    StallEvent(cycle=ceil(when), stage=e.consumer, cause=cause)
+                    StallEvent(cycle=ceil(when), stage=m.edge.consumer, cause=cause)
                 )
 
         scan = sorted({t for cur in chunk_curves for t in cur.occupancy_kinks()})
@@ -308,9 +308,7 @@ def simulate(
     return SimTrace(
         edge_order=[edge_key(e) for e in graph.edges],
         peaks=peaks,
-        capacities={
-            k: v for k, v in solution.buffer_sizes.items()
-        },
+        capacities=dict(solution.buffer_sizes),
         stall_events=sorted(stall_events, key=lambda s: (s.cycle, s.stage)),
         overflow_events=sorted(overflow_events, key=lambda o: (o.cycle, o.edge)),
         completion_cycle=ceil(end_of_run),
@@ -322,76 +320,3 @@ def simulate(
         freed_total=freed,
         _curves=curves_by_key,
     )
-
-
-def peak_occupancy(trace: SimTrace) -> dict[str, Fraction]:
-    """Per-edge maximum buffer occupancy over the whole run."""
-    return dict(trace.peaks)
-
-
-# -- banked on-chip memory model ----------------------------------------------
-
-STALL_POLICY = "stall"
-ELIDE_POLICY = "elide"
-
-
-@dataclass(frozen=True)
-class BankModel:
-    """Word-interleaved banking: element i lives in bank i mod bank_count,
-    one access granted per bank per cycle."""
-
-    bank_count: int
-    ports_per_bank: int = 1
-
-    def __post_init__(self) -> None:
-        if self.bank_count < 1:
-            raise ValueError("bank_count must be >= 1")
-        if self.ports_per_bank != 1:
-            raise ValueError("only single-ported banks are modeled")
-
-    def bank_of(self, element: int) -> int:
-        return element % self.bank_count
-
-
-@dataclass
-class BankAccessLog:
-    """Per-cycle grant/deny record for a set of access streams."""
-
-    grants: list[tuple[int, int, int]]    # (cycle, agent, element)
-    denials: list[tuple[int, int, int]]
-    cycles: int
-
-
-def simulate_banked(
-    accesses: list[list[int]], model: BankModel, policy: str = STALL_POLICY
-) -> BankAccessLog:
-    """Arbitrate per-agent element-access streams over banked memory.
-
-    On a conflict the lowest-numbered agent wins. Under the stall policy a
-    denied agent retries the same access next cycle; under the elide policy
-    it skips it (the search kernels interpret a skip as bypassing the
-    subtree beneath the conflicted node).
-    """
-    if policy not in (STALL_POLICY, ELIDE_POLICY):
-        raise ValueError(f"unknown policy {policy!r}")
-    cursors = [0] * len(accesses)
-    grants: list[tuple[int, int, int]] = []
-    denials: list[tuple[int, int, int]] = []
-    cycle = 0
-    while any(c < len(stream) for c, stream in zip(cursors, accesses)):
-        taken: dict[int, int] = {}
-        for agent, stream in enumerate(accesses):
-            if cursors[agent] >= len(stream):
-                continue
-            element = stream[cursors[agent]]
-            bank = model.bank_of(element)
-            if bank not in taken:
-                taken[bank] = agent
-                grants.append((cycle, agent, element))
-                cursors[agent] += 1
-            else:
-                denials.append((cycle, agent, element))
-                if policy == ELIDE_POLICY:
-                    cursors[agent] += 1
-        cycle += 1
-    return BankAccessLog(grants=grants, denials=denials, cycles=cycle)

@@ -25,6 +25,10 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+class NodeLimitError(RuntimeError):
+    """Branch and bound explored ``node_limit`` nodes without finishing."""
+
+
 @dataclass
 class Variable:
     name: str
@@ -300,7 +304,7 @@ def solve_milp(prob: Problem, node_limit: int = 200_000) -> Solution:
         extra = stack.pop()
         nodes += 1
         if nodes > node_limit:
-            raise RuntimeError("branch-and-bound node limit exhausted")
+            raise NodeLimitError("branch-and-bound node limit exhausted")
         node_prob = prob.copy()
         bounds_ok = True
         for j, lo, hi in extra:

@@ -9,7 +9,6 @@ valid graphs from consecutive seeds, so every run sees the same graphs.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from pointpipe.graph import (
     Edge,
@@ -92,62 +91,4 @@ def suite(count: int, start_seed: int = 0, input_work: int | None = None) -> lis
         seed += 1
         if seed - start_seed > 100 * count:
             raise RuntimeError("generator rejection rate unexpectedly high")
-    return graphs
-
-
-_LOCAL_KINDS = [StageKind.ELEMENTWISE, StageKind.STENCIL, StageKind.REDUCTION]
-
-
-def _local_stage(rng: random.Random, sid: str) -> StageSpec:
-    # Rate-limited local stages: unit shapes and slow frequencies keep the
-    # read windows long, which is where timestamp enumeration explodes.
-    kind = rng.choice(_LOCAL_KINDS)
-    reuse = (rng.choice([2, 3]), 1) if kind is StageKind.STENCIL else (1, 1)
-    i_rows, i_attrs = (1, rng.choice([1, 2])) if kind is StageKind.STENCIL else (1, 1)
-    return StageSpec(
-        id=sid,
-        kind=kind,
-        i_shape=Shape(i_rows, i_attrs),
-        o_shape=Shape(1, 1),
-        i_freq=rng.choice([1, 2]),
-        o_freq=rng.choice([1, 2]),
-        reuse=reuse,
-        stage_depth=rng.choice([0, 1, 2, 3]),
-    )
-
-
-def fractional_rate_suite(
-    count: int, input_work: int = 64, start_seed: int = 10_000
-) -> list[PipelineGraph]:
-    """Fixed-size all-local chains with at least one fractional rate and
-    long per-edge read windows."""
-    graphs: list[PipelineGraph] = []
-    seed = start_seed
-    while len(graphs) < count:
-        rng = random.Random(seed)
-        seed += 1
-        if seed - start_seed > 500 * count:
-            raise RuntimeError("generator rejection rate unexpectedly high")
-        n = rng.choice([3, 4, 4, 5])
-        stages = [_local_stage(rng, f"s{i}") for i in range(n)]
-        edges = [Edge(f"s{i - 1}", f"s{i}") for i in range(1, n)]
-        try:
-            g = PipelineGraph(stages=stages, edges=edges, input_work=input_work)
-        except ValidationError:
-            continue
-        if not any(
-            s.throughputs().tau_in.denominator > 1
-            or s.throughputs().tau_out.denominator > 1
-            for s in g.stages
-        ):
-            continue
-        # Long drain windows on every edge so the per-timestamp family
-        # dwarfs the endpoint form.
-        drains = [
-            Fraction(g.edge_volume[e]) / g.stage(e.consumer).throughputs().tau_in
-            for e in g.edges
-        ]
-        if min(drains) < 48:
-            continue
-        graphs.append(g)
     return graphs

@@ -1,0 +1,51 @@
+"""The command line keeps its documented exit codes on bad input."""
+
+import functools
+from pathlib import Path
+
+import pytest
+
+from pointpipe import optimizer, solver
+from pointpipe.cli import USAGE, main
+
+KNN_STENCIL = str(Path(__file__).parent.parent / "pipelines" / "knn_stencil.json")
+CLOUD = ["--synthetic", "50", "--queries", "3"]
+
+BAD_INPUTS = [
+    ["range", *CLOUD, "--radius", "0.2", "--deadline", "abc"],
+    ["range", *CLOUD, "--radius", "0"],
+    ["sort", *CLOUD, "--cuts", "a,b"],
+    ["sort", *CLOUD, "--chunks", "0"],
+    ["profile-deadline", *CLOUD, "--fraction", "x"],
+    ["knn", *CLOUD, "--k", "0"],
+    ["knn", *CLOUD, "--deadline-frac", "x"],
+    ["knn", "--synthetic", "50", "--queries", "0"],
+    ["split", *CLOUD, "--grid", "0x1x1"],
+    ["split", *CLOUD, "--serial", "0"],
+    ["stats-chunks", *CLOUD, "--grid", "0x1x1"],
+    ["optimize", KNN_STENCIL, "--chunks", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=lambda a: " ".join(a[:1] + a[-2:]))
+def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_simulate_rejects_zero_chunks(tmp_path, capsys):
+    schedule = str(tmp_path / "schedule.json")
+    assert main(["optimize", KNN_STENCIL, "--out", schedule]) == 0
+    capsys.readouterr()
+    assert main(["simulate", KNN_STENCIL, schedule, "--chunks", "0"]) == USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["optimize", "verify"])
+def test_node_limit_is_a_schedule_error(command, monkeypatch, capsys):
+    # verify must not read an unfinished search as an infeasible schedule
+    # (which would be an oracle mismatch, exit 1).
+    monkeypatch.setattr(optimizer, "solve_milp",
+                        functools.partial(solver.solve_milp, node_limit=0))
+    assert main([command, KNN_STENCIL]) == USAGE
+    assert "node limit" in capsys.readouterr().err

@@ -12,7 +12,6 @@ from pointpipe.graph import (
     StageSpec,
     ValidationError,
     check_duration_identity,
-    derive_work,
     parse_pipeline,
     serialize_pipeline,
 )
@@ -124,7 +123,7 @@ def test_reduction_work_counts_by_brute_force():
     elements = list(range(64))
     groups = [elements[i : i + 4] for i in range(0, 64, 4)]
     assert all(len(grp) == 4 for grp in groups)
-    assert derive_work(g)["r"] == len(groups) == 16
+    assert g.work["r"] == len(groups) == 16
 
 
 def test_unequal_read_write_periods_counted_by_cycle_walk():
@@ -141,7 +140,7 @@ def test_unequal_read_write_periods_counted_by_cycle_walk():
         if cycle % 4 == 0:
             written += 1
     assert cycle == g.duration["r"] == 16
-    assert derive_work(g)["r"] == written == 4
+    assert g.work["r"] == written == 4
 
 
 def test_stencil_work_counts_by_firing_enumeration(image_stencil):
@@ -153,14 +152,14 @@ def test_stencil_work_counts_by_firing_enumeration(image_stencil):
     gross_reads = unique_inputs * stencil.reuse_total
     firings = gross_reads // stencil.i_shape.elements
     outputs = firings * stencil.o_shape.elements
-    assert derive_work(image_stencil)["stencil"] == outputs == 15
+    assert image_stencil.work["stencil"] == outputs == 15
 
 
 def test_elementwise_work_passthrough():
     doc = """{"input_work": 37, "stages": [
         {"id": "e", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 0}
     ], "edges": []}"""
-    assert derive_work(parse_pipeline(doc))["e"] == 37
+    assert parse_pipeline(doc).work["e"] == 37
 
 
 def test_multi_producer_volumes_sum():

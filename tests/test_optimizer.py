@@ -127,3 +127,13 @@ def test_constraint_counts_attached(knn_stencil):
     sol = optimize(knn_stencil)
     assert sol.constraint_counts["pruned"] <= 8
     assert sol.constraint_counts["unpruned"] > sol.constraint_counts["pruned"]
+
+
+def test_derived_row_counts_equal_both_builds():
+    # optimize builds one system and derives the other mode's row count.
+    for g in suite(8):
+        pruned = build_constraints(g, pruned=True).constraint_count
+        unpruned = build_constraints(g, pruned=False).constraint_count
+        want = {"pruned": pruned, "unpruned": unpruned}
+        assert optimize(g).constraint_counts == want
+        assert optimize(g, pruned=False).constraint_counts == want

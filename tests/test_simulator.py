@@ -1,17 +1,11 @@
 import copy
 from fractions import Fraction as F
+from math import ceil
 
 from _pipegen import suite
 from pointpipe.graph import parse_pipeline
-from pointpipe.optimizer import build_constraints, edge_key, solve
-from pointpipe.simulator import (
-    ELIDE_POLICY,
-    STALL_POLICY,
-    BankModel,
-    peak_occupancy,
-    simulate,
-    simulate_banked,
-)
+from pointpipe.optimizer import build_constraints, edge_key, edge_models, solve
+from pointpipe.simulator import edge_curves, edge_stall_margin, simulate
 
 
 def _clamp(x, lo, hi):
@@ -53,7 +47,7 @@ def test_optimized_schedules_run_clean():
         sol = solve(build_constraints(g))
         trace = simulate(g, sol)
         assert trace.ok, (trace.stall_events, trace.overflow_events)
-        assert peak_occupancy(trace) == sol.buffer_sizes
+        assert trace.peaks == sol.buffer_sizes
 
 
 def test_single_missing_element_overflows():
@@ -98,7 +92,7 @@ def test_empty_edge_map_for_single_stage():
         ], "edges": []}"""
     )
     trace = simulate(g, solve(build_constraints(g)))
-    assert peak_occupancy(trace) == {}
+    assert trace.peaks == {}
     assert trace.ok
 
 
@@ -110,37 +104,19 @@ def test_trace_rows_are_samplable(knn_stencil):
     assert all(cycle % 4 == 0 for cycle, _, _ in rows)
 
 
-# -- banked access model -------------------------------------------------------
-
-
-def test_same_bank_conflict_grants_one():
-    # Two agents touch elements 1 and 3; with two banks both land in bank 1.
-    model = BankModel(bank_count=2)
-    log = simulate_banked([[1], [3]], model, STALL_POLICY)
-    first_cycle = [g for g in log.grants if g[0] == 0]
-    assert len(first_cycle) == 1
-    assert first_cycle[0][1] == 0  # lowest agent index wins
-    assert log.denials and log.denials[0][:2] == (0, 1)
-    assert log.cycles == 2  # loser retries and completes next cycle
-
-
-def test_distinct_banks_all_granted():
-    model = BankModel(bank_count=4)
-    log = simulate_banked([[0], [1], [2], [3]], model, STALL_POLICY)
-    assert log.cycles == 1
-    assert len(log.grants) == 4 and not log.denials
-
-
-def test_elide_never_slower_than_stall():
-    import random
-
-    rng = random.Random(99)
-    model = BankModel(bank_count=4)
-    for _ in range(25):
-        streams = [
-            [rng.randrange(32) for _ in range(rng.randint(1, 12))]
-            for _ in range(rng.randint(2, 5))
-        ]
-        stall = simulate_banked(streams, model, STALL_POLICY)
-        elide = simulate_banked(streams, model, ELIDE_POLICY)
-        assert elide.cycles <= stall.cycles
+def test_edge_model_closed_form_matches_curves_offset_by_offset():
+    # The closed form (min_offset, peak) against the simulator's curves,
+    # which read no closed form: stall margin and a scan of every kink.
+    pairs = 0
+    for g in suite(25, start_seed=5000):
+        for m in edge_models(g):
+            last = ceil(m.min_offset + m.dur_p + m.drain) + 5
+            for d in range(m.min_offset - 4, last + 1):
+                curves = edge_curves(m, {m.edge.producer: 0, m.edge.consumer: d})
+                margin, _ = edge_stall_margin(curves)
+                assert (margin >= 0) == (d >= m.min_offset), (m.key, d)
+                if d >= m.min_offset:
+                    scan = max(curves.occupancy(t) for t in curves.occupancy_kinks())
+                    assert m.peak(d) == scan, (m.key, d)
+                pairs += 1
+    assert pairs > 3000
