@@ -108,6 +108,13 @@ def _parse_deadline(text: str | None) -> int | None:
     return value
 
 
+def _parse_fraction(text: str, flag: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise CliError(f"{flag} must be a number or a fraction like 1/4, got {text!r}") from None
+
+
 # -- scheduling commands ------------------------------------------------------
 
 def cmd_optimize(args) -> int:
@@ -183,7 +190,8 @@ def cmd_knn(args) -> int:
         raise CliError("--deadline and --deadline-frac are mutually exclusive")
     deadline = _parse_deadline(args.deadline)
     if args.deadline_frac is not None:
-        deadline = profile_deadline(tree, queries, args.k, Fraction(args.deadline_frac)).deadline
+        frac = _parse_fraction(args.deadline_frac, "--deadline-frac")
+        deadline = profile_deadline(tree, queries, args.k, frac).deadline
 
     lines = ["query,rank,point,dist2,steps,truncated"]
     hits = 0
@@ -232,7 +240,7 @@ def cmd_profile_deadline(args) -> int:
     cloud, _ = _load_cloud(args)
     tree = kdtree_build(cloud.points, leaf_size=args.leaf_size)
     queries = _queries(args, cloud)
-    prof = profile_deadline(tree, queries, args.k, Fraction(args.fraction))
+    prof = profile_deadline(tree, queries, args.k, _parse_fraction(args.fraction, "--fraction"))
     lines = ["query,steps"] + [f"{i},{s}" for i, s in enumerate(prof.steps)]
     _write(args.out, "\n".join(lines) + "\n")
     print(f"mean steps: {prof.mean_steps!r}", file=sys.stderr)

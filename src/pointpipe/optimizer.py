@@ -26,6 +26,17 @@ through the offset d = s_c - s_p, and the model gives, as functions of d:
   starts or when the producer stops writing. The MILP encodes its two
   branches with one binary saturation selector per local edge; Global edges
   pin the buffer to V outright.
+
+When no stage has two producers the graph is a forest: its edge offsets
+are independent and the total is the sum of each edge's ``peak(d)``. Each
+peak is least at ``min_offset`` and stays there up to ``max_floor_offset``
+(unbounded once the buffer holds all of V), so the optimal schedules are
+exactly the offset box ``min_offset <= s_c - s_p <= max_floor_offset`` with
+every start >= 0. ``solve`` returns the box's least member, found in two
+passes over the forest, without a MILP. The exact MILP with its per-stage
+lexicographic tie-break runs only where paths reconverge (some stage has
+two or more producers), or when that least member starts a stage past the
+horizon.
 """
 
 from __future__ import annotations
@@ -108,6 +119,16 @@ class EdgeModel:
         """Rows of the unpruned availability family: the consumer's read
         window on a grid fine enough to hit every demand kink."""
         return int(self.drain * lcm(self.in_rate.denominator, self.drain.denominator))
+
+    @property
+    def max_floor_offset(self) -> int | None:
+        """Largest offset whose peak is still ``peak(min_offset)``, or None
+        when every larger offset keeps it. ``peak`` is flat only where it is
+        clamped. At V it stays there. It is never clamped at 0 on a feasible
+        offset: a local consumer starts overwriting a cycle after the first
+        write at the earliest, so b1 >= out_rate. In between, b1 and b2
+        rise strictly, so ``min_offset`` is the only optimal offset."""
+        return None if self.peak(self.min_offset) == self.volume else self.min_offset
 
     def peak(self, d: int) -> Fraction:
         """Exact peak occupancy at a feasible offset ``d``, nondecreasing in
@@ -396,6 +417,37 @@ def _solution_from_starts(
     )
 
 
+def _tree_starts(graph: PipelineGraph, models: list[EdgeModel]) -> dict[str, int] | None:
+    """Least member of the optimal offset box (see the module docstring)
+    when no stage has two producers, else None.
+
+    Difference constraints are closed under componentwise min, so the box
+    has a least member, the lexicographic minimum in every stage order. Two
+    passes over the forest find it: the upper bounds lift each producer as
+    far as its subtree needs, then the lower bounds push each consumer down
+    the tree.
+    """
+    into: dict[str, EdgeModel] = {}
+    for m in models:
+        if m.edge.consumer in into:
+            return None
+        into[m.edge.consumer] = m
+    need = {sid: 0 for sid in graph.topo_order}
+    for sid in reversed(graph.topo_order):
+        m = into.get(sid)
+        if m is not None and (hi := m.max_floor_offset) is not None:
+            p = m.edge.producer
+            need[p] = max(need[p], need[sid] - hi)
+    starts: dict[str, int] = {}
+    for sid in graph.topo_order:
+        m = into.get(sid)
+        starts[sid] = need[sid] if m is None else max(
+            need[sid], starts[m.edge.producer] + m.min_offset)
+    # Declaration order, as the MILP's tie-break fills it: the order shows
+    # wherever the start vector is printed.
+    return {s.id: starts[s.id] for s in graph.stages}
+
+
 def _solve_milp(prob: Problem) -> solver.Solution:
     try:
         return solve_milp(prob)
@@ -408,11 +460,13 @@ def solve(system: ConstraintSystem) -> ScheduleSolution:
 
     Among all optimal schedules, returns the one with the lexicographically
     smallest start-cycle vector (stage declaration order), so repeated
-    solves are bit-identical.
+    solves are bit-identical. A graph in which no stage has two producers
+    gets that schedule in closed form (``_tree_starts``) whenever it fits
+    the horizon; every other graph goes to the MILP.
     """
     graph = system.graph
-    if not graph.edges:
-        starts = {s.id: 0 for s in graph.stages}
+    starts = _tree_starts(graph, system.edges)
+    if starts is not None and max(starts.values()) <= system.horizon:
         return _solution_from_starts(graph, starts, system)
 
     # Seed the search with the earliest-start schedule: feasible by

@@ -18,13 +18,21 @@ A stall is any instant where demand exceeds readable supply; an overflow is
 any instant where writes - frees exceeds the edge's allocated capacity. A
 consumer of Global kind must not start before its producer finishes
 writing; that check replaces the rate comparison on such edges.
+
+Chunk k runs chunk 0's curves shifted by k initiation intervals (II). Its
+occupancy is zero before its write start and from its drain end on, for
+any overwrite start, so at time t only the chunks with
+``write_start + k*II <= t <= drain_end + k*II`` are live, and an edge's
+occupancy is summed over those alone (``_live_occupancy``). The peak scan,
+``SimTrace.occupancy_at`` and ``SimTrace.sample_rows`` all use it, which
+keeps each of them linear in the chunk count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil
+from math import ceil, floor
 
 from .graph import PipelineGraph
 from .optimizer import EdgeModel, ScheduleSolution, edge_key, edge_models
@@ -130,6 +138,18 @@ def edge_curves(
     )
 
 
+def _live_occupancy(chunks: list[EdgeCurves], interval: Fraction, t: Fraction) -> Fraction:
+    """Occupancy at ``t`` of one edge summed over its chunks, chunk k being
+    chunk 0 shifted by ``k * interval``; only the chunks live at ``t`` are
+    evaluated, or every chunk when the interval is not positive."""
+    lo, hi = 0, len(chunks)
+    if interval > 0:
+        first = chunks[0]
+        lo = max(lo, ceil((t - first.drain_end) / interval))
+        hi = min(hi, floor((t - first.write_start) / interval) + 1)
+    return sum((chunks[k].occupancy(t) for k in range(lo, hi)), _ZERO)
+
+
 def edge_stall_margin(curves: EdgeCurves) -> tuple[Fraction, Fraction]:
     """(worst margin, time of worst margin); negative margin means a stall."""
     if curves.is_global:
@@ -179,14 +199,14 @@ class SimTrace:
     written_total: dict[str, Fraction]
     freed_total: dict[str, Fraction]
     _curves: dict[str, list[EdgeCurves]] = field(default_factory=dict, repr=False)
+    _interval: Fraction = field(default=_ZERO, repr=False)
 
     @property
     def ok(self) -> bool:
         return not self.stall_events and not self.overflow_events
 
     def occupancy_at(self, key: str, t: Fraction | int) -> Fraction:
-        t = Fraction(t)
-        return sum((c.occupancy(t) for c in self._curves[key]), _ZERO)
+        return _live_occupancy(self._curves[key], self._interval, Fraction(t))
 
     def sample_rows(self, stride: int = 1):
         """Yield (cycle, edge, occupancy) rows at integer cycles."""
@@ -268,11 +288,13 @@ def simulate(
                     StallEvent(cycle=ceil(when), stage=m.edge.consumer, cause=cause)
                 )
 
-        scan = sorted({t for cur in chunk_curves for t in cur.occupancy_kinks()})
+        # Chunk k's kinks are chunk 0's shifted by k intervals.
+        scan = sorted({t + k * interval for t in chunk_curves[0].occupancy_kinks()
+                       for k in range(chunk_count)})
         peak = _ZERO
         peak_t = _ZERO
         for t in scan:
-            occ = sum((cur.occupancy(t) for cur in chunk_curves), _ZERO)
+            occ = _live_occupancy(chunk_curves, interval, t)
             if occ > peak:
                 peak = occ
                 peak_t = t
@@ -319,4 +341,5 @@ def simulate(
         written_total=written,
         freed_total=freed,
         _curves=curves_by_key,
+        _interval=interval,
     )

@@ -1,9 +1,11 @@
 """Deterministic random pipeline generator shared by the test suite.
 
-Produces small single-source DAGs (mostly chains, some diamonds) with mixed
-stage kinds, rate denominators capped at 4, and integral derived work, via
-rejection sampling on a seeded RNG. ``suite(n)`` returns the first ``n``
-valid graphs from consecutive seeds, so every run sees the same graphs.
+Produces small DAGs with mixed stage kinds, rate denominators capped at 4,
+and integral derived work, via rejection sampling on a seeded RNG.
+``suite(n)`` returns the first ``n`` valid graphs from consecutive seeds,
+so every run sees the same graphs. Its default shape is a single-source
+chain, some with one skip edge; ``shape="tree"`` gives branching forests
+in which no stage has two producers.
 """
 
 from __future__ import annotations
@@ -51,9 +53,7 @@ def _random_stage(rng: random.Random, sid: str) -> StageSpec:
     )
 
 
-def _attempt(rng: random.Random, input_work: int | None) -> PipelineGraph | None:
-    n = rng.choice([3, 3, 4, 4, 5])
-    stages = [_random_stage(rng, f"s{i}") for i in range(n)]
+def _chain_edges(rng: random.Random, n: int) -> list[Edge]:
     edges = [Edge(f"s{i - 1}", f"s{i}") for i in range(1, n)]
     if n >= 4 and rng.random() < 0.35:
         a = rng.randrange(0, n - 2)
@@ -61,6 +61,24 @@ def _attempt(rng: random.Random, input_work: int | None) -> PipelineGraph | None
         extra = Edge(f"s{a}", f"s{b}")
         if extra not in edges:
             edges.append(extra)
+    return edges
+
+
+def _tree_edges(rng: random.Random, n: int) -> list[Edge]:
+    # Each later stage takes one earlier producer or, now and then, starts
+    # a tree of its own.
+    edges = []
+    for i in range(1, n):
+        p = rng.randrange(-1, i) if i >= 2 else 0
+        if p >= 0:
+            edges.append(Edge(f"s{p}", f"s{i}"))
+    return edges
+
+
+def _attempt(rng: random.Random, input_work: int | None, shape: str) -> PipelineGraph | None:
+    n = rng.choice([3, 3, 4, 4, 5] if shape == "chain" else [4, 5, 6, 7])
+    stages = [_random_stage(rng, f"s{i}") for i in range(n)]
+    edges = _chain_edges(rng, n) if shape == "chain" else _tree_edges(rng, n)
     w0 = input_work if input_work is not None else rng.choice(_WORK_CHOICES)
     try:
         graph = PipelineGraph(stages=stages, edges=edges, input_work=w0)
@@ -77,15 +95,19 @@ def _attempt(rng: random.Random, input_work: int | None) -> PipelineGraph | None
     return graph
 
 
-def generate(seed: int, input_work: int | None = None) -> PipelineGraph | None:
-    return _attempt(random.Random(seed), input_work)
+def generate(seed: int, input_work: int | None = None,
+             shape: str = "chain") -> PipelineGraph | None:
+    if shape not in ("chain", "tree"):
+        raise ValueError(f"unknown shape {shape!r}")
+    return _attempt(random.Random(seed), input_work, shape)
 
 
-def suite(count: int, start_seed: int = 0, input_work: int | None = None) -> list[PipelineGraph]:
+def suite(count: int, start_seed: int = 0, input_work: int | None = None,
+          shape: str = "chain") -> list[PipelineGraph]:
     graphs: list[PipelineGraph] = []
     seed = start_seed
     while len(graphs) < count:
-        g = generate(seed, input_work)
+        g = generate(seed, input_work, shape)
         if g is not None:
             graphs.append(g)
         seed += 1

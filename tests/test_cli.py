@@ -8,7 +8,15 @@ import pytest
 from pointpipe import optimizer, solver
 from pointpipe.cli import USAGE, main
 
+PIPELINES = sorted((Path(__file__).parent.parent / "pipelines").glob("*.json"))
 KNN_STENCIL = str(Path(__file__).parent.parent / "pipelines" / "knn_stencil.json")
+# Two paths from "a" reconverge at "d", so only the MILP can schedule it.
+DIAMOND = """{"input_work": 8, "stages": [
+  {"id": "a", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 0},
+  {"id": "b", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 2},
+  {"id": "c", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 0},
+  {"id": "d", "kind": "Elementwise", "i_shape": [2, 1], "o_shape": [2, 1], "stage": 0}
+], "edges": [["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]]}"""
 CLOUD = ["--synthetic", "50", "--queries", "3"]
 
 BAD_INPUTS = [
@@ -17,8 +25,10 @@ BAD_INPUTS = [
     ["sort", *CLOUD, "--cuts", "a,b"],
     ["sort", *CLOUD, "--chunks", "0"],
     ["profile-deadline", *CLOUD, "--fraction", "x"],
+    ["profile-deadline", *CLOUD, "--fraction", "1/0"],
     ["knn", *CLOUD, "--k", "0"],
     ["knn", *CLOUD, "--deadline-frac", "x"],
+    ["knn", *CLOUD, "--deadline-frac", "1/0"],
     ["knn", "--synthetic", "50", "--queries", "0"],
     ["split", *CLOUD, "--grid", "0x1x1"],
     ["split", *CLOUD, "--serial", "0"],
@@ -42,10 +52,24 @@ def test_simulate_rejects_zero_chunks(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["optimize", "verify"])
-def test_node_limit_is_a_schedule_error(command, monkeypatch, capsys):
+def test_node_limit_is_a_schedule_error(command, tmp_path, monkeypatch, capsys):
     # verify must not read an unfinished search as an infeasible schedule
     # (which would be an oracle mismatch, exit 1).
+    diamond = tmp_path / "diamond.json"
+    diamond.write_text(DIAMOND)
     monkeypatch.setattr(optimizer, "solve_milp",
                         functools.partial(solver.solve_milp, node_limit=0))
-    assert main([command, KNN_STENCIL]) == USAGE
+    assert main([command, str(diamond)]) == USAGE
     assert "node limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["optimize", "verify"])
+def test_shipped_pipelines_never_reach_the_milp(command, monkeypatch, capsys):
+    # Every shipped pipeline is single-producer: the closed form schedules it.
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_milp called")
+
+    monkeypatch.setattr(optimizer, "solve_milp", refuse)
+    assert PIPELINES
+    for path in PIPELINES:
+        assert main([command, str(path)]) == 0, path

@@ -1,17 +1,42 @@
 from fractions import Fraction as F
+from math import ceil
 
 import pytest
 
-from _pipegen import suite
+from _pipegen import generate, suite
+from pointpipe import optimizer
 from pointpipe.graph import parse_pipeline
 from pointpipe.optimizer import (
     ScheduleError,
     ScheduleSolution,
     build_constraints,
+    default_horizon,
     edge_key,
+    edge_models,
     optimize,
     solve,
 )
+from pointpipe.oracle import exhaustive_minimum
+
+
+def _single_producer(g):
+    consumers = [e.consumer for e in g.edges]
+    return len(consumers) == len(set(consumers))
+
+
+def _trees(count, **kw):
+    return [g for g in suite(count, **kw) if _single_producer(g)]
+
+
+@pytest.fixture
+def milp_solve(monkeypatch):
+    """``solve`` with the closed form switched off: the MILP alone."""
+    def run(system):
+        with monkeypatch.context() as m:
+            m.setattr(optimizer, "_tree_starts", lambda graph, models: None)
+            return solve(system)
+
+    return run
 
 
 def test_knn_stencil_pruned_row_budget(knn_stencil):
@@ -137,3 +162,57 @@ def test_derived_row_counts_equal_both_builds():
         want = {"pruned": pruned, "unpruned": unpruned}
         assert optimize(g).constraint_counts == want
         assert optimize(g, pruned=False).constraint_counts == want
+
+
+def test_max_floor_offset_is_where_the_peak_first_rises():
+    branches = set()
+    for g in _trees(60, start_seed=5000) + _trees(30, shape="tree"):
+        for m in edge_models(g):
+            least = m.peak(m.min_offset)
+            hi = m.max_floor_offset
+            last = m.min_offset + ceil(m.depth_c + m.dur_c + m.dur_p + m.drain) + 4
+            flat = [d for d in range(m.min_offset, last + 1) if m.peak(d) == least]
+            # peak never falls, so the flat offsets are one run from min_offset
+            assert flat == list(range(m.min_offset, flat[-1] + 1)), m.key
+            if hi is None:
+                assert least == m.volume and flat[-1] == last, m.key
+            else:
+                assert flat[-1] == hi < last, m.key
+            assert least > 0, m.key
+            branches.add(hi is None)
+    assert branches == {True, False}
+
+
+def test_closed_form_equals_milp_on_trees(milp_solve):
+    trees = _trees(16, shape="tree") + _trees(40, start_seed=5000)[:15]
+    assert len(trees) == 31
+    # Branching trees, and trees whose least schedule lifts a source off
+    # cycle 0 (a consumer deeper than its producer is pinned below it).
+    assert any(len(g.consumers_of(sid)) > 1 for g in trees for sid in g.topo_order)
+    assert any(solve(build_constraints(g)).start_cycles[sid] > 0
+               for g in trees for sid in g.sources)
+    for g in trees:
+        system = build_constraints(g)
+        closed, milp = solve(system), milp_solve(system)
+        assert closed.dumps() == milp.dumps()
+        # verify prints the start dict, so its order counts too
+        assert list(closed.start_cycles.items()) == list(milp.start_cycles.items())
+
+
+def test_closed_form_total_equals_exhaustive_minimum():
+    for g in _trees(60, start_seed=5000) + _trees(30, shape="tree"):
+        sol = solve(build_constraints(g))
+        total, _, _ = exhaustive_minimum(g, default_horizon(g))
+        assert sol.total_buffer == total
+
+
+def test_horizon_short_of_least_schedule_falls_back_to_milp(milp_solve):
+    # Seed 5845's least optimal schedule starts s1 at cycle 2; a horizon of 1
+    # still admits a schedule, just not an optimal one of the closed form.
+    g = generate(5845)
+    least = solve(build_constraints(g)).start_cycles
+    horizon = max(least.values()) - 1
+    system = build_constraints(g, horizon=horizon)
+    sol = solve(system)
+    assert max(sol.start_cycles.values()) <= horizon
+    assert sol.dumps() == milp_solve(system).dumps()

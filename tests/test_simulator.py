@@ -2,9 +2,18 @@ import copy
 from fractions import Fraction as F
 from math import ceil
 
+import pytest
+
 from _pipegen import suite
+from conftest import GLOBAL_EDGE, KNN_STENCIL, LOCAL_CHAIN
 from pointpipe.graph import parse_pipeline
-from pointpipe.optimizer import build_constraints, edge_key, edge_models, solve
+from pointpipe.optimizer import (
+    build_constraints,
+    edge_key,
+    edge_models,
+    schedule_chunks,
+    solve,
+)
 from pointpipe.simulator import edge_curves, edge_stall_margin, simulate
 
 
@@ -120,3 +129,66 @@ def test_edge_model_closed_form_matches_curves_offset_by_offset():
                     assert m.peak(d) == scan, (m.key, d)
                 pairs += 1
     assert pairs > 3000
+
+
+
+def _variants(g, chunks):
+    """Chunked schedules of ``g``: as optimized, with hand-set intervals
+    (0, and 1 so that many chunks overlap), and with an overwrite start
+    moved before the write start or so that draining ends before writing."""
+    sol = schedule_chunks(solve(build_constraints(g)), g, chunks)
+    yield sol
+    for interval in (F(0), F(1)):
+        v = copy.deepcopy(sol)
+        v.initiation_interval = interval
+        yield v
+    m = edge_models(g)[-1]
+    write_start = sol.start_cycles[m.edge.producer] + m.depth_p
+    for overwrite in (write_start - 3, write_start + m.dur_p - m.drain - F(5, 2)):
+        v = copy.deepcopy(sol)
+        v.overwrite_starts[m.key] = overwrite
+        yield v
+
+
+@pytest.mark.parametrize("chunks", [1, 2, 7, 64])
+def test_live_chunk_sums_equal_brute_force_over_every_chunk(chunks):
+    # Summing only the live chunks must change nothing: peaks, the cycle of
+    # each overflow, occupancy_at and sample_rows all equal a sum over every
+    # chunk's curves. 64 chunks cost O(chunks^2) here, so one graph there.
+    graphs = [parse_pipeline(KNN_STENCIL)]
+    if chunks < 64:
+        graphs += [parse_pipeline(LOCAL_CHAIN), parse_pipeline(GLOBAL_EDGE)]
+        graphs += suite(3, start_seed=900)
+    for g in graphs:
+        models = edge_models(g)
+        for sol in _variants(g, chunks):
+            every = {
+                m.key: [edge_curves(m, sol.start_cycles, sol.overwrite_starts[m.key],
+                                    shift=k * sol.initiation_interval)
+                        for k in range(chunks)]
+                for m in models
+            }
+
+            def brute(key, t):
+                return sum((c.occupancy(t) for c in every[key]), F(0))
+
+            trace = simulate(g, sol, chunk_count=chunks)
+            tight = copy.deepcopy(sol)
+            want_overflows = []
+            for key, curves in every.items():
+                kinks = sorted({t for c in curves for t in c.occupancy_kinks()})
+                occ = [brute(key, t) for t in kinks]
+                assert [trace.occupancy_at(key, t) for t in kinks] == occ
+                peak = max(occ)
+                assert trace.peaks[key] == peak
+                if peak > 0:
+                    tight.buffer_sizes[key] = peak - F(1, 2)
+                    want_overflows.append((ceil(kinks[occ.index(peak)]), key))
+            over = simulate(g, tight, chunk_count=chunks).overflow_events
+            assert [(o.cycle, o.edge) for o in over] == sorted(want_overflows)
+            stride = max(1, trace.completion_cycle // 40)
+            assert list(trace.sample_rows(stride=stride)) == [
+                (cyc, key, brute(key, cyc))
+                for cyc in range(0, trace.completion_cycle + 1, stride)
+                for key in trace.edge_order
+            ]
