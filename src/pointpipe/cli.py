@@ -122,16 +122,12 @@ def cmd_optimize(args) -> int:
     solution = optimize(graph, pruned=not args.no_prune, horizon=args.horizon)
     if args.chunks != 1:  # schedule_chunks rejects a count below 1
         solution = schedule_chunks(solution, graph, args.chunks)
-    doc = solution.dumps(element_bytes=args.element_bytes)
-    _write(args.out, doc)
+    doc = solution.to_json_dict(element_bytes=args.element_bytes)
+    _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     counts = solution.constraint_counts
     print(f"total buffer: {_frac_to_json(solution.total_buffer)} elements", file=sys.stderr)
     if args.element_bytes:
-        from math import ceil
-        total_bytes = sum(
-            ceil(v) * args.element_bytes for v in solution.buffer_sizes.values()
-        )
-        print(f"total buffer: {total_bytes} bytes "
+        print(f"total buffer: {doc['total_buffer_bytes']} bytes "
               f"({args.element_bytes} B/element)", file=sys.stderr)
     print(f"makespan: {_frac_to_json(solution.makespan)} cycles", file=sys.stderr)
     print(f"constraints: pruned {counts['pruned']}, unpruned {counts['unpruned']}",

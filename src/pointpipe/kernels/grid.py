@@ -8,6 +8,8 @@ bucketed sorting that reconstructs a global order from per-chunk sorts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import ceil
 
 import numpy as np
 
@@ -43,16 +45,6 @@ class ChunkGrid:
         gx, gy, gz = self.dims
         return gx * gy * gz
 
-    def linear_cell(self, cx: int, cy: int, cz: int) -> int:
-        _, gy, gz = self.dims
-        return (cx * gy + cy) * gz + cz
-
-    def group_counts(self) -> tuple[int, int, int]:
-        return tuple(
-            (g - k) // s + 1
-            for g, k, s in zip(self.dims, self.kernel, self.stride)
-        )
-
 
 def _axis_cells(coords: np.ndarray, lo: float, hi: float, g: int) -> np.ndarray:
     if g == 1 or hi <= lo:
@@ -60,6 +52,13 @@ def _axis_cells(coords: np.ndarray, lo: float, hi: float, g: int) -> np.ndarray:
     # ceil(t) - 1 sends exact boundary values to the lower cell.
     t = (coords - lo) / (hi - lo) * g
     idx = np.ceil(t).astype(np.int64) - 1
+    # t is off by a few ulps (7/25*25 rounds above 7), so the values that
+    # land that close to a boundary are placed by exact rationals. The box
+    # ends themselves give t = 0 and t = g exactly.
+    span = Fraction(hi) - Fraction(lo)
+    near = (np.abs(t - np.rint(t)) <= g * 2.0**-40) & (coords > lo) & (coords < hi)
+    for i in np.flatnonzero(near):
+        idx[i] = ceil((Fraction(coords[i]) - Fraction(lo)) * g / span) - 1
     return np.clip(idx, 0, g - 1)
 
 

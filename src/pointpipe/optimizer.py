@@ -33,10 +33,13 @@ peak is least at ``min_offset`` and stays there up to ``max_floor_offset``
 (unbounded once the buffer holds all of V), so the optimal schedules are
 exactly the offset box ``min_offset <= s_c - s_p <= max_floor_offset`` with
 every start >= 0. ``solve`` returns the box's least member, found in two
-passes over the forest, without a MILP. The exact MILP with its per-stage
-lexicographic tie-break runs only where paths reconverge (some stage has
-two or more producers), or when that least member starts a stage past the
-horizon.
+passes over the forest, without a MILP.
+
+Where paths reconverge (some stage has two or more producers), or when
+that least member starts a stage past the horizon, ``solve`` runs the exact
+MILP once, on an objective that weighs the buffer total above every start
+and each start above the starts declared after it: its one optimum is the
+least start vector, in declaration order, among the minimal-total schedules.
 """
 
 from __future__ import annotations
@@ -193,6 +196,7 @@ class ConstraintSystem:
     overwrite_var: dict[Edge, int]
     buffer_var: dict[Edge, int]
     row_labels: list[str]
+    earliest: dict[str, int]   # cascaded earliest starts, a feasible schedule
 
     @property
     def constraint_count(self) -> int:
@@ -317,6 +321,7 @@ def build_constraints(
         overwrite_var=overwrite_var,
         buffer_var=buffer_var,
         row_labels=labels,
+        earliest=earliest,
     )
 
 
@@ -448,13 +453,6 @@ def _tree_starts(graph: PipelineGraph, models: list[EdgeModel]) -> dict[str, int
     return {s.id: starts[s.id] for s in graph.stages}
 
 
-def _solve_milp(prob: Problem) -> solver.Solution:
-    try:
-        return solve_milp(prob)
-    except solver.NodeLimitError as exc:
-        raise SearchLimitError(f"schedule optimization stopped: {exc}") from None
-
-
 def solve(system: ConstraintSystem) -> ScheduleSolution:
     """Exact optimum of the buffer-minimization program.
 
@@ -462,50 +460,52 @@ def solve(system: ConstraintSystem) -> ScheduleSolution:
     smallest start-cycle vector (stage declaration order), so repeated
     solves are bit-identical. A graph in which no stage has two producers
     gets that schedule in closed form (``_tree_starts``) whenever it fits
-    the horizon; every other graph goes to the MILP.
+    the horizon. Every other graph gets it from one MILP that minimizes
+    ``scale * base**n * total + sum(base**(n-1-i) * start_i)``: every peak
+    is a multiple of ``1/scale``, so two totals differ by at least
+    ``1/scale``, and every start lies in ``[0, horizon]``, so with
+    ``base = horizon + 1`` the start terms sum to less than ``base**n``.
     """
     graph = system.graph
     starts = _tree_starts(graph, system.edges)
     if starts is not None and max(starts.values()) <= system.horizon:
         return _solution_from_starts(graph, starts, system)
 
+    prob = system.problem.copy()
+    buffers = [system.buffer_var[m.edge] for m in system.edges]
     # Seed the search with the earliest-start schedule: feasible by
     # construction, so its total is a valid optimum cutoff.
-    greedy = earliest_starts(graph, system.horizon)
+    greedy = system.earliest
     greedy_total = sum(
         (m.peak(greedy[m.edge.consumer] - greedy[m.edge.producer]) for m in system.edges),
         _ZERO,
     )
-    base = system.problem.copy()
-    base.add_le(
-        {system.buffer_var[e]: Fraction(1) for e in graph.edges}, greedy_total
-    )
-    sol = _solve_milp(base)
+    prob.add_le({j: 1 for j in buffers}, greedy_total)
+
+    # A local peak is 0, V, b1 = out_rate * integer or b2 = V - in_rate *
+    # write_end + in_rate * integer; a Global peak is V, an integer.
+    scale = lcm(*(
+        d
+        for m in system.edges if not m.is_global
+        for d in (m.out_rate.denominator, m.in_rate.denominator,
+                  (m.in_rate * m.write_end).denominator)
+    ))
+    base, n = system.horizon + 1, len(graph.stages)
+    for j in buffers:
+        prob.variables[j].objective = Fraction(scale * base**n)
+    for i, s in enumerate(graph.stages):
+        prob.variables[system.start_var[s.id]].objective = Fraction(base ** (n - 1 - i))
+
+    try:
+        sol = solve_milp(prob)
+    except solver.NodeLimitError as exc:
+        raise SearchLimitError(f"schedule optimization stopped: {exc}") from None
     if sol.status != solver.OPTIMAL:
         raise ScheduleError(f"schedule optimization {sol.status}")
-    assert sol.objective is not None
-    optimum = sol.objective
-
-    # Lexicographic tie-break: pin the optimum, then minimize each start in
-    # declaration order, fixing as we go.
-    fixed: dict[str, int] = {}
-    for s in graph.stages:
-        prob = base.copy()
-        for v in prob.variables:
-            v.objective = _ZERO
-        prob.add_eq(
-            {system.buffer_var[e]: Fraction(1) for e in graph.edges}, optimum
-        )
-        for sid, val in fixed.items():
-            prob.add_eq({system.start_var[sid]: 1}, val)
-        prob.variables[system.start_var[s.id]].objective = Fraction(1)
-        step = _solve_milp(prob)
-        if step.status != solver.OPTIMAL:
-            raise ScheduleError("lexicographic refinement failed unexpectedly")
-        assert step.values is not None
-        fixed[s.id] = int(step.values[system.start_var[s.id]])
-
-    solution = _solution_from_starts(graph, fixed, system)
+    assert sol.values is not None
+    starts = {s.id: int(sol.values[system.start_var[s.id]]) for s in graph.stages}
+    solution = _solution_from_starts(graph, starts, system)
+    optimum = sum((sol.values[j] for j in buffers), _ZERO)
     if solution.total_buffer != optimum:
         raise ScheduleError(
             f"internal inconsistency: recomputed total {solution.total_buffer} "

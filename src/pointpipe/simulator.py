@@ -19,9 +19,11 @@ any instant where writes - frees exceeds the edge's allocated capacity. A
 consumer of Global kind must not start before its producer finishes
 writing; that check replaces the rate comparison on such edges.
 
-Chunk k runs chunk 0's curves shifted by k initiation intervals (II). Its
-occupancy is zero before its write start and from its drain end on, for
-any overwrite start, so at time t only the chunks with
+Chunk k runs chunk 0's curves shifted by k initiation intervals (II), so
+each edge keeps chunk 0's curves alone: chunk k's value at t is chunk 0's
+at t - k*II, and its stall is chunk 0's, k*II later. A chunk's occupancy is
+zero before its write start and from its drain end on, for any overwrite
+start, so at time t only the chunks with
 ``write_start + k*II <= t <= drain_end + k*II`` are live, and an edge's
 occupancy is summed over those alone (``_live_occupancy``). The peak scan,
 ``SimTrace.occupancy_at`` and ``SimTrace.sample_rows`` all use it, which
@@ -113,9 +115,8 @@ def edge_curves(
     model: EdgeModel,
     starts: dict[str, int],
     overwrite: Fraction | None = None,
-    shift: Fraction = _ZERO,
 ) -> EdgeCurves:
-    """Curves for one edge under ``starts``, optionally time-shifted (chunks).
+    """Curves for one edge under ``starts``.
 
     ``overwrite`` is the edge's absolute overwrite start; by default the
     earliest legal one, ``overwrite_delay`` after the consumer's start.
@@ -129,25 +130,27 @@ def edge_curves(
         volume=model.volume,
         out_rate=model.out_rate,
         in_rate=model.in_rate,
-        write_start=s_p + model.depth_p + shift,
-        write_end=s_p + model.write_end + shift,
-        demand_start=s_c + model.depth_c + shift,
-        overwrite_start=overwrite + shift,
-        consumer_start=s_c + shift,
+        write_start=s_p + model.depth_p,
+        write_end=s_p + model.write_end,
+        demand_start=s_c + model.depth_c,
+        overwrite_start=overwrite,
+        consumer_start=s_c,
         is_global=model.is_global,
     )
 
 
-def _live_occupancy(chunks: list[EdgeCurves], interval: Fraction, t: Fraction) -> Fraction:
-    """Occupancy at ``t`` of one edge summed over its chunks, chunk k being
-    chunk 0 shifted by ``k * interval``; only the chunks live at ``t`` are
-    evaluated, or every chunk when the interval is not positive."""
-    lo, hi = 0, len(chunks)
+def _live_occupancy(
+    curves: EdgeCurves, chunks: int, interval: Fraction, t: Fraction
+) -> Fraction:
+    """Occupancy at ``t`` of one edge summed over ``chunks`` chunks, chunk k
+    being chunk 0's ``curves`` shifted by ``k * interval``; only the chunks
+    live at ``t`` are evaluated, or every chunk when the interval is not
+    positive."""
+    lo, hi = 0, chunks
     if interval > 0:
-        first = chunks[0]
-        lo = max(lo, ceil((t - first.drain_end) / interval))
-        hi = min(hi, floor((t - first.write_start) / interval) + 1)
-    return sum((chunks[k].occupancy(t) for k in range(lo, hi)), _ZERO)
+        lo = max(lo, ceil((t - curves.drain_end) / interval))
+        hi = min(hi, floor((t - curves.write_start) / interval) + 1)
+    return sum((curves.occupancy(t - k * interval) for k in range(lo, hi)), _ZERO)
 
 
 def edge_stall_margin(curves: EdgeCurves) -> tuple[Fraction, Fraction]:
@@ -198,7 +201,7 @@ class SimTrace:
     first_output: dict[str, int]
     written_total: dict[str, Fraction]
     freed_total: dict[str, Fraction]
-    _curves: dict[str, list[EdgeCurves]] = field(default_factory=dict, repr=False)
+    _curves: dict[str, EdgeCurves] = field(default_factory=dict, repr=False)
     _interval: Fraction = field(default=_ZERO, repr=False)
 
     @property
@@ -206,7 +209,8 @@ class SimTrace:
         return not self.stall_events and not self.overflow_events
 
     def occupancy_at(self, key: str, t: Fraction | int) -> Fraction:
-        return _live_occupancy(self._curves[key], self._interval, Fraction(t))
+        chunks = len(self.chunk_completions)
+        return _live_occupancy(self._curves[key], chunks, self._interval, Fraction(t))
 
     def sample_rows(self, stride: int = 1):
         """Yield (cycle, edge, occupancy) rows at integer cycles."""
@@ -264,37 +268,32 @@ def simulate(
     peaks: dict[str, Fraction] = {}
     written: dict[str, Fraction] = {}
     freed: dict[str, Fraction] = {}
-    curves_by_key: dict[str, list[EdgeCurves]] = {}
+    curves_by_key: dict[str, EdgeCurves] = {}
     end_of_run = _ZERO
+    shifts = [k * interval for k in range(chunk_count)]  # chunk k's time shift
 
     for m in edge_models(graph):
         key = m.key
-        overwrite = solution.overwrite_starts.get(key)
-        chunk_curves = [
-            edge_curves(m, starts, overwrite=overwrite, shift=k * interval)
-            for k in range(chunk_count)
-        ]
-        curves_by_key[key] = chunk_curves
+        cur = edge_curves(m, starts, overwrite=solution.overwrite_starts.get(key))
+        curves_by_key[key] = cur
 
-        for cur in chunk_curves:
-            margin, when = edge_stall_margin(cur)
-            if margin < 0:
-                cause = (
-                    "producer incomplete at global consumer start"
-                    if cur.is_global
-                    else "consumer demand outruns readable supply"
-                )
-                stall_events.append(
-                    StallEvent(cycle=ceil(when), stage=m.edge.consumer, cause=cause)
-                )
+        margin, when = edge_stall_margin(cur)
+        if margin < 0:
+            cause = (
+                "producer incomplete at global consumer start"
+                if cur.is_global
+                else "consumer demand outruns readable supply"
+            )
+            stall_events.extend(
+                StallEvent(cycle=ceil(when + s), stage=m.edge.consumer, cause=cause)
+                for s in shifts
+            )
 
-        # Chunk k's kinks are chunk 0's shifted by k intervals.
-        scan = sorted({t + k * interval for t in chunk_curves[0].occupancy_kinks()
-                       for k in range(chunk_count)})
+        scan = sorted({t + s for t in cur.occupancy_kinks() for s in shifts})
         peak = _ZERO
         peak_t = _ZERO
         for t in scan:
-            occ = _live_occupancy(chunk_curves, interval, t)
+            occ = _live_occupancy(cur, chunk_count, interval, t)
             if occ > peak:
                 peak = occ
                 peak_t = t
@@ -308,10 +307,10 @@ def simulate(
                 )
             )
 
-        quiesce = max(cur.drain_end for cur in chunk_curves)
+        quiesce = cur.drain_end + max(shifts)
         end_of_run = max(end_of_run, quiesce)
-        written[key] = sum((cur.writes(quiesce) for cur in chunk_curves), _ZERO)
-        freed[key] = sum((cur.frees(quiesce) for cur in chunk_curves), _ZERO)
+        written[key] = sum((cur.writes(quiesce - s) for s in shifts), _ZERO)
+        freed[key] = sum((cur.frees(quiesce - s) for s in shifts), _ZERO)
 
     first_read: dict[str, int] = {}
     first_output: dict[str, int] = {}

@@ -71,10 +71,6 @@ class Problem:
     def add_ge(self, coeffs: dict[int, Fraction | int], rhs: Fraction | int) -> None:
         self.add_le({j: -Fraction(a) for j, a in coeffs.items()}, -Fraction(rhs))
 
-    def add_eq(self, coeffs: dict[int, Fraction | int], rhs: Fraction | int) -> None:
-        self.add_le(coeffs, rhs)
-        self.add_ge(coeffs, rhs)
-
     def copy(self) -> "Problem":
         return Problem(
             variables=[

@@ -54,6 +54,15 @@ LOCAL_CHAIN = """{
 }"""
 
 
+# Two paths from "a" reconverge at "d", so only the MILP can schedule it.
+DIAMOND = """{"input_work": 8, "stages": [
+  {"id": "a", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 0},
+  {"id": "b", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 2},
+  {"id": "c", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 0},
+  {"id": "d", "kind": "Elementwise", "i_shape": [2, 1], "o_shape": [2, 1], "stage": 0}
+], "edges": [["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]]}"""
+
+
 @pytest.fixture
 def knn_stencil():
     return parse_pipeline(KNN_STENCIL)

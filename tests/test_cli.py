@@ -5,18 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import DIAMOND
 from pointpipe import optimizer, solver
 from pointpipe.cli import USAGE, main
 
 PIPELINES = sorted((Path(__file__).parent.parent / "pipelines").glob("*.json"))
 KNN_STENCIL = str(Path(__file__).parent.parent / "pipelines" / "knn_stencil.json")
-# Two paths from "a" reconverge at "d", so only the MILP can schedule it.
-DIAMOND = """{"input_work": 8, "stages": [
-  {"id": "a", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 0},
-  {"id": "b", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 2},
-  {"id": "c", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 0},
-  {"id": "d", "kind": "Elementwise", "i_shape": [2, 1], "o_shape": [2, 1], "stage": 0}
-], "edges": [["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]]}"""
 CLOUD = ["--synthetic", "50", "--queries", "3"]
 
 BAD_INPUTS = [

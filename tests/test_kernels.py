@@ -1,0 +1,171 @@
+"""The point kernels against brute force and against their documented rules."""
+
+import os
+import tempfile
+from fractions import Fraction
+from math import ceil
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from pointpipe.kernels import cloud
+from pointpipe.kernels.cloud import PointCloud
+from pointpipe.kernels.grid import chunked_sort, split_grid
+from pointpipe.kernels.kdtree import (
+    brute_force_knn,
+    brute_force_range,
+    kdtree_build,
+    knn_search,
+    range_search,
+)
+
+EXAMPLES = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+# A coarse lattice: many exact ties in distance, on split planes and on cuts.
+lattice = st.integers(0, 6).map(lambda v: v / 2)
+points3 = st.tuples(lattice, lattice, lattice)
+clouds = st.lists(points3, min_size=1, max_size=60).map(
+    lambda p: np.array(p, dtype=np.float64))
+leaf_sizes = st.integers(1, 8)
+radii = st.integers(1, 8).map(lambda v: v / 2)
+
+
+@EXAMPLES
+@given(pts=clouds, query=points3, k=st.integers(1, 70), leaf_size=leaf_sizes)
+def test_knn_equals_brute_force(pts, query, k, leaf_size):
+    # k may exceed the cloud: then every point comes back.
+    res = knn_search(kdtree_build(pts, leaf_size=leaf_size), np.array(query), k)
+    assert res.neighbors == brute_force_knn(pts, query, k)
+    assert not res.truncated
+
+
+@EXAMPLES
+@given(pts=clouds, query=points3, radius=radii, leaf_size=leaf_sizes)
+def test_range_equals_brute_force(pts, query, radius, leaf_size):
+    # Lattice radii put points exactly on the sphere: they are inside.
+    res = range_search(kdtree_build(pts, leaf_size=leaf_size), np.array(query), radius)
+    assert res.neighbors == brute_force_range(pts, query, radius)
+    assert not res.truncated
+
+
+@EXAMPLES
+@given(pts=clouds, query=points3, k=st.integers(1, 8), leaf_size=leaf_sizes,
+       deadline=st.integers(1, 30))
+def test_knn_deadline_caps_steps_and_keeps_the_best_seen(pts, query, k, leaf_size, deadline):
+    tree = kdtree_build(pts, leaf_size=leaf_size)
+    q = np.array(query)
+    full = knn_search(tree, q, k)
+    capped = knn_search(tree, q, k, deadline=deadline, record_visited=True)
+    assert capped.steps_used == min(deadline, full.steps_used)
+    if deadline < full.steps_used:
+        assert capped.truncated
+    if deadline > full.steps_used:
+        assert not capped.truncated
+    if deadline >= full.steps_used:
+        assert capped.neighbors == full.neighbors
+    # A truncated search returns the k best of the points it scanned.
+    seen = sorted(set(capped.visited_points))
+    assert capped.neighbors == [(seen[i], d) for i, d in brute_force_knn(pts[seen], q, k)]
+
+
+@EXAMPLES
+@given(pts=clouds, query=points3, radius=radii, leaf_size=leaf_sizes,
+       deadline=st.integers(1, 30))
+def test_range_deadline_caps_steps_and_returns_a_subset(pts, query, radius, leaf_size,
+                                                        deadline):
+    tree = kdtree_build(pts, leaf_size=leaf_size)
+    q = np.array(query)
+    full = range_search(tree, q, radius)
+    capped = range_search(tree, q, radius, deadline=deadline)
+    assert capped.steps_used == min(deadline, full.steps_used)
+    if deadline < full.steps_used:
+        assert capped.truncated
+    if deadline > full.steps_used:
+        assert not capped.truncated
+    if deadline >= full.steps_used:
+        assert capped.neighbors == full.neighbors
+    assert set(capped.neighbors) <= set(full.neighbors)
+    assert capped.neighbors == sorted(capped.neighbors, key=lambda n: (n[1], n[0]))
+
+
+def _cells_along_x(xs, g):
+    """Cell of each x on a ``g``-cell grid; y and z have zero extent."""
+    pts = np.zeros((len(xs), 3))
+    pts[:, 0] = xs
+    grid = split_grid(PointCloud(pts), (g, 5, 5))
+    assert grid.dims == (g, 1, 1)
+    return grid.cell_of_point.tolist()
+
+
+@EXAMPLES
+@given(g=st.integers(2, 64), lo=st.integers(-50, 50), width=st.integers(1, 9),
+       ks=st.lists(st.integers(0, 64), min_size=1, max_size=20))
+def test_grid_boundary_values_go_to_the_lower_cell(g, lo, width, ks):
+    # Cell boundaries lo + k*width are integers, so exact in floats; a
+    # point on boundary k belongs to cell k - 1, a point mid-cell to cell k.
+    ks = [min(k, g) for k in ks]
+    on = [lo + k * width for k in ks]
+    mid = [lo + k * width + width / 2 for k in ks if k < g]
+    cells = _cells_along_x([lo, lo + g * width, *on, *mid], g)
+    assert cells[:2] == [0, g - 1]
+    assert cells[2:2 + len(on)] == [max(k - 1, 0) for k in ks]
+    assert cells[2 + len(on):] == [k for k in ks if k < g]
+
+
+@EXAMPLES
+@given(xs=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=40), g=st.integers(2, 64))
+def test_grid_cells_follow_the_exact_rule(xs, g):
+    lo, hi = Fraction(min(xs)), Fraction(max(xs))
+    if lo == hi:
+        return
+    want = [min(max(ceil((Fraction(x) - lo) * g / (hi - lo)) - 1, 0), g - 1) for x in xs]
+    assert _cells_along_x(xs, g) == want
+
+
+@EXAMPLES
+@given(pts=clouds, axis=st.integers(0, 2), cuts=st.lists(lattice, max_size=6))
+def test_chunked_sort_equals_global_stable_sort(pts, axis, cuts):
+    perm = chunked_sort(PointCloud(pts), axis, cuts)
+    assert np.array_equal(perm, np.argsort(pts[:, axis], kind="stable"))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _round_trip(c, fmt):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "cloud")
+        cloud.save(c, path, fmt=fmt)
+        return cloud.load(path, fmt=fmt)
+
+
+@EXAMPLES
+@given(rows=st.lists(st.lists(finite, min_size=3, max_size=3), min_size=1, max_size=20),
+       attr_width=st.integers(0, 2), data=st.data())
+def test_text_round_trip_is_exact(rows, attr_width, data):
+    attrs = None
+    if attr_width:
+        attrs = np.array(data.draw(st.lists(
+            st.lists(finite, min_size=attr_width, max_size=attr_width),
+            min_size=len(rows), max_size=len(rows))))
+    c = PointCloud(points=np.array(rows), attrs=attrs)
+    back = _round_trip(c, "text")
+    assert back.points.tobytes() == c.points.tobytes()
+    assert (back.attrs is None) == (attrs is None)
+    if attrs is not None:
+        assert back.attrs.tobytes() == c.attrs.tobytes()
+
+
+@EXAMPLES
+@given(rows=st.lists(st.lists(st.floats(-1e30, 1e30), min_size=3, max_size=3),
+                     min_size=1, max_size=20))
+def test_binary_round_trip_keeps_float32_values(rows):
+    # Binary stores float32: a float32 value comes back exactly, any other
+    # as its float32 rounding, and attributes are dropped.
+    c = PointCloud(points=np.array(rows), attrs=np.ones((len(rows), 1)))
+    as32 = c.points.astype(np.float32).astype(np.float64)
+    back = _round_trip(c, "binary")
+    assert back.points.tobytes() == as32.tobytes()
+    assert back.attrs is None
+    assert _round_trip(back, "binary").points.tobytes() == as32.tobytes()
+

@@ -4,7 +4,8 @@ from math import ceil
 import pytest
 
 from _pipegen import generate, suite
-from pointpipe import optimizer
+from conftest import DIAMOND
+from pointpipe import optimizer, solver
 from pointpipe.graph import parse_pipeline
 from pointpipe.optimizer import (
     ScheduleError,
@@ -181,6 +182,23 @@ def test_max_floor_offset_is_where_the_peak_first_rises():
             assert least > 0, m.key
             branches.add(hi is None)
     assert branches == {True, False}
+
+
+def test_reconvergent_graph_is_one_milp(monkeypatch):
+    # The tie-break rides in the objective: one exact solve gives the least
+    # start vector among the minimal-total schedules, as the oracle does.
+    calls = []
+
+    def counting(prob, *args, **kwargs):
+        calls.append(prob)
+        return solver.solve_milp(prob, *args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "solve_milp", counting)
+    g = parse_pipeline(DIAMOND)
+    sol = solve(build_constraints(g))
+    assert len(calls) == 1
+    total, starts, _ = exhaustive_minimum(g, default_horizon(g))
+    assert (sol.total_buffer, sol.start_cycles) == (total, starts)
 
 
 def test_closed_form_equals_milp_on_trees(milp_solve):

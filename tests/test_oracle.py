@@ -29,3 +29,7 @@ def test_random_sample_matches():
     for g in suite(20, start_seed=400):
         report = verify_against_oracle(g)
         assert report.matches, str(report)
+        # The oracle's walk keeps the first optimum it meets, the least
+        # start vector in topological order, which on these graphs is the
+        # declaration order the solver's tie-break ranks by.
+        assert report.solver_starts == report.oracle_starts, str(report)

@@ -134,8 +134,10 @@ def test_edge_model_closed_form_matches_curves_offset_by_offset():
 
 def _variants(g, chunks):
     """Chunked schedules of ``g``: as optimized, with hand-set intervals
-    (0, and 1 so that many chunks overlap), and with an overwrite start
-    moved before the write start or so that draining ends before writing."""
+    (0, and 1 so that many chunks overlap), with an overwrite start moved
+    before the write start or so that draining ends before writing, and
+    with a consumer started a cycle early, which stalls it at its least
+    offset."""
     sol = schedule_chunks(solve(build_constraints(g)), g, chunks)
     yield sol
     for interval in (F(0), F(1)):
@@ -148,13 +150,27 @@ def _variants(g, chunks):
         v = copy.deepcopy(sol)
         v.overwrite_starts[m.key] = overwrite
         yield v
+    v = copy.deepcopy(sol)
+    v.start_cycles[m.edge.consumer] -= 1
+    yield v
+
+
+def _chunk_curves(m, sol, k):
+    """Chunk k's own curves: every start and the overwrite start moved
+    k initiation intervals later."""
+    shift = k * sol.initiation_interval
+    starts = {sid: start + shift for sid, start in sol.start_cycles.items()}
+    return edge_curves(m, starts, sol.overwrite_starts[m.key] + shift)
 
 
 @pytest.mark.parametrize("chunks", [1, 2, 7, 64])
 def test_live_chunk_sums_equal_brute_force_over_every_chunk(chunks):
-    # Summing only the live chunks must change nothing: peaks, the cycle of
-    # each overflow, occupancy_at and sample_rows all equal a sum over every
-    # chunk's curves. 64 chunks cost O(chunks^2) here, so one graph there.
+    # Keeping chunk 0's curves alone and summing only the live chunks must
+    # change nothing: peaks, the cycle of each overflow and stall, the
+    # written and freed totals, occupancy_at and sample_rows all equal what
+    # every chunk's own curves give. 64 chunks cost O(chunks^2) here, so
+    # one graph there.
+    stalled = 0
     graphs = [parse_pipeline(KNN_STENCIL)]
     if chunks < 64:
         graphs += [parse_pipeline(LOCAL_CHAIN), parse_pipeline(GLOBAL_EDGE)]
@@ -162,20 +178,26 @@ def test_live_chunk_sums_equal_brute_force_over_every_chunk(chunks):
     for g in graphs:
         models = edge_models(g)
         for sol in _variants(g, chunks):
-            every = {
-                m.key: [edge_curves(m, sol.start_cycles, sol.overwrite_starts[m.key],
-                                    shift=k * sol.initiation_interval)
-                        for k in range(chunks)]
-                for m in models
-            }
+            every = {m.key: [_chunk_curves(m, sol, k) for k in range(chunks)]
+                     for m in models}
 
             def brute(key, t):
                 return sum((c.occupancy(t) for c in every[key]), F(0))
 
             trace = simulate(g, sol, chunk_count=chunks)
+            want_stalls = sorted(
+                (ceil(when), m.edge.consumer)
+                for m in models for c in every[m.key]
+                for margin, when in [edge_stall_margin(c)] if margin < 0
+            )
+            assert [(s.cycle, s.stage) for s in trace.stall_events] == want_stalls
+            stalled += bool(want_stalls)
             tight = copy.deepcopy(sol)
             want_overflows = []
             for key, curves in every.items():
+                quiesce = max(c.drain_end for c in curves)
+                assert trace.written_total[key] == sum(c.writes(quiesce) for c in curves)
+                assert trace.freed_total[key] == sum(c.frees(quiesce) for c in curves)
                 kinks = sorted({t for c in curves for t in c.occupancy_kinks()})
                 occ = [brute(key, t) for t in kinks]
                 assert [trace.occupancy_at(key, t) for t in kinks] == occ
@@ -192,3 +214,4 @@ def test_live_chunk_sums_equal_brute_force_over_every_chunk(chunks):
                 for cyc in range(0, trace.completion_cycle + 1, stride)
                 for key in trace.edge_order
             ]
+    assert stalled
