@@ -16,16 +16,16 @@ through the offset d = s_c - s_p, and the model gives, as functions of d:
   after it is written, so a local consumer needs w_c >= w_p + 1, and the
   producer must stay ahead of the consumer's cumulative demand through the
   consumer's read window; both collapse to two linear endpoint rows (the
-  per-timestamp family they prune is emitted in unpruned mode). A Global
+  per-timestamp family they prune is used in unpruned mode). A Global
   consumer starts only after the producer has written everything.
 - ``overwrite_delay``: overwriting may not begin before the consumer retires
   data, at its first-read-capable cycle on local edges and at its
   completion on Global edges; minimization drives the overwrite start to
   that bound.
 - ``peak(d)``: the exact buffer occupancy peak, reached when overwriting
-  starts or when the producer stops writing. The MILP encodes its two
-  branches with one binary saturation selector per local edge; Global edges
-  pin the buffer to V outright.
+  starts or when the producer stops writing: ``min(V, g(d))`` with
+  ``g = max(b1, b2)`` convex and piecewise linear in d. Global edges hold
+  V outright.
 
 When no stage has two producers the graph is a forest: its edge offsets
 are independent and the total is the sum of each edge's ``peak(d)``. Each
@@ -33,36 +33,43 @@ peak is least at ``min_offset`` and stays there up to ``max_floor_offset``
 (unbounded once the buffer holds all of V), so the optimal schedules are
 exactly the offset box ``min_offset <= s_c - s_p <= max_floor_offset`` with
 every start >= 0. ``solve`` returns the box's least member, found in two
-passes over the forest, without a MILP.
+passes over the forest, with no LP.
 
 Where paths reconverge (some stage has two or more producers), or when
-that least member starts a stage past the horizon, ``solve`` runs the exact
-MILP once, on an objective that weighs the buffer total above every start
-and each start above the starts declared after it: its one optimum is the
-least start vector, in declaration order, among the minimal-total schedules.
+that least member starts a stage past the horizon, only the cap at V keeps
+the total from being convex in the starts. ``solve`` fixes the set Z of
+edges that pay V; every other edge pays ``g``, and the rest is the
+convex-cost tension problem of min-register retiming (Leiserson and Saxe,
+"Retiming Synchronous Circuitry", Algorithmica 1991): one exact LP per set
+Z, with no integer variables (see ``solve``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import ceil, lcm
+from math import ceil, floor, lcm
 
 from .graph import GLOBAL, Edge, PipelineGraph
 from . import solver
-from .solver import Problem, solve_milp
+from .solver import Problem
 
 _ZERO = Fraction(0)
 
+# Most saturated-edge sets whose LP ``solve`` runs for one graph.
+MAX_SATURATED_SETS = 4096
+
 
 class ScheduleError(Exception):
-    """Scheduling failed (infeasible system, exhausted horizon or node limit)."""
+    """Scheduling failed (no feasible start within the horizon, or the
+    search ran out of its cap)."""
 
 
 class SearchLimitError(ScheduleError):
-    """The exact search ran out of branch-and-bound nodes before it proved
-    an optimum; unlike its parent, this says nothing about feasibility."""
+    """The search solved ``MAX_SATURATED_SETS`` saturated-edge sets before
+    it proved an optimum; unlike its parent, this says nothing about
+    feasibility."""
 
 
 def edge_key(e: Edge) -> str:
@@ -71,10 +78,6 @@ def edge_key(e: Edge) -> str:
 
 def _frac_to_json(x: Fraction) -> int | str:
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _frac_from_json(v: int | str) -> Fraction:
-    return Fraction(v)
 
 
 @dataclass(frozen=True)
@@ -133,15 +136,39 @@ class EdgeModel:
         rise strictly, so ``min_offset`` is the only optimal offset."""
         return None if self.peak(self.min_offset) == self.volume else self.min_offset
 
+    @property
+    def branches(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """(slope, value at d = 0) of each line whose maximum is ``g``, the
+        unclamped peak: b1 = out_rate*(t_o - w_p), the fill when overwriting
+        begins at t_o = d + ``overwrite_delay``, and b2 = V -
+        in_rate*(e_p - t_o), the fill when writing ends."""
+        delay = self.overwrite_delay
+        return ((self.out_rate, self.out_rate * (delay - self.depth_p)),
+                (self.in_rate, self.volume - self.in_rate * (self.write_end - delay)))
+
+    def g(self, d: int | Fraction) -> Fraction:
+        """The peak at offset ``d`` before it is clamped to [0, V]."""
+        return max(slope * d + at0 for slope, at0 in self.branches)
+
     def peak(self, d: int) -> Fraction:
         """Exact peak occupancy at a feasible offset ``d``, nondecreasing in
-        ``d``: min(V, max(b1, b2)) with b1 = out_rate*(t_o - w_p), the fill
-        when overwriting begins, and b2 = V - in_rate*(e_p - t_o), the fill
-        when writing ends. Every feasible Global offset saturates at V."""
-        t_o = d + self.overwrite_delay
-        b1 = self.out_rate * (t_o - self.depth_p)
-        b2 = self.volume - self.in_rate * (self.write_end - t_o)
-        return max(_ZERO, min(self.volume, max(b1, b2)))
+        ``d``: min(V, g(d)). Every feasible Global offset saturates at V."""
+        return max(_ZERO, min(self.volume, self.g(d)))
+
+    def integer_branches(self) -> list[tuple[Fraction, Fraction]]:
+        """``branches``, plus the chord through g(k) and g(k + 1) when b1 and
+        b2 cross strictly between the integers k and k + 1: their maximum is
+        the interpolation of ``g`` at the integers, which agrees with ``g``
+        on every integer offset and has its kinks only there. On a local
+        edge the two lines cross where they reach V (overwriting starts as
+        writing ends)."""
+        (s1, a1), (s2, a2) = lines = self.branches
+        cross = None if s1 == s2 else (a2 - a1) / (s1 - s2)
+        if cross is None or cross.denominator == 1:
+            return list(lines)
+        k = floor(cross)
+        rise = self.g(k + 1) - self.g(k)
+        return [*lines, (rise, self.g(k) - rise * k)]
 
 
 def edge_models(graph: PipelineGraph) -> list[EdgeModel]:
@@ -185,144 +212,62 @@ def earliest_starts(graph: PipelineGraph, horizon: int) -> dict[str, int]:
 
 @dataclass
 class ConstraintSystem:
-    """Linear rows over start cycles, overwrite starts, and buffer sizes."""
+    """The schedule program of one graph: each edge's model and least
+    integer offset, and the start box ``[earliest, horizon]``."""
 
     graph: PipelineGraph
     pruned: bool
     horizon: int
-    problem: Problem
     edges: list[EdgeModel]
-    start_var: dict[str, int]
-    overwrite_var: dict[Edge, int]
-    buffer_var: dict[Edge, int]
-    row_labels: list[str]
+    offset_floor: list[int]    # least feasible s_c - s_p, in ``edges`` order
     earliest: dict[str, int]   # cascaded earliest starts, a feasible schedule
 
     @property
     def constraint_count(self) -> int:
-        return len(self.row_labels)
+        """Rows of the formulation in this mode, not of the LPs that
+        ``solve`` runs: a start bound per stage; per Global edge the
+        dependency, the overwrite start and the full buffer; per local edge
+        the first-read and window-endpoint dependencies, the overwrite
+        start, the two peak branches and the saturation cap. Unpruned mode
+        replaces each endpoint row by ``window_steps`` per-timestamp rows."""
+        return len(self.graph.stages) + sum(
+            3 if m.is_global else 6 + (0 if self.pruned else m.window_steps - 1)
+            for m in self.edges
+        )
+
+
+def _window_floor(m: EdgeModel) -> int:
+    """Least integer offset that the first-read row and the per-timestamp
+    availability family over the consumer's read window allow."""
+    steps = m.window_steps
+    bounds = [Fraction(m.depth_p - m.depth_c + 1)]
+    for n in range(1, steps + 1):
+        off = m.depth_c + m.drain * Fraction(n, steps)
+        demand = min(m.volume, m.in_rate * (off - m.depth_c))
+        bounds.append(demand / m.out_rate - (off - 1 - m.depth_p))
+    return ceil(max(bounds))
 
 
 def build_constraints(
     graph: PipelineGraph, pruned: bool = True, horizon: int | None = None
 ) -> ConstraintSystem:
-    """Emit the schedule feasibility and buffer-size rows for ``graph``.
+    """The schedule program of ``graph``; raises if a stage cannot start
+    within the horizon.
 
-    Pruned mode emits only the two dependency endpoint rows per local edge;
-    unpruned mode emits the full per-timestamp availability family over each
-    consumer's read window (on a grid fine enough to hit every rate kink),
-    which is equivalent but far larger. Buffer rows are the two peak
-    branches in both modes.
+    A local edge's availability rows bound its offset from below. Pruned
+    mode keeps the first-read row and the read window's endpoint row;
+    unpruned mode keeps the first-read row and the full per-timestamp
+    family over the window (on a grid fine enough to hit every rate kink).
+    Starts are integers, so each row's bound is rounded up, and the rows
+    are parallel, so only the largest binds: that is the edge's
+    ``offset_floor`` (``min_offset`` in pruned mode and on Global edges).
     """
     if horizon is None:
         horizon = default_horizon(graph)
-    earliest = earliest_starts(graph, horizon)  # raises if past the horizon
-
+    earliest = earliest_starts(graph, horizon)
     models = edge_models(graph)
-    prob = Problem()
-    labels: list[str] = []
-    start_var: dict[str, int] = {}
-    overwrite_var: dict[Edge, int] = {}
-    buffer_var: dict[Edge, int] = {}
-
-    for s in graph.stages:
-        # The cascade bound is implied by the dependency rows; installing
-        # it as a variable bound just tightens the relaxation.
-        start_var[s.id] = prob.add_variable(
-            f"start[{s.id}]", lower=earliest[s.id], upper=horizon, integer=True
-        )
-        labels.append(f"start-nonnegative[{s.id}]")
-
-    for m in models:
-        e, key = m.edge, m.key
-        sp = start_var[e.producer]
-        sc = start_var[e.consumer]
-        to_var = prob.add_variable(f"overwrite[{key}]", lower=0)
-        lb_var = prob.add_variable(f"buffer[{key}]", lower=0, objective=1)
-        overwrite_var[e] = to_var
-        buffer_var[e] = lb_var
-
-        if m.is_global:
-            # Consumer may not start until the producer finished writing.
-            prob.add_ge({sc: 1, sp: -1}, m.write_end)
-            labels.append(f"dep-global[{key}]")
-            # Overwrite waits for the global consumer's completion.
-            prob.add_ge({to_var: 1, sc: -1}, m.overwrite_delay)
-            labels.append(f"overwrite-start[{key}]")
-            # Full buffering is forced; the peak is the whole volume.
-            prob.add_ge({lb_var: 1}, m.volume)
-            labels.append(f"buffer-full[{key}]")
-            continue
-
-        # Availability boundary: first readable element appears one cycle
-        # after the producer's first write.
-        prob.add_ge({sc: 1, sp: -1}, Fraction(m.depth_p - m.depth_c + 1))
-        labels.append(f"dep-start[{key}]")
-
-        if pruned:
-            # Window endpoint: supply covers the edge volume by the time the
-            # consumer's cumulative demand saturates.
-            rhs = m.volume - m.out_rate * (m.depth_c + m.drain - 1 - m.depth_p)
-            prob.add_ge({sc: m.out_rate, sp: -m.out_rate}, rhs)
-            labels.append(f"dep-end[{key}]")
-        else:
-            # Per-timestamp family over the consumer read window, offset
-            # from the consumer's start on a grid hitting every demand kink.
-            steps = m.window_steps
-            for n in range(1, steps + 1):
-                off = m.depth_c + m.drain * Fraction(n, steps)
-                demand = min(m.volume, m.in_rate * (off - m.depth_c))
-                rhs = demand - m.out_rate * (off - 1 - m.depth_p)
-                prob.add_ge({sc: m.out_rate, sp: -m.out_rate}, rhs)
-                labels.append(f"dep-t[{key}]@{off}")
-
-        # Overwrite may start once the consumer can retire data.
-        prob.add_ge({to_var: 1, sc: -1}, m.overwrite_delay)
-        labels.append(f"overwrite-start[{key}]")
-
-        # Peak occupancy (``EdgeModel.peak``) via a binary saturation
-        # selector; both selections over-approximate the peak and their
-        # minimum equals it, so minimization lands exactly on the peak.
-        z_var = prob.add_variable(f"saturated[{key}]", lower=0, upper=1, integer=True)
-        # Large enough to disable a branch row anywhere in the bounded box.
-        big_m = (
-            max(m.out_rate, m.in_rate)
-            * (horizon + m.depth_c + m.dur_c + m.dur_p + m.depth_p + 2)
-            + m.volume
-            + 1
-        )
-        # b1: occupancy when overwriting begins.
-        prob.add_ge(
-            {lb_var: 1, to_var: -m.out_rate, sp: m.out_rate, z_var: big_m},
-            -m.out_rate * m.depth_p,
-        )
-        labels.append(f"buffer-peak-at-overwrite[{key}]")
-        # b2: occupancy when writing ends.
-        prob.add_ge(
-            {lb_var: 1, to_var: -m.in_rate, sp: m.in_rate, z_var: big_m},
-            m.volume - m.in_rate * m.write_end,
-        )
-        labels.append(f"buffer-peak-at-write-end[{key}]")
-        prob.add_ge({lb_var: 1, z_var: -m.volume}, 0)
-        labels.append(f"buffer-saturated[{key}]")
-        # Redundant but selector-independent floor: the peak is
-        # nondecreasing in the offset, so its value at the earliest feasible
-        # offset bounds every schedule, and keeps relaxation bounds sharp
-        # while the selectors are still fractional.
-        prob.variables[lb_var].lower = m.peak(m.min_offset)
-
-    return ConstraintSystem(
-        graph=graph,
-        pruned=pruned,
-        horizon=horizon,
-        problem=prob,
-        edges=models,
-        start_var=start_var,
-        overwrite_var=overwrite_var,
-        buffer_var=buffer_var,
-        row_labels=labels,
-        earliest=earliest,
-    )
+    floors = [m.min_offset if pruned or m.is_global else _window_floor(m) for m in models]
+    return ConstraintSystem(graph, pruned, horizon, models, floors, earliest)
 
 
 @dataclass
@@ -373,19 +318,19 @@ class ScheduleSolution:
     def from_json_dict(cls, doc: dict) -> "ScheduleSolution":
         return cls(
             start_cycles={k: int(v) for k, v in doc["start_cycles"].items()},
-            buffer_sizes={k: _frac_from_json(v) for k, v in doc["buffer_sizes"].items()},
+            buffer_sizes={k: Fraction(v) for k, v in doc["buffer_sizes"].items()},
             overwrite_starts={
-                k: _frac_from_json(v) for k, v in doc["overwrite_starts"].items()
+                k: Fraction(v) for k, v in doc["overwrite_starts"].items()
             },
-            total_buffer=_frac_from_json(doc["total_buffer"]),
-            makespan=_frac_from_json(doc["makespan"]),
+            total_buffer=Fraction(doc["total_buffer"]),
+            makespan=Fraction(doc["makespan"]),
             initiation_interval=(
-                _frac_from_json(doc["initiation_interval"])
+                Fraction(doc["initiation_interval"])
                 if "initiation_interval" in doc
                 else None
             ),
             bubbles=(
-                {k: _frac_from_json(v) for k, v in doc["bubbles"].items()}
+                {k: Fraction(v) for k, v in doc["bubbles"].items()}
                 if "bubbles" in doc
                 else None
             ),
@@ -448,9 +393,86 @@ def _tree_starts(graph: PipelineGraph, models: list[EdgeModel]) -> dict[str, int
         m = into.get(sid)
         starts[sid] = need[sid] if m is None else max(
             need[sid], starts[m.edge.producer] + m.min_offset)
-    # Declaration order, as the MILP's tie-break fills it: the order shows
+    # Declaration order, as ``_search`` fills it: the order shows
     # wherever the start vector is printed.
     return {s.id: starts[s.id] for s in graph.stages}
+
+
+def _lp(system: ConstraintSystem, saturated: tuple[int, ...],
+        face: Fraction | None = None) -> Problem:
+    """The LP of one saturated set: edges in ``saturated`` and edges that
+    never rise pay V and get no variable; every other edge pays ``g`` of its
+    offset, as a variable above its ``integer_branches``. Without ``face``
+    the objective is the free edges' sum; with it, that sum is held to
+    ``face`` and the objective is the sum of the starts."""
+    prob = Problem()
+    start = {
+        s.id: prob.add_variable(f"start[{s.id}]", lower=system.earliest[s.id],
+                                upper=system.horizon, objective=int(face is not None))
+        for s in system.graph.stages
+    }
+    buffers = []
+    for i, (m, lo) in enumerate(zip(system.edges, system.offset_floor)):
+        sp, sc = start[m.edge.producer], start[m.edge.consumer]
+        prob.add_ge({sc: 1, sp: -1}, lo)
+        if i in saturated or m.max_floor_offset is None:
+            continue
+        y = prob.add_variable(f"buffer[{m.key}]", objective=int(face is None))
+        buffers.append(y)
+        for slope, at0 in m.integer_branches():
+            prob.add_ge({y: 1, sc: -slope, sp: slope}, at0)
+    if face is not None:
+        prob.add_le(dict.fromkeys(buffers, 1), face)
+    return prob
+
+
+def _optimum(prob: Problem) -> solver.Solution:
+    sol = solver.solve_lp(prob)
+    if sol.status != solver.OPTIMAL:
+        raise ScheduleError(f"schedule LP {sol.status}")
+    return sol
+
+
+def _search(system: ConstraintSystem) -> tuple[dict[str, int], Fraction]:
+    """Least optimal start vector and the optimal total, over the saturated
+    sets in order of size (see ``solve``)."""
+    models, stages = system.edges, system.graph.stages
+    rising = [i for i, m in enumerate(models) if m.max_floor_offset is not None]
+    fixed = sum((m.volume for m in models if m.max_floor_offset is None), _ZERO)
+    rise = {i: models[i].volume - models[i].peak(models[i].min_offset) for i in rising}
+    # Every total is at least each peak at its edge's least offset.
+    least = fixed + sum((models[i].volume - rise[i] for i in rising), _ZERO)
+    best: Fraction | None = None
+    tied: list[tuple[tuple[int, ...], Fraction]] = []
+    level: list[tuple[int, ...]] = [()]
+    solved = 0
+    while level:
+        children = []
+        for z in level:
+            if best is not None and least + sum((rise[i] for i in z), _ZERO) > best:
+                continue
+            if solved == MAX_SATURATED_SETS:
+                raise SearchLimitError(
+                    f"schedule optimization stopped: {solved} saturated-edge sets "
+                    "solved without proving an optimum"
+                )
+            solved += 1
+            free = _optimum(_lp(system, z)).objective
+            total = fixed + sum((models[i].volume for i in z), _ZERO) + free
+            if best is None or total < best:
+                best, tied = total, []
+            if total == best:
+                tied.append((z, free))
+            # Each set is reached once, from the set without its last edge.
+            # A skipped set's extensions are not made: their bounds are
+            # higher still.
+            children += [z + (i,) for i in rising if not z or i > z[-1]]
+        level = children
+    assert best is not None
+    vectors = [_optimum(_lp(system, z, face=free)).values[:len(stages)] for z, free in tied]
+    if any(v.denominator != 1 for vec in vectors for v in vec):
+        raise ScheduleError(f"internal inconsistency: fractional LP starts {vectors}")
+    return {s.id: int(v) for s, v in zip(stages, min(vectors))}, best
 
 
 def solve(system: ConstraintSystem) -> ScheduleSolution:
@@ -460,52 +482,39 @@ def solve(system: ConstraintSystem) -> ScheduleSolution:
     smallest start-cycle vector (stage declaration order), so repeated
     solves are bit-identical. A graph in which no stage has two producers
     gets that schedule in closed form (``_tree_starts``) whenever it fits
-    the horizon. Every other graph gets it from one MILP that minimizes
-    ``scale * base**n * total + sum(base**(n-1-i) * start_i)``: every peak
-    is a multiple of ``1/scale``, so two totals differ by at least
-    ``1/scale``, and every start lies in ``[0, horizon]``, so with
-    ``base = horizon + 1`` the start terms sum to less than ``base**n``.
+    the horizon.
+
+    Every other graph is searched over the sets Z of rising edges (those
+    with a ``max_floor_offset``) that pay V. With Z fixed, every other edge
+    pays ``g``, which is convex and agrees with ``integer_branches`` at the
+    integers, so one LP with no integer variables prices Z:
+
+    - No Z undercuts the optimum, since each edge pays V or ``g``, at least
+      its peak, and the optimum is reached by the Z of the edges whose
+      ``g`` reaches V in an optimal schedule.
+    - Every LP vertex has integral starts. Where an edge's variable meets
+      two of its rows, its offset sits at an integer (b1 and b2 meet off
+      the integers only below the chord), so the tight rows that fix the
+      starts are difference rows with integer bounds.
+    - For a fixed Z the optimal starts form a lattice, closed under
+      componentwise min and max, because a convex function of a start
+      difference is submodular. Its least element is integral and is the
+      one optimal point with the least start sum, so a second LP over the
+      optimal face finds it.
+
+    Every optimal schedule lies on the optimal face of some Z that ties the
+    optimum, so the lexicographically least optimal schedule is the least
+    of those sets' least elements. A set is skipped only when its bound
+    (V on Z, each other edge's peak at ``min_offset``) is strictly above
+    the best total found, so no tied set is lost. ``SearchLimitError`` is
+    raised once ``MAX_SATURATED_SETS`` sets have been solved.
     """
     graph = system.graph
     starts = _tree_starts(graph, system.edges)
     if starts is not None and max(starts.values()) <= system.horizon:
         return _solution_from_starts(graph, starts, system)
-
-    prob = system.problem.copy()
-    buffers = [system.buffer_var[m.edge] for m in system.edges]
-    # Seed the search with the earliest-start schedule: feasible by
-    # construction, so its total is a valid optimum cutoff.
-    greedy = system.earliest
-    greedy_total = sum(
-        (m.peak(greedy[m.edge.consumer] - greedy[m.edge.producer]) for m in system.edges),
-        _ZERO,
-    )
-    prob.add_le({j: 1 for j in buffers}, greedy_total)
-
-    # A local peak is 0, V, b1 = out_rate * integer or b2 = V - in_rate *
-    # write_end + in_rate * integer; a Global peak is V, an integer.
-    scale = lcm(*(
-        d
-        for m in system.edges if not m.is_global
-        for d in (m.out_rate.denominator, m.in_rate.denominator,
-                  (m.in_rate * m.write_end).denominator)
-    ))
-    base, n = system.horizon + 1, len(graph.stages)
-    for j in buffers:
-        prob.variables[j].objective = Fraction(scale * base**n)
-    for i, s in enumerate(graph.stages):
-        prob.variables[system.start_var[s.id]].objective = Fraction(base ** (n - 1 - i))
-
-    try:
-        sol = solve_milp(prob)
-    except solver.NodeLimitError as exc:
-        raise SearchLimitError(f"schedule optimization stopped: {exc}") from None
-    if sol.status != solver.OPTIMAL:
-        raise ScheduleError(f"schedule optimization {sol.status}")
-    assert sol.values is not None
-    starts = {s.id: int(sol.values[system.start_var[s.id]]) for s in graph.stages}
+    starts, optimum = _search(system)
     solution = _solution_from_starts(graph, starts, system)
-    optimum = sum((sol.values[j] for j in buffers), _ZERO)
     if solution.total_buffer != optimum:
         raise ScheduleError(
             f"internal inconsistency: recomputed total {solution.total_buffer} "
@@ -517,20 +526,13 @@ def solve(system: ConstraintSystem) -> ScheduleSolution:
 def optimize(
     graph: PipelineGraph, pruned: bool = True, horizon: int | None = None
 ) -> ScheduleSolution:
-    """Build constraints, solve, and attach pruned/unpruned row counts.
-
-    The other mode's count is derived, not built: unpruned mode replaces
-    each local edge's one endpoint row by ``window_steps`` rows.
-    """
+    """Build the program, solve it, and attach both modes' row counts."""
     system = build_constraints(graph, pruned=pruned, horizon=horizon)
     solution = solve(system)
-    extra = sum(m.window_steps - 1 for m in system.edges if not m.is_global)
-    rows = system.constraint_count
-    solution.constraint_counts = (
-        {"pruned": rows, "unpruned": rows + extra}
-        if pruned
-        else {"pruned": rows - extra, "unpruned": rows}
-    )
+    solution.constraint_counts = {
+        mode: replace(system, pruned=mode == "pruned").constraint_count
+        for mode in ("pruned", "unpruned")
+    }
     return solution
 
 

@@ -1,9 +1,9 @@
-"""Exact mixed-integer linear programming over rationals.
+"""Exact linear programming over rationals.
 
 Small, dependency-free solver used by the schedule optimizer: a two-phase
 primal simplex with Bland's rule on ``Fraction`` arithmetic (no tolerances,
-no cycling), wrapped in depth-first branch and bound for integer variables.
-Problem sizes here are tiny (tens of rows), so a dense tableau is fine.
+no cycling). Problem sizes here are tiny (tens of rows), so a dense tableau
+is fine.
 
 Rows are stored as ``a . x <= b``. Parallel rows (equal normalized
 coefficient vectors) are merged to the tightest bound before solving; this
@@ -25,17 +25,12 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-class NodeLimitError(RuntimeError):
-    """Branch and bound explored ``node_limit`` nodes without finishing."""
-
-
 @dataclass
 class Variable:
     name: str
     lower: Fraction
     upper: Fraction | None
     objective: Fraction
-    integer: bool
 
 
 @dataclass
@@ -51,7 +46,6 @@ class Problem:
         lower: Fraction | int = 0,
         upper: Fraction | int | None = None,
         objective: Fraction | int = 0,
-        integer: bool = False,
     ) -> int:
         self.variables.append(
             Variable(
@@ -59,7 +53,6 @@ class Problem:
                 lower=Fraction(lower),
                 upper=None if upper is None else Fraction(upper),
                 objective=Fraction(objective),
-                integer=integer,
             )
         )
         return len(self.variables) - 1
@@ -70,15 +63,6 @@ class Problem:
 
     def add_ge(self, coeffs: dict[int, Fraction | int], rhs: Fraction | int) -> None:
         self.add_le({j: -Fraction(a) for j, a in coeffs.items()}, -Fraction(rhs))
-
-    def copy(self) -> "Problem":
-        return Problem(
-            variables=[
-                Variable(v.name, v.lower, v.upper, v.objective, v.integer)
-                for v in self.variables
-            ],
-            rows=list(self.rows),
-        )
 
 
 @dataclass
@@ -129,29 +113,28 @@ class _Tableau:
         return len(self.rows)
 
     def pivot(self, prow: int, pcol: int) -> None:
-        rowdata = self.rows[prow]
-        inv = _ONE / rowdata[pcol]
-        self.rows[prow] = rowdata = [a * inv for a in rowdata]
-        for r in range(self.m):
-            if r == prow:
-                continue
-            factor = self.rows[r][pcol]
-            if factor != 0:
-                self.rows[r] = [a - factor * b for a, b in zip(self.rows[r], rowdata)]
+        inv = _ONE / self.rows[prow][pcol]
+        self.rows[prow] = rowdata = [a * inv if a else a for a in self.rows[prow]]
+        # Rows are mostly zeros: update only the pivot row's nonzero columns.
+        nonzero = [(j, a) for j, a in enumerate(rowdata) if a]
+        for r, row in enumerate(self.rows):
+            factor = row[pcol]
+            if r != prow and factor != 0:
+                for j, a in nonzero:
+                    row[j] -= factor * a
         self.basis[prow] = pcol
 
     def minimize(self, costs: list[Fraction], enterable: int) -> Status:
         """Run Bland's rule until optimal/unbounded; only columns below
         ``enterable`` may enter the basis."""
+        reduced = list(costs[:enterable])
+        for i, b in enumerate(self.basis):
+            cb = costs[b]
+            if cb != 0:
+                for j, a in enumerate(self.rows[i][:enterable]):
+                    if a:
+                        reduced[j] -= cb * a
         while True:
-            reduced = list(costs[:enterable])
-            for i, b in enumerate(self.basis):
-                cb = costs[b]
-                if cb != 0:
-                    rowi = self.rows[i]
-                    for j in range(enterable):
-                        if rowi[j] != 0:
-                            reduced[j] -= cb * rowi[j]
             basic = set(self.basis)
             enter = -1
             for j in range(enterable):
@@ -176,10 +159,15 @@ class _Tableau:
             if leave < 0:
                 return UNBOUNDED
             self.pivot(leave, enter)
+            # Keep the reduced costs current instead of pricing anew.
+            factor = reduced[enter]
+            for j, a in enumerate(self.rows[leave][:enterable]):
+                if a:
+                    reduced[j] -= factor * a
 
 
 def solve_lp(prob: Problem) -> Solution:
-    """Exact LP relaxation solve (integrality flags ignored)."""
+    """Exact optimum of the linear program ``prob``."""
     n = len(prob.variables)
     rows = _canonical_rows(prob.rows)
     if rows == [_IMPOSSIBLE]:
@@ -277,71 +265,3 @@ def solve_lp(prob: Problem) -> Solution:
     values = [lows[j] + y[j] for j in range(n)]
     total = sum((obj[j] * values[j] for j in range(n)), _ZERO)
     return Solution(OPTIMAL, total, values)
-
-
-def solve_milp(prob: Problem, node_limit: int = 200_000) -> Solution:
-    """Depth-first branch and bound; exact optimum of the integer program.
-
-    Branching is deterministic (first fractional integer variable, floor
-    branch explored first), so repeated solves return identical solutions.
-    """
-    int_vars = [j for j, v in enumerate(prob.variables) if v.integer]
-
-    # Canonicalize once; branch nodes only vary bounds, never rows.
-    rows = _canonical_rows(prob.rows)
-    if rows == [_IMPOSSIBLE]:
-        return Solution(INFEASIBLE)
-    prob = Problem(variables=prob.variables, rows=rows)
-
-    best = Solution(INFEASIBLE)
-    stack: list[list[tuple[int, Fraction | None, Fraction | None]]] = [[]]
-    nodes = 0
-    while stack:
-        extra = stack.pop()
-        nodes += 1
-        if nodes > node_limit:
-            raise NodeLimitError("branch-and-bound node limit exhausted")
-        node_prob = prob.copy()
-        bounds_ok = True
-        for j, lo, hi in extra:
-            var = node_prob.variables[j]
-            if lo is not None and lo > var.lower:
-                var.lower = lo
-            if hi is not None and (var.upper is None or hi < var.upper):
-                var.upper = hi
-            if var.upper is not None and var.lower > var.upper:
-                bounds_ok = False
-                break
-        if not bounds_ok:
-            continue
-        relax = solve_lp(node_prob)
-        if relax.status == UNBOUNDED:
-            return Solution(UNBOUNDED)
-        if relax.status != OPTIMAL:
-            continue
-        assert relax.objective is not None and relax.values is not None
-        if best.status == OPTIMAL and relax.objective >= best.objective:
-            continue
-        # Branch the tightest-range fractional variable first: binary
-        # selectors resolve before wide start windows, which keeps the
-        # relaxation bounds meaningful.
-        frac_var = -1
-        frac_range: Fraction | None = None
-        for j in int_vars:
-            if relax.values[j].denominator != 1:
-                v = node_prob.variables[j]
-                rng = None if v.upper is None else v.upper - v.lower
-                if frac_var < 0 or (
-                    rng is not None and (frac_range is None or rng < frac_range)
-                ):
-                    frac_var = j
-                    frac_range = rng
-        if frac_var < 0:
-            best = relax
-            continue
-        x = relax.values[frac_var]
-        floor_x = Fraction(x.numerator // x.denominator)
-        # Floor branch goes on top of the stack so it is explored first.
-        stack.append(extra + [(frac_var, floor_x + 1, None)])
-        stack.append(extra + [(frac_var, None, floor_x)])
-    return best

@@ -54,7 +54,8 @@ LOCAL_CHAIN = """{
 }"""
 
 
-# Two paths from "a" reconverge at "d", so only the MILP can schedule it.
+# Two paths from "a" reconverge at "d": the closed form does not apply, and
+# the saturated-edge search schedules it.
 DIAMOND = """{"input_work": 8, "stages": [
   {"id": "a", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 0},
   {"id": "b", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 2},

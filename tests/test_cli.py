@@ -1,12 +1,11 @@
 """The command line keeps its documented exit codes on bad input."""
 
-import functools
 from pathlib import Path
 
 import pytest
 
 from conftest import DIAMOND
-from pointpipe import optimizer, solver
+from pointpipe import optimizer
 from pointpipe.cli import USAGE, main
 
 PIPELINES = sorted((Path(__file__).parent.parent / "pipelines").glob("*.json"))
@@ -46,24 +45,24 @@ def test_simulate_rejects_zero_chunks(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["optimize", "verify"])
-def test_node_limit_is_a_schedule_error(command, tmp_path, monkeypatch, capsys):
+def test_search_limit_is_a_schedule_error(command, tmp_path, monkeypatch, capsys):
     # verify must not read an unfinished search as an infeasible schedule
     # (which would be an oracle mismatch, exit 1).
     diamond = tmp_path / "diamond.json"
     diamond.write_text(DIAMOND)
-    monkeypatch.setattr(optimizer, "solve_milp",
-                        functools.partial(solver.solve_milp, node_limit=0))
+    monkeypatch.setattr(optimizer, "MAX_SATURATED_SETS", 0)
     assert main([command, str(diamond)]) == USAGE
-    assert "node limit" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "saturated-edge sets" in err
 
 
 @pytest.mark.parametrize("command", ["optimize", "verify"])
 def test_shipped_pipelines_never_reach_the_milp(command, monkeypatch, capsys):
     # Every shipped pipeline is single-producer: the closed form schedules it.
     def refuse(*args, **kwargs):
-        raise AssertionError("solve_milp called")
+        raise AssertionError("saturated-edge search called")
 
-    monkeypatch.setattr(optimizer, "solve_milp", refuse)
+    monkeypatch.setattr(optimizer, "_search", refuse)
     assert PIPELINES
     for path in PIPELINES:
         assert main([command, str(path)]) == 0, path

@@ -4,8 +4,7 @@ from math import ceil
 import pytest
 
 from _pipegen import generate, suite
-from conftest import DIAMOND
-from pointpipe import optimizer, solver
+from pointpipe import optimizer
 from pointpipe.graph import parse_pipeline
 from pointpipe.optimizer import (
     ScheduleError,
@@ -29,9 +28,14 @@ def _trees(count, **kw):
     return [g for g in suite(count, **kw) if _single_producer(g)]
 
 
+def _reconvergent(count, **kw):
+    return [g for g in suite(count, **kw) if not _single_producer(g)]
+
+
 @pytest.fixture
-def milp_solve(monkeypatch):
-    """``solve`` with the closed form switched off: the MILP alone."""
+def search_solve(monkeypatch):
+    """``solve`` with the closed form switched off: the saturated-edge
+    search alone."""
     def run(system):
         with monkeypatch.context() as m:
             m.setattr(optimizer, "_tree_starts", lambda graph, models: None)
@@ -156,10 +160,12 @@ def test_constraint_counts_attached(knn_stencil):
 
 
 def test_derived_row_counts_equal_both_builds():
-    # optimize builds one system and derives the other mode's row count.
-    for g in suite(8):
-        pruned = build_constraints(g, pruned=True).constraint_count
-        unpruned = build_constraints(g, pruned=False).constraint_count
+    # The formulation's rows, counted in closed form in either mode: the
+    # counts a build of every row gives.
+    counts = [(9, 9), (32, 106), (22, 60), (12, 15), (12, 65), (15, 91), (19, 121), (19, 55)]
+    for g, (pruned, unpruned) in zip(suite(8), counts):
+        assert build_constraints(g, pruned=True).constraint_count == pruned
+        assert build_constraints(g, pruned=False).constraint_count == unpruned
         want = {"pruned": pruned, "unpruned": unpruned}
         assert optimize(g).constraint_counts == want
         assert optimize(g, pruned=False).constraint_counts == want
@@ -184,24 +190,7 @@ def test_max_floor_offset_is_where_the_peak_first_rises():
     assert branches == {True, False}
 
 
-def test_reconvergent_graph_is_one_milp(monkeypatch):
-    # The tie-break rides in the objective: one exact solve gives the least
-    # start vector among the minimal-total schedules, as the oracle does.
-    calls = []
-
-    def counting(prob, *args, **kwargs):
-        calls.append(prob)
-        return solver.solve_milp(prob, *args, **kwargs)
-
-    monkeypatch.setattr(optimizer, "solve_milp", counting)
-    g = parse_pipeline(DIAMOND)
-    sol = solve(build_constraints(g))
-    assert len(calls) == 1
-    total, starts, _ = exhaustive_minimum(g, default_horizon(g))
-    assert (sol.total_buffer, sol.start_cycles) == (total, starts)
-
-
-def test_closed_form_equals_milp_on_trees(milp_solve):
+def test_closed_form_equals_milp_on_trees(search_solve):
     trees = _trees(16, shape="tree") + _trees(40, start_seed=5000)[:15]
     assert len(trees) == 31
     # Branching trees, and trees whose least schedule lifts a source off
@@ -211,10 +200,10 @@ def test_closed_form_equals_milp_on_trees(milp_solve):
                for g in trees for sid in g.sources)
     for g in trees:
         system = build_constraints(g)
-        closed, milp = solve(system), milp_solve(system)
-        assert closed.dumps() == milp.dumps()
+        closed, searched = solve(system), search_solve(system)
+        assert closed.dumps() == searched.dumps()
         # verify prints the start dict, so its order counts too
-        assert list(closed.start_cycles.items()) == list(milp.start_cycles.items())
+        assert list(closed.start_cycles.items()) == list(searched.start_cycles.items())
 
 
 def test_closed_form_total_equals_exhaustive_minimum():
@@ -224,7 +213,7 @@ def test_closed_form_total_equals_exhaustive_minimum():
         assert sol.total_buffer == total
 
 
-def test_horizon_short_of_least_schedule_falls_back_to_milp(milp_solve):
+def test_horizon_short_of_least_schedule_falls_back_to_milp(search_solve):
     # Seed 5845's least optimal schedule starts s1 at cycle 2; a horizon of 1
     # still admits a schedule, just not an optimal one of the closed form.
     g = generate(5845)
@@ -233,4 +222,40 @@ def test_horizon_short_of_least_schedule_falls_back_to_milp(milp_solve):
     system = build_constraints(g, horizon=horizon)
     sol = solve(system)
     assert max(sol.start_cycles.values()) <= horizon
-    assert sol.dumps() == milp_solve(system).dumps()
+    assert sol.dumps() == search_solve(system).dumps()
+    total, starts, _ = exhaustive_minimum(g, horizon)
+    assert (sol.total_buffer, sol.start_cycles) == (total, starts)
+
+
+def test_reconvergent_graphs_equal_exhaustive_minimum():
+    # Totals and start vectors, on horizons just past each optimum's
+    # latest start, so the oracle's walk stays short.
+    graphs = _reconvergent(1430, start_seed=30000)
+    assert len(graphs) >= 200
+    for g in graphs:
+        horizon = max(solve(build_constraints(g)).start_cycles.values()) + 2
+        sol = solve(build_constraints(g, horizon=horizon))
+        total, starts, _ = exhaustive_minimum(g, horizon)
+        assert (sol.total_buffer, sol.start_cycles) == (total, starts), horizon
+
+
+# p feeds a Global stage a and, with the slow source b, the join c. Every
+# edge is a bridge, yet at tight horizons the least optimal schedule holds
+# p at cycle 0, not at an offset that its edge into c alone would choose.
+JOIN = """{"input_work": 4, "stages": [
+  {"id": "p", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 0},
+  {"id": "a", "kind": "Global", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 0},
+  {"id": "b", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1],
+   "i_freq": 4, "o_freq": 4, "stage": 0},
+  {"id": "c", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 3}
+], "edges": [["p", "a"], ["p", "c"], ["b", "c"]]}"""
+
+
+@pytest.mark.parametrize("horizon", range(10, 15))
+def test_join_of_bridges_equals_exhaustive_minimum(horizon):
+    g = parse_pipeline(JOIN)
+    sol = solve(build_constraints(g, horizon=horizon))
+    total, starts, _ = exhaustive_minimum(g, horizon)
+    assert (sol.total_buffer, sol.start_cycles) == (total, starts)
+    if horizon == 10:
+        assert total == F(45, 4) and starts == {"p": 0, "b": 0, "a": 4, "c": 10}

@@ -1,5 +1,3 @@
-import itertools
-import random
 from fractions import Fraction as F
 
 from pointpipe.solver import (
@@ -8,7 +6,6 @@ from pointpipe.solver import (
     UNBOUNDED,
     Problem,
     solve_lp,
-    solve_milp,
 )
 
 
@@ -66,48 +63,3 @@ def test_lp_degenerate_terminates():
     p.add_le({y: 1}, 2)
     sol = solve_lp(p)
     assert sol.status == OPTIMAL and sol.objective == -2
-
-
-def test_milp_rounds_away_from_lp_optimum():
-    # LP optimum x = 3/2; integer optimum is x = 1 given 2x <= 3.
-    p = Problem()
-    x = p.add_variable("x", objective=-1, integer=True)
-    p.add_le({x: 2}, 3)
-    sol = solve_milp(p)
-    assert sol.status == OPTIMAL
-    assert sol.values[x] == 1
-
-
-def test_milp_matches_bruteforce_randomized():
-    rng = random.Random(20240809)
-    for _ in range(60):
-        n = rng.randint(1, 3)
-        p = Problem()
-        for j in range(n):
-            p.add_variable(f"x{j}", lower=0, upper=5, objective=F(rng.randint(-4, 4)), integer=True)
-        rows = []
-        for _ in range(rng.randint(1, 4)):
-            coeffs = {j: F(rng.randint(-3, 3)) for j in range(n)}
-            rhs = F(rng.randint(-2, 10))
-            p.add_le(coeffs, rhs)
-            rows.append((coeffs, rhs))
-        sol = solve_milp(p)
-        best = None
-        for xs in itertools.product(range(6), repeat=n):
-            if all(sum(c.get(j, 0) * xs[j] for j in range(n)) <= rhs for c, rhs in rows):
-                val = sum(p.variables[j].objective * xs[j] for j in range(n))
-                best = val if best is None else min(best, val)
-        if best is None:
-            assert sol.status == INFEASIBLE
-        else:
-            assert sol.status == OPTIMAL and sol.objective == best
-
-
-def test_milp_deterministic():
-    p = Problem()
-    x = p.add_variable("x", upper=9, objective=-1, integer=True)
-    y = p.add_variable("y", upper=9, objective=-1, integer=True)
-    p.add_le({x: 2, y: 3}, 12)
-    first = solve_milp(p)
-    second = solve_milp(p)
-    assert first.values == second.values and first.objective == second.objective
