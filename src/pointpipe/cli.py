@@ -352,8 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("optimize", help="solve minimal line-buffer schedule")
     p.add_argument("graph", help="pipeline description JSON")
     p.add_argument("--no-prune", action="store_true",
-                   help="bound each local edge by its per-timestamp availability "
-                        "rows instead of the window-endpoint row")
+                   help="count each local edge's per-timestamp availability rows "
+                        "instead of its window-endpoint row (same bound and schedule; "
+                        "only the printed constraint count differs)")
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--element-bytes", type=int, default=None)
     p.add_argument("--chunks", type=int, default=1)

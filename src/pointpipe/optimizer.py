@@ -16,8 +16,9 @@ through the offset d = s_c - s_p, and the model gives, as functions of d:
   after it is written, so a local consumer needs w_c >= w_p + 1, and the
   producer must stay ahead of the consumer's cumulative demand through the
   consumer's read window; both collapse to two linear endpoint rows (the
-  per-timestamp family they prune is used in unpruned mode). A Global
-  consumer starts only after the producer has written everything.
+  per-timestamp family they prune, counted in unpruned mode, gives the
+  same bound). A Global consumer starts only after the producer has
+  written everything.
 - ``overwrite_delay``: overwriting may not begin before the consumer retires
   data, at its first-read-capable cycle on local edges and at its
   completion on Global edges; minimization drives the overwrite start to
@@ -57,7 +58,10 @@ from .solver import Problem
 
 _ZERO = Fraction(0)
 
-# Most saturated-edge sets whose LP ``solve`` runs for one graph.
+# Most saturated-edge sets whose LP ``solve`` runs for one graph. The
+# generated test suites and the benchmark's DAG pool need at most 9;
+# chains of four diamonds (13 stages, 16 edges) needed up to 664, at about
+# 17 ms each, so the cap stops a search after roughly a minute.
 MAX_SATURATED_SETS = 4096
 
 
@@ -212,14 +216,13 @@ def earliest_starts(graph: PipelineGraph, horizon: int) -> dict[str, int]:
 
 @dataclass
 class ConstraintSystem:
-    """The schedule program of one graph: each edge's model and least
-    integer offset, and the start box ``[earliest, horizon]``."""
+    """The schedule program of one graph: each edge's model and the start
+    box ``[earliest, horizon]``."""
 
     graph: PipelineGraph
     pruned: bool
     horizon: int
     edges: list[EdgeModel]
-    offset_floor: list[int]    # least feasible s_c - s_p, in ``edges`` order
     earliest: dict[str, int]   # cascaded earliest starts, a feasible schedule
 
     @property
@@ -236,18 +239,6 @@ class ConstraintSystem:
         )
 
 
-def _window_floor(m: EdgeModel) -> int:
-    """Least integer offset that the first-read row and the per-timestamp
-    availability family over the consumer's read window allow."""
-    steps = m.window_steps
-    bounds = [Fraction(m.depth_p - m.depth_c + 1)]
-    for n in range(1, steps + 1):
-        off = m.depth_c + m.drain * Fraction(n, steps)
-        demand = min(m.volume, m.in_rate * (off - m.depth_c))
-        bounds.append(demand / m.out_rate - (off - 1 - m.depth_p))
-    return ceil(max(bounds))
-
-
 def build_constraints(
     graph: PipelineGraph, pruned: bool = True, horizon: int | None = None
 ) -> ConstraintSystem:
@@ -257,17 +248,17 @@ def build_constraints(
     A local edge's availability rows bound its offset from below. Pruned
     mode keeps the first-read row and the read window's endpoint row;
     unpruned mode keeps the first-read row and the full per-timestamp
-    family over the window (on a grid fine enough to hit every rate kink).
-    Starts are integers, so each row's bound is rounded up, and the rows
-    are parallel, so only the largest binds: that is the edge's
-    ``offset_floor`` (``min_offset`` in pruned mode and on Global edges).
+    family over the window (on a grid fine enough to hit every rate kink),
+    which changes only ``constraint_count``. The family's n-th of
+    ``window_steps`` rows asks d >= 1 + depth_p - depth_c + (n/steps) *
+    (dur_p - drain), linear in n, so its largest bound is at an end of the
+    window: the first-read row or the endpoint row, and both modes give
+    ``min_offset``.
     """
     if horizon is None:
         horizon = default_horizon(graph)
     earliest = earliest_starts(graph, horizon)
-    models = edge_models(graph)
-    floors = [m.min_offset if pruned or m.is_global else _window_floor(m) for m in models]
-    return ConstraintSystem(graph, pruned, horizon, models, floors, earliest)
+    return ConstraintSystem(graph, pruned, horizon, edge_models(graph), earliest)
 
 
 @dataclass
@@ -412,9 +403,9 @@ def _lp(system: ConstraintSystem, saturated: tuple[int, ...],
         for s in system.graph.stages
     }
     buffers = []
-    for i, (m, lo) in enumerate(zip(system.edges, system.offset_floor)):
+    for i, m in enumerate(system.edges):
         sp, sc = start[m.edge.producer], start[m.edge.consumer]
-        prob.add_ge({sc: 1, sp: -1}, lo)
+        prob.add_ge({sc: 1, sp: -1}, m.min_offset)
         if i in saturated or m.max_floor_offset is None:
             continue
         y = prob.add_variable(f"buffer[{m.key}]", objective=int(face is None))

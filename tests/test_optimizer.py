@@ -95,8 +95,23 @@ def test_image_stencil_three_row_budget(image_stencil):
     assert sol.total_buffer <= 15
 
 
+def _window_family_floor(m):
+    """Least integer offset allowed by the first-read row and every row of
+    the per-timestamp availability family over the consumer's read window."""
+    steps = m.window_steps
+    bounds = [F(m.depth_p - m.depth_c + 1)]
+    for n in range(1, steps + 1):
+        off = m.depth_c + m.drain * F(n, steps)
+        demand = min(m.volume, m.in_rate * (off - m.depth_c))
+        bounds.append(demand / m.out_rate - (off - 1 - m.depth_p))
+    return ceil(max(bounds))
+
+
 def test_pruning_preserves_optimum_sample():
     for g in suite(25):
+        for m in edge_models(g):
+            if not m.is_global:
+                assert _window_family_floor(m) == m.min_offset, m.key
         a = solve(build_constraints(g, pruned=True))
         b = solve(build_constraints(g, pruned=False))
         assert a.total_buffer == b.total_buffer
@@ -259,3 +274,49 @@ def test_join_of_bridges_equals_exhaustive_minimum(horizon):
     assert (sol.total_buffer, sol.start_cycles) == (total, starts)
     if horizon == 10:
         assert total == F(45, 4) and starts == {"p": 0, "b": 0, "a": 4, "c": 10}
+
+
+# Two diamonds in a row, 8 stages: all 9 edges can still rise, against at
+# most 5 on the generated suites and the benchmark's DAG pool. The
+# exhaustive oracle (about 80 s) gives the same total and starts.
+DIAMOND_CHAIN = """{"input_work": 24, "stages": [
+  {"id": "s0", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 2], "stage": 0},
+  {"id": "s1", "kind": "Reduction", "i_shape": [1, 1], "o_shape": [2, 1], "stage": 0,
+   "o_freq": 2},
+  {"id": "s2", "kind": "Reduction", "i_shape": [2, 3], "o_shape": [1, 1], "stage": 1},
+  {"id": "s3", "kind": "Elementwise", "i_shape": [1, 2], "o_shape": [1, 1], "stage": 1,
+   "i_freq": 3},
+  {"id": "s4", "kind": "Stencil", "i_shape": [2, 3], "o_shape": [1, 2], "stage": 0,
+   "o_freq": 4, "reuse": [2, 1]},
+  {"id": "s5", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 1},
+  {"id": "s6", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 1},
+  {"id": "s7", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 1}
+], "edges": [["s0", "s1"], ["s0", "s2"], ["s1", "s3"], ["s2", "s3"], ["s3", "s4"],
+             ["s3", "s5"], ["s4", "s6"], ["s5", "s6"], ["s6", "s7"]]}"""
+
+
+def test_diamond_chain_stays_far_below_the_set_cap(monkeypatch):
+    g = parse_pipeline(DIAMOND_CHAIN)
+    system = build_constraints(g)
+    assert all(m.max_floor_offset is not None for m in system.edges)
+    solved = []
+    lp = optimizer._lp
+
+    def counting_lp(system, saturated, face=None):
+        if face is None:
+            solved.append(saturated)
+        return lp(system, saturated, face)
+
+    monkeypatch.setattr(optimizer, "_lp", counting_lp)
+    sol = solve(system)
+    assert sol.total_buffer == F(1363, 6)
+    assert sol.start_cycles == {"s0": 0, "s1": 1, "s2": 16, "s3": 17, "s4": 75,
+                                "s5": 18, "s6": 89, "s7": 90}
+    sets = len(solved)
+    assert 64 * sets < optimizer.MAX_SATURATED_SETS
+    # The cap counts exactly the sets solved.
+    monkeypatch.setattr(optimizer, "MAX_SATURATED_SETS", sets)
+    assert solve(system).dumps() == sol.dumps()
+    monkeypatch.setattr(optimizer, "MAX_SATURATED_SETS", sets - 1)
+    with pytest.raises(optimizer.SearchLimitError):
+        solve(system)
