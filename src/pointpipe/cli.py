@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -57,6 +58,49 @@ def _write(path: str | None, text: str) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
+    values with string keys.
+
+    With ``indent`` the json module falls back to its pure-Python encoder;
+    this writes a list of plain ints with one join instead of one encoder
+    step per item, which is most of a ``split`` manifest.
+    """
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == float("inf"):
+            return "Infinity"
+        if value == float("-inf"):
+            return "-Infinity"
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(v) is int for v in value):
+            items = map(int.__repr__, value)
+        else:
+            items = (_json_text(v, inner) for v in value)
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (f"{_json_str(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items()))
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _triple(text: str, name: str) -> tuple[int, int, int]:
@@ -123,7 +167,7 @@ def cmd_optimize(args) -> int:
     if args.chunks != 1:  # schedule_chunks rejects a count below 1
         solution = schedule_chunks(solution, graph, args.chunks)
     doc = solution.to_json_dict(element_bytes=args.element_bytes)
-    _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write(args.out, _json_text(doc) + "\n")
     counts = solution.constraint_counts
     print(f"total buffer: {_frac_to_json(solution.total_buffer)} elements", file=sys.stderr)
     if args.element_bytes:
@@ -157,7 +201,7 @@ def cmd_simulate(args) -> int:
     summary = trace.summary_dict()
     if solution.initiation_interval is not None:
         summary["initiation_interval"] = _frac_to_json(solution.initiation_interval)
-    _write(args.summary, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write(args.summary, _json_text(summary) + "\n")
     if trace.ok:
         print("simulation clean: no stalls, no overflows", file=sys.stderr)
         return OK
@@ -294,7 +338,7 @@ def cmd_split(args) -> int:
         ]
     else:
         raise CliError("provide --grid AxBxC or --serial N")
-    _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write(args.out, _json_text(doc) + "\n")
     return OK
 
 

@@ -62,6 +62,42 @@ def _axis_cells(coords: np.ndarray, lo: float, hi: float, g: int) -> np.ndarray:
     return np.clip(idx, 0, g - 1)
 
 
+def _segments(values: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
+    """Split ``values`` into consecutive pieces of the given sizes."""
+    ends = np.cumsum(sizes).tolist()
+    return [values[start:end] for start, end in zip([0, *ends], ends)]
+
+
+def _window_members(
+    per_axis: list[np.ndarray],
+    counts: list[int],
+    kernel: tuple[int, int, int],
+    stride: tuple[int, int, int],
+) -> list[np.ndarray]:
+    """Point indices of every window, ascending, windows in origin order.
+
+    A point in cell ``c`` on an axis lies in the window whose corner is
+    ``c - d`` for each kernel offset ``d`` that leaves the corner on the
+    stride lattice and inside the grid, so one pass per offset pairs every
+    point with each window holding it.
+    """
+    n = len(per_axis[0])
+    keys = []
+    for d in np.ndindex(*kernel):
+        inside = np.ones(n, dtype=bool)
+        gid = 0
+        for a in range(3):
+            q, r = np.divmod(per_axis[a] - d[a], stride[a])
+            inside &= (r == 0) & (q >= 0) & (q < counts[a])
+            gid = gid * counts[a] + q
+        keys.append(gid[inside] * n + np.flatnonzero(inside))
+    # Keys are unique (a point sits in a window once), so sorting them
+    # orders by window and then by point.
+    keys = np.sort(np.concatenate(keys))
+    gid, points = np.divmod(keys, n)
+    return _segments(points, np.bincount(gid, minlength=counts[0] * counts[1] * counts[2]))
+
+
 def split_grid(
     cloud: PointCloud,
     dims: tuple[int, int, int],
@@ -85,28 +121,23 @@ def split_grid(
     per_axis = [_axis_cells(pts[:, a], lo[a], hi[a], dims[a]) for a in range(3)]
     gx, gy, gz = dims
     linear = (per_axis[0] * gy + per_axis[1]) * gz + per_axis[2]
-    cells = [
-        np.flatnonzero(linear == c).astype(np.int64) for c in range(gx * gy * gz)
-    ]
+    # One stable sort groups the points by cell, ascending within each.
+    cells = _segments(np.argsort(linear, kind="stable"),
+                      np.bincount(linear, minlength=gx * gy * gz))
 
-    groups: list[ChunkGroup] = []
     counts = [(dims[a] - kernel[a]) // stride[a] + 1 for a in range(3)]
-    for ox in range(counts[0]):
-        for oy in range(counts[1]):
-            for oz in range(counts[2]):
-                corner = (ox * stride[0], oy * stride[1], oz * stride[2])
-                window = []
-                for dx in range(kernel[0]):
-                    for dy in range(kernel[1]):
-                        for dz in range(kernel[2]):
-                            window.append(
-                                ((corner[0] + dx) * gy + (corner[1] + dy)) * gz
-                                + (corner[2] + dz)
-                            )
-                members = np.sort(np.concatenate([cells[c] for c in window]))
-                groups.append(
-                    ChunkGroup(origin=corner, cells=tuple(window), points=members)
-                )
+    origins = np.indices(counts).reshape(3, -1).T * stride
+    offsets = np.indices(kernel).reshape(3, -1).T
+    corner_ids = (origins[:, 0] * gy + origins[:, 1]) * gz + origins[:, 2]
+    windows = corner_ids[:, None] + (offsets[:, 0] * gy + offsets[:, 1]) * gz + offsets[:, 2]
+    if kernel == (1, 1, 1):
+        members = [cells[c] for c in corner_ids.tolist()]
+    else:
+        members = _window_members(per_axis, counts, kernel, stride)
+    groups = [
+        ChunkGroup(origin=tuple(origin), cells=tuple(window), points=points)
+        for origin, window, points in zip(origins.tolist(), windows.tolist(), members)
+    ]
 
     return ChunkGrid(
         bbox_min=lo,
@@ -146,9 +177,5 @@ def chunked_sort(
     cuts = np.asarray(sorted(chunk_boundaries), dtype=np.float64)
     coords = cloud.points[:, axis]
     bucket = np.searchsorted(cuts, coords, side="left")
-    pieces = []
-    for b in range(len(cuts) + 1):
-        members = np.flatnonzero(bucket == b)
-        order = np.argsort(coords[members], kind="stable")
-        pieces.append(members[order])
-    return np.concatenate(pieces)
+    # By bucket, then stably by coordinate within each bucket.
+    return np.lexsort((coords, bucket))

@@ -1,10 +1,14 @@
 """kd-tree nearest-neighbor and range search with step-capped traversal.
 
-The tree is a median-split bucket kd-tree: internal nodes split the widest
-dimension at the upper-median coordinate (ties broken by point index), and
-leaves hold up to ``leaf_size`` points. Searches run depth-first, descending
-toward the query before backtracking, with sphere/plane pruning against the
-current k-th best distance.
+The tree is a median-split bucket kd-tree. An internal node sorts its
+points stably along its widest dimension (the lowest-numbered one on equal
+extents), gives the first half (rounded down) to the left child and splits
+at the upper-median coordinate. Tied coordinates keep the order of the
+parent's sort, which is point index order only at the root. Leaves hold up
+to ``leaf_size`` points, ascending by index, and node ids number the tree
+in preorder. Searches run depth-first, descending toward the query before
+backtracking, with sphere/plane pruning against the current k-th best
+distance.
 
 Every node visit (internal or leaf) costs one step; the root visit is step
 one. A search given a step deadline stops the moment the budget is spent
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -75,31 +80,51 @@ def kdtree_build(points: np.ndarray, leaf_size: int = 16) -> KdTree:
     if leaf_size < 1:
         raise ValueError("leaf_size must be >= 1")
 
-    counter = [0]
+    @cache
+    def subtree_nodes(m: int) -> int:
+        # Nodes in the subtree over m points; preorder ids skip a left
+        # subtree by this many.
+        return 1 if m <= leaf_size else 1 + subtree_nodes(m // 2) + subtree_nodes(m - m // 2)
 
-    def build(indices: np.ndarray, level: int) -> tuple[KdNode, int]:
-        node_id = counter[0]
-        counter[0] += 1
-        if len(indices) <= leaf_size:
-            return KdNode(node_id=node_id, bucket=np.sort(indices)), level
-        sub = points[indices]
-        extents = sub.max(axis=0) - sub.min(axis=0)
-        dim = int(np.argmax(extents))
-        # Stable sort on (coordinate, index): deterministic for duplicates.
-        order = indices[np.argsort(sub[:, dim], kind="stable")]
-        mid = len(order) // 2
-        split_value = float(points[order[mid], dim])
-        node = KdNode(node_id=node_id, split_dim=dim, split_value=split_value)
-        node.left, dl = build(order[:mid], level + 1)
-        node.right, dr = build(order[mid:], level + 1)
-        return node, max(dl, dr)
-
-    root, depth = build(np.arange(len(points), dtype=np.int64), 1)
+    # Each pass splits one level's internal nodes; ``order`` holds their
+    # points, one contiguous segment per node, left to right.
+    n = len(points)
+    root = KdNode(node_id=0)
+    level, order, sizes, depth = [root], np.arange(n, dtype=np.int64), np.array([n]), 1
+    if n <= leaf_size:
+        root.bucket, level = order, []
+    while level:
+        depth += 1
+        starts = np.cumsum(sizes) - sizes
+        sub = points[order]
+        extents = np.maximum.reduceat(sub, starts) - np.minimum.reduceat(sub, starts)
+        dims = np.argmax(extents, axis=1)
+        segment = np.repeat(np.arange(len(level)), sizes)
+        # Stable within a segment: tied coordinates keep the parent's order.
+        order = order[np.lexsort((sub[np.arange(len(order)), dims[segment]], segment))]
+        mids = sizes // 2
+        values = points[order[starts + mids], dims]
+        next_level = []
+        for node, dim, value, start, mid, size in zip(
+                level, dims.tolist(), values.tolist(), starts.tolist(), mids.tolist(),
+                sizes.tolist()):
+            node.split_dim, node.split_value = dim, value
+            node.left = KdNode(node_id=node.node_id + 1)
+            node.right = KdNode(node_id=node.node_id + 1 + subtree_nodes(mid))
+            for child, lo, hi in ((node.left, start, start + mid),
+                                  (node.right, start + mid, start + size)):
+                if hi - lo > leaf_size:
+                    next_level.append(child)
+                else:
+                    child.bucket = np.sort(order[lo:hi])
+        child_sizes = np.column_stack((mids, sizes - mids)).ravel()
+        inner = child_sizes > leaf_size
+        level, order, sizes = next_level, order[np.repeat(inner, child_sizes)], child_sizes[inner]
     return KdTree(
         root=root,
         points=points,
         leaf_size=leaf_size,
-        node_count=counter[0],
+        node_count=subtree_nodes(n),
         depth=depth,
     )
 

@@ -1,15 +1,19 @@
-"""The command line keeps its documented exit codes on bad input."""
+"""The command line keeps its documented exit codes on bad input and its
+output bytes."""
 
+import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import DIAMOND
 from pointpipe import optimizer
-from pointpipe.cli import USAGE, main
+from pointpipe.cli import USAGE, _json_text, main
 
 PIPELINES = sorted((Path(__file__).parent.parent / "pipelines").glob("*.json"))
 KNN_STENCIL = str(Path(__file__).parent.parent / "pipelines" / "knn_stencil.json")
+GOLDEN_SPLIT = Path(__file__).parent / "golden" / "split"
 CLOUD = ["--synthetic", "50", "--queries", "3"]
 
 BAD_INPUTS = [
@@ -57,7 +61,7 @@ def test_search_limit_is_a_schedule_error(command, tmp_path, monkeypatch, capsys
 
 
 @pytest.mark.parametrize("command", ["optimize", "verify"])
-def test_shipped_pipelines_never_reach_the_milp(command, monkeypatch, capsys):
+def test_shipped_pipelines_never_reach_the_search(command, monkeypatch, capsys):
     # Every shipped pipeline is single-producer: the closed form schedules it.
     def refuse(*args, **kwargs):
         raise AssertionError("saturated-edge search called")
@@ -66,3 +70,28 @@ def test_shipped_pipelines_never_reach_the_milp(command, monkeypatch, capsys):
     assert PIPELINES
     for path in PIPELINES:
         assert main([command, str(path)]) == 0, path
+
+
+@pytest.mark.parametrize("members", [False, True], ids=["plain", "members"])
+def test_split_manifest_matches_golden(members, tmp_path):
+    out = tmp_path / "manifest.json"
+    argv = ["split", "--synthetic", "300", "--seed", "7", "--grid", "7x5x3",
+            "--kernel", "3x2x2", "--stride", "2x1x2", "--out", str(out)]
+    assert main(argv + ["--members"] * members) == 0
+    name = "manifest.members.json" if members else "manifest.json"
+    assert out.read_bytes() == (GOLDEN_SPLIT / name).read_bytes()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.lists(st.integers()) | st.dictionaries(st.text(), inner)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(value=json_values)
+def test_json_text_equals_indented_json_dumps(value):
+    # Floats include nan and both infinities; text includes non-ASCII.
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)

@@ -129,6 +129,114 @@ def test_chunked_sort_equals_global_stable_sort(pts, axis, cuts):
     assert np.array_equal(perm, np.argsort(pts[:, axis], kind="stable"))
 
 
+def _naive_groups(grid):
+    """Cells by one scan per cell, and each window's members as the sorted
+    union of its cells, windows in origin order."""
+    cells = [np.flatnonzero(grid.cell_of_point == c) for c in range(grid.cell_count)]
+    (gx, gy, gz), (kx, ky, kz), (sx, sy, sz) = grid.dims, grid.kernel, grid.stride
+    groups = []
+    for ox in range(0, gx - kx + 1, sx):
+        for oy in range(0, gy - ky + 1, sy):
+            for oz in range(0, gz - kz + 1, sz):
+                window = [((ox + dx) * gy + oy + dy) * gz + oz + dz
+                          for dx in range(kx) for dy in range(ky) for dz in range(kz)]
+                members = np.sort(np.concatenate([cells[c] for c in window]))
+                groups.append(((ox, oy, oz), tuple(window), members.tolist()))
+    return [c.tolist() for c in cells], groups
+
+
+@EXAMPLES
+@given(pts=clouds, dims=st.tuples(*[st.integers(1, 6)] * 3),
+       stride=st.tuples(*[st.integers(1, 3)] * 3), flat=st.sets(st.integers(0, 2)),
+       data=st.data())
+def test_split_grid_equals_the_naive_definition(pts, dims, stride, flat, data):
+    # Few lattice points in up to 216 cells leave most cells empty; a flat
+    # axis collapses to one cell.
+    for a in flat:
+        pts[:, a] = 1.0
+    shape = split_grid(PointCloud(pts), dims).dims
+    kernel = tuple(data.draw(st.integers(1, d)) for d in shape)
+    grid = split_grid(PointCloud(pts), dims, kernel=kernel, stride=stride)
+    cells, groups = _naive_groups(grid)
+    assert [c.tolist() for c in grid.cells] == cells
+    assert [(g.origin, g.cells, g.points.tolist()) for g in grid.groups] == groups
+    assert all(c.dtype == np.int64 for c in grid.cells)
+    assert all(g.points.dtype == np.int64 for g in grid.groups)
+
+
+def _recursive_kdtree(points, leaf_size):
+    """The kd-tree as a recursive build, one stable argsort per node:
+    (node id, split dim, split value, bucket) in preorder, node count and
+    depth."""
+    nodes = []
+
+    def build(indices, level):
+        node = [len(nodes), -1, 0.0, None]
+        nodes.append(node)
+        if len(indices) <= leaf_size:
+            node[3] = np.sort(indices).tolist()
+            return level
+        sub = points[indices]
+        dim = int(np.argmax(sub.max(axis=0) - sub.min(axis=0)))
+        order = indices[np.argsort(sub[:, dim], kind="stable")]
+        mid = len(order) // 2
+        node[1], node[2] = dim, float(points[order[mid], dim])
+        return max(build(order[:mid], level + 1), build(order[mid:], level + 1))
+
+    depth = build(np.arange(len(points), dtype=np.int64), 1)
+    return [tuple(n) for n in nodes], len(nodes), depth
+
+
+def _preorder(tree):
+    out, stack = [], [tree.root]
+    while stack:
+        node = stack.pop()
+        bucket = None
+        if node.is_leaf:
+            assert node.bucket.dtype == np.int64
+            bucket = node.bucket.tolist()
+        else:
+            stack += (node.right, node.left)
+        out.append((node.node_id, node.split_dim, node.split_value, bucket))
+    return out
+
+
+@st.composite
+def kd_clouds(draw):
+    """Uniform clouds, coarse lattices (three values per axis on an uneven
+    box, so ties straddle the medians below the root) and clouds of a few
+    duplicated points, of up to 300 points."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "lattice", "duplicates"]))
+    if kind == "uniform":
+        return rng.uniform(-100, 100, (n, 3))
+    if kind == "lattice":
+        return rng.integers(0, 3, (n, 3)) * np.array([1.0, 2.0, 3.0])
+    distinct = rng.uniform(-1, 1, (int(rng.integers(1, 6)), 3))
+    return distinct[rng.integers(0, len(distinct), n)]
+
+
+@EXAMPLES
+@given(pts=kd_clouds(), leaf_size=st.integers(1, 17))
+def test_kdtree_build_equals_the_recursive_build(pts, leaf_size):
+    tree = kdtree_build(pts, leaf_size=leaf_size)
+    nodes, count, depth = _recursive_kdtree(pts, leaf_size)
+    assert _preorder(tree) == nodes
+    assert (tree.node_count, tree.depth) == (count, depth)
+
+
+def test_kdtree_ties_keep_the_parents_order():
+    # The root splits on x; its left child holds points 3, 2, 1, 0 in that
+    # order and splits on z, where 1 and 2 tie: they stay in the root's x
+    # order (2 before 1), not index order.
+    pts = np.array([[0.3, 0, 0], [0.2, 0, 5], [0.1, 0, 5], [0, 0, 10],
+                    [100, 0, 0], [101, 0, 0], [102, 0, 0], [103, 0, 0]])
+    left = kdtree_build(pts, leaf_size=2).root.left
+    assert (left.split_dim, left.split_value) == (2, 5.0)
+    assert [left.left.bucket.tolist(), left.right.bucket.tolist()] == [[0, 2], [1, 3]]
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 

@@ -205,7 +205,7 @@ def test_max_floor_offset_is_where_the_peak_first_rises():
     assert branches == {True, False}
 
 
-def test_closed_form_equals_milp_on_trees(search_solve):
+def test_closed_form_equals_search_on_trees(search_solve):
     trees = _trees(16, shape="tree") + _trees(40, start_seed=5000)[:15]
     assert len(trees) == 31
     # Branching trees, and trees whose least schedule lifts a source off
@@ -228,7 +228,7 @@ def test_closed_form_total_equals_exhaustive_minimum():
         assert sol.total_buffer == total
 
 
-def test_horizon_short_of_least_schedule_falls_back_to_milp(search_solve):
+def test_horizon_short_of_least_schedule_falls_back_to_search(search_solve):
     # Seed 5845's least optimal schedule starts s1 at cycle 2; a horizon of 1
     # still admits a schedule, just not an optimal one of the closed form.
     g = generate(5845)
