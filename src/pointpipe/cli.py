@@ -166,11 +166,11 @@ def cmd_optimize(args) -> int:
     solution = optimize(graph, pruned=not args.no_prune, horizon=args.horizon)
     if args.chunks != 1:  # schedule_chunks rejects a count below 1
         solution = schedule_chunks(solution, graph, args.chunks)
-    doc = solution.to_json_dict(element_bytes=args.element_bytes)
-    _write(args.out, _json_text(doc) + "\n")
+    _write(args.out, solution.dumps(element_bytes=args.element_bytes))
     counts = solution.constraint_counts
     print(f"total buffer: {_frac_to_json(solution.total_buffer)} elements", file=sys.stderr)
     if args.element_bytes:
+        doc = solution.to_json_dict(element_bytes=args.element_bytes)
         print(f"total buffer: {doc['total_buffer_bytes']} bytes "
               f"({args.element_bytes} B/element)", file=sys.stderr)
     print(f"makespan: {_frac_to_json(solution.makespan)} cycles", file=sys.stderr)
@@ -201,7 +201,7 @@ def cmd_simulate(args) -> int:
     summary = trace.summary_dict()
     if solution.initiation_interval is not None:
         summary["initiation_interval"] = _frac_to_json(solution.initiation_interval)
-    _write(args.summary, _json_text(summary) + "\n")
+    _write(args.summary, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     if trace.ok:
         print("simulation clean: no stalls, no overflows", file=sys.stderr)
         return OK

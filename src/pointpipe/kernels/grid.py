@@ -130,10 +130,7 @@ def split_grid(
     offsets = np.indices(kernel).reshape(3, -1).T
     corner_ids = (origins[:, 0] * gy + origins[:, 1]) * gz + origins[:, 2]
     windows = corner_ids[:, None] + (offsets[:, 0] * gy + offsets[:, 1]) * gz + offsets[:, 2]
-    if kernel == (1, 1, 1):
-        members = [cells[c] for c in corner_ids.tolist()]
-    else:
-        members = _window_members(per_axis, counts, kernel, stride)
+    members = _window_members(per_axis, counts, kernel, stride)
     groups = [
         ChunkGroup(origin=tuple(origin), cells=tuple(window), points=points)
         for origin, window, points in zip(origins.tolist(), windows.tolist(), members)
