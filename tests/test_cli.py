@@ -14,6 +14,7 @@ from pointpipe.cli import USAGE, _json_text, main
 PIPELINES = sorted((Path(__file__).parent.parent / "pipelines").glob("*.json"))
 KNN_STENCIL = str(Path(__file__).parent.parent / "pipelines" / "knn_stencil.json")
 GOLDEN_SPLIT = Path(__file__).parent / "golden" / "split"
+GOLDEN_SEARCH = Path(__file__).parent / "golden" / "search"
 CLOUD = ["--synthetic", "50", "--queries", "3"]
 
 BAD_INPUTS = [
@@ -80,6 +81,55 @@ def test_split_manifest_matches_golden(members, tmp_path):
     assert main(argv + ["--members"] * members) == 0
     name = "manifest.members.json" if members else "manifest.json"
     assert out.read_bytes() == (GOLDEN_SPLIT / name).read_bytes()
+
+
+# Each search command on two clouds. Both trees have leaves four levels below
+# the root, so a 6-step search scans one or two leaves. The lattice is written
+# twice, the second copy reversed, and its queries sit on lattice points and
+# cell centres: exact distance ties decide which neighbours are held, and so
+# which subtrees are pruned and how many steps a search takes.
+SEARCH_CLOUDS = {
+    "synthetic": (["--synthetic", "2000", "--seed", "3", "--queries", "40",
+                   "--leaf-size", "128"], "0.15"),
+    "lattice": (["--input", "lattice.xyz", "--query-input", "queries.xyz"], "0.25"),
+}
+SEARCH_CASES = {
+    "knn": ["knn"],
+    "knn.deadline6": ["knn", "--deadline", "6"],
+    "knn.recall": ["knn", "--recall"],
+    "range.deadline6": ["range", "--deadline", "6", "--radius"],
+    "profile_deadline": ["profile-deadline"],
+    "stats_chunks": ["stats-chunks", "--grid", "4x4x2"],
+}
+
+
+def _write_lattice(directory: Path) -> None:
+    ticks = [i / 4 for i in range(5)]
+    lattice = [f"{x} {y} {z}" for x in ticks for y in ticks for z in ticks]
+    (directory / "lattice.xyz").write_text("\n".join(lattice + lattice[::-1]) + "\n")
+    queries = [f"{(3 * i) % 9 / 8} {(5 * i) % 9 / 8} {(7 * i) % 9 / 8}" for i in range(40)]
+    (directory / "queries.xyz").write_text("\n".join(queries) + "\n")
+
+
+def run_search_case(cloud: str, case: str, directory: Path, capsys) -> tuple[bytes, str]:
+    """The primary output and stderr of one search command, run in
+    ``directory`` so that the cloud paths in stderr are relative."""
+    cloud_args, radius = SEARCH_CLOUDS[cloud]
+    argv = [*SEARCH_CASES[case], *([radius] if case.startswith("range") else []),
+            *cloud_args, "--out", "out.csv"]
+    _write_lattice(directory)
+    capsys.readouterr()
+    assert main(argv) == 0
+    return (directory / "out.csv").read_bytes(), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", SEARCH_CASES)
+@pytest.mark.parametrize("cloud", SEARCH_CLOUDS)
+def test_search_outputs_match_golden(cloud, case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    out, err = run_search_case(cloud, case, tmp_path, capsys)
+    assert out == (GOLDEN_SEARCH / f"{cloud}.{case}.csv").read_bytes()
+    assert err == (GOLDEN_SEARCH / f"{cloud}.{case}.stderr").read_text()
 
 
 json_values = st.recursive(
