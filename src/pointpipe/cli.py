@@ -41,7 +41,7 @@ from .kernels.kdtree import (
     range_search,
 )
 from .kernels.prng import PRNG_ID, synthetic_cloud
-from .kernels.stats import chunk_access_stats
+from .kernels.stats import mean_chunks_accessed
 
 OK, VERIFY_FAILED, USAGE = 0, 1, 2
 
@@ -162,8 +162,10 @@ def _parse_fraction(text: str, flag: str) -> Fraction:
 # -- scheduling commands ------------------------------------------------------
 
 def cmd_optimize(args) -> int:
+    if args.element_bytes is not None and args.element_bytes < 1:
+        raise CliError("--element-bytes must be >= 1")
     graph = load_pipeline(args.graph)
-    solution = optimize(graph, pruned=not args.no_prune, horizon=args.horizon)
+    solution = optimize(graph, horizon=args.horizon)
     if args.chunks != 1:  # schedule_chunks rejects a count below 1
         solution = schedule_chunks(solution, graph, args.chunks)
     _write(args.out, solution.dumps(element_bytes=args.element_bytes))
@@ -180,6 +182,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.stride < 1:
+        raise CliError("--stride must be >= 1")
     graph = load_pipeline(args.graph)
     try:
         with open(args.schedule, "r", encoding="utf-8") as fh:
@@ -300,8 +304,7 @@ def cmd_stats_chunks(args) -> int:
         raise CliError(f"--k-list must be comma-separated integers, got {args.k_list!r}") from None
     lines = ["k,mean_chunks"]
     for k in ks:
-        st = chunk_access_stats(grid, tree, queries, k)
-        lines.append(f"{k},{st.mean_chunks!r}")
+        lines.append(f"{k},{mean_chunks_accessed(grid, tree, queries, k)!r}")
     _write(args.out, "\n".join(lines) + "\n")
     print(f"grid cells: {grid.cell_count}", file=sys.stderr)
     return OK
@@ -395,10 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("optimize", help="solve minimal line-buffer schedule")
     p.add_argument("graph", help="pipeline description JSON")
-    p.add_argument("--no-prune", action="store_true",
-                   help="count each local edge's per-timestamp availability rows "
-                        "instead of its window-endpoint row (same bound and schedule; "
-                        "only the printed constraint count differs)")
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--element-bytes", type=int, default=None)
     p.add_argument("--chunks", type=int, default=1)

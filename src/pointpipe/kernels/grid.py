@@ -31,8 +31,6 @@ class ChunkGrid:
     (zero extent) collapses to a single cell on that axis.
     """
 
-    bbox_min: np.ndarray
-    bbox_max: np.ndarray
     dims: tuple[int, int, int]
     kernel: tuple[int, int, int]
     stride: tuple[int, int, int]
@@ -137,8 +135,6 @@ def split_grid(
     ]
 
     return ChunkGrid(
-        bbox_min=lo,
-        bbox_max=hi,
         dims=dims,
         kernel=kernel,
         stride=stride,

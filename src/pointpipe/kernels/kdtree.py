@@ -6,9 +6,10 @@ extents), gives the first half (rounded down) to the left child and splits
 at the upper-median coordinate. Tied coordinates keep the order of the
 parent's sort, which is point index order only at the root. Leaves hold up
 to ``leaf_size`` points, ascending by index, and node ids number the tree
-in preorder. Searches run depth-first, descending toward the query before
-backtracking, with sphere/plane pruning against the current k-th best
-distance.
+in preorder. Each search is one loop over an explicit stack of (node, squared
+distance to its splitting plane): depth-first, descending toward the query
+before backtracking, and skipping a node whose plane lies strictly beyond the
+current k-th best distance (or the radius).
 
 Every node visit (internal or leaf) costs one step; the root visit is step
 one. A search given a step deadline stops the moment the budget is spent
@@ -23,7 +24,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache
+from math import ceil
 
 import numpy as np
 
@@ -129,100 +132,6 @@ def kdtree_build(points: np.ndarray, leaf_size: int = 16) -> KdTree:
     )
 
 
-class KnnCursor:
-    """Stepwise k-nearest-neighbor traversal of one query.
-
-    ``next_node`` reports the node the search wants to visit next (popping
-    entries its pruning rule discards, which costs nothing); ``visit``
-    performs the visit, spending one step.
-    """
-
-    def __init__(self, tree: KdTree, query: np.ndarray, k: int,
-                 deadline: int | None = None, record_visited: bool = False):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if deadline is not None and deadline < 1:
-            raise ValueError("deadline must be >= 1 when set")
-        self.tree = tree
-        self.query = np.asarray(query, dtype=np.float64)
-        self.k = k
-        self.deadline = deadline
-        self.steps = 0
-        self.truncated = False
-        # Max-heap of the k best so far, keyed (-dist2, -index).
-        self._heap: list[tuple[float, int]] = []
-        # Stack entries: (node, plane_dist2 to reach it from the near side).
-        self._stack: list[tuple[KdNode, float]] = [(tree.root, 0.0)]
-        self.visited_points: list[int] | None = [] if record_visited else None
-
-    # -- best-so-far bookkeeping ------------------------------------------
-
-    def _worst(self) -> tuple[float, int]:
-        d2, idx = self._heap[0]
-        return -d2, -idx
-
-    def _offer(self, idx: int, d2: float) -> None:
-        if len(self._heap) < self.k:
-            heapq.heappush(self._heap, (-d2, -idx))
-        else:
-            wd2, widx = self._worst()
-            if (d2, idx) < (wd2, widx):
-                heapq.heapreplace(self._heap, (-d2, -idx))
-
-    def _prunable(self, plane_d2: float) -> bool:
-        if len(self._heap) < self.k:
-            return False
-        wd2, _ = self._worst()
-        return plane_d2 > wd2
-
-    # -- traversal ---------------------------------------------------------
-
-    def out_of_budget(self) -> bool:
-        return self.deadline is not None and self.steps >= self.deadline
-
-    def next_node(self) -> KdNode | None:
-        """The node this search will visit next, or None when finished.
-        Deadline exhaustion with pending work marks the search truncated."""
-        while self._stack:
-            if self.out_of_budget():
-                self.truncated = True
-                self._stack.clear()
-                return None
-            node, plane_d2 = self._stack[-1]
-            if self._prunable(plane_d2):
-                self._stack.pop()
-                continue
-            return node
-        return None
-
-    def visit(self, node: KdNode) -> None:
-        """Spend one step visiting ``node``: scan a leaf or descend toward
-        the query, queueing the far side for backtracking."""
-        assert self._stack and self._stack[-1][0] is node
-        self._stack.pop()
-        self.steps += 1
-        if node.is_leaf:
-            d2s = _squared_distances(self.tree.points[node.bucket], self.query)
-            for idx, d2 in zip(node.bucket, d2s):
-                if self.visited_points is not None:
-                    self.visited_points.append(int(idx))
-                self._offer(int(idx), float(d2))
-            return
-        gap = float(self.query[node.split_dim]) - node.split_value
-        near, far = (node.left, node.right) if gap < 0 else (node.right, node.left)
-        self._stack.append((far, gap * gap))
-        self._stack.append((near, 0.0))
-
-    def result(self) -> SearchResult:
-        ordered = sorted((-d2, -idx) for d2, idx in self._heap)
-        return SearchResult(
-            neighbors=[(idx, d2) for d2, idx in ordered],
-            steps_used=self.steps,
-            truncated=self.truncated,
-            visited_points=self.visited_points,
-        )
-
-
 def knn_search(
     tree: KdTree,
     query: np.ndarray,
@@ -233,14 +142,49 @@ def knn_search(
     """k nearest neighbors of ``query``; exact when ``deadline`` is None.
 
     Asking for more neighbors than the tree holds returns every point.
+    ``record_visited`` lists every point scanned, in scan order.
     """
-    cursor = KnnCursor(tree, query, k, deadline, record_visited)
-    while True:
-        node = cursor.next_node()
-        if node is None:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if deadline is not None and deadline < 1:
+        raise ValueError("deadline must be >= 1 when set")
+    q = np.asarray(query, dtype=np.float64)
+    # Max-heap of the k best so far, keyed (-dist2, -index).
+    heap: list[tuple[float, int]] = []
+    visited: list[int] | None = [] if record_visited else None
+    stack: list[tuple[KdNode, float]] = [(tree.root, 0.0)]
+    steps = 0
+    truncated = False
+    while stack:
+        if deadline is not None and steps >= deadline:
+            truncated = True
             break
-        cursor.visit(node)
-    return cursor.result()
+        node, plane_d2 = stack.pop()
+        if len(heap) == k and plane_d2 > -heap[0][0]:
+            continue
+        steps += 1
+        if node.is_leaf:
+            bucket = node.bucket.tolist()
+            d2s = _squared_distances(tree.points[node.bucket], q).tolist()
+            for idx, d2 in zip(bucket, d2s):
+                key = (-d2, -idx)
+                if len(heap) < k:
+                    heapq.heappush(heap, key)
+                elif key > heap[0]:  # (d2, idx) < the worst held
+                    heapq.heapreplace(heap, key)
+            if visited is not None:
+                visited.extend(bucket)
+            continue
+        gap = float(q[node.split_dim]) - node.split_value
+        near, far = (node.left, node.right) if gap < 0 else (node.right, node.left)
+        stack.append((far, gap * gap))
+        stack.append((near, 0.0))
+    return SearchResult(
+        neighbors=[(-idx, -d2) for d2, idx in sorted(heap, reverse=True)],
+        steps_used=steps,
+        truncated=truncated,
+        visited_points=visited,
+    )
 
 
 def range_search(
@@ -319,9 +263,6 @@ def profile_deadline(
     fraction,
 ) -> DeadlineProfile:
     """Run uncapped searches and suggest ceil(fraction * mean steps)."""
-    from fractions import Fraction
-    from math import ceil
-
     frac = Fraction(fraction)
     if not (0 < frac <= 1):
         raise ValueError("fraction must be in (0, 1]")

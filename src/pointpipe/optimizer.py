@@ -16,9 +16,9 @@ through the offset d = s_c - s_p, and the model gives, as functions of d:
   after it is written, so a local consumer needs w_c >= w_p + 1, and the
   producer must stay ahead of the consumer's cumulative demand through the
   consumer's read window; both collapse to two linear endpoint rows (the
-  per-timestamp family they prune, counted in unpruned mode, gives the
-  same bound). A Global consumer starts only after the producer has
-  written everything.
+  per-timestamp family they prune, counted as "unpruned", gives the same
+  bound). A Global consumer starts only after the producer has written
+  everything.
 - ``overwrite_delay``: overwriting may not begin before the consumer retires
   data, at its first-read-capable cycle on local edges and at its
   completion on Global edges; minimization drives the overwrite start to
@@ -48,7 +48,7 @@ Z, with no integer variables (see ``solve``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, lcm
 
@@ -220,45 +220,42 @@ class ConstraintSystem:
     box ``[earliest, horizon]``."""
 
     graph: PipelineGraph
-    pruned: bool
     horizon: int
     edges: list[EdgeModel]
     earliest: dict[str, int]   # cascaded earliest starts, a feasible schedule
 
     @property
     def constraint_count(self) -> int:
-        """Rows of the formulation in this mode, not of the LPs that
-        ``solve`` runs: a start bound per stage; per Global edge the
-        dependency, the overwrite start and the full buffer; per local edge
-        the first-read and window-endpoint dependencies, the overwrite
-        start, the two peak branches and the saturation cap. Unpruned mode
-        replaces each endpoint row by ``window_steps`` per-timestamp rows."""
-        return len(self.graph.stages) + sum(
-            3 if m.is_global else 6 + (0 if self.pruned else m.window_steps - 1)
-            for m in self.edges
+        """Rows of the formulation, not of the LPs that ``solve`` runs: a
+        start bound per stage; per Global edge the dependency, the overwrite
+        start and the full buffer; per local edge the first-read and
+        window-endpoint dependencies, the overwrite start, the two peak
+        branches and the saturation cap."""
+        return len(self.graph.stages) + sum(3 if m.is_global else 6 for m in self.edges)
+
+    @property
+    def constraint_counts(self) -> dict[str, int]:
+        """``constraint_count`` as "pruned", and as "unpruned" the count
+        with each endpoint row replaced by the per-timestamp availability
+        family over the read window: ``window_steps`` rows, on a grid fine
+        enough to hit every rate kink. The family's n-th row asks d >= 1 +
+        depth_p - depth_c + (n/steps) * (dur_p - drain), linear in n, so its
+        largest bound is at an end of the window, the first-read row or the
+        endpoint row, and both counts describe one bound: ``min_offset``."""
+        unpruned = self.constraint_count + sum(
+            m.window_steps - 1 for m in self.edges if not m.is_global
         )
+        return {"pruned": self.constraint_count, "unpruned": unpruned}
 
 
-def build_constraints(
-    graph: PipelineGraph, pruned: bool = True, horizon: int | None = None
-) -> ConstraintSystem:
+def build_constraints(graph: PipelineGraph, horizon: int | None = None) -> ConstraintSystem:
     """The schedule program of ``graph``; raises if a stage cannot start
-    within the horizon.
-
-    A local edge's availability rows bound its offset from below. Pruned
-    mode keeps the first-read row and the read window's endpoint row;
-    unpruned mode keeps the first-read row and the full per-timestamp
-    family over the window (on a grid fine enough to hit every rate kink),
-    which changes only ``constraint_count``. The family's n-th of
-    ``window_steps`` rows asks d >= 1 + depth_p - depth_c + (n/steps) *
-    (dur_p - drain), linear in n, so its largest bound is at an end of the
-    window: the first-read row or the endpoint row, and both modes give
-    ``min_offset``.
-    """
+    within the horizon. A local edge's availability rows bound its offset
+    from below: the first-read row and the read window's endpoint row."""
     if horizon is None:
         horizon = default_horizon(graph)
     earliest = earliest_starts(graph, horizon)
-    return ConstraintSystem(graph, pruned, horizon, edge_models(graph), earliest)
+    return ConstraintSystem(graph, horizon, edge_models(graph), earliest)
 
 
 @dataclass
@@ -514,16 +511,11 @@ def solve(system: ConstraintSystem) -> ScheduleSolution:
     return solution
 
 
-def optimize(
-    graph: PipelineGraph, pruned: bool = True, horizon: int | None = None
-) -> ScheduleSolution:
-    """Build the program, solve it, and attach both modes' row counts."""
-    system = build_constraints(graph, pruned=pruned, horizon=horizon)
+def optimize(graph: PipelineGraph, horizon: int | None = None) -> ScheduleSolution:
+    """Build the program, solve it, and attach its row counts."""
+    system = build_constraints(graph, horizon=horizon)
     solution = solve(system)
-    solution.constraint_counts = {
-        mode: replace(system, pruned=mode == "pruned").constraint_count
-        for mode in ("pruned", "unpruned")
-    }
+    solution.constraint_counts = system.constraint_counts
     return solution
 
 

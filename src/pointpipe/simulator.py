@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 from .graph import PipelineGraph
-from .optimizer import EdgeModel, ScheduleSolution, edge_key, edge_models
+from .optimizer import EdgeModel, ScheduleSolution, _frac_to_json, edge_key, edge_models
 
 _ZERO = Fraction(0)
 
@@ -219,8 +219,6 @@ class SimTrace:
                 yield cyc, key, self.occupancy_at(key, cyc)
 
     def summary_dict(self) -> dict:
-        from .optimizer import _frac_to_json
-
         return {
             "peaks": {k: _frac_to_json(v) for k, v in sorted(self.peaks.items())},
             "capacities": {k: _frac_to_json(v) for k, v in sorted(self.capacities.items())},

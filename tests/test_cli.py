@@ -32,6 +32,8 @@ BAD_INPUTS = [
     ["split", *CLOUD, "--serial", "0"],
     ["stats-chunks", *CLOUD, "--grid", "0x1x1"],
     ["optimize", KNN_STENCIL, "--chunks", "0"],
+    ["optimize", KNN_STENCIL, "--element-bytes", "0"],
+    ["optimize", KNN_STENCIL, "--element-bytes", "-4"],
 ]
 
 
@@ -42,11 +44,19 @@ def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
 
 
 def test_simulate_rejects_zero_chunks(tmp_path, capsys):
-    schedule = str(tmp_path / "schedule.json")
+    # and a trace stride below one
+    schedule, trace = str(tmp_path / "schedule.json"), str(tmp_path / "trace.csv")
     assert main(["optimize", KNN_STENCIL, "--out", schedule]) == 0
-    capsys.readouterr()
-    assert main(["simulate", KNN_STENCIL, schedule, "--chunks", "0"]) == USAGE
-    assert capsys.readouterr().err.startswith("error: ")
+    for flag in (["--chunks", "0"], ["--stride", "0"], ["--stride", "-1"]):
+        capsys.readouterr()
+        assert main(["simulate", KNN_STENCIL, schedule, "--trace", trace, *flag]) == USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_no_prune_is_gone():
+    with pytest.raises(SystemExit) as exit_:
+        main(["optimize", KNN_STENCIL, "--no-prune"])
+    assert exit_.value.code == USAGE
 
 
 @pytest.mark.parametrize("command", ["optimize", "verify"])
@@ -111,7 +121,7 @@ def _write_lattice(directory: Path) -> None:
     (directory / "queries.xyz").write_text("\n".join(queries) + "\n")
 
 
-def run_search_case(cloud: str, case: str, directory: Path, capsys) -> tuple[bytes, str]:
+def _run_search_case(cloud: str, case: str, directory: Path, capsys) -> tuple[bytes, str]:
     """The primary output and stderr of one search command, run in
     ``directory`` so that the cloud paths in stderr are relative."""
     cloud_args, radius = SEARCH_CLOUDS[cloud]
@@ -127,7 +137,7 @@ def run_search_case(cloud: str, case: str, directory: Path, capsys) -> tuple[byt
 @pytest.mark.parametrize("cloud", SEARCH_CLOUDS)
 def test_search_outputs_match_golden(cloud, case, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    out, err = run_search_case(cloud, case, tmp_path, capsys)
+    out, err = _run_search_case(cloud, case, tmp_path, capsys)
     assert out == (GOLDEN_SEARCH / f"{cloud}.{case}.csv").read_bytes()
     assert err == (GOLDEN_SEARCH / f"{cloud}.{case}.stderr").read_text()
 

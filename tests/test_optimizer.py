@@ -45,18 +45,16 @@ def search_solve(monkeypatch):
 
 
 def test_knn_stencil_pruned_row_budget(knn_stencil):
-    system = build_constraints(knn_stencil, pruned=True)
     # 2 start bounds + 2 dependency endpoints + overwrite start + 2 buffer
     # branches + saturation cap.
-    assert system.constraint_count <= 8
+    assert optimize(knn_stencil).constraint_counts["pruned"] <= 8
 
 
 def test_knn_stencil_unpruned_covers_windows(knn_stencil):
-    pruned = build_constraints(knn_stencil, pruned=True)
-    unpruned = build_constraints(knn_stencil, pruned=False, horizon=200)
+    counts = optimize(knn_stencil, horizon=200).constraint_counts
     window = max(knn_stencil.duration.values())
-    assert unpruned.constraint_count >= window
-    assert unpruned.constraint_count > pruned.constraint_count
+    assert counts["unpruned"] >= window
+    assert counts["unpruned"] > counts["pruned"]
 
 
 def test_single_stage_zero_objective():
@@ -112,9 +110,10 @@ def test_pruning_preserves_optimum_sample():
         for m in edge_models(g):
             if not m.is_global:
                 assert _window_family_floor(m) == m.min_offset, m.key
-        a = solve(build_constraints(g, pruned=True))
-        b = solve(build_constraints(g, pruned=False))
-        assert a.total_buffer == b.total_buffer
+        # The unpruned count holds each local edge's whole window family.
+        counts = optimize(g).constraint_counts
+        family = sum(m.window_steps - 1 for m in edge_models(g) if not m.is_global)
+        assert counts["unpruned"] == counts["pruned"] + family
 
 
 def test_global_edges_dominate_local_rule():
@@ -179,11 +178,8 @@ def test_derived_row_counts_equal_both_builds():
     # counts a build of every row gives.
     counts = [(9, 9), (32, 106), (22, 60), (12, 15), (12, 65), (15, 91), (19, 121), (19, 55)]
     for g, (pruned, unpruned) in zip(suite(8), counts):
-        assert build_constraints(g, pruned=True).constraint_count == pruned
-        assert build_constraints(g, pruned=False).constraint_count == unpruned
-        want = {"pruned": pruned, "unpruned": unpruned}
-        assert optimize(g).constraint_counts == want
-        assert optimize(g, pruned=False).constraint_counts == want
+        assert build_constraints(g).constraint_count == pruned
+        assert optimize(g).constraint_counts == {"pruned": pruned, "unpruned": unpruned}
 
 
 def test_max_floor_offset_is_where_the_peak_first_rises():
