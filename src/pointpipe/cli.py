@@ -6,7 +6,9 @@ come from a named deterministic generator whose identifier and seed are
 recorded in whatever the command writes.
 
 Exit codes: 0 success (or verified), 1 verification failure (stalls,
-overflows, oracle mismatch, sort mismatch), 2 usage or input errors.
+overflows, oracle mismatch, sort mismatch), 2 usage or input errors, 3
+verification inconclusive (``verify``'s oracle ran out of its node budget,
+``oracle.MAX_SEARCH_NODES``, before it proved a minimum).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .kernels.kdtree import (
 from .kernels.prng import PRNG_ID, synthetic_cloud
 from .kernels.stats import mean_chunks_accessed
 
-OK, VERIFY_FAILED, USAGE = 0, 1, 2
+OK, VERIFY_FAILED, USAGE, INCONCLUSIVE = 0, 1, 2, 3
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 
@@ -221,6 +223,8 @@ def cmd_verify(args) -> int:
     graph = load_pipeline(args.graph)
     report = verify_against_oracle(graph, horizon=args.horizon)
     print(str(report))
+    if report.budget_nodes is not None:
+        return INCONCLUSIVE
     return OK if report.matches else VERIFY_FAILED
 
 

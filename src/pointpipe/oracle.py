@@ -6,20 +6,74 @@ feasible when every edge is stall-free, and its cost is the summed exact
 peak occupancy. Nothing here consults the optimizer's constraint algebra,
 so agreement between the two is a genuine two-route check.
 
-The search is a depth-first walk over stages in topological order with two
-sound prunes: per-edge cost is nondecreasing in the consumer's start (frees
-only move later), so a stage's candidate loop stops as soon as the partial
-cost can no longer beat the incumbent; and unplaced edges are bounded below
-by their individually cheapest feasible cost.
+**What the walk returns.** It is a depth-first walk over the stages in
+topological order, each stage's starts in increasing order, so it meets
+the vectors of the box [0, latest]^n in lexicographic order. It keeps a
+vector only when its total is strictly below the incumbent's and returns
+the last one kept: the lexicographically least optimal vector.
+``candidates_tried`` counts the vectors kept. A feasible vector v is kept
+exactly when its total is below that of every feasible vector before it,
+which is a property of the vectors alone. So a prune changes neither the
+result nor the count if every vector it skips fails that test, and if the
+incumbent is still, at each point, the least total of all feasible vectors
+before that point.
+
+**Prunes.** Each of the three below skips only vectors that are not kept.
+
+- *Bound.* An edge's cost never falls as its consumer starts later (frees
+  only move later), and each unplaced edge costs at least its cheapest
+  feasible peak. A stage's candidate loop stops once the placed cost plus
+  those minima reaches the incumbent: every vector skipped costs at least
+  the incumbent's total.
+- *Horizon.* The walk starts each stage at max(0, producer start +
+  ``min_offset``) over its in-edges, so below a stage started at s every
+  descendant starts at least s plus the longest path of ``min_offset``s to
+  it. A stage's loop ends where that would put a descendant past
+  ``latest``: no vector the walk could reach lies below.
+- *Translation.* Every edge's verdict and peak depend only on its start
+  offset, so v and v - m (m subtracted from every start) have the same
+  verdict and total. If m = min(v) > 0, v - m lies in the box and comes
+  before v, so v is not kept. The start rule above, carried from the
+  placed starts through the unplaced stages in topological order, gives
+  a lower bound on each unplaced start. When every placed start and every
+  such bound is positive, each vector below has a positive minimum, and
+  so do those under every later start of the same stage (the bounds only
+  grow with it), so the loop stops.
+
+The incumbent stays right. The horizon prune skips no vector the walk
+could reach. A vector skipped by translation has a translate with a start
+at 0, which no translation prune skips; the walk has either met it or
+skipped it by the bound, because its total already reached the
+incumbent's.
+
+**Evaluation.** Each edge's (feasible, peak) is scored by the curves at
+most once per offset and kept in a list indexed by offset from
+``min_offset``. An offset above ``sat_offset`` reads that offset's row:
+from there the overwrite starts at or past the producer's write end
+(``overwrite_delay`` is at least the consumer's depth), so the whole
+volume V is resident at the write end and the peak is V, the most any
+occupancy can reach; and feasibility only grows with the offset. The walk
+adds and compares integers: every peak is scaled by ``scale``, the least
+common multiple of the denominators scored so far. A newly scored peak
+whose denominator does not divide ``scale`` restarts the walk at the
+larger scale, with every row kept; the walk is deterministic, so it ends
+with the same vectors and count. The total goes back to a ``Fraction``
+once, at the end. Rows are scored on first use, not for the whole range,
+because one scoring costs a fraction of a millisecond and a walk on a
+tree uses a few offsets of ranges a hundred long.
+
+**Budget.** A walk that scores ``MAX_SEARCH_NODES`` candidate starts stops
+with ``SearchBudgetError``; ``verify`` then reports neither a match nor a
+mismatch but an inconclusive verdict with the best total found.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, lcm
 
-from .graph import Edge, PipelineGraph
+from .graph import PipelineGraph
 from .optimizer import (
     EdgeModel,
     ScheduleError,
@@ -32,6 +86,28 @@ from .optimizer import (
 from .simulator import edge_curves, edge_stall_margin
 
 _ZERO = Fraction(0)
+
+# Candidate starts the walk may score in one search. Over 5070 searches
+# (three horizons each for the graphs of `suite(160, start_seed=5000)`,
+# `suite(100, shape="tree")` and `suite(1430, start_seed=30000)`) the most
+# was 318550, a 5-stage reconvergent graph at its default horizon; 74628
+# on the benchmark's sched_dag pool (diamond5_1, also the most in the
+# Tier-1 tests) and at most 15 on the shipped pipelines and the sched_tree
+# pool. A node costs about 1.2 us, so the cap ends a search in about five
+# seconds; an 8-stage chain of two diamonds reaches it at its default
+# horizon.
+MAX_SEARCH_NODES = 4_000_000
+
+
+class SearchBudgetError(Exception):
+    """The walk scored ``MAX_SEARCH_NODES`` candidates before it finished:
+    the best total found so far is an upper bound, not a proven minimum."""
+
+    def __init__(self, nodes: int, best_total: Fraction | None, candidates: int):
+        super().__init__(f"oracle search stopped after {nodes} nodes")
+        self.nodes = nodes
+        self.best_total = best_total
+        self.candidates = candidates
 
 
 class _EdgeEval:
@@ -56,9 +132,10 @@ class _EdgeEval:
                 lo = mid + 1
         self.min_offset = lo
         self.min_cost = self.evaluate(lo)[1]
-        # Offset beyond which the peak saturates at the full edge volume and
-        # stops changing: overwrite start at or past the producer's write end.
-        self.sat_offset = max(self.min_offset, ceil(model.write_end - model.depth_c))
+        # Offset from which the overwrite starts at or past the producer's
+        # write end: the whole volume is resident at once, so the peak and
+        # the verdict stop changing, and later offsets read this one.
+        self.sat_offset = max(lo, ceil(model.write_end - model.depth_c))
 
     def evaluate(self, offset: int) -> tuple[bool, Fraction]:
         hit = self._memo.get(offset)
@@ -76,6 +153,13 @@ class _EdgeEval:
         return hit
 
 
+class _Rescale(Exception):
+    """A peak's denominator does not divide the walk's scale."""
+
+    def __init__(self, denominator: int):
+        self.denominator = denominator
+
+
 @dataclass
 class OracleReport:
     matches: bool
@@ -86,10 +170,26 @@ class OracleReport:
     solver_starts: dict[str, int] | None
     candidates_tried: int
     horizon: int
+    # Nodes scored when the search ran out of ``MAX_SEARCH_NODES``; then
+    # ``oracle_total`` is the best found, and the verdict is neither.
+    budget_nodes: int | None = None
 
     def __str__(self) -> str:
-        if not self.graph_feasible:
+        if self.budget_nodes is not None:
+            best = "none" if self.oracle_total is None else self.oracle_total
+            return f"inconclusive (budget): {self.budget_nodes} nodes, best total {best}"
+        if self.solver_total is None and self.oracle_total is None:
             return f"both infeasible within horizon {self.horizon}: match"
+        if self.solver_total is None or self.oracle_total is None:
+            # One route found a schedule the other says does not exist.
+            if self.solver_total is None:
+                side, other = "solver", f"oracle total {self.oracle_total} at {self.oracle_starts}"
+            else:
+                side, other = "oracle", f"solver total {self.solver_total} at {self.solver_starts}"
+            return (
+                f"MISMATCH: {side} infeasible within horizon {self.horizon}, "
+                f"{other} ({self.candidates_tried} candidates)"
+            )
         verdict = "match" if self.matches else "MISMATCH"
         return (
             f"{verdict}: oracle total {self.oracle_total} at {self.oracle_starts}, "
@@ -104,19 +204,15 @@ def exhaustive_minimum(
     """Exact minimum total buffer over start vectors in [0, horizon]^n.
 
     Returns (total, starts, candidates_tried); total is None when no
-    feasible vector exists within the horizon.
+    feasible vector exists within the horizon. Raises ``SearchBudgetError``
+    once the walk has scored ``MAX_SEARCH_NODES`` candidate starts.
     """
     order = graph.topo_order
+    pos = {sid: i for i, sid in enumerate(order)}
     evals = {m.edge: _EdgeEval(m) for m in edge_models(graph)}
-    in_edges: dict[str, list[Edge]] = {sid: [] for sid in order}
+    in_edges: list[list[tuple[int, _EdgeEval]]] = [[] for _ in order]
     for e in graph.edges:
-        in_edges[e.consumer].append(e)
-    # Lower bound on everything scheduled after position i.
-    rest_min: list[Fraction] = [_ZERO] * (len(order) + 1)
-    for i in range(len(order) - 1, -1, -1):
-        rest_min[i] = rest_min[i + 1] + sum(
-            (evals[e].min_cost for e in in_edges[order[i]]), _ZERO
-        )
+        in_edges[pos[e.consumer]].append((pos[e.producer], evals[e]))
     # Every optimum has a representative (shift the schedule so some stage
     # sits at cycle 0) in which each start is pinned through a chain of
     # edges, each contributing at most its saturation or earliest offset.
@@ -124,46 +220,116 @@ def exhaustive_minimum(
         max(abs(ev.min_offset), abs(ev.sat_offset)) + 1 for ev in evals.values()
     )
     latest = min(horizon, span)
+    scale = lcm(*(ev.min_cost.denominator for ev in evals.values()))
+    while True:
+        try:
+            total, starts, tried = _walk(in_edges, latest, scale)
+        except _Rescale as r:
+            scale = lcm(scale, r.denominator)
+            continue
+        if total is None:
+            return None, None, tried
+        return Fraction(total, scale), dict(zip(order, starts)), tried
 
-    best_total: Fraction | None = None
-    best_starts: dict[str, int] | None = None
+
+def _walk(
+    in_edges: list[list[tuple[int, _EdgeEval]]], latest: int, scale: int
+) -> tuple[int | None, list[int] | None, int]:
+    """The depth-first walk of ``exhaustive_minimum`` with every peak an
+    integer multiple of 1/``scale``; raises ``_Rescale`` on one that is not."""
+    n = len(in_edges)
+    # Per position and in-edge: (producer position, min_offset, sat_offset,
+    # scaled peak per offset from min_offset: None until scored, -1 where
+    # infeasible, and the edge's evaluator).
+    edges = [
+        [(p, ev.min_offset, ev.sat_offset,
+          [None] * (ev.sat_offset - ev.min_offset + 1), ev) for p, ev in ins]
+        for ins in in_edges
+    ]
+
+    def scored(ev: _EdgeEval, offset: int) -> int:
+        ok, peak = ev.evaluate(offset)
+        if not ok:
+            return -1
+        if scale % peak.denominator:
+            raise _Rescale(peak.denominator)
+        return peak.numerator * (scale // peak.denominator)
+
+    # Lower bound on everything scheduled after position i.
+    rest_min = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        rest_min[i] = rest_min[i + 1] + sum(
+            scored(ev, ev.min_offset) for _, ev in in_edges[i])
+    # How far past a stage's start the start rule pushes its descendants:
+    # the longest path of ``min_offset``s out of it, and at least 0.
+    reach = [0] * n
+    for j in range(n - 1, -1, -1):
+        for p, ev in in_edges[j]:
+            reach[p] = max(reach[p], ev.min_offset + reach[j])
+    budget = MAX_SEARCH_NODES
+
+    best_total: int | None = None
+    best_starts: list[int] | None = None
     tried = 0
-    placed: dict[str, int] = {}
+    nodes = 0
+    placed = [0] * n
 
-    def place(i: int, partial: Fraction) -> None:
-        nonlocal best_total, best_starts, tried
-        if i == len(order):
+    def lifted(i: int) -> bool:
+        """Whether every stage after position i must start above cycle 0,
+        by ``min_offset`` propagated from the placed starts."""
+        lb = placed[: i + 1]
+        for j in range(i + 1, n):
+            b = 0
+            for p, off, _, _, _ in edges[j]:
+                if lb[p] + off > b:
+                    b = lb[p] + off
+            if b == 0:
+                return False
+            lb.append(b)
+        return True
+
+    def place(i: int, partial: int, pinned: bool) -> None:
+        nonlocal best_total, best_starts, tried, nodes
+        if i == n:
             tried += 1
             if best_total is None or partial < best_total:
                 best_total = partial
-                best_starts = dict(placed)
+                best_starts = placed[:]
             return
-        sid = order[i]
+        ins = edges[i]
         lo = 0
-        for e in in_edges[sid]:
-            lo = max(lo, placed[e.producer] + evals[e].min_offset)
-        for start in range(lo, latest + 1):
-            cost = partial
-            feasible = True
-            for e in in_edges[sid]:
-                ok, peak = evals[e].evaluate(start - placed[e.producer])
-                if not ok:
-                    feasible = False
-                    break
-                cost += peak
-            if not feasible:
-                continue
-            bound = cost + rest_min[i + 1]
-            if best_total is not None and bound >= best_total:
-                # In-edge costs only grow with later starts: the rest of
-                # this loop cannot beat the incumbent.
+        for p, off, _, _, _ in ins:
+            lo = max(lo, placed[p] + off)
+        # Past latest - reach[i] some descendant would start past latest.
+        for start in range(lo, latest - reach[i] + 1):
+            placed[i] = start
+            if not pinned and start > 0 and lifted(i):
+                # Every vector below has all starts positive, and its shift
+                # by the least start is lex-smaller with the same total.
                 break
-            placed[sid] = start
-            place(i + 1, cost)
-            del placed[sid]
-        return
+            if nodes == budget:
+                raise SearchBudgetError(
+                    nodes, None if best_total is None else Fraction(best_total, scale),
+                    tried)
+            nodes += 1
+            cost = partial
+            for p, off, top, costs, ev in ins:
+                d = start - placed[p]
+                k = (top if d > top else d) - off
+                c = costs[k]
+                if c is None:
+                    c = costs[k] = scored(ev, off + k)
+                if c < 0:
+                    break
+                cost += c
+            else:
+                if best_total is not None and cost + rest_min[i + 1] >= best_total:
+                    # In-edge costs only grow with later starts: the rest of
+                    # this loop cannot beat the incumbent.
+                    break
+                place(i + 1, cost, pinned or start == 0)
 
-    place(0, _ZERO)
+    place(0, 0, False)
     return best_total, best_starts, tried
 
 
@@ -176,7 +342,6 @@ def verify_against_oracle(
 
     solver_total: Fraction | None = None
     solver_starts: dict[str, int] | None = None
-    solver_feasible = True
     try:
         solution = solve(build_constraints(graph, horizon=horizon))
         solver_total = solution.total_buffer
@@ -184,19 +349,24 @@ def verify_against_oracle(
     except SearchLimitError:
         raise
     except ScheduleError:
-        solver_feasible = False
+        pass
 
-    oracle_total, oracle_starts, tried = exhaustive_minimum(graph, horizon)
-    oracle_feasible = oracle_total is not None
+    budget_nodes = None
+    try:
+        oracle_total, oracle_starts, tried = exhaustive_minimum(graph, horizon)
+    except SearchBudgetError as exc:
+        oracle_total, oracle_starts, tried = exc.best_total, None, exc.candidates
+        budget_nodes = exc.nodes
     return OracleReport(
         # A route that finds no schedule reports None, so two infeasible
         # verdicts match and one feasible verdict matches neither.
-        matches=solver_total == oracle_total,
-        graph_feasible=solver_feasible and oracle_feasible,
+        matches=budget_nodes is None and solver_total == oracle_total,
+        graph_feasible=solver_total is not None and oracle_total is not None,
         oracle_total=oracle_total,
         oracle_starts=oracle_starts,
         solver_total=solver_total,
         solver_starts=solver_starts,
         candidates_tried=tried,
         horizon=horizon,
+        budget_nodes=budget_nodes,
     )

@@ -1,8 +1,18 @@
+from fractions import Fraction
+from math import ceil
+from pathlib import Path
+
 import pytest
 
 from _pipegen import suite
+from pointpipe import oracle
+from pointpipe.cli import INCONCLUSIVE, VERIFY_FAILED, main
 from pointpipe.graph import parse_pipeline
-from pointpipe.oracle import verify_against_oracle
+from pointpipe.optimizer import ScheduleError, build_constraints, edge_models, solve
+from pointpipe.oracle import exhaustive_minimum, verify_against_oracle
+from pointpipe.simulator import edge_curves, edge_stall_margin
+
+KNN_STENCIL = str(Path(__file__).parent.parent / "pipelines" / "knn_stencil.json")
 
 
 def test_two_stage_local_matches(identical_rates):
@@ -23,6 +33,7 @@ def test_infeasible_horizon_agrees(global_edge):
     assert not report.graph_feasible
     assert report.matches  # both report infeasible
     assert report.solver_total is None and report.oracle_total is None
+    assert str(report) == "both infeasible within horizon 3: match"
 
 
 def test_random_sample_matches():
@@ -33,3 +44,163 @@ def test_random_sample_matches():
         # start vector in topological order, which on these graphs is the
         # declaration order the solver's tie-break ranks by.
         assert report.solver_starts == report.oracle_starts, str(report)
+
+
+def _infeasible(*args, **kwargs):
+    raise ScheduleError("no feasible schedule")
+
+
+def test_one_sided_infeasibility_is_a_mismatch(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "solve", _infeasible)
+    assert main(["verify", KNN_STENCIL]) == VERIFY_FAILED
+    assert capsys.readouterr().out == (
+        "MISMATCH: solver infeasible within horizon 64, oracle total 3/2 at "
+        "{'knn': 0, 'stencil': 7} (1 candidates)\n")
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "exhaustive_minimum", lambda graph, horizon: (None, None, 0))
+    assert main(["verify", KNN_STENCIL]) == VERIFY_FAILED
+    assert capsys.readouterr().out == (
+        "MISMATCH: oracle infeasible within horizon 64, solver total 3/2 at "
+        "{'knn': 0, 'stencil': 7} (0 candidates)\n")
+
+
+# The benchmark's sched_dag pipeline `diamond5_1`. A Global in-edge leaves
+# s1's cost flat over thousands of starts, and the walk without the
+# translation prune did not finish in minutes on it.
+DIAMOND5_1 = """{"input_work": 32, "stages": [
+  {"id": "s0", "kind": "Global", "i_shape": [1, 2], "o_shape": [2, 1], "stage": 3,
+   "i_freq": 4},
+  {"id": "s1", "kind": "Global", "i_shape": [1, 1], "o_shape": [1, 2], "stage": 0,
+   "o_freq": 2},
+  {"id": "s2", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 1},
+  {"id": "s3", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 1},
+  {"id": "s4", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 1}
+], "edges": [["s0", "s1"], ["s0", "s2"], ["s1", "s3"], ["s2", "s3"], ["s3", "s4"]]}"""
+
+
+def test_flat_global_in_edges_verify_well_inside_the_budget(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "diamond5_1.json"
+    path.write_text(DIAMOND5_1)
+    monkeypatch.setattr(oracle, "MAX_SEARCH_NODES", oracle.MAX_SEARCH_NODES // 10)
+    assert main(["verify", str(path)]) == 0
+    starts = "{'s0': 0, 's1': 67, 's2': 3, 's3': 67, 's4': 68}"
+    assert capsys.readouterr().out == (
+        f"match: oracle total 259 at {starts}, solver total 259 at {starts} "
+        "(1 candidates, horizon 3328)\n")
+
+
+@pytest.mark.parametrize("budget, best", [(0, "none"), (3, "none"), (50, "259")])
+def test_search_budget_is_inconclusive(budget, best, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "diamond5_1.json"
+    path.write_text(DIAMOND5_1)
+    monkeypatch.setattr(oracle, "MAX_SEARCH_NODES", budget)
+    assert main(["verify", str(path)]) == INCONCLUSIVE
+    assert capsys.readouterr().out == (
+        f"inconclusive (budget): {budget} nodes, best total {best}\n")
+    report = verify_against_oracle(parse_pipeline(DIAMOND5_1))
+    assert not report.matches and report.budget_nodes == budget
+
+
+# The walk as it was before the translation prune and the integer tables:
+# every start vector in [0, latest]^n in lexicographic order, each edge
+# scored through a memo dict and summed as Fractions. The faster walk must
+# return the same total, starts (order included) and candidate count.
+class _PlainEdgeEval:
+    def __init__(self, model):
+        self.model = model
+        self._memo = {}
+        slack = ceil(model.depth_p + model.depth_c + model.dur_p + model.dur_c + 2)
+        lo, hi = -slack, slack
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.evaluate(mid)[0]:
+                hi = mid
+            else:
+                lo = mid + 1
+        self.min_offset = lo
+        self.min_cost = self.evaluate(lo)[1]
+        self.sat_offset = max(self.min_offset, ceil(model.write_end - model.depth_c))
+
+    def evaluate(self, offset):
+        hit = self._memo.get(offset)
+        if hit is None:
+            e = self.model.edge
+            curves = edge_curves(self.model, {e.producer: 0, e.consumer: offset})
+            margin, _ = edge_stall_margin(curves)
+            peak = Fraction(0)
+            for t in curves.occupancy_kinks():
+                peak = max(peak, curves.occupancy(t))
+            hit = self._memo[offset] = (margin >= 0, peak)
+        return hit
+
+
+def _plain_exhaustive_minimum(graph, horizon):
+    order = graph.topo_order
+    evals = {m.edge: _PlainEdgeEval(m) for m in edge_models(graph)}
+    in_edges = {sid: [] for sid in order}
+    for e in graph.edges:
+        in_edges[e.consumer].append(e)
+    rest_min = [Fraction(0)] * (len(order) + 1)
+    for i in range(len(order) - 1, -1, -1):
+        rest_min[i] = rest_min[i + 1] + sum(
+            (evals[e].min_cost for e in in_edges[order[i]]), Fraction(0))
+    span = 1 + sum(
+        max(abs(ev.min_offset), abs(ev.sat_offset)) + 1 for ev in evals.values())
+    latest = min(horizon, span)
+    best_total, best_starts, tried, placed = None, None, 0, {}
+
+    def place(i, partial):
+        nonlocal best_total, best_starts, tried
+        if i == len(order):
+            tried += 1
+            if best_total is None or partial < best_total:
+                best_total, best_starts = partial, dict(placed)
+            return
+        sid = order[i]
+        lo = 0
+        for e in in_edges[sid]:
+            lo = max(lo, placed[e.producer] + evals[e].min_offset)
+        for start in range(lo, latest + 1):
+            cost, feasible = partial, True
+            for e in in_edges[sid]:
+                ok, peak = evals[e].evaluate(start - placed[e.producer])
+                if not ok:
+                    feasible = False
+                    break
+                cost += peak
+            if not feasible:
+                continue
+            if best_total is not None and cost + rest_min[i + 1] >= best_total:
+                break
+            placed[sid] = start
+            place(i + 1, cost)
+            del placed[sid]
+
+    place(0, Fraction(0))
+    return best_total, best_starts, tried
+
+
+def _single_producer(g):
+    consumers = [e.consumer for e in g.edges]
+    return len(consumers) == len(set(consumers))
+
+
+@pytest.mark.parametrize("shape", ["reconvergent", "tree"])
+def test_pruned_walk_equals_the_plain_walk(shape):
+    # Suites on which the plain walk takes about a second in all; at a
+    # binding horizon it takes 20 s or more on some trees of 5 and 6 stages.
+    if shape == "reconvergent":
+        graphs = [g for g in suite(110, start_seed=30000) if not _single_producer(g)]
+    else:
+        graphs = suite(12, start_seed=200, shape="tree")
+    assert len(graphs) >= 11
+    for g in graphs:
+        latest = max(solve(build_constraints(g)).start_cycles.values())
+        # One cycle short of the least optimum's latest start, where the
+        # horizon binds, and two past it, where it does not.
+        for horizon in (latest - 1, latest + 2):
+            fast = exhaustive_minimum(g, horizon)
+            plain = _plain_exhaustive_minimum(g, horizon)
+            assert fast == plain, horizon
+            if fast[1] is not None:
+                assert list(fast[1]) == list(plain[1])
