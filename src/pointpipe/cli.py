@@ -6,9 +6,11 @@ come from a named deterministic generator whose identifier and seed are
 recorded in whatever the command writes.
 
 Exit codes: 0 success (or verified), 1 verification failure (stalls,
-overflows, oracle mismatch, sort mismatch), 2 usage or input errors, 3
-verification inconclusive (``verify``'s oracle ran out of its node budget,
-``oracle.MAX_SEARCH_NODES``, before it proved a minimum).
+overflows, oracle mismatch, sort mismatch), 2 usage or input errors (among
+them a grid with more than ``kernels.grid.MAX_GRID_CELLS`` = 2**20 cells or
+window count times kernel volume), 3 verification inconclusive
+(``verify``'s oracle ran out of its node budget, ``oracle.MAX_SEARCH_NODES``,
+before it proved a minimum).
 """
 
 from __future__ import annotations
@@ -62,6 +64,10 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+class _Written(str):
+    """JSON text that ``_json_text`` copies as it stands."""
+
+
 def _json_text(value, indent: str = "") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
     values with string keys.
@@ -70,6 +76,8 @@ def _json_text(value, indent: str = "") -> str:
     this writes a list of plain ints with one join instead of one encoder
     step per item, which is most of a ``split`` manifest.
     """
+    if isinstance(value, _Written):
+        return value
     if isinstance(value, str):
         return _json_str(value)
     if value is None:
@@ -314,10 +322,28 @@ def cmd_stats_chunks(args) -> int:
     return OK
 
 
+def _groups_json(grid, members: bool) -> _Written:
+    """The manifest's ``groups`` as ``_json_text`` writes them under a
+    top-level key. Every window has the same number of cells, so every
+    group fills one template, all in one ``%`` over the grid's arrays."""
+    d = _Written("%d")
+    group = {"cells": [d] * grid.windows.shape[1], "origin": [d] * 3, "size": d}
+    rows = np.concatenate([grid.windows, grid.origins, grid.group_sizes[:, None]], 1)
+    if members:
+        group["points"] = _Written("%s")
+        flat, ends = grid.members.tolist(), np.cumsum(grid.group_sizes).tolist()
+        points = [_json_text(flat[a:b], "      ") for a, b in zip([0, *ends], ends)]
+        rows = np.insert(rows.astype(object), -1, points, axis=1)
+    body = ",\n    ".join([_json_text(group, "    ")] * len(rows))
+    return _Written("[\n    " + body % tuple(rows.ravel().tolist()) + "\n  ]")
+
+
 def cmd_split(args) -> int:
     cloud, meta = _load_cloud(args)
     doc: dict = {"cloud": meta}
     if args.serial is not None:
+        if args.grid is not None or args.kernel is not None or args.stride is not None:
+            raise CliError("--serial cannot be combined with --grid, --kernel or --stride")
         chunks = split_serial(cloud, args.serial)
         doc["mode"] = "serial"
         doc["points_per_chunk"] = args.serial
@@ -329,20 +355,8 @@ def cmd_split(args) -> int:
         kernel = _triple(args.kernel, "--kernel") if args.kernel else (1, 1, 1)
         stride = _triple(args.stride, "--stride") if args.stride else (1, 1, 1)
         grid = split_grid(cloud, dims, kernel=kernel, stride=stride)
-        doc["mode"] = "grid"
-        doc["dims"] = list(grid.dims)
-        doc["kernel"] = list(grid.kernel)
-        doc["stride"] = list(grid.stride)
-        doc["cell_sizes"] = [len(c) for c in grid.cells]
-        doc["groups"] = [
-            {
-                "origin": list(g.origin),
-                "cells": list(g.cells),
-                "size": len(g.points),
-                **({"points": g.points.tolist()} if args.members else {}),
-            }
-            for g in grid.groups
-        ]
+        doc.update(mode="grid", dims=grid.dims, kernel=grid.kernel, stride=grid.stride,
+                   cell_sizes=grid.cell_sizes.tolist(), groups=_groups_json(grid, args.members))
     else:
         raise CliError("provide --grid AxBxC or --serial N")
     _write(args.out, _json_text(doc) + "\n")

@@ -8,6 +8,7 @@ bucketed sorting that reconstructs a global order from per-chunk sorts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import ceil
 
@@ -16,32 +17,52 @@ import numpy as np
 from .cloud import PointCloud
 
 
-@dataclass(frozen=True)
-class ChunkGroup:
-    origin: tuple[int, int, int]      # cell coordinate of the window corner
-    cells: tuple[int, ...]            # linear cell ids inside the window
-    points: np.ndarray                # member point indices, ascending
+# The most cells a grid may have, and the most (window, cell) pairs its
+# windows may hold. At this size a ``split`` manifest has a million groups:
+# writing it for a 1024x1024x1 grid peaks at about 550 MB.
+MAX_GRID_CELLS = 2**20
 
 
 @dataclass
 class ChunkGrid:
-    """Axis-aligned uniform cell grid with sliding window groups.
+    """Axis-aligned uniform cell grid with sliding window groups, as flat
+    int64 arrays over n points, C cells and G windows of K = kx*ky*kz cells.
 
     Cell boundaries belong to the lower-indexed cell. A degenerate axis
-    (zero extent) collapses to a single cell on that axis.
+    (zero extent) collapses to a single cell on that axis. A cell's linear
+    id is ``(x * gy + y) * gz + z``, and windows are in the order of their
+    corner cells. The cells are in CSR form: cell c holds
+    ``cell_points[s:s + cell_sizes[c]]``, s the sum of the sizes before it.
     """
 
     dims: tuple[int, int, int]
     kernel: tuple[int, int, int]
     stride: tuple[int, int, int]
-    cell_of_point: np.ndarray          # (n,) linear cell id per point
-    cells: list[np.ndarray]            # point indices per linear cell
-    groups: list[ChunkGroup]
+    cell_of_point: np.ndarray          # (n,) each point's cell
+    cell_points: np.ndarray            # (n,) points by cell, ascending in each
+    cell_sizes: np.ndarray             # (C,) points per cell
+    origins: np.ndarray                # (G, 3) cell coordinate of each window corner
+    windows: np.ndarray                # (G, K) cells of each window, by kernel offset
+    group_sizes: np.ndarray            # (G,) points per window
 
     @property
     def cell_count(self) -> int:
-        gx, gy, gz = self.dims
-        return gx * gy * gz
+        return len(self.cell_sizes)
+
+    @cached_property
+    def members(self) -> np.ndarray:
+        """Every window's points, window-major and ascending within a window,
+        built on first use: a manifest without member lists needs only the
+        sizes. Each window's cell runs are gathered from ``cell_points`` and
+        sorted by (window, point) keys, unique as a window's cells are
+        disjoint."""
+        runs = self.cell_sizes[self.windows].ravel()
+        run_start = np.cumsum(self.cell_sizes) - self.cell_sizes
+        skip = run_start[self.windows.ravel()] - (np.cumsum(runs) - runs)
+        points = self.cell_points[np.repeat(skip, runs) + np.arange(runs.sum())]
+        base = np.repeat(np.arange(len(self.windows)) * len(self.cell_of_point),
+                         self.group_sizes)
+        return np.sort(base + points) - base
 
 
 def _axis_cells(coords: np.ndarray, lo: float, hi: float, g: int) -> np.ndarray:
@@ -58,42 +79,6 @@ def _axis_cells(coords: np.ndarray, lo: float, hi: float, g: int) -> np.ndarray:
     for i in np.flatnonzero(near):
         idx[i] = ceil((Fraction(coords[i]) - Fraction(lo)) * g / span) - 1
     return np.clip(idx, 0, g - 1)
-
-
-def _segments(values: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
-    """Split ``values`` into consecutive pieces of the given sizes."""
-    ends = np.cumsum(sizes).tolist()
-    return [values[start:end] for start, end in zip([0, *ends], ends)]
-
-
-def _window_members(
-    per_axis: list[np.ndarray],
-    counts: list[int],
-    kernel: tuple[int, int, int],
-    stride: tuple[int, int, int],
-) -> list[np.ndarray]:
-    """Point indices of every window, ascending, windows in origin order.
-
-    A point in cell ``c`` on an axis lies in the window whose corner is
-    ``c - d`` for each kernel offset ``d`` that leaves the corner on the
-    stride lattice and inside the grid, so one pass per offset pairs every
-    point with each window holding it.
-    """
-    n = len(per_axis[0])
-    keys = []
-    for d in np.ndindex(*kernel):
-        inside = np.ones(n, dtype=bool)
-        gid = 0
-        for a in range(3):
-            q, r = np.divmod(per_axis[a] - d[a], stride[a])
-            inside &= (r == 0) & (q >= 0) & (q < counts[a])
-            gid = gid * counts[a] + q
-        keys.append(gid[inside] * n + np.flatnonzero(inside))
-    # Keys are unique (a point sits in a window once), so sorting them
-    # orders by window and then by point.
-    keys = np.sort(np.concatenate(keys))
-    gid, points = np.divmod(keys, n)
-    return _segments(points, np.bincount(gid, minlength=counts[0] * counts[1] * counts[2]))
 
 
 def split_grid(
@@ -115,32 +100,32 @@ def split_grid(
     dims = tuple(1 if hi[a] <= lo[a] else dims[a] for a in range(3))
     if any(not (1 <= kernel[a] <= dims[a]) for a in range(3)):
         raise ValueError(f"kernel {kernel} must fit within grid dims {dims}")
+    gx, gy, gz = dims
+    counts = [(dims[a] - kernel[a]) // stride[a] + 1 for a in range(3)]
+    pairs = counts[0] * counts[1] * counts[2] * kernel[0] * kernel[1] * kernel[2]
+    # Checked before any per-cell array is built.
+    if gx * gy * gz > MAX_GRID_CELLS or pairs > MAX_GRID_CELLS:
+        raise ValueError(f"grid {gx}x{gy}x{gz} needs {gx * gy * gz} cells and {pairs} "
+                         f"(window, cell) pairs; at most {MAX_GRID_CELLS} of each")
 
     per_axis = [_axis_cells(pts[:, a], lo[a], hi[a], dims[a]) for a in range(3)]
-    gx, gy, gz = dims
     linear = (per_axis[0] * gy + per_axis[1]) * gz + per_axis[2]
-    # One stable sort groups the points by cell, ascending within each.
-    cells = _segments(np.argsort(linear, kind="stable"),
-                      np.bincount(linear, minlength=gx * gy * gz))
-
-    counts = [(dims[a] - kernel[a]) // stride[a] + 1 for a in range(3)]
+    cell_sizes = np.bincount(linear, minlength=gx * gy * gz)
     origins = np.indices(counts).reshape(3, -1).T * stride
     offsets = np.indices(kernel).reshape(3, -1).T
     corner_ids = (origins[:, 0] * gy + origins[:, 1]) * gz + origins[:, 2]
     windows = corner_ids[:, None] + (offsets[:, 0] * gy + offsets[:, 1]) * gz + offsets[:, 2]
-    members = _window_members(per_axis, counts, kernel, stride)
-    groups = [
-        ChunkGroup(origin=tuple(origin), cells=tuple(window), points=points)
-        for origin, window, points in zip(origins.tolist(), windows.tolist(), members)
-    ]
-
     return ChunkGrid(
         dims=dims,
         kernel=kernel,
         stride=stride,
         cell_of_point=linear,
-        cells=cells,
-        groups=groups,
+        # One stable sort groups the points by cell, ascending within each.
+        cell_points=np.argsort(linear, kind="stable"),
+        cell_sizes=cell_sizes,
+        origins=origins,
+        windows=windows,
+        group_sizes=cell_sizes[windows].sum(axis=1),
     )
 
 

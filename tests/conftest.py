@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -62,6 +63,22 @@ DIAMOND = """{"input_work": 8, "stages": [
   {"id": "c", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 0},
   {"id": "d", "kind": "Elementwise", "i_shape": [2, 1], "o_shape": [2, 1], "stage": 0}
 ], "edges": [["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]]}"""
+
+
+def naive_groups(grid):
+    """Cells by one scan per cell, and each window's members as the sorted
+    union of its cells, windows in origin order."""
+    (gx, gy, gz), (kx, ky, kz), (sx, sy, sz) = grid.dims, grid.kernel, grid.stride
+    cells = [np.flatnonzero(grid.cell_of_point == c) for c in range(gx * gy * gz)]
+    groups = []
+    for ox in range(0, gx - kx + 1, sx):
+        for oy in range(0, gy - ky + 1, sy):
+            for oz in range(0, gz - kz + 1, sz):
+                window = [((ox + dx) * gy + oy + dy) * gz + oz + dz
+                          for dx in range(kx) for dy in range(ky) for dz in range(kz)]
+                members = np.sort(np.concatenate([cells[c] for c in window]))
+                groups.append(((ox, oy, oz), tuple(window), members.tolist()))
+    return [c.tolist() for c in cells], groups
 
 
 @pytest.fixture

@@ -1,15 +1,21 @@
 """The command line keeps its documented exit codes on bad input and its
 output bytes."""
 
+import hashlib
 import json
+import os
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DIAMOND
+from conftest import DIAMOND, naive_groups
 from pointpipe import optimizer
 from pointpipe.cli import USAGE, _json_text, main
+from pointpipe.kernels.cloud import PointCloud
+from pointpipe.kernels.grid import split_grid
 
 PIPELINES = sorted((Path(__file__).parent.parent / "pipelines").glob("*.json"))
 KNN_STENCIL = str(Path(__file__).parent.parent / "pipelines" / "knn_stencil.json")
@@ -30,7 +36,15 @@ BAD_INPUTS = [
     ["knn", "--synthetic", "50", "--queries", "0"],
     ["split", *CLOUD, "--grid", "0x1x1"],
     ["split", *CLOUD, "--serial", "0"],
+    ["split", *CLOUD, "--serial", "10", "--grid", "2x2x2"],
+    ["split", *CLOUD, "--serial", "10", "--kernel", "1x1x1"],
+    ["split", *CLOUD, "--serial", "10", "--stride", "1x1x1"],
+    # One past MAX_GRID_CELLS = 2**20: 2**20 + 1 = 17 * 61681 cells, and as
+    # many (window, cell) pairs, 61681 windows of 17, on fewer cells.
+    ["split", *CLOUD, "--grid", "17x61681x1"],
+    ["split", *CLOUD, "--grid", "61697x1x1", "--kernel", "17x1x1"],
     ["stats-chunks", *CLOUD, "--grid", "0x1x1"],
+    ["stats-chunks", *CLOUD, "--grid", "17x61681x1"],
     ["optimize", KNN_STENCIL, "--chunks", "0"],
     ["optimize", KNN_STENCIL, "--element-bytes", "0"],
     ["optimize", KNN_STENCIL, "--element-bytes", "-4"],
@@ -91,6 +105,71 @@ def test_split_manifest_matches_golden(members, tmp_path):
     assert main(argv + ["--members"] * members) == 0
     name = "manifest.members.json" if members else "manifest.json"
     assert out.read_bytes() == (GOLDEN_SPLIT / name).read_bytes()
+
+
+@pytest.mark.parametrize("members", [False, True], ids=["plain", "members"])
+def test_serial_manifest_matches_golden(members, tmp_path):
+    out = tmp_path / "manifest.json"
+    argv = ["split", "--synthetic", "300", "--seed", "7", "--serial", "64", "--out", str(out)]
+    assert main(argv + ["--members"] * members) == 0
+    name = "serial.members.json" if members else "serial.json"
+    assert out.read_bytes() == (GOLDEN_SPLIT / name).read_bytes()
+
+
+# The sha256 of the manifest of a benchmark-shaped frame, as written by the
+# one-dict-per-group writer that the columnar writer replaced.
+BENCH_SHAPED_SHA256 = {
+    False: "c79acaad6609ad65f5be251b51cc123008cff240d22f34560ad745cc88c69b92",
+    True: "e48fa1a853c869959a4a4d3ab3327e6d831df3d3a9aedaf561cfacee063d171d",
+}
+
+
+@pytest.mark.parametrize("members", [False, True], ids=["plain", "members"])
+def test_benchmark_shaped_manifest_keeps_its_bytes(members, tmp_path):
+    out = tmp_path / "manifest.json"
+    argv = ["split", "--synthetic", "10000", "--grid", "32x32x8", "--kernel", "2x2x2",
+            "--out", str(out)]
+    assert main(argv + ["--members"] * members) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BENCH_SHAPED_SHA256[members]
+
+
+lattice = st.integers(0, 6).map(lambda v: v / 2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(pts=st.lists(st.tuples(lattice, lattice, lattice), min_size=1, max_size=40),
+       dims=st.tuples(*[st.integers(1, 6)] * 3), stride=st.tuples(*[st.integers(1, 3)] * 3),
+       flat=st.sets(st.integers(0, 2)), members=st.booleans(), data=st.data())
+def test_grid_manifest_equals_json_dumps_of_its_dicts(pts, dims, stride, flat, members, data):
+    # Few points in up to 216 cells leave most windows empty; a flat axis
+    # collapses to one cell. The document is built one dict per group from
+    # the naive definition of the groups.
+    pts = np.array(pts)
+    pts[:, sorted(flat)] = 1.0
+    shape = split_grid(PointCloud(pts), dims).dims
+    kernel = tuple(data.draw(st.integers(1, d)) for d in shape)
+    grid = split_grid(PointCloud(pts), dims, kernel=kernel, stride=stride)
+    cells, groups = naive_groups(grid)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "cloud.xyz")
+        Path(path).write_text("".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in pts.tolist()))
+        argv = ["split", "--input", path, "--grid", "x".join(map(str, dims)),
+                "--kernel", "x".join(map(str, kernel)), "--stride", "x".join(map(str, stride)),
+                "--out", os.path.join(d, "manifest.json")]
+        assert main(argv + ["--members"] * members) == 0
+        text = Path(d, "manifest.json").read_text()
+    doc = {
+        "cloud": {"source": path, "format": "text", "count": len(pts)},
+        "mode": "grid",
+        "dims": list(shape),
+        "kernel": list(kernel),
+        "stride": list(stride),
+        "cell_sizes": [len(c) for c in cells],
+        "groups": [{"origin": list(origin), "cells": list(window), "size": len(points),
+                    **({"points": points} if members else {})}
+                   for origin, window, points in groups],
+    }
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # Each search command on two clouds. Both trees have leaves four levels below

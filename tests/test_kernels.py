@@ -6,8 +6,10 @@ from fractions import Fraction
 from math import ceil
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import naive_groups
 from pointpipe.kernels import cloud
 from pointpipe.kernels.cloud import PointCloud
 from pointpipe.kernels.grid import chunked_sort, split_grid
@@ -129,22 +131,6 @@ def test_chunked_sort_equals_global_stable_sort(pts, axis, cuts):
     assert np.array_equal(perm, np.argsort(pts[:, axis], kind="stable"))
 
 
-def _naive_groups(grid):
-    """Cells by one scan per cell, and each window's members as the sorted
-    union of its cells, windows in origin order."""
-    cells = [np.flatnonzero(grid.cell_of_point == c) for c in range(grid.cell_count)]
-    (gx, gy, gz), (kx, ky, kz), (sx, sy, sz) = grid.dims, grid.kernel, grid.stride
-    groups = []
-    for ox in range(0, gx - kx + 1, sx):
-        for oy in range(0, gy - ky + 1, sy):
-            for oz in range(0, gz - kz + 1, sz):
-                window = [((ox + dx) * gy + oy + dy) * gz + oz + dz
-                          for dx in range(kx) for dy in range(ky) for dz in range(kz)]
-                members = np.sort(np.concatenate([cells[c] for c in window]))
-                groups.append(((ox, oy, oz), tuple(window), members.tolist()))
-    return [c.tolist() for c in cells], groups
-
-
 @EXAMPLES
 @given(pts=clouds, dims=st.tuples(*[st.integers(1, 6)] * 3),
        stride=st.tuples(*[st.integers(1, 3)] * 3), flat=st.sets(st.integers(0, 2)),
@@ -157,11 +143,33 @@ def test_split_grid_equals_the_naive_definition(pts, dims, stride, flat, data):
     shape = split_grid(PointCloud(pts), dims).dims
     kernel = tuple(data.draw(st.integers(1, d)) for d in shape)
     grid = split_grid(PointCloud(pts), dims, kernel=kernel, stride=stride)
-    cells, groups = _naive_groups(grid)
-    assert [c.tolist() for c in grid.cells] == cells
-    assert [(g.origin, g.cells, g.points.tolist()) for g in grid.groups] == groups
-    assert all(c.dtype == np.int64 for c in grid.cells)
-    assert all(g.points.dtype == np.int64 for g in grid.groups)
+    cells, groups = naive_groups(grid)
+    assert grid.cell_count == len(grid.cell_sizes) == len(cells)
+    cell_runs = np.split(grid.cell_points, np.cumsum(grid.cell_sizes)[:-1])
+    assert [c.tolist() for c in cell_runs] == cells
+    members = np.split(grid.members, np.cumsum(grid.group_sizes)[:-1])
+    assert [(tuple(o), tuple(w), m.tolist())
+            for o, w, m in zip(grid.origins.tolist(), grid.windows.tolist(), members)] == groups
+    assert grid.group_sizes.tolist() == [len(m) for _, _, m in groups]
+    for column in (grid.cell_of_point, grid.cell_points, grid.cell_sizes, grid.origins,
+                   grid.windows, grid.group_sizes, grid.members):
+        assert column.dtype == np.int64
+
+
+def test_grid_limit_is_inclusive_and_checked_before_the_cells(monkeypatch):
+    two = PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
+    monkeypatch.setattr("pointpipe.kernels.grid.MAX_GRID_CELLS", 12)
+    assert split_grid(two, (2, 2, 3)).cell_count == 12
+    assert split_grid(two, (3, 2, 2), kernel=(3, 2, 1)).windows.shape == (2, 6)
+
+    def refuse(*args):
+        raise AssertionError("cells built for a grid past the limit")
+
+    monkeypatch.setattr("pointpipe.kernels.grid._axis_cells", refuse)
+    # 13 cells; then 12 cells in 4 windows of 4.
+    for dims, kernel in (((13, 1, 1), (1, 1, 1)), ((3, 2, 2), (2, 2, 1))):
+        with pytest.raises(ValueError, match="at most 12 of each"):
+            split_grid(two, dims, kernel=kernel)
 
 
 def _recursive_kdtree(points, leaf_size):
