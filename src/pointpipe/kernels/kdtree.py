@@ -1,15 +1,21 @@
 """kd-tree nearest-neighbor and range search with step-capped traversal.
 
-The tree is a median-split bucket kd-tree. An internal node sorts its
-points stably along its widest dimension (the lowest-numbered one on equal
-extents), gives the first half (rounded down) to the left child and splits
-at the upper-median coordinate. Tied coordinates keep the order of the
-parent's sort, which is point index order only at the root. Leaves hold up
-to ``leaf_size`` points, ascending by index, and node ids number the tree
-in preorder. Each search is one loop over an explicit stack of (node, squared
-distance to its splitting plane): depth-first, descending toward the query
-before backtracking, and skipping a node whose plane lies strictly beyond the
-current k-th best distance (or the radius).
+The tree is a median-split bucket kd-tree (Friedman, Bentley and Finkel,
+ACM TOMS 3(3), 1977). An internal node sorts its points stably along its
+widest dimension (the lowest-numbered one on equal extents), gives the
+first half (rounded down) to the left child and splits at the
+upper-median coordinate. Tied coordinates keep the order of the parent's
+sort, which is point index order only at the root.
+
+The tree is flat. Node ids number it in level order from the root, 0, and
+index per-node lists: an internal node's children are ``child[i]`` and
+``child[i] + 1``, and a leaf's split dimension is -1. The points are kept
+once more in leaf order, as ``index`` and ``coords``: each node's points
+are the slice ``[lo, hi)``, and a leaf's, up to ``leaf_size`` of them,
+ascend by index. Each search is one loop over an explicit stack of (node,
+squared distance to its splitting plane): depth-first, descending toward
+the query before backtracking, and skipping a node whose plane lies
+strictly beyond the current k-th best distance (or the radius).
 
 Every node visit (internal or leaf) costs one step; the root visit is step
 one. A search given a step deadline stops the moment the budget is spent
@@ -25,32 +31,21 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from math import ceil
 
 import numpy as np
 
 
 @dataclass
-class KdNode:
-    node_id: int
-    # Internal nodes carry a split; leaves carry a bucket.
-    split_dim: int = -1
-    split_value: float = 0.0
-    left: "KdNode | None" = None
-    right: "KdNode | None" = None
-    bucket: np.ndarray | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.bucket is not None
-
-
-@dataclass
 class KdTree:
-    root: KdNode
-    points: np.ndarray
-    leaf_size: int
+    # Per node; a leaf has split value 0.0 and child -1.
+    split_dim: list[int]
+    split_value: list[float]
+    child: list[int]
+    lo: list[int]
+    hi: list[int]
+    index: np.ndarray
+    coords: np.ndarray
     node_count: int
     depth: int
 
@@ -83,53 +78,43 @@ def kdtree_build(points: np.ndarray, leaf_size: int = 16) -> KdTree:
     if leaf_size < 1:
         raise ValueError("leaf_size must be >= 1")
 
-    @cache
-    def subtree_nodes(m: int) -> int:
-        # Nodes in the subtree over m points; preorder ids skip a left
-        # subtree by this many.
-        return 1 if m <= leaf_size else 1 + subtree_nodes(m // 2) + subtree_nodes(m - m // 2)
-
-    # Each pass splits one level's internal nodes; ``order`` holds their
-    # points, one contiguous segment per node, left to right.
+    # Each pass takes one level's nodes, as [lo, hi) slices of ``perm``,
+    # and sorts the internal ones' slices along their split dimensions.
     n = len(points)
-    root = KdNode(node_id=0)
-    level, order, sizes, depth = [root], np.arange(n, dtype=np.int64), np.array([n]), 1
-    if n <= leaf_size:
-        root.bucket, level = order, []
-    while level:
-        depth += 1
-        starts = np.cumsum(sizes) - sizes
-        sub = points[order]
-        extents = np.maximum.reduceat(sub, starts) - np.minimum.reduceat(sub, starts)
-        dims = np.argmax(extents, axis=1)
-        segment = np.repeat(np.arange(len(level)), sizes)
+    perm = np.arange(n, dtype=np.int64)
+    lo, hi = np.zeros(1, dtype=np.int64), np.full(1, n, dtype=np.int64)
+    levels, node_count = [], 0
+    while len(lo):
+        node_count += len(lo)
+        dims, values, child = np.full(len(lo), -1), np.zeros(len(lo)), np.full(len(lo), -1)
+        levels.append((dims, values, child, lo, hi))
+        inner = hi - lo > leaf_size
+        if not inner.any():
+            break
+        starts, sizes = lo[inner], (hi - lo)[inner]
+        local = np.cumsum(sizes) - sizes
+        pos = np.repeat(starts - local, sizes) + np.arange(sizes.sum())
+        idx = perm[pos]
+        sub = points[idx]
+        extents = np.maximum.reduceat(sub, local) - np.minimum.reduceat(sub, local)
+        split = np.argmax(extents, axis=1)
+        segment = np.repeat(np.arange(len(starts)), sizes)
         # Stable within a segment: tied coordinates keep the parent's order.
-        order = order[np.lexsort((sub[np.arange(len(order)), dims[segment]], segment))]
-        mids = sizes // 2
-        values = points[order[starts + mids], dims]
-        next_level = []
-        for node, dim, value, start, mid, size in zip(
-                level, dims.tolist(), values.tolist(), starts.tolist(), mids.tolist(),
-                sizes.tolist()):
-            node.split_dim, node.split_value = dim, value
-            node.left = KdNode(node_id=node.node_id + 1)
-            node.right = KdNode(node_id=node.node_id + 1 + subtree_nodes(mid))
-            for child, lo, hi in ((node.left, start, start + mid),
-                                  (node.right, start + mid, start + size)):
-                if hi - lo > leaf_size:
-                    next_level.append(child)
-                else:
-                    child.bucket = np.sort(order[lo:hi])
-        child_sizes = np.column_stack((mids, sizes - mids)).ravel()
-        inner = child_sizes > leaf_size
-        level, order, sizes = next_level, order[np.repeat(inner, child_sizes)], child_sizes[inner]
-    return KdTree(
-        root=root,
-        points=points,
-        leaf_size=leaf_size,
-        node_count=subtree_nodes(n),
-        depth=depth,
-    )
+        perm[pos] = idx[np.lexsort((sub[np.arange(len(idx)), split[segment]], segment))]
+        mids = starts + sizes // 2
+        dims[inner], values[inner] = split, points[perm[mids], split]
+        child[inner] = node_count + 2 * np.arange(len(starts))
+        lo = np.column_stack((starts, mids)).ravel()
+        hi = np.column_stack((mids, starts + sizes)).ravel()
+    dims, values, child, lo, hi = (np.concatenate(column) for column in zip(*levels))
+    # Leaves tile [0, n) in order; each position's leaf starts at the
+    # largest leaf ``lo`` at or before it.
+    leaf_start = np.zeros(n, dtype=np.int64)
+    leaf_start[lo[dims < 0]] = lo[dims < 0]
+    index = perm[np.lexsort((perm, np.maximum.accumulate(leaf_start)))]
+    columns = (column.tolist() for column in (dims, values, child, lo, hi))
+    return KdTree(*columns, index=index, coords=points[index], node_count=node_count,
+                  depth=len(levels))
 
 
 def knn_search(
@@ -149,10 +134,12 @@ def knn_search(
     if deadline is not None and deadline < 1:
         raise ValueError("deadline must be >= 1 when set")
     q = np.asarray(query, dtype=np.float64)
+    qs = q.tolist()
+    dims, values, child, lo, hi = tree.split_dim, tree.split_value, tree.child, tree.lo, tree.hi
     # Max-heap of the k best so far, keyed (-dist2, -index).
     heap: list[tuple[float, int]] = []
     visited: list[int] | None = [] if record_visited else None
-    stack: list[tuple[KdNode, float]] = [(tree.root, 0.0)]
+    stack: list[tuple[int, float]] = [(0, 0.0)]
     steps = 0
     truncated = False
     while stack:
@@ -163,9 +150,11 @@ def knn_search(
         if len(heap) == k and plane_d2 > -heap[0][0]:
             continue
         steps += 1
-        if node.is_leaf:
-            bucket = node.bucket.tolist()
-            d2s = _squared_distances(tree.points[node.bucket], q).tolist()
+        dim = dims[node]
+        if dim < 0:
+            a, b = lo[node], hi[node]
+            bucket = tree.index[a:b].tolist()
+            d2s = _squared_distances(tree.coords[a:b], q).tolist()
             for idx, d2 in zip(bucket, d2s):
                 key = (-d2, -idx)
                 if len(heap) < k:
@@ -175,8 +164,9 @@ def knn_search(
             if visited is not None:
                 visited.extend(bucket)
             continue
-        gap = float(q[node.split_dim]) - node.split_value
-        near, far = (node.left, node.right) if gap < 0 else (node.right, node.left)
+        gap = qs[dim] - values[node]
+        left = child[node]
+        near, far = (left, left + 1) if gap < 0 else (left + 1, left)
         stack.append((far, gap * gap))
         stack.append((near, 0.0))
     return SearchResult(
@@ -201,9 +191,11 @@ def range_search(
     if deadline is not None and deadline < 1:
         raise ValueError("deadline must be >= 1 when set")
     q = np.asarray(query, dtype=np.float64)
+    qs = q.tolist()
+    dims, values, child, lo, hi = tree.split_dim, tree.split_value, tree.child, tree.lo, tree.hi
     r2 = radius * radius
     hits: list[tuple[float, int]] = []
-    stack: list[tuple[KdNode, float]] = [(tree.root, 0.0)]
+    stack: list[tuple[int, float]] = [(0, 0.0)]
     steps = 0
     truncated = False
     while stack:
@@ -214,14 +206,15 @@ def range_search(
         if plane_d2 > r2:
             continue
         steps += 1
-        if node.is_leaf:
-            d2s = _squared_distances(tree.points[node.bucket], q)
-            for idx, d2 in zip(node.bucket, d2s):
-                if d2 <= r2:
-                    hits.append((float(d2), int(idx)))
+        dim = dims[node]
+        if dim < 0:
+            a, b = lo[node], hi[node]
+            d2s = _squared_distances(tree.coords[a:b], q).tolist()
+            hits += [(d2, idx) for idx, d2 in zip(tree.index[a:b].tolist(), d2s) if d2 <= r2]
             continue
-        gap = float(q[node.split_dim]) - node.split_value
-        near, far = (node.left, node.right) if gap < 0 else (node.right, node.left)
+        gap = qs[dim] - values[node]
+        left = child[node]
+        near, far = (left, left + 1) if gap < 0 else (left + 1, left)
         stack.append((far, gap * gap))
         stack.append((near, 0.0))
     hits.sort()

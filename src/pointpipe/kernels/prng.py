@@ -12,26 +12,22 @@ import numpy as np
 PRNG_ID = "splitmix64"
 
 _MASK = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
 
-def splitmix64(seed: int, count: int) -> list[int]:
-    """First ``count`` outputs of splitmix64 for ``seed``."""
-    x = seed & _MASK
-    out = []
-    for _ in range(count):
-        x = (x + _GAMMA) & _MASK
-        z = x
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        out.append(z ^ (z >> 31))
-    return out
+def splitmix64(seed: int, count: int) -> np.ndarray:
+    """First ``count`` outputs of splitmix64 for ``seed``, as uint64.
+    Whole-array ``np.uint64`` arithmetic wraps mod 2**64, as the
+    generator's does, without a warning."""
+    x = np.uint64(seed & _MASK) + np.arange(1, count + 1, dtype=np.uint64) * _GAMMA
+    z = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def unit_uniform(seed: int, count: int) -> np.ndarray:
     """``count`` doubles uniform in [0, 1): top 53 bits of each output."""
-    raw = splitmix64(seed, count)
-    return np.array([(v >> 11) * 2.0**-53 for v in raw], dtype=np.float64)
+    return (splitmix64(seed, count) >> np.uint64(11)) * 2.0**-53
 
 
 def synthetic_cloud(count: int, seed: int) -> np.ndarray:

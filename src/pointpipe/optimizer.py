@@ -165,10 +165,13 @@ class EdgeModel:
         the interpolation of ``g`` at the integers, which agrees with ``g``
         on every integer offset and has its kinks only there. On a local
         edge the two lines cross where they reach V (overwriting starts as
-        writing ends)."""
+        writing ends). Parallel lines give only the higher one, which is
+        ``g``, so no two lines share a slope."""
         (s1, a1), (s2, a2) = lines = self.branches
-        cross = None if s1 == s2 else (a2 - a1) / (s1 - s2)
-        if cross is None or cross.denominator == 1:
+        if s1 == s2:
+            return [max(lines)]
+        cross = (a2 - a1) / (s1 - s2)
+        if cross.denominator == 1:
             return list(lines)
         k = floor(cross)
         rise = self.g(k + 1) - self.g(k)

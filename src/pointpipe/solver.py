@@ -5,16 +5,15 @@ primal simplex with Bland's rule on ``Fraction`` arithmetic (no tolerances,
 no cycling). Problem sizes here are tiny (tens of rows), so a dense tableau
 is fine.
 
-Rows are stored as ``a . x <= b``. Parallel rows (equal normalized
-coefficient vectors) are merged to the tightest bound before solving; this
-is mechanical presolve and preserves the feasible set exactly.
+Rows are stored as ``a . x <= b`` and go to the tableau as given, with no
+presolve: a row with no coefficients is feasible exactly when ``b >= 0``,
+and phase one finds that as for any other row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
 
 Status = str
 OPTIMAL: Status = "optimal"
@@ -70,35 +69,6 @@ class Solution:
     status: Status
     objective: Fraction | None = None
     values: list[Fraction] | None = None
-
-
-_IMPOSSIBLE = ({}, Fraction(-1))
-
-
-def _canonical_rows(
-    rows: list[tuple[dict[int, Fraction], Fraction]],
-) -> list[tuple[dict[int, Fraction], Fraction]]:
-    """Merge rows with identical normalized normals, keeping the tightest rhs."""
-    best: dict[tuple, Fraction] = {}
-    coeff_of: dict[tuple, dict[int, Fraction]] = {}
-    order: list[tuple] = []
-    for coeffs, rhs in rows:
-        if not coeffs:
-            if rhs < 0:
-                return [_IMPOSSIBLE]
-            continue
-        denom = lcm(*(a.denominator for a in coeffs.values()))
-        ints = {j: int(a * denom) for j, a in coeffs.items()}
-        scale = gcd(*(abs(v) for v in ints.values()))
-        key = tuple(sorted((j, v // scale) for j, v in ints.items()))
-        norm_rhs = rhs * denom / scale
-        if key not in best:
-            best[key] = norm_rhs
-            coeff_of[key] = {j: Fraction(v) for j, v in key}
-            order.append(key)
-        elif norm_rhs < best[key]:
-            best[key] = norm_rhs
-    return [(coeff_of[k], best[k]) for k in order]
 
 
 class _Tableau:
@@ -169,9 +139,6 @@ class _Tableau:
 def solve_lp(prob: Problem) -> Solution:
     """Exact optimum of the linear program ``prob``."""
     n = len(prob.variables)
-    rows = _canonical_rows(prob.rows)
-    if rows == [_IMPOSSIBLE]:
-        return Solution(INFEASIBLE)
     for v in prob.variables:
         if v.upper is not None and v.lower > v.upper:
             return Solution(INFEASIBLE)
@@ -179,7 +146,7 @@ def solve_lp(prob: Problem) -> Solution:
     # Shift every variable by its lower bound: x = lo + y with y >= 0.
     lows = [v.lower for v in prob.variables]
     work_rows: list[tuple[list[Fraction], Fraction]] = []
-    for coeffs, rhs in rows:
+    for coeffs, rhs in prob.rows:
         dense = [_ZERO] * n
         shift = _ZERO
         for j, a in coeffs.items():

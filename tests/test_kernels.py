@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+import warnings
 from fractions import Fraction
 from math import ceil
 
@@ -20,6 +21,7 @@ from pointpipe.kernels.kdtree import (
     knn_search,
     range_search,
 )
+from pointpipe.kernels.prng import splitmix64, unit_uniform
 
 EXAMPLES = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -174,38 +176,41 @@ def test_grid_limit_is_inclusive_and_checked_before_the_cells(monkeypatch):
 
 def _recursive_kdtree(points, leaf_size):
     """The kd-tree as a recursive build, one stable argsort per node:
-    (node id, split dim, split value, bucket) in preorder, node count and
-    depth."""
+    (split dim, split value, bucket) in preorder, node count and depth."""
     nodes = []
 
     def build(indices, level):
-        node = [len(nodes), -1, 0.0, None]
+        node = [-1, 0.0, None]
         nodes.append(node)
         if len(indices) <= leaf_size:
-            node[3] = np.sort(indices).tolist()
+            node[2] = np.sort(indices).tolist()
             return level
         sub = points[indices]
         dim = int(np.argmax(sub.max(axis=0) - sub.min(axis=0)))
         order = indices[np.argsort(sub[:, dim], kind="stable")]
         mid = len(order) // 2
-        node[1], node[2] = dim, float(points[order[mid], dim])
+        node[0], node[1] = dim, float(points[order[mid], dim])
         return max(build(order[:mid], level + 1), build(order[mid:], level + 1))
 
     depth = build(np.arange(len(points), dtype=np.int64), 1)
     return [tuple(n) for n in nodes], len(nodes), depth
 
 
+def _bucket(tree, node):
+    return tree.index[tree.lo[node]:tree.hi[node]].tolist()
+
+
 def _preorder(tree):
-    out, stack = [], [tree.root]
+    assert tree.index.dtype == np.int64
+    out, stack = [], [0]
     while stack:
         node = stack.pop()
         bucket = None
-        if node.is_leaf:
-            assert node.bucket.dtype == np.int64
-            bucket = node.bucket.tolist()
+        if tree.split_dim[node] < 0:
+            bucket = _bucket(tree, node)
         else:
-            stack += (node.right, node.left)
-        out.append((node.node_id, node.split_dim, node.split_value, bucket))
+            stack += (tree.child[node] + 1, tree.child[node])
+        out.append((tree.split_dim[node], tree.split_value[node], bucket))
     return out
 
 
@@ -232,6 +237,8 @@ def test_kdtree_build_equals_the_recursive_build(pts, leaf_size):
     nodes, count, depth = _recursive_kdtree(pts, leaf_size)
     assert _preorder(tree) == nodes
     assert (tree.node_count, tree.depth) == (count, depth)
+    # The leaf-ordered coordinates are the points' own.
+    assert tree.coords.tobytes() == pts[tree.index].tobytes()
 
 
 def test_kdtree_ties_keep_the_parents_order():
@@ -240,9 +247,11 @@ def test_kdtree_ties_keep_the_parents_order():
     # order (2 before 1), not index order.
     pts = np.array([[0.3, 0, 0], [0.2, 0, 5], [0.1, 0, 5], [0, 0, 10],
                     [100, 0, 0], [101, 0, 0], [102, 0, 0], [103, 0, 0]])
-    left = kdtree_build(pts, leaf_size=2).root.left
-    assert (left.split_dim, left.split_value) == (2, 5.0)
-    assert [left.left.bucket.tolist(), left.right.bucket.tolist()] == [[0, 2], [1, 3]]
+    tree = kdtree_build(pts, leaf_size=2)
+    left = tree.child[0]
+    assert (tree.split_dim[left], tree.split_value[left]) == (2, 5.0)
+    grandchild = tree.child[left]
+    assert [_bucket(tree, grandchild), _bucket(tree, grandchild + 1)] == [[0, 2], [1, 3]]
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -285,3 +294,24 @@ def test_binary_round_trip_keeps_float32_values(rows):
     assert back.attrs is None
     assert _round_trip(back, "binary").points.tobytes() == as32.tobytes()
 
+
+
+def _scalar_splitmix64(seed, count):
+    """The generator one output at a time, on Python ints."""
+    mask, x, out = (1 << 64) - 1, seed & ((1 << 64) - 1), []
+    for _ in range(count):
+        x = (x + 0x9E3779B97F4A7C15) & mask
+        z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**64 - 1, 12345678901234567])
+def test_splitmix64_equals_the_scalar_generator(seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the uint64 wraps must stay silent
+        raw, doubles = splitmix64(seed, 30000), unit_uniform(seed, 30000)
+    reference = _scalar_splitmix64(seed, 30000)
+    assert raw.dtype == np.uint64 and raw.tolist() == reference
+    assert doubles.tolist() == [(v >> 11) * 2.0**-53 for v in reference]

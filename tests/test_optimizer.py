@@ -182,6 +182,24 @@ def test_derived_row_counts_equal_both_builds():
         assert optimize(g).constraint_counts == {"pruned": pruned, "unpruned": unpruned}
 
 
+def test_integer_branches_are_g_at_every_integer_offset():
+    # From min_offset to a few cycles past the b1/b2 crossing, the lines'
+    # maximum is g, and no two lines share a slope: parallel b1 and b2
+    # give only the higher line.
+    kinds = set()
+    for g in suite(200, start_seed=30000):
+        for m in edge_models(g):
+            lines = m.integer_branches()
+            assert len({slope for slope, _ in lines}) == len(lines), m.key
+            (s1, a1), (s2, a2) = m.branches
+            cross = m.min_offset if s1 == s2 else ceil((a2 - a1) / (s1 - s2))
+            for d in range(m.min_offset, max(m.min_offset, cross) + 4):
+                assert max(slope * d + at0 for slope, at0 in lines) == m.g(d), (m.key, d)
+            kinds.add(len(lines))
+    # Parallel pairs, crossings on an integer and chords all occur.
+    assert kinds == {1, 2, 3}
+
+
 def test_max_floor_offset_is_where_the_peak_first_rises():
     branches = set()
     for g in _trees(60, start_seed=5000) + _trees(30, shape="tree"):

@@ -63,3 +63,15 @@ def test_lp_degenerate_terminates():
     p.add_le({y: 1}, 2)
     sol = solve_lp(p)
     assert sol.status == OPTIMAL and sol.objective == -2
+
+
+def test_lp_empty_rows():
+    # A row with no coefficients holds exactly when its rhs is nonnegative.
+    p = Problem()
+    x = p.add_variable("x", objective=1)
+    p.add_le({}, 0)
+    p.add_le({x: 0}, 3)
+    sol = solve_lp(p)
+    assert sol.status == OPTIMAL and sol.values == [F(0)]
+    p.add_le({}, -1)
+    assert solve_lp(p).status == INFEASIBLE
