@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -56,12 +57,13 @@ class CliError(Exception):
     pass
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, text: str | Iterable[str]) -> None:
+    parts = [text] if isinstance(text, str) else text
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
 
 
 class _Written(str):
@@ -125,7 +127,6 @@ def _triple(text: str, name: str) -> tuple[int, int, int]:
 
 
 def _load_cloud(args) -> tuple[PointCloud, dict]:
-    meta: dict = {}
     if args.synthetic is not None:
         if args.synthetic < 1:
             raise CliError("--synthetic needs a positive point count")
@@ -267,8 +268,7 @@ def cmd_knn(args) -> int:
         print(f"recall@{args.k}: {recall:.6f} ({note})", file=sys.stderr)
     else:
         print(f"searched {len(queries)} queries ({note})", file=sys.stderr)
-    if meta:
-        print(f"cloud: {meta}", file=sys.stderr)
+    print(f"cloud: {meta}", file=sys.stderr)
     return OK
 
 
@@ -322,20 +322,29 @@ def cmd_stats_chunks(args) -> int:
     return OK
 
 
-def _groups_json(grid, members: bool) -> _Written:
-    """The manifest's ``groups`` as ``_json_text`` writes them under a
-    top-level key. Every window has the same number of cells, so every
-    group fills one template, all in one ``%`` over the grid's arrays."""
+def _grid_manifest(doc: dict, grid, members: bool) -> Iterable[str]:
+    """``doc`` and the grid's ``groups`` as ``_json_text`` writes them, in
+    pieces: the groups go where a NUL stands (JSON text holds none raw),
+    1024 windows at a time. Every window has the same number of cells, so
+    each group fills one template: a batch of groups is one ``%``."""
+    head, _, tail = _json_text({**doc, "groups": _Written("\0")}).partition("\0")
     d = _Written("%d")
     group = {"cells": [d] * grid.windows.shape[1], "origin": [d] * 3, "size": d}
     rows = np.concatenate([grid.windows, grid.origins, grid.group_sizes[:, None]], 1)
     if members:
         group["points"] = _Written("%s")
-        flat, ends = grid.members.tolist(), np.cumsum(grid.group_sizes).tolist()
-        points = [_json_text(flat[a:b], "      ") for a, b in zip([0, *ends], ends)]
-        rows = np.insert(rows.astype(object), -1, points, axis=1)
-    body = ",\n    ".join([_json_text(group, "    ")] * len(rows))
-    return _Written("[\n    " + body % tuple(rows.ravel().tolist()) + "\n  ]")
+        bounds = np.concatenate([[0], np.cumsum(grid.group_sizes)])
+    template, sep = _json_text(group, "    "), ",\n    "
+    for a in range(0, len(rows), 1024):
+        batch = rows[a:a + 1024]
+        if members:
+            cuts = (bounds[a:a + 1025] - bounds[a]).tolist()
+            flat = grid.members[bounds[a]:bounds[a] + cuts[-1]].tolist()
+            points = [_json_text(flat[i:j], "      ") for i, j in zip(cuts, cuts[1:])]
+            batch = np.insert(batch.astype(object), -1, points, axis=1)
+        body = sep.join([template] * len(batch)) % tuple(batch.ravel().tolist())
+        yield (sep if a else head + "[\n    ") + body
+    yield "\n  ]" + tail + "\n"
 
 
 def cmd_split(args) -> int:
@@ -350,16 +359,17 @@ def cmd_split(args) -> int:
         doc["chunk_sizes"] = [len(c) for c in chunks]
         if args.members:
             doc["chunks"] = [c.tolist() for c in chunks]
-    elif args.grid is not None:
-        dims = _triple(args.grid, "--grid")
-        kernel = _triple(args.kernel, "--kernel") if args.kernel else (1, 1, 1)
-        stride = _triple(args.stride, "--stride") if args.stride else (1, 1, 1)
-        grid = split_grid(cloud, dims, kernel=kernel, stride=stride)
-        doc.update(mode="grid", dims=grid.dims, kernel=grid.kernel, stride=grid.stride,
-                   cell_sizes=grid.cell_sizes.tolist(), groups=_groups_json(grid, args.members))
-    else:
+        _write(args.out, _json_text(doc) + "\n")
+        return OK
+    if args.grid is None:
         raise CliError("provide --grid AxBxC or --serial N")
-    _write(args.out, _json_text(doc) + "\n")
+    dims = _triple(args.grid, "--grid")
+    kernel = _triple(args.kernel, "--kernel") if args.kernel else (1, 1, 1)
+    stride = _triple(args.stride, "--stride") if args.stride else (1, 1, 1)
+    grid = split_grid(cloud, dims, kernel=kernel, stride=stride)
+    doc.update(mode="grid", dims=grid.dims, kernel=grid.kernel, stride=grid.stride,
+               cell_sizes=grid.cell_sizes.tolist())
+    _write(args.out, _grid_manifest(doc, grid, args.members))
     return OK
 
 

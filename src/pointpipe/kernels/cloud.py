@@ -4,6 +4,11 @@ Two interchange formats: whitespace-separated text with one ``x y z
 [attrs...]`` line per point, and a raw binary layout (little-endian uint64
 point count, then count*3 float32 coordinates). Attributes survive only the
 text format.
+
+``from_text`` reads text with no ``#`` in one ``np.loadtxt`` pass, which
+splits and converts fields as ``str.split`` and ``float()`` do or raises, so
+its values are the line parser's. Anything else, and every error, goes to
+the line parser, the only one that skips comments and words the messages.
 """
 
 from __future__ import annotations
@@ -37,9 +42,19 @@ class PointCloud:
 
 
 def from_text(text: str) -> PointCloud:
-    points = []
-    attrs = []
-    width = None
+    if "#" not in text and text.strip():  # blank text would make loadtxt warn
+        try:  # a list of lines, so the line breaks are str.splitlines'
+            table = np.loadtxt(text.splitlines(), dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            table = np.empty((0, 0))
+        if table.shape[1] >= 3:
+            attrs = table[:, 3:].copy() if table.shape[1] > 3 else None
+            return PointCloud(points=table[:, :3].copy(), attrs=attrs)
+    return _from_lines(text)
+
+
+def _from_lines(text: str) -> PointCloud:
+    points, attrs, width = [], [], None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -59,8 +74,7 @@ def from_text(text: str) -> PointCloud:
         attrs.append(values[3:])
     if not points:
         raise ValueError("no points in input")
-    attr_arr = np.array(attrs) if attrs and attrs[0] else None
-    return PointCloud(points=np.array(points), attrs=attr_arr)
+    return PointCloud(points=np.array(points), attrs=np.array(attrs) if attrs[0] else None)
 
 
 def to_text(cloud: PointCloud) -> str:

@@ -5,7 +5,12 @@ ACM TOMS 3(3), 1977). An internal node sorts its points stably along its
 widest dimension (the lowest-numbered one on equal extents), gives the
 first half (rounded down) to the left child and splits at the
 upper-median coordinate. Tied coordinates keep the order of the parent's
-sort, which is point index order only at the root.
+sort, which is point index order only at the root. The build sorts each
+level's slices of one permutation at once, stably, by the key ``node * n +
+rank``, ``rank`` being a coordinate's dense rank among its dimension's
+distinct values. The key orders by node, then coordinate, and equal
+coordinates (``-0.0 == 0.0`` too) share a key: ties keep the parent's
+order, as in a stable sort of the coordinates.
 
 The tree is flat. Node ids number it in level order from the root, 0, and
 index per-node lists: an internal node's children are ``child[i]`` and
@@ -78,10 +83,9 @@ def kdtree_build(points: np.ndarray, leaf_size: int = 16) -> KdTree:
     if leaf_size < 1:
         raise ValueError("leaf_size must be >= 1")
 
-    # Each pass takes one level's nodes, as [lo, hi) slices of ``perm``,
-    # and sorts the internal ones' slices along their split dimensions.
     n = len(points)
     perm = np.arange(n, dtype=np.int64)
+    rank = np.column_stack([np.unique(c, return_inverse=True)[1] for c in points.T])
     lo, hi = np.zeros(1, dtype=np.int64), np.full(1, n, dtype=np.int64)
     levels, node_count = [], 0
     while len(lo):
@@ -99,19 +103,17 @@ def kdtree_build(points: np.ndarray, leaf_size: int = 16) -> KdTree:
         extents = np.maximum.reduceat(sub, local) - np.minimum.reduceat(sub, local)
         split = np.argmax(extents, axis=1)
         segment = np.repeat(np.arange(len(starts)), sizes)
-        # Stable within a segment: tied coordinates keep the parent's order.
-        perm[pos] = idx[np.lexsort((sub[np.arange(len(idx)), split[segment]], segment))]
+        perm[pos] = idx[np.argsort(segment * n + rank[idx, split[segment]], kind="stable")]
         mids = starts + sizes // 2
         dims[inner], values[inner] = split, points[perm[mids], split]
         child[inner] = node_count + 2 * np.arange(len(starts))
         lo = np.column_stack((starts, mids)).ravel()
         hi = np.column_stack((mids, starts + sizes)).ravel()
     dims, values, child, lo, hi = (np.concatenate(column) for column in zip(*levels))
-    # Leaves tile [0, n) in order; each position's leaf starts at the
-    # largest leaf ``lo`` at or before it.
+    # Leaves tile [0, n): a position's leaf starts at the largest leaf ``lo`` <= it.
     leaf_start = np.zeros(n, dtype=np.int64)
     leaf_start[lo[dims < 0]] = lo[dims < 0]
-    index = perm[np.lexsort((perm, np.maximum.accumulate(leaf_start)))]
+    index = perm[np.argsort(np.maximum.accumulate(leaf_start) * n + perm, kind="stable")]
     columns = (column.tolist() for column in (dims, values, child, lo, hi))
     return KdTree(*columns, index=index, coords=points[index], node_count=node_count,
                   depth=len(levels))
@@ -140,8 +142,7 @@ def knn_search(
     heap: list[tuple[float, int]] = []
     visited: list[int] | None = [] if record_visited else None
     stack: list[tuple[int, float]] = [(0, 0.0)]
-    steps = 0
-    truncated = False
+    steps, truncated = 0, False
     while stack:
         if deadline is not None and steps >= deadline:
             truncated = True
@@ -196,8 +197,7 @@ def range_search(
     r2 = radius * radius
     hits: list[tuple[float, int]] = []
     stack: list[tuple[int, float]] = [(0, 0.0)]
-    steps = 0
-    truncated = False
+    steps, truncated = 0, False
     while stack:
         if deadline is not None and steps >= deadline:
             truncated = True

@@ -217,15 +217,27 @@ def _preorder(tree):
 @st.composite
 def kd_clouds(draw):
     """Uniform clouds, coarse lattices (three values per axis on an uneven
-    box, so ties straddle the medians below the root) and clouds of a few
-    duplicated points, of up to 300 points."""
-    n = draw(st.integers(1, 300))
+    box, so ties straddle the medians below the root), clouds of a few
+    duplicated points, float32-rounded clipped clusters (a ground plane at
+    z near 0 and piles at the clip bounds, as in the benchmark's clustered
+    frames), signed zeros, and all-equal points. Up to 1000 points, so
+    trees reach past depth 6."""
+    n = draw(st.integers(1, 1000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["uniform", "lattice", "duplicates"]))
+    kind = draw(st.sampled_from(
+        ["uniform", "lattice", "duplicates", "clipped", "signed_zero", "equal"]))
     if kind == "uniform":
         return rng.uniform(-100, 100, (n, 3))
     if kind == "lattice":
         return rng.integers(0, 3, (n, 3)) * np.array([1.0, 2.0, 3.0])
+    if kind == "clipped":
+        pts = rng.normal(2.0, 3.0, (n, 3))
+        pts[: n // 2, 2] = np.abs(rng.normal(0.0, 0.02, n // 2))
+        return np.clip(pts, 0.0, 4.0).astype(np.float32).astype(np.float64)
+    if kind == "signed_zero":
+        return rng.choice([-0.0, 0.0, 0.5, -1.0], (n, 3))
+    if kind == "equal":
+        return np.full((n, 3), rng.normal())
     distinct = rng.uniform(-1, 1, (int(rng.integers(1, 6)), 3))
     return distinct[rng.integers(0, len(distinct), n)]
 
@@ -252,6 +264,89 @@ def test_kdtree_ties_keep_the_parents_order():
     assert (tree.split_dim[left], tree.split_value[left]) == (2, 5.0)
     grandchild = tree.child[left]
     assert [_bucket(tree, grandchild), _bucket(tree, grandchild + 1)] == [[0, 2], [1, 3]]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 2 3\n4 5\n", "line 2: expected at least x y z"),
+    ("# xyz\n\n1 2 3 4\n5 6 7\n", "line 4: inconsistent field count"),
+    ("1 2 3\r\n4 5 6.5.1\n", "line 2: could not convert string to float: '6.5.1'"),
+    ("1 2 3\n4 5 1e\n", "line 2: could not convert string to float: '1e'"),
+    ("# only a comment\n\n", "no points in input"),
+])
+def test_text_errors_name_the_line(text, message):
+    with pytest.raises(ValueError) as err:
+        cloud.from_text(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text", ["", " ", "\n\n", " \t\r\n", "\x0b\x0c", "\x85\u2028",
+                                  "\u3000\xa0\x1f"])
+def test_blank_text_warns_nothing(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^no points in input$"):
+            cloud.from_text(text)
+
+
+def test_plain_text_skips_the_line_parser(monkeypatch):
+    def refuse(text):
+        raise AssertionError("line parser called")
+
+    monkeypatch.setattr(cloud, "_from_lines", refuse)
+    c = cloud.from_text("1 2 3 9\n-0.0 1e-3 5 8\n")
+    assert c.points.tolist() == [[1, 2, 3], [-0.0, 1e-3, 5]] and c.attrs.tolist() == [[9], [8]]
+    assert c.points.flags.c_contiguous and c.attrs.flags.c_contiguous
+
+
+# Fields float() and numpy may read differently, or one of them not at all.
+TOKENS = ["0", "1", "-2.5", "+7", "1e3", "1.", ".5", ".e1", "1e", "1e308", "1e400", "-1e400",
+          "nan", "-nan", "nan(1)", "Infinity", "-iNF", "inf", "-0.0", "0x10", "1_0", "\u0661",
+          "\uff11", "x", ",", "1,", "1.5.2", "#", "3#"]
+SPACES = [" ", "  ", "\t", "\xa0", "\x1f", "\u3000"]
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+
+
+@st.composite
+def cloud_texts(draw):
+    """Text clouds built mostly of plain numbers, mixed with odd fields,
+    comments, blank lines, odd whitespace and every line break
+    ``str.splitlines`` knows."""
+    width = draw(st.sampled_from([3, 3, 4, 5, 2]))
+    odd = draw(st.sampled_from([0, 0, 1, 4]))  # odd fields in 20
+    field = st.integers(0, 19).flatmap(
+        lambda i: st.sampled_from(TOKENS) if i < odd else st.floats(-1e6, 1e6).map(repr))
+    kinds = ["row"] * 7 + ["other", "comment", "blank"] * draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "comment":
+            lines.append("# " + draw(field))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", *SPACES])))
+        else:
+            count = width if kind == "row" else draw(st.integers(0, 6))
+            fields = draw(st.lists(field, min_size=count, max_size=count))
+            gaps = draw(st.lists(st.sampled_from(SPACES), min_size=count + 1,
+                                 max_size=count + 1))
+            lines.append(gaps[0] + "".join(f + g for f, g in zip(fields, gaps[1:])))
+    ends = draw(st.lists(st.sampled_from(BREAKS), min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _parsed(parse, text):
+    try:
+        c = parse(text)
+    except ValueError as exc:
+        return str(exc)
+    return c.points.tobytes(), None if c.attrs is None else (c.attrs.shape, c.attrs.tobytes())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(text=cloud_texts())
+def test_text_fast_path_equals_the_line_parser(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _parsed(cloud.from_text, text) == _parsed(cloud._from_lines, text)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
