@@ -334,13 +334,15 @@ def _grid_manifest(doc: dict, grid, members: bool) -> Iterable[str]:
     if members:
         group["points"] = _Written("%s")
         bounds = np.concatenate([[0], np.cumsum(grid.group_sizes)])
-    template, sep = _json_text(group, "    "), ",\n    "
+    template, sep, item = _json_text(group, "    "), ",\n    ", ",\n        "
     for a in range(0, len(rows), 1024):
         batch = rows[a:a + 1024]
         if members:
             cuts = (bounds[a:a + 1025] - bounds[a]).tolist()
-            flat = grid.members[bounds[a]:bounds[a] + cuts[-1]].tolist()
-            points = [_json_text(flat[i:j], "      ") for i, j in zip(cuts, cuts[1:])]
+            words = list(map(str, grid.members[bounds[a]:bounds[a] + cuts[-1]].tolist()))
+            # _json_text of each window's list, as one join.
+            points = [f"[\n        {item.join(words[i:j])}\n      ]" if i < j else "[]"
+                      for i, j in zip(cuts, cuts[1:])]
             batch = np.insert(batch.astype(object), -1, points, axis=1)
         body = sep.join([template] * len(batch)) % tuple(batch.ravel().tolist())
         yield (sep if a else head + "[\n    ") + body

@@ -61,7 +61,8 @@ _ZERO = Fraction(0)
 # Most saturated-edge sets whose LP ``solve`` runs for one graph. The
 # generated test suites and the benchmark's DAG pool need at most 9;
 # chains of four diamonds (13 stages, 16 edges) needed up to 664, at about
-# 17 ms each, so the cap stops a search after roughly a minute.
+# 11 ms each (2 shared CPUs, Python 3.11), so the cap stops a search after
+# about 45 s.
 MAX_SATURATED_SETS = 4096
 
 
@@ -389,39 +390,31 @@ def _tree_starts(graph: PipelineGraph, models: list[EdgeModel]) -> dict[str, int
     return {s.id: starts[s.id] for s in graph.stages}
 
 
-def _lp(system: ConstraintSystem, saturated: tuple[int, ...],
-        face: Fraction | None = None) -> Problem:
-    """The LP of one saturated set: edges in ``saturated`` and edges that
-    never rise pay V and get no variable; every other edge pays ``g`` of its
-    offset, as a variable above its ``integer_branches``. Without ``face``
-    the objective is the free edges' sum; with it, that sum is held to
-    ``face`` and the objective is the sum of the starts."""
+def _lp(system: ConstraintSystem, saturated: tuple[int, ...]) -> tuple[Problem, Fraction]:
+    """The LP of one saturated set, and the constant by which the free
+    edges' total exceeds its optimum. Edges in ``saturated`` and edges
+    that never rise pay V and get no variable; every other edge pays B - u
+    above its ``integer_branches`` (see ``solve``). The tiebreak is the
+    starts' sum, and every row holds at the variables' lower bounds."""
     prob = Problem()
+    earliest, horizon = system.earliest, system.horizon
     start = {
-        s.id: prob.add_variable(f"start[{s.id}]", lower=system.earliest[s.id],
-                                upper=system.horizon, objective=int(face is not None))
+        s.id: prob.add_variable(f"start[{s.id}]", lower=earliest[s.id], upper=horizon,
+                                tiebreak=1)
         for s in system.graph.stages
     }
-    buffers = []
+    ceiling = _ZERO
     for i, m in enumerate(system.edges):
         sp, sc = start[m.edge.producer], start[m.edge.consumer]
-        prob.add_ge({sc: 1, sp: -1}, m.min_offset)
+        prob.add_le({sp: 1, sc: -1}, -m.min_offset)
         if i in saturated or m.max_floor_offset is None:
             continue
-        y = prob.add_variable(f"buffer[{m.key}]", objective=int(face is None))
-        buffers.append(y)
+        top = m.g(horizon - earliest[m.edge.producer])
+        ceiling += top
+        u = prob.add_variable(f"saving[{m.key}]", objective=-1)
         for slope, at0 in m.integer_branches():
-            prob.add_ge({y: 1, sc: -slope, sp: slope}, at0)
-    if face is not None:
-        prob.add_le(dict.fromkeys(buffers, 1), face)
-    return prob
-
-
-def _optimum(prob: Problem) -> solver.Solution:
-    sol = solver.solve_lp(prob)
-    if sol.status != solver.OPTIMAL:
-        raise ScheduleError(f"schedule LP {sol.status}")
-    return sol
+            prob.add_le({u: 1, sc: slope, sp: -slope}, top - at0)
+    return prob, ceiling
 
 
 def _search(system: ConstraintSystem) -> tuple[dict[str, int], Fraction]:
@@ -433,14 +426,13 @@ def _search(system: ConstraintSystem) -> tuple[dict[str, int], Fraction]:
     rise = {i: models[i].volume - models[i].peak(models[i].min_offset) for i in rising}
     # Every total is at least each peak at its edge's least offset.
     least = fixed + sum((models[i].volume - rise[i] for i in rising), _ZERO)
-    best: Fraction | None = None
-    tied: list[tuple[tuple[int, ...], Fraction]] = []
+    best: tuple[Fraction, list[Fraction]] | None = None
     level: list[tuple[int, ...]] = [()]
     solved = 0
     while level:
         children = []
         for z in level:
-            if best is not None and least + sum((rise[i] for i in z), _ZERO) > best:
+            if best is not None and least + sum((rise[i] for i in z), _ZERO) > best[0]:
                 continue
             if solved == MAX_SATURATED_SETS:
                 raise SearchLimitError(
@@ -448,22 +440,23 @@ def _search(system: ConstraintSystem) -> tuple[dict[str, int], Fraction]:
                     "solved without proving an optimum"
                 )
             solved += 1
-            free = _optimum(_lp(system, z)).objective
-            total = fixed + sum((models[i].volume for i in z), _ZERO) + free
-            if best is None or total < best:
-                best, tied = total, []
-            if total == best:
-                tied.append((z, free))
+            prob, ceiling = _lp(system, z)
+            sol = solver.solve_lp(prob)
+            if sol.status != solver.OPTIMAL:
+                raise ScheduleError(f"schedule LP {sol.status}")
+            total = fixed + sum((models[i].volume for i in z), _ZERO) + ceiling + sol.objective
+            found = (total, sol.values[:len(stages)])
+            best = found if best is None else min(best, found)
             # Each set is reached once, from the set without its last edge.
             # A skipped set's extensions are not made: their bounds are
             # higher still.
             children += [z + (i,) for i in rising if not z or i > z[-1]]
         level = children
     assert best is not None
-    vectors = [_optimum(_lp(system, z, face=free)).values[:len(stages)] for z, free in tied]
-    if any(v.denominator != 1 for vec in vectors for v in vec):
-        raise ScheduleError(f"internal inconsistency: fractional LP starts {vectors}")
-    return {s.id: int(v) for s, v in zip(stages, min(vectors))}, best
+    optimum, vector = best
+    if any(v.denominator != 1 for v in vector):
+        raise ScheduleError(f"internal inconsistency: fractional LP starts {vector}")
+    return {s.id: int(v) for s, v in zip(stages, vector)}, optimum
 
 
 def solve(system: ConstraintSystem) -> ScheduleSolution:
@@ -483,15 +476,28 @@ def solve(system: ConstraintSystem) -> ScheduleSolution:
     - No Z undercuts the optimum, since each edge pays V or ``g``, at least
       its peak, and the optimum is reached by the Z of the edges whose
       ``g`` reaches V in an optimal schedule.
-    - Every LP vertex has integral starts. Where an edge's variable meets
+    - Each free edge's buffer is B - u, where B is ``g`` at the largest
+      offset the start box allows, horizon - earliest[producer]. Every
+      offset in the box is at most that one, and ``g`` and its
+      interpolation at the integers rise with the offset, so B bounds the
+      buffer everywhere and the saving u >= 0 cuts off no schedule. ``g``
+      at the earliest offset would not do: one buffer may have to grow so
+      that others can shrink. With no saving every row holds at the
+      earliest starts, the single-phase simplex's first vertex.
+    - Every LP vertex has integral starts. Where an edge's saving meets
       two of its rows, its offset sits at an integer (b1 and b2 meet off
-      the integers only below the chord), so the tight rows that fix the
-      starts are difference rows with integer bounds.
+      the integers only below the chord, and the saving reaches 0 only at
+      the box's largest offset), so the tight rows that fix the starts are
+      difference rows and start bounds, all integral.
     - For a fixed Z the optimal starts form a lattice, closed under
       componentwise min and max, because a convex function of a start
       difference is submodular. Its least element is integral and is the
-      one optimal point with the least start sum, so a second LP over the
-      optimal face finds it.
+      one optimal point with the least start sum. The LP minimizes that
+      sum as its tiebreak: at the savings' optimum a feasible point is
+      optimal exactly when every column of positive reduced cost is zero,
+      so barring those columns from entering walks the optimal face and
+      nothing else, and the same LP gives both Z's total and its least
+      element.
 
     Every optimal schedule lies on the optimal face of some Z that ties the
     optimum, so the lexicographically least optimal schedule is the least

@@ -1,13 +1,24 @@
 """Exact linear programming over rationals.
 
-Small, dependency-free solver used by the schedule optimizer: a two-phase
-primal simplex with Bland's rule on ``Fraction`` arithmetic (no tolerances,
-no cycling). Problem sizes here are tiny (tens of rows), so a dense tableau
+Small, dependency-free solver used by the schedule optimizer: a primal
+simplex with Bland's rule on ``Fraction`` arithmetic (no tolerances, no
+cycling). Problem sizes here are tiny (tens of rows), so a dense tableau
 is fine.
 
-Rows are stored as ``a . x <= b`` and go to the tableau as given, with no
-presolve: a row with no coefficients is feasible exactly when ``b >= 0``,
-and phase one finds that as for any other row.
+The simplex has one phase. Every row ``a . x <= b``, and every upper
+bound, must hold with each variable at its lower bound: that point is the
+first vertex, with one slack per row in the basis. ``solve_lp`` raises
+``ValueError`` for a row that does not hold there; it never searches for
+a feasible point.
+
+Each variable's ``tiebreak`` is a second objective, minimized over the
+first one's optimal face. At the first optimum no column prices below
+zero, and a feasible point is optimal exactly when every column of
+positive reduced cost is zero there. So only columns that price at zero
+may enter afterwards. A pivot on such a column subtracts zero times the
+pivot row from the first objective's reduced costs, which leaves them and
+that objective's value unchanged: the second pass walks the optimal face
+and nothing else.
 """
 
 from __future__ import annotations
@@ -17,7 +28,6 @@ from fractions import Fraction
 
 Status = str
 OPTIMAL: Status = "optimal"
-INFEASIBLE: Status = "infeasible"
 UNBOUNDED: Status = "unbounded"
 
 _ZERO = Fraction(0)
@@ -30,11 +40,13 @@ class Variable:
     lower: Fraction
     upper: Fraction | None
     objective: Fraction
+    tiebreak: Fraction
 
 
 @dataclass
 class Problem:
-    """min  c . x   s.t.  rows (a . x <= b),  lower <= x <= upper."""
+    """min  c . x, then min  t . x  among its minimizers,
+    s.t.  rows (a . x <= b),  lower <= x <= upper."""
 
     variables: list[Variable] = field(default_factory=list)
     rows: list[tuple[dict[int, Fraction], Fraction]] = field(default_factory=list)
@@ -45,6 +57,7 @@ class Problem:
         lower: Fraction | int = 0,
         upper: Fraction | int | None = None,
         objective: Fraction | int = 0,
+        tiebreak: Fraction | int = 0,
     ) -> int:
         self.variables.append(
             Variable(
@@ -52,6 +65,7 @@ class Problem:
                 lower=Fraction(lower),
                 upper=None if upper is None else Fraction(upper),
                 objective=Fraction(objective),
+                tiebreak=Fraction(tiebreak),
             )
         )
         return len(self.variables) - 1
@@ -59,9 +73,6 @@ class Problem:
     def add_le(self, coeffs: dict[int, Fraction | int], rhs: Fraction | int) -> None:
         cleaned = {j: Fraction(a) for j, a in coeffs.items() if a != 0}
         self.rows.append((cleaned, Fraction(rhs)))
-
-    def add_ge(self, coeffs: dict[int, Fraction | int], rhs: Fraction | int) -> None:
-        self.add_le({j: -Fraction(a) for j, a in coeffs.items()}, -Fraction(rhs))
 
 
 @dataclass
@@ -72,15 +83,12 @@ class Solution:
 
 
 class _Tableau:
-    """Dense simplex tableau with an explicit basis, all entries Fractions."""
+    """Dense simplex tableau with an explicit basis, all entries Fractions;
+    each row ends with its right-hand side."""
 
     def __init__(self, rows: list[list[Fraction]], basis: list[int]):
         self.rows = rows
         self.basis = basis
-
-    @property
-    def m(self) -> int:
-        return len(self.rows)
 
     def pivot(self, prow: int, pcol: int) -> None:
         inv = _ONE / self.rows[prow][pcol]
@@ -94,31 +102,30 @@ class _Tableau:
                     row[j] -= factor * a
         self.basis[prow] = pcol
 
-    def minimize(self, costs: list[Fraction], enterable: int) -> Status:
-        """Run Bland's rule until optimal/unbounded; only columns below
-        ``enterable`` may enter the basis."""
-        reduced = list(costs[:enterable])
+    def minimize(
+        self, costs: list[Fraction], enterable: list[int]
+    ) -> tuple[Status, list[Fraction]]:
+        """Run Bland's rule over the columns in ``enterable`` (ascending)
+        until none prices below zero or one is unbounded; return the status
+        and every column's reduced cost."""
+        reduced = [*costs, _ZERO]
         for i, b in enumerate(self.basis):
             cb = costs[b]
             if cb != 0:
-                for j, a in enumerate(self.rows[i][:enterable]):
+                for j, a in enumerate(self.rows[i]):
                     if a:
                         reduced[j] -= cb * a
         while True:
-            basic = set(self.basis)
-            enter = -1
-            for j in range(enterable):
-                if reduced[j] < 0 and j not in basic:
-                    enter = j
-                    break
+            # A basic column prices at exactly zero, so it never enters.
+            enter = next((j for j in enterable if reduced[j] < 0), -1)
             if enter < 0:
-                return OPTIMAL
+                return OPTIMAL, reduced
             leave = -1
             best_ratio: Fraction | None = None
-            for i in range(self.m):
-                a = self.rows[i][enter]
+            for i, row in enumerate(self.rows):
+                a = row[enter]
                 if a > 0:
-                    ratio = self.rows[i][-1] / a
+                    ratio = row[-1] / a
                     if (
                         best_ratio is None
                         or ratio < best_ratio
@@ -127,108 +134,51 @@ class _Tableau:
                         best_ratio = ratio
                         leave = i
             if leave < 0:
-                return UNBOUNDED
+                return UNBOUNDED, reduced
             self.pivot(leave, enter)
             # Keep the reduced costs current instead of pricing anew.
             factor = reduced[enter]
-            for j, a in enumerate(self.rows[leave][:enterable]):
+            for j, a in enumerate(self.rows[leave]):
                 if a:
                     reduced[j] -= factor * a
 
 
 def solve_lp(prob: Problem) -> Solution:
-    """Exact optimum of the linear program ``prob``."""
-    n = len(prob.variables)
-    for v in prob.variables:
-        if v.upper is not None and v.lower > v.upper:
-            return Solution(INFEASIBLE)
+    """Exact optimum of ``prob``, least in ``tiebreak`` among the optima.
 
-    # Shift every variable by its lower bound: x = lo + y with y >= 0.
-    lows = [v.lower for v in prob.variables]
-    work_rows: list[tuple[list[Fraction], Fraction]] = []
-    for coeffs, rhs in prob.rows:
-        dense = [_ZERO] * n
-        shift = _ZERO
+    Raises ``ValueError`` when a row or an upper bound does not hold with
+    every variable at its lower bound (see the module docstring)."""
+    variables = prob.variables
+    n = len(variables)
+    lows = [v.lower for v in variables]
+    bounds = [({j: _ONE}, v.upper) for j, v in enumerate(variables) if v.upper is not None]
+    # Shift every variable by its lower bound, x = lower + y with y >= 0, so
+    # the origin is feasible and the slacks are the first basis.
+    constraints = prob.rows + bounds
+    m = len(constraints)
+    rows: list[list[Fraction]] = []
+    for i, (coeffs, rhs) in enumerate(constraints):
+        row = [_ZERO] * (n + m + 1)
         for j, a in coeffs.items():
-            dense[j] = a
-            shift += a * lows[j]
-        work_rows.append((dense, rhs - shift))
-    for j, v in enumerate(prob.variables):
-        if v.upper is not None:
-            dense = [_ZERO] * n
-            dense[j] = _ONE
-            work_rows.append((dense, v.upper - v.lower))
-
-    obj = [v.objective for v in prob.variables]
-    if not work_rows:
-        values: list[Fraction] = []
-        for v in prob.variables:
-            if v.objective < 0:
-                if v.upper is None:
-                    return Solution(UNBOUNDED)
-                values.append(v.upper)
-            else:
-                values.append(v.lower)
-        total = sum((v.objective * x for v, x in zip(prob.variables, values)), _ZERO)
-        return Solution(OPTIMAL, total, values)
-
-    # Columns: y (n) | one slack or surplus per row (m) | artificials | rhs.
-    m = len(work_rows)
-    ncols = n + m
-    art_of_row: dict[int, int] = {}
-    next_art = ncols
-    for i, (_, rhs) in enumerate(work_rows):
+            row[j] = a
+            rhs -= a * lows[j]
         if rhs < 0:
-            art_of_row[i] = next_art
-            next_art += 1
-    total_cols = next_art
+            raise ValueError(f"row {i} of {m} does not hold at the lower bounds")
+        row[n + i], row[-1] = _ONE, rhs
+        rows.append(row)
+    tab = _Tableau(rows, list(range(n, n + m)))
 
-    rows_out: list[list[Fraction]] = []
-    basis: list[int] = []
-    for i, (dense, rhs) in enumerate(work_rows):
-        if rhs >= 0:
-            row = list(dense) + [_ZERO] * (total_cols - n) + [rhs]
-            row[n + i] = _ONE
-            rows_out.append(row)
-            basis.append(n + i)
-        else:
-            # Negate to get a nonnegative rhs; slack becomes a surplus.
-            row = [-a for a in dense] + [_ZERO] * (total_cols - n) + [-rhs]
-            row[n + i] = -_ONE
-            row[art_of_row[i]] = _ONE
-            rows_out.append(row)
-            basis.append(art_of_row[i])
-    tab = _Tableau(rows_out, basis)
-
-    if art_of_row:
-        phase1 = [_ZERO] * total_cols
-        for col in art_of_row.values():
-            phase1[col] = _ONE
-        if tab.minimize(phase1, total_cols) != OPTIMAL:
-            return Solution(INFEASIBLE)
-        art_cols = set(art_of_row.values())
-        if any(tab.rows[i][-1] != 0 for i in range(tab.m) if tab.basis[i] in art_cols):
-            return Solution(INFEASIBLE)
-        # Drive zero-valued artificials out of the basis; a row that cannot
-        # pivot on any structural column is redundant and is dropped.
-        for i in range(tab.m - 1, -1, -1):
-            if tab.basis[i] in art_cols:
-                for j in range(ncols):
-                    if tab.rows[i][j] != 0:
-                        tab.pivot(i, j)
-                        break
-                else:
-                    del tab.rows[i]
-                    del tab.basis[i]
-
-    phase2 = list(obj) + [_ZERO] * (total_cols - n)
-    status = tab.minimize(phase2, ncols)
+    slacks, columns = [_ZERO] * m, list(range(n + m))
+    status, reduced = tab.minimize([v.objective for v in variables] + slacks, columns)
+    if status == OPTIMAL:
+        face = [j for j in columns if reduced[j] == 0]
+        status, _ = tab.minimize([v.tiebreak for v in variables] + slacks, face)
     if status != OPTIMAL:
         return Solution(status)
 
-    y = [_ZERO] * total_cols
+    y = [_ZERO] * (n + m)
     for i, b in enumerate(tab.basis):
         y[b] = tab.rows[i][-1]
-    values = [lows[j] + y[j] for j in range(n)]
-    total = sum((obj[j] * values[j] for j in range(n)), _ZERO)
+    values = [lo + y[j] for j, lo in enumerate(lows)]
+    total = sum((v.objective * x for v, x in zip(variables, values)), _ZERO)
     return Solution(OPTIMAL, total, values)

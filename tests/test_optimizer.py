@@ -327,10 +327,9 @@ def test_diamond_chain_stays_far_below_the_set_cap(monkeypatch):
     solved = []
     lp = optimizer._lp
 
-    def counting_lp(system, saturated, face=None):
-        if face is None:
-            solved.append(saturated)
-        return lp(system, saturated, face)
+    def counting_lp(system, saturated):
+        solved.append(saturated)
+        return lp(system, saturated)
 
     monkeypatch.setattr(optimizer, "_lp", counting_lp)
     sol = solve(system)
