@@ -16,6 +16,7 @@ before it proved a minimum).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections.abc import Iterable
@@ -201,6 +202,9 @@ def cmd_simulate(args) -> int:
             solution = ScheduleSolution.from_json_dict(json.load(fh))
     except (OSError, ValueError, KeyError) as exc:
         raise CliError(f"cannot read schedule {args.schedule!r}: {exc}") from exc
+    if solution.initiation_interval is not None and solution.initiation_interval < 0:
+        raise CliError(f"initiation_interval must be >= 0, got "
+                       f"{_frac_to_json(solution.initiation_interval)}")
     missing = [s.id for s in graph.stages if s.id not in solution.start_cycles]
     if missing:
         raise CliError(f"schedule missing stages: {missing}")
@@ -409,7 +413,10 @@ def _add_cloud_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--leaf-size", type=int, default=16)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept: parsing keeps
+    no state in it, and a build costs milliseconds per ``main`` call."""
     ap = argparse.ArgumentParser(
         prog="pointpipe",
         description="Line-buffer scheduling and streaming search kernels "

@@ -46,8 +46,18 @@ at 0, which no translation prune skips; the walk has either met it or
 skipped it by the bound, because its total already reached the
 incumbent's.
 
-**Evaluation.** Each edge's (feasible, peak) is scored by the curves at
-most once per offset and kept in a list indexed by offset from
+**Evaluation.** Each edge's least feasible offset is found by bisection
+on the stall check, seeded at the threshold that the offset-0 curves give:
+a Global consumer may start at ``ceil(write_end)``, and any other edge's
+demand must start, and finish, no earlier than the readable supply, which
+gives ``ceil(write_start + 1 - demand_start + max(0, V/out_rate -
+V/in_rate))``. The guess and the offset below it are probed first, and the
+bisection narrows whatever bracket they leave, so a wrong guess costs only
+probes; on the test suites every edge takes exactly those two scorings.
+The guess comes from the curves, not from ``EdgeModel.min_offset``.
+
+Each edge's (feasible, peak) is scored by the curves at most once per
+offset and kept in a list indexed by offset from
 ``min_offset``. An offset above ``sat_offset`` reads that offset's row:
 from there the overwrite starts at or past the producer's write end
 (``overwrite_delay`` is at least the consumer's depth), so the whole
@@ -123,7 +133,15 @@ class _EdgeEval:
         # with a cycle to spare before the consumer needs anything) and the
         # smallest feasible offset cannot sit below -slack, so feasibility
         # is monotone on [-slack, slack] and bisection finds its threshold.
+        # The guess and the offset below it narrow the bracket first.
         lo, hi = -slack, slack
+        guess = self._threshold_guess()
+        for probe in (guess, guess - 1):
+            if lo <= probe < hi:
+                if self.evaluate(probe)[0]:
+                    hi = probe
+                else:
+                    lo = probe + 1
         while lo < hi:
             mid = (lo + hi) // 2
             if self.evaluate(mid)[0]:
@@ -136,6 +154,18 @@ class _EdgeEval:
         # write end: the whole volume is resident at once, so the peak and
         # the verdict stop changing, and later offsets read this one.
         self.sat_offset = max(lo, ceil(model.write_end - model.depth_c))
+
+    def _threshold_guess(self) -> int:
+        """The least offset at which the curves at offset 0, moved by it,
+        pass the stall check: a Global consumer starts once writing ends;
+        any other starts demand, and finishes it, no earlier than the
+        readable supply, which trails the writes by one cycle."""
+        e = self.model.edge
+        c = edge_curves(self.model, {e.producer: 0, e.consumer: 0})
+        if c.is_global:
+            return ceil(c.write_end)
+        lag = max(_ZERO, c.volume / c.out_rate - c.volume / c.in_rate)
+        return ceil(c.write_start + 1 - c.demand_start + lag)
 
     def evaluate(self, offset: int) -> tuple[bool, Fraction]:
         hit = self._memo.get(offset)

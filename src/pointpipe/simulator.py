@@ -22,12 +22,31 @@ writing; that check replaces the rate comparison on such edges.
 Chunk k runs chunk 0's curves shifted by k initiation intervals (II), so
 each edge keeps chunk 0's curves alone: chunk k's value at t is chunk 0's
 at t - k*II, and its stall is chunk 0's, k*II later. A chunk's occupancy is
-zero before its write start and from its drain end on, for any overwrite
+zero up to its write start and from its drain end on, for any overwrite
 start, so at time t only the chunks with
 ``write_start + k*II <= t <= drain_end + k*II`` are live, and an edge's
-occupancy is summed over those alone (``_live_occupancy``). The peak scan,
-``SimTrace.occupancy_at`` and ``SimTrace.sample_rows`` all use it, which
-keeps each of them linear in the chunk count.
+occupancy is summed over those alone (``_live_occupancy``).
+``SimTrace.occupancy_at`` and ``SimTrace.sample_rows`` use it.
+
+**The peak scan is bounded in the chunk count.** Let D = drain_end -
+write_start and, for II > 0, m = floor(D / II). Chunk 0's occupancy is
+never negative, zero outside [write_start, drain_end] and linear between
+the kinks that lie in it; a kink outside it (an overwrite start before the
+write start, say) is not a kink of the occupancy and is dropped. Take a
+kept kink x and the scan point t = x + k*II. Chunk j is live at t only if
+write_start < x + (k-j)*II < drain_end, so |k - j| * II < D and
+|k - j| <= m: the occupancy at t is chunk 0's at x + i*II summed over the
+i in [-m, m] with 0 <= k - i < C, C being the chunk count. For k >= m
+those i only shrink as k grows, so no shift past m gives a higher
+occupancy than shift m does, and it comes later. The summed occupancy
+first reaches its peak where it rises to it, at some chunk's kink, so the
+shifts 0 to m give both the peak and the earliest time it is reached,
+which times an overflow: m + 1 shifts, 2 of 32 when m = 1. At II <= 0
+every shift is scanned.
+
+The written and freed totals count V for each chunk quiesced at or past
+its write end (it has written all of V and, being past its drain end,
+freed all of it), and evaluate the other chunks alone.
 """
 
 from __future__ import annotations
@@ -287,10 +306,14 @@ def simulate(
                 for s in shifts
             )
 
-        scan = sorted({t + s for t in cur.occupancy_kinks() for s in shifts})
+        kinks = [t for t in cur.occupancy_kinks() if cur.write_start <= t <= cur.drain_end]
+        scanned = shifts
+        if interval > 0 and kinks:
+            # No shift past m reaches a higher occupancy (see above).
+            scanned = shifts[: floor((cur.drain_end - cur.write_start) / interval) + 1]
         peak = _ZERO
         peak_t = _ZERO
-        for t in scan:
+        for t in sorted({t + s for t in kinks for s in scanned}):
             occ = _live_occupancy(cur, chunk_count, interval, t)
             if occ > peak:
                 peak = occ
@@ -307,8 +330,14 @@ def simulate(
 
         quiesce = cur.drain_end + max(shifts)
         end_of_run = max(end_of_run, quiesce)
-        written[key] = sum((cur.writes(quiesce - s) for s in shifts), _ZERO)
-        freed[key] = sum((cur.frees(quiesce - s) for s in shifts), _ZERO)
+        # Chunk k is quiesced at quiesce - k*II: the first `done` chunks are
+        # at or past the write end, which leaves all of V written and freed.
+        done = 0
+        if interval > 0 and quiesce >= cur.write_end:
+            done = min(chunk_count, floor((quiesce - cur.write_end) / interval) + 1)
+        rest = shifts[done:]
+        written[key] = done * cur.volume + sum((cur.writes(quiesce - s) for s in rest), _ZERO)
+        freed[key] = done * cur.volume + sum((cur.frees(quiesce - s) for s in rest), _ZERO)
 
     first_read: dict[str, int] = {}
     first_output: dict[str, int] = {}

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import DIAMOND, naive_groups
 from pointpipe import optimizer
-from pointpipe.cli import USAGE, _json_text, main
+from pointpipe.cli import USAGE, VERIFY_FAILED, _json_text, build_parser, main
 from pointpipe.kernels.cloud import PointCloud
 from pointpipe.kernels.grid import split_grid
 
@@ -65,6 +65,61 @@ def test_simulate_rejects_zero_chunks(tmp_path, capsys):
         capsys.readouterr()
         assert main(["simulate", KNN_STENCIL, schedule, "--trace", trace, *flag]) == USAGE
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_simulate_rejects_a_negative_interval(tmp_path, capsys):
+    # A negative interval overlaps every chunk with every other; the run
+    # would cost more than quadratic time in --chunks. Zero stays legal: the
+    # chunks run at once and overflow the one chunk's buffers.
+    schedule = tmp_path / "schedule.json"
+    assert main(["optimize", KNN_STENCIL, "--chunks", "4", "--out", str(schedule)]) == 0
+    doc = json.loads(schedule.read_text())
+    for interval, code in (("-8", USAGE), ("-1/2", USAGE), (0, VERIFY_FAILED)):
+        schedule.write_text(json.dumps({**doc, "initiation_interval": interval}))
+        capsys.readouterr()
+        assert main(["simulate", KNN_STENCIL, str(schedule), "--chunks", "400"]) == code
+        if code == USAGE:
+            assert capsys.readouterr().err == (
+                f"error: initiation_interval must be >= 0, got {interval}\n")
+
+
+def _outputs(argv, directory: Path, capsys) -> tuple:
+    """Exit code, stdout, stderr and every file written of one ``main`` call
+    in an emptied ``directory``."""
+    for f in directory.iterdir():
+        f.unlink()
+    capsys.readouterr()
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err, {f.name: f.read_bytes() for f in sorted(directory.iterdir())}
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # Each call's outputs equal those of a call with a freshly built parser,
+    # as the first call in a process has; a flag given to one simulate
+    # call must not carry over to the next.
+    schedule = str(tmp_path / "schedule.json")
+    assert main(["optimize", KNN_STENCIL, "--chunks", "8", "--out", schedule]) == 0
+    work = tmp_path / "work"
+    work.mkdir()
+    trace = str(work / "trace.csv")
+    calls = [
+        ["optimize", KNN_STENCIL, "--element-bytes", "4"],
+        ["verify", KNN_STENCIL],
+        ["knn", *CLOUD, "--k", "2", "--recall"],
+        ["simulate", KNN_STENCIL, schedule, "--chunks", "8", "--stride", "3", "--trace", trace],
+        ["simulate", KNN_STENCIL, schedule, "--chunks", "8"],
+        ["sort", *CLOUD, "--verify"],
+        ["optimize", KNN_STENCIL],
+    ]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(_outputs(argv, work, capsys))
+    assert fresh[3][3] and not fresh[4][3]  # only the first writes a trace
+    build_parser.cache_clear()
+    assert [_outputs(argv, work, capsys) for argv in calls] == fresh
+    assert build_parser.cache_info().misses == 1
 
 
 def test_no_prune_is_gone():

@@ -204,3 +204,20 @@ def test_pruned_walk_equals_the_plain_walk(shape):
             assert fast == plain, horizon
             if fast[1] is not None:
                 assert list(fast[1]) == list(plain[1])
+
+
+def test_seeded_threshold_equals_the_plain_bisection():
+    # The bisection seeded at the curves' threshold finds what the plain
+    # bisection over [-slack, slack] finds, and on these suites its guess
+    # is right: the guess and the offset below it are the only scorings.
+    edges = 0
+    for graphs in (suite(300, start_seed=5000), suite(200, shape="tree"),
+                   suite(300, start_seed=30000)):
+        for g in graphs:
+            for m in edge_models(g):
+                seeded, plain = oracle._EdgeEval(m), _PlainEdgeEval(m)
+                assert len(seeded._memo) <= 2, m.key
+                assert (seeded.min_offset, seeded.min_cost, seeded.sat_offset) == (
+                    plain.min_offset, plain.min_cost, plain.sat_offset), m.key
+                edges += 1
+    assert edges > 2000

@@ -1,6 +1,6 @@
 import copy
 from fractions import Fraction as F
-from math import ceil
+from math import ceil, floor
 
 import pytest
 
@@ -134,17 +134,21 @@ def test_edge_model_closed_form_matches_curves_offset_by_offset():
 
 def _variants(g, chunks):
     """Chunked schedules of ``g``: as optimized, with hand-set intervals
-    (0, and 1 so that many chunks overlap), with an overwrite start moved
+    (0; 1, so that many chunks overlap; and the three that leave the last
+    edge m = 0, 1 and 2 intervals of reach, m being the simulator's
+    floor((drain_end - write_start) / II)), with an overwrite start moved
     before the write start or so that draining ends before writing, and
     with a consumer started a cycle early, which stalls it at its least
     offset."""
     sol = schedule_chunks(solve(build_constraints(g)), g, chunks)
     yield sol
-    for interval in (F(0), F(1)):
+    m = edge_models(g)[-1]
+    c = edge_curves(m, sol.start_cycles, sol.overwrite_starts[m.key])
+    span = c.drain_end - c.write_start
+    for interval in (F(0), F(1), *(span / (reach + F(1, 2)) for reach in range(3))):
         v = copy.deepcopy(sol)
         v.initiation_interval = interval
         yield v
-    m = edge_models(g)[-1]
     write_start = sol.start_cycles[m.edge.producer] + m.depth_p
     for overwrite in (write_start - 3, write_start + m.dur_p - m.drain - F(5, 2)):
         v = copy.deepcopy(sol)
@@ -163,14 +167,16 @@ def _chunk_curves(m, sol, k):
     return edge_curves(m, starts, sol.overwrite_starts[m.key] + shift)
 
 
-@pytest.mark.parametrize("chunks", [1, 2, 7, 64])
+@pytest.mark.parametrize("chunks", [1, 2, 5, 7, 64])
 def test_live_chunk_sums_equal_brute_force_over_every_chunk(chunks):
-    # Keeping chunk 0's curves alone and summing only the live chunks must
-    # change nothing: peaks, the cycle of each overflow and stall, the
-    # written and freed totals, occupancy_at and sample_rows all equal what
-    # every chunk's own curves give. 64 chunks cost O(chunks^2) here, so
-    # one graph there.
+    # Keeping chunk 0's curves alone, summing only the live chunks and
+    # scanning only the shifts 0 to m must change nothing: peaks, the cycle of each overflow and stall, the written and
+    # freed totals, occupancy_at and sample_rows all equal what every
+    # chunk's own curves give. The variants give the last edge m = 0, 1
+    # and 2, so the counts fall below 2m + 2 (1, 2, 5) and above it (5, 7,
+    # 64). 64 chunks cost O(chunks^2) here, so one graph there.
     stalled = 0
+    reaches = set()
     graphs = [parse_pipeline(KNN_STENCIL)]
     if chunks < 64:
         graphs += [parse_pipeline(LOCAL_CHAIN), parse_pipeline(GLOBAL_EDGE)]
@@ -185,6 +191,9 @@ def test_live_chunk_sums_equal_brute_force_over_every_chunk(chunks):
                 return sum((c.occupancy(t) for c in every[key]), F(0))
 
             trace = simulate(g, sol, chunk_count=chunks)
+            last = every[models[-1].key][0]
+            if sol.initiation_interval > 0 and last.write_start <= last.drain_end:
+                reaches.add(floor((last.drain_end - last.write_start) / sol.initiation_interval))
             want_stalls = sorted(
                 (ceil(when), m.edge.consumer)
                 for m in models for c in every[m.key]
@@ -215,3 +224,4 @@ def test_live_chunk_sums_equal_brute_force_over_every_chunk(chunks):
                 for key in trace.edge_order
             ]
     assert stalled
+    assert {0, 1, 2} <= reaches
