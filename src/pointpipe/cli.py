@@ -103,7 +103,7 @@ def _json_text(value, indent: str = "") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if all(type(v) is int for v in value):
+        if set(map(type, value)) == {int}:  # bools take the slow path
             items = map(int.__repr__, value)
         else:
             items = (_json_text(v, inner) for v in value)
@@ -392,7 +392,7 @@ def cmd_sort(args) -> int:
             raise CliError("--chunks must be >= 1")
         cuts = [lo + (hi - lo) * i / n for i in range(1, n)]
     perm = chunked_sort(cloud, axis, cuts)
-    _write(args.out, "\n".join(str(i) for i in perm) + "\n")
+    _write(args.out, "\n".join(map(str, perm.tolist())) + "\n")
     if args.verify:
         ref = np.argsort(cloud.points[:, axis], kind="stable")
         if not np.array_equal(perm, ref):

@@ -6,21 +6,27 @@ widest dimension (the lowest-numbered one on equal extents), gives the
 first half (rounded down) to the left child and splits at the
 upper-median coordinate. Tied coordinates keep the order of the parent's
 sort, which is point index order only at the root. The build sorts each
-level's slices of one permutation at once, stably, by the key ``node * n +
-rank``, ``rank`` being a coordinate's dense rank among its dimension's
-distinct values. The key orders by node, then coordinate, and equal
-coordinates (``-0.0 == 0.0`` too) share a key: ties keep the parent's
-order, as in a stable sort of the coordinates.
+level's slices of one permutation at once, by the key ``(node * n + rank)
+* width + position``: ``rank`` is a coordinate's dense rank among its
+dimension's distinct values, ``width`` the largest slice and ``position``
+a point's place in its slice. The key orders by node, then coordinate,
+and equal coordinates (``-0.0 == 0.0`` too) fall back to their place in
+the parent's order, as in a stable sort of the coordinates. No two points
+share a key, so any sort algorithm gives the same tree.
 
 The tree is flat. Node ids number it in level order from the root, 0, and
 index per-node lists: an internal node's children are ``child[i]`` and
 ``child[i] + 1``, and a leaf's split dimension is -1. The points are kept
-once more in leaf order, as ``index`` and ``coords``: each node's points
-are the slice ``[lo, hi)``, and a leaf's, up to ``leaf_size`` of them,
-ascend by index. Each search is one loop over an explicit stack of (node,
-squared distance to its splitting plane): depth-first, descending toward
-the query before backtracking, and skipping a node whose plane lies
-strictly beyond the current k-th best distance (or the radius).
+once more in leaf order, as Python lists: ``index`` and, in ``coords``,
+one list per axis. Each node's points are the slice ``[lo, hi)``, and a
+leaf's, up to ``leaf_size`` of them, ascend by index. Each search is one
+loop over an explicit stack of (node, squared distance to its splitting
+plane): depth-first, descending toward the query before backtracking, and
+skipping a node whose plane lies strictly beyond the current k-th best
+distance (or the radius). A leaf scan evaluates ``_squared_distances``'
+expression, ``dx*dx + dy*dy + dz*dz`` left to right, on Python floats:
+the same IEEE double operations in the same order, so the same bits, with
+no numpy call per leaf.
 
 Every node visit (internal or leaf) costs one step; the root visit is step
 one. A search given a step deadline stops the moment the budget is spent
@@ -49,15 +55,16 @@ class KdTree:
     child: list[int]
     lo: list[int]
     hi: list[int]
-    index: np.ndarray
-    coords: np.ndarray
+    # Leaf order: point indices and one coordinate list per axis.
+    index: list[int]
+    coords: tuple[list[float], list[float], list[float]]
     node_count: int
     depth: int
 
 
 def _squared_distances(points: np.ndarray, query: np.ndarray) -> np.ndarray:
     # One fixed evaluation order so tree search and brute force agree
-    # bit for bit.
+    # bit for bit; the leaf scans repeat it on Python floats.
     d = points - query
     return d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2]
 
@@ -85,7 +92,10 @@ def kdtree_build(points: np.ndarray, leaf_size: int = 16) -> KdTree:
 
     n = len(points)
     perm = np.arange(n, dtype=np.int64)
-    rank = np.column_stack([np.unique(c, return_inverse=True)[1] for c in points.T])
+    # One row per axis, so a level's slices are contiguous for reduceat and
+    # a coordinate's rank is one flat read, at ``dim * n + point``.
+    by_axis = np.ascontiguousarray(points.T)
+    rank = np.concatenate([np.unique(c, return_inverse=True)[1] for c in by_axis])
     lo, hi = np.zeros(1, dtype=np.int64), np.full(1, n, dtype=np.int64)
     levels, node_count = [], 0
     while len(lo):
@@ -97,25 +107,33 @@ def kdtree_build(points: np.ndarray, leaf_size: int = 16) -> KdTree:
             break
         starts, sizes = lo[inner], (hi - lo)[inner]
         local = np.cumsum(sizes) - sizes
-        pos = np.repeat(starts - local, sizes) + np.arange(sizes.sum())
+        offset = np.arange(sizes.sum()) - np.repeat(local, sizes)
+        pos = np.repeat(starts, sizes) + offset
         idx = perm[pos]
-        sub = points[idx]
-        extents = np.maximum.reduceat(sub, local) - np.minimum.reduceat(sub, local)
-        split = np.argmax(extents, axis=1)
+        sub = by_axis.take(idx, axis=1)
+        top = np.maximum.reduceat(sub, local, axis=1)
+        split = np.argmax(top - np.minimum.reduceat(sub, local, axis=1), axis=0)
         segment = np.repeat(np.arange(len(starts)), sizes)
-        perm[pos] = idx[np.argsort(segment * n + rank[idx, split[segment]], kind="stable")]
+        # The sizes within a level differ by at most one, so s slices hold
+        # width <= n / s + 1 points each and the key is below
+        # s * width * n <= 2 * n**2: exact in int64 for n < 2**31.
+        width = int(sizes.max())
+        key = (segment * n + rank[split[segment] * n + idx]) * width + offset
+        perm[pos] = idx[np.argsort(key)]
         mids = starts + sizes // 2
-        dims[inner], values[inner] = split, points[perm[mids], split]
+        dims[inner], values[inner] = split, by_axis[split, perm[mids]]
         child[inner] = node_count + 2 * np.arange(len(starts))
         lo = np.column_stack((starts, mids)).ravel()
         hi = np.column_stack((mids, starts + sizes)).ravel()
     dims, values, child, lo, hi = (np.concatenate(column) for column in zip(*levels))
-    # Leaves tile [0, n): a position's leaf starts at the largest leaf ``lo`` <= it.
+    # Leaves tile [0, n): a position's leaf starts at the largest leaf ``lo``
+    # <= it. The key is unique and below n**2.
     leaf_start = np.zeros(n, dtype=np.int64)
     leaf_start[lo[dims < 0]] = lo[dims < 0]
-    index = perm[np.argsort(np.maximum.accumulate(leaf_start) * n + perm, kind="stable")]
+    index = perm[np.argsort(np.maximum.accumulate(leaf_start) * n + perm)]
     columns = (column.tolist() for column in (dims, values, child, lo, hi))
-    return KdTree(*columns, index=index, coords=points[index], node_count=node_count,
+    coords = tuple(axis.take(index).tolist() for axis in by_axis)
+    return KdTree(*columns, index=index.tolist(), coords=coords, node_count=node_count,
                   depth=len(levels))
 
 
@@ -135,11 +153,14 @@ def knn_search(
         raise ValueError("k must be >= 1")
     if deadline is not None and deadline < 1:
         raise ValueError("deadline must be >= 1 when set")
-    q = np.asarray(query, dtype=np.float64)
-    qs = q.tolist()
+    qs = np.asarray(query, dtype=np.float64).tolist()
+    qx, qy, qz = qs
     dims, values, child, lo, hi = tree.split_dim, tree.split_value, tree.child, tree.lo, tree.hi
-    # Max-heap of the k best so far, keyed (-dist2, -index).
+    index, (xs, ys, zs) = tree.index, tree.coords
+    # Max-heap of the k best so far, keyed (-dist2, -index); ``worst`` is
+    # the k-th best distance, inf until the heap is full.
     heap: list[tuple[float, int]] = []
+    worst = float("inf")
     visited: list[int] | None = [] if record_visited else None
     stack: list[tuple[int, float]] = [(0, 0.0)]
     steps, truncated = 0, False
@@ -148,22 +169,25 @@ def knn_search(
             truncated = True
             break
         node, plane_d2 = stack.pop()
-        if len(heap) == k and plane_d2 > -heap[0][0]:
+        if plane_d2 > worst:
             continue
         steps += 1
         dim = dims[node]
         if dim < 0:
             a, b = lo[node], hi[node]
-            bucket = tree.index[a:b].tolist()
-            d2s = _squared_distances(tree.coords[a:b], q).tolist()
-            for idx, d2 in zip(bucket, d2s):
-                key = (-d2, -idx)
+            for idx, x, y, z in zip(index[a:b], xs[a:b], ys[a:b], zs[a:b]):
+                dx, dy, dz = x - qx, y - qy, z - qz
+                d2 = dx * dx + dy * dy + dz * dz
                 if len(heap) < k:
-                    heapq.heappush(heap, key)
-                elif key > heap[0]:  # (d2, idx) < the worst held
-                    heapq.heapreplace(heap, key)
+                    heapq.heappush(heap, (-d2, -idx))
+                    if len(heap) == k:
+                        worst = -heap[0][0]
+                # A point farther than the worst held cannot replace it.
+                elif d2 <= worst and (-d2, -idx) > heap[0]:
+                    heapq.heapreplace(heap, (-d2, -idx))
+                    worst = -heap[0][0]
             if visited is not None:
-                visited.extend(bucket)
+                visited += index[a:b]
             continue
         gap = qs[dim] - values[node]
         left = child[node]
@@ -191,9 +215,10 @@ def range_search(
         raise ValueError("radius must be positive")
     if deadline is not None and deadline < 1:
         raise ValueError("deadline must be >= 1 when set")
-    q = np.asarray(query, dtype=np.float64)
-    qs = q.tolist()
+    qs = np.asarray(query, dtype=np.float64).tolist()
+    qx, qy, qz = qs
     dims, values, child, lo, hi = tree.split_dim, tree.split_value, tree.child, tree.lo, tree.hi
+    index, (xs, ys, zs) = tree.index, tree.coords
     r2 = radius * radius
     hits: list[tuple[float, int]] = []
     stack: list[tuple[int, float]] = [(0, 0.0)]
@@ -209,8 +234,11 @@ def range_search(
         dim = dims[node]
         if dim < 0:
             a, b = lo[node], hi[node]
-            d2s = _squared_distances(tree.coords[a:b], q).tolist()
-            hits += [(d2, idx) for idx, d2 in zip(tree.index[a:b].tolist(), d2s) if d2 <= r2]
+            for idx, x, y, z in zip(index[a:b], xs[a:b], ys[a:b], zs[a:b]):
+                dx, dy, dz = x - qx, y - qy, z - qz
+                d2 = dx * dx + dy * dy + dz * dz
+                if d2 <= r2:
+                    hits.append((d2, idx))
             continue
         gap = qs[dim] - values[node]
         left = child[node]

@@ -16,6 +16,7 @@ from pointpipe import optimizer
 from pointpipe.cli import USAGE, VERIFY_FAILED, _json_text, build_parser, main
 from pointpipe.kernels.cloud import PointCloud
 from pointpipe.kernels.grid import split_grid
+from pointpipe.kernels.prng import synthetic_cloud
 
 PIPELINES = sorted((Path(__file__).parent.parent / "pipelines").glob("*.json"))
 KNN_STENCIL = str(Path(__file__).parent.parent / "pipelines" / "knn_stencil.json")
@@ -289,3 +290,17 @@ json_values = st.recursive(
 def test_json_text_equals_indented_json_dumps(value):
     # Floats include nan and both infinities; text includes non-ASCII.
     assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [[1, True, 0, False], [True], [2**70, -1, 0]])
+def test_json_text_writes_bools_in_int_lists_as_json_bools(value):
+    # bool is an int subclass; only a list of exact ints takes the one-join path.
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_sort_writes_the_stable_permutation_one_index_a_line(tmp_path):
+    out = tmp_path / "perm.txt"
+    assert main(["sort", "--synthetic", "500", "--chunks", "7", "--out", str(out)]) == 0
+    pts = synthetic_cloud(500, 0)
+    want = "".join(f"{i}\n" for i in np.argsort(pts[:, 0], kind="stable").tolist())
+    assert out.read_text() == want

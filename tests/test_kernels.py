@@ -34,28 +34,20 @@ leaf_sizes = st.integers(1, 8)
 radii = st.integers(1, 8).map(lambda v: v / 2)
 
 
-@EXAMPLES
-@given(pts=clouds, query=points3, k=st.integers(1, 70), leaf_size=leaf_sizes)
-def test_knn_equals_brute_force(pts, query, k, leaf_size):
+def _check_knn(pts, query, k, leaf_size):
     # k may exceed the cloud: then every point comes back.
     res = knn_search(kdtree_build(pts, leaf_size=leaf_size), np.array(query), k)
     assert res.neighbors == brute_force_knn(pts, query, k)
     assert not res.truncated
 
 
-@EXAMPLES
-@given(pts=clouds, query=points3, radius=radii, leaf_size=leaf_sizes)
-def test_range_equals_brute_force(pts, query, radius, leaf_size):
-    # Lattice radii put points exactly on the sphere: they are inside.
+def _check_range(pts, query, radius, leaf_size):
     res = range_search(kdtree_build(pts, leaf_size=leaf_size), np.array(query), radius)
     assert res.neighbors == brute_force_range(pts, query, radius)
     assert not res.truncated
 
 
-@EXAMPLES
-@given(pts=clouds, query=points3, k=st.integers(1, 8), leaf_size=leaf_sizes,
-       deadline=st.integers(1, 30))
-def test_knn_deadline_caps_steps_and_keeps_the_best_seen(pts, query, k, leaf_size, deadline):
+def _check_knn_deadline(pts, query, k, leaf_size, deadline):
     tree = kdtree_build(pts, leaf_size=leaf_size)
     q = np.array(query)
     full = knn_search(tree, q, k)
@@ -72,11 +64,7 @@ def test_knn_deadline_caps_steps_and_keeps_the_best_seen(pts, query, k, leaf_siz
     assert capped.neighbors == [(seen[i], d) for i, d in brute_force_knn(pts[seen], q, k)]
 
 
-@EXAMPLES
-@given(pts=clouds, query=points3, radius=radii, leaf_size=leaf_sizes,
-       deadline=st.integers(1, 30))
-def test_range_deadline_caps_steps_and_returns_a_subset(pts, query, radius, leaf_size,
-                                                        deadline):
+def _check_range_deadline(pts, query, radius, leaf_size, deadline):
     tree = kdtree_build(pts, leaf_size=leaf_size)
     q = np.array(query)
     full = range_search(tree, q, radius)
@@ -90,6 +78,34 @@ def test_range_deadline_caps_steps_and_returns_a_subset(pts, query, radius, leaf
         assert capped.neighbors == full.neighbors
     assert set(capped.neighbors) <= set(full.neighbors)
     assert capped.neighbors == sorted(capped.neighbors, key=lambda n: (n[1], n[0]))
+
+
+@EXAMPLES
+@given(pts=clouds, query=points3, k=st.integers(1, 70), leaf_size=leaf_sizes)
+def test_knn_equals_brute_force(pts, query, k, leaf_size):
+    _check_knn(pts, query, k, leaf_size)
+
+
+@EXAMPLES
+@given(pts=clouds, query=points3, radius=radii, leaf_size=leaf_sizes)
+def test_range_equals_brute_force(pts, query, radius, leaf_size):
+    # Lattice radii put points exactly on the sphere: they are inside.
+    _check_range(pts, query, radius, leaf_size)
+
+
+@EXAMPLES
+@given(pts=clouds, query=points3, k=st.integers(1, 8), leaf_size=leaf_sizes,
+       deadline=st.integers(1, 30))
+def test_knn_deadline_caps_steps_and_keeps_the_best_seen(pts, query, k, leaf_size, deadline):
+    _check_knn_deadline(pts, query, k, leaf_size, deadline)
+
+
+@EXAMPLES
+@given(pts=clouds, query=points3, radius=radii, leaf_size=leaf_sizes,
+       deadline=st.integers(1, 30))
+def test_range_deadline_caps_steps_and_returns_a_subset(pts, query, radius, leaf_size,
+                                                        deadline):
+    _check_range_deadline(pts, query, radius, leaf_size, deadline)
 
 
 def _cells_along_x(xs, g):
@@ -197,11 +213,11 @@ def _recursive_kdtree(points, leaf_size):
 
 
 def _bucket(tree, node):
-    return tree.index[tree.lo[node]:tree.hi[node]].tolist()
+    return tree.index[tree.lo[node]:tree.hi[node]]
 
 
 def _preorder(tree):
-    assert tree.index.dtype == np.int64
+    assert type(tree.index) is list and all(type(i) is int for i in tree.index)
     out, stack = [], [0]
     while stack:
         node = stack.pop()
@@ -249,8 +265,82 @@ def test_kdtree_build_equals_the_recursive_build(pts, leaf_size):
     nodes, count, depth = _recursive_kdtree(pts, leaf_size)
     assert _preorder(tree) == nodes
     assert (tree.node_count, tree.depth) == (count, depth)
-    # The leaf-ordered coordinates are the points' own.
-    assert tree.coords.tobytes() == pts[tree.index].tobytes()
+    # The leaf-ordered coordinates are the points' own, bit for bit, as
+    # Python floats.
+    assert len(tree.coords) == 3
+    assert all(type(v) is float for axis in tree.coords for v in axis)
+    assert np.array(tree.coords).T.tobytes() == pts[tree.index].tobytes()
+
+
+@st.composite
+def kd_searches(draw):
+    """A ``kd_clouds`` cloud and a query on one of its points, moved per
+    axis by nothing, a signed zero or a step: exact ties in distance."""
+    pts = draw(kd_clouds())
+    shift = st.sampled_from([0.0, -0.0, 0.25, -1.0, 3.0])
+    offset = np.array(draw(st.tuples(shift, shift, shift)))
+    return pts, pts[draw(st.integers(0, len(pts) - 1))] + offset
+
+
+kd_radii = st.sampled_from([0.01, 0.5, 2.0, 25.0])
+
+
+@EXAMPLES
+@given(case=kd_searches(), k=st.integers(1, 40), leaf_size=st.integers(1, 17))
+def test_knn_equals_brute_force_on_kd_clouds(case, k, leaf_size):
+    _check_knn(*case, k, leaf_size)
+
+
+@EXAMPLES
+@given(case=kd_searches(), radius=kd_radii, leaf_size=st.integers(1, 17))
+def test_range_equals_brute_force_on_kd_clouds(case, radius, leaf_size):
+    _check_range(*case, radius, leaf_size)
+
+
+@EXAMPLES
+@given(case=kd_searches(), k=st.integers(1, 8), leaf_size=st.integers(1, 17),
+       deadline=st.integers(1, 30))
+def test_knn_deadline_on_kd_clouds(case, k, leaf_size, deadline):
+    _check_knn_deadline(*case, k, leaf_size, deadline)
+
+
+@EXAMPLES
+@given(case=kd_searches(), radius=kd_radii, leaf_size=st.integers(1, 17),
+       deadline=st.integers(1, 30))
+def test_range_deadline_on_kd_clouds(case, radius, leaf_size, deadline):
+    _check_range_deadline(*case, radius, leaf_size, deadline)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["overflow", "subnormal"])
+def test_scan_distances_equal_brute_force_at_the_float_limits(kind, seed):
+    # Near 1e154 a square overflows to inf, so many distances tie at inf.
+    # Subnormal gaps (x) square to 0; gaps near 1e-160 (y) square to
+    # subnormals that lose bits; gaps near 1e-155 (z) square to about the
+    # least normal. The scan's Python floats must round exactly as brute
+    # force's numpy arrays do.
+    rng = np.random.default_rng(seed)
+    if kind == "overflow":
+        pts, radii = rng.uniform(-1.5e154, 1.5e154, (300, 3)), (1e154, 2e154, 3e154)
+    else:
+        scale = np.array([5e-324, 3e-160, 1.1e-155])
+        pts = rng.integers(-6, 7, (300, 3)) * scale + rng.choice([0.0, 1e-310], 3)
+        radii = (5e-324, 1e-159, 1e-154)
+    queries = np.concatenate([pts[:3], pts[3:6] + pts[6:9]])
+    with np.errstate(over="ignore", under="ignore"):
+        for leaf_size in (1, 4, 16):
+            tree = kdtree_build(pts, leaf_size=leaf_size)
+            for q in queries:
+                for k in (1, 7, 300):
+                    assert knn_search(tree, q, k).neighbors == brute_force_knn(pts, q, k)
+                for radius in radii:
+                    assert range_search(tree, q, radius).neighbors == \
+                        brute_force_range(pts, q, radius)
+        d2 = [d for q in queries for _, d in brute_force_knn(pts, q, len(pts))]
+    if kind == "overflow":
+        assert float("inf") in d2 and min(d2) < 1e308
+    else:
+        assert 0.0 in d2 and any(0.0 < d < np.finfo(float).tiny for d in d2)
 
 
 def test_kdtree_ties_keep_the_parents_order():
