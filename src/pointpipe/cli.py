@@ -39,6 +39,7 @@ from .kernels import cloud as cloudio
 from .kernels.cloud import PointCloud
 from .kernels.grid import chunked_sort, split_grid, split_serial
 from .kernels.kdtree import (
+    SearchResult,
     brute_force_knn,
     brute_force_range,
     kdtree_build,
@@ -243,6 +244,17 @@ def cmd_verify(args) -> int:
 
 # -- point kernels ------------------------------------------------------------
 
+def _write_neighbors(path: str | None, results: list[SearchResult]) -> None:
+    """One ``query,rank,point,dist2,steps,truncated`` row per neighbour, in
+    query order; ``results`` holds one search per query."""
+    lines = ["query,rank,point,dist2,steps,truncated"]
+    for qi, res in enumerate(results):
+        tail = f"{res.steps_used},{int(res.truncated)}"
+        lines += (f"{qi},{rank},{idx},{d2!r},{tail}"
+                  for rank, (idx, d2) in enumerate(res.neighbors))
+    _write(path, "\n".join(lines) + "\n")
+
+
 def cmd_knn(args) -> int:
     cloud, meta = _load_cloud(args)
     tree = kdtree_build(cloud.points, leaf_size=args.leaf_size)
@@ -254,21 +266,15 @@ def cmd_knn(args) -> int:
         frac = _parse_fraction(args.deadline_frac, "--deadline-frac")
         deadline = profile_deadline(tree, queries, args.k, frac).deadline
 
-    lines = ["query,rank,point,dist2,steps,truncated"]
-    hits = 0
-    truth_hits = 0
-    for qi, q in enumerate(queries):
-        res = knn_search(tree, q, args.k, deadline=deadline)
-        for rank, (idx, d2) in enumerate(res.neighbors):
-            lines.append(f"{qi},{rank},{idx},{d2!r},{res.steps_used},{int(res.truncated)}")
-        if args.recall:
-            truth = {i for i, _ in brute_force_knn(cloud.points, q, args.k)}
-            hits += len(truth & {i for i, _ in res.neighbors})
-            truth_hits += min(args.k, len(cloud))
-    _write(args.out, "\n".join(lines) + "\n")
+    results = [knn_search(tree, q, args.k, deadline=deadline) for q in queries]
+    _write_neighbors(args.out, results)
     note = f"deadline: {deadline if deadline is not None else 'none'}"
     if args.recall:
-        recall = hits / truth_hits
+        hits = sum(
+            len({i for i, _ in brute_force_knn(cloud.points, q, args.k)}
+                & {i for i, _ in res.neighbors})
+            for q, res in zip(queries, results))
+        recall = hits / (len(queries) * min(args.k, len(cloud)))
         print(f"recall@{args.k}: {recall:.6f} ({note})", file=sys.stderr)
     else:
         print(f"searched {len(queries)} queries ({note})", file=sys.stderr)
@@ -282,16 +288,11 @@ def cmd_range(args) -> int:
     queries = _queries(args, cloud)
     deadline = _parse_deadline(args.deadline)
 
-    lines = ["query,rank,point,dist2,steps,truncated"]
-    exact = 0
-    for qi, q in enumerate(queries):
-        res = range_search(tree, q, args.radius, deadline=deadline)
-        for rank, (idx, d2) in enumerate(res.neighbors):
-            lines.append(f"{qi},{rank},{idx},{d2!r},{res.steps_used},{int(res.truncated)}")
-        if args.recall and res.neighbors == brute_force_range(cloud.points, q, args.radius):
-            exact += 1
-    _write(args.out, "\n".join(lines) + "\n")
+    results = [range_search(tree, q, args.radius, deadline=deadline) for q in queries]
+    _write_neighbors(args.out, results)
     if args.recall:
+        exact = sum(res.neighbors == brute_force_range(cloud.points, q, args.radius)
+                    for q, res in zip(queries, results))
         print(f"exact matches vs brute force: {exact}/{len(queries)}", file=sys.stderr)
     return OK
 

@@ -19,14 +19,18 @@ index per-node lists: an internal node's children are ``child[i]`` and
 ``child[i] + 1``, and a leaf's split dimension is -1. The points are kept
 once more in leaf order, as Python lists: ``index`` and, in ``coords``,
 one list per axis. Each node's points are the slice ``[lo, hi)``, and a
-leaf's, up to ``leaf_size`` of them, ascend by index. Each search is one
-loop over an explicit stack of (node, squared distance to its splitting
-plane): depth-first, descending toward the query before backtracking, and
-skipping a node whose plane lies strictly beyond the current k-th best
-distance (or the radius). A leaf scan evaluates ``_squared_distances``'
-expression, ``dx*dx + dy*dy + dz*dz`` left to right, on Python floats:
-the same IEEE double operations in the same order, so the same bits, with
-no numpy call per leaf.
+leaf's, up to ``leaf_size`` of them, ascend by index. Both searches run
+one loop over an explicit stack of (node, squared distance to its
+splitting plane): depth-first, descending toward the query before
+backtracking, and skipping a node whose plane lies strictly beyond the
+current bound. For kNN the bound is the k-th best distance, infinite until
+k points are held. Range search is the same loop with k the tree's size
+and the radius squared as the starting bound, which then stays fixed: it
+could only tighten once every point is held, and by then every node has
+been visited. A leaf scan evaluates ``_squared_distances``' expression,
+``dx*dx + dy*dy + dz*dz`` left to right, on Python floats: the same IEEE
+double operations in the same order, so the same bits, with no numpy call
+per leaf.
 
 Every node visit (internal or leaf) costs one step; the root visit is step
 one. A search given a step deadline stops the moment the budget is spent
@@ -42,7 +46,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil
+from math import ceil, isfinite
 
 import numpy as np
 
@@ -137,31 +141,29 @@ def kdtree_build(points: np.ndarray, leaf_size: int = 16) -> KdTree:
                   depth=len(levels))
 
 
-def knn_search(
+def _search(
     tree: KdTree,
     query: np.ndarray,
     k: int,
-    deadline: int | None = None,
-    record_visited: bool = False,
+    worst: float,
+    deadline: int | None,
+    visited: list[int] | None,
 ) -> SearchResult:
-    """k nearest neighbors of ``query``; exact when ``deadline`` is None.
-
-    Asking for more neighbors than the tree holds returns every point.
-    ``record_visited`` lists every point scanned, in scan order.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    """The one search loop: the ``k`` nearest points at squared distance at
+    most ``worst``, which tightens to the k-th best once ``k`` are held.
+    ``visited``, when a list, receives every point scanned."""
     if deadline is not None and deadline < 1:
         raise ValueError("deadline must be >= 1 when set")
     qs = np.asarray(query, dtype=np.float64).tolist()
+    # A NaN distance is never `> worst`, so the scan below would keep it.
+    if not all(map(isfinite, qs)):
+        raise ValueError("query must be finite")
     qx, qy, qz = qs
     dims, values, child, lo, hi = tree.split_dim, tree.split_value, tree.child, tree.lo, tree.hi
     index, (xs, ys, zs) = tree.index, tree.coords
-    # Max-heap of the k best so far, keyed (-dist2, -index); ``worst`` is
-    # the k-th best distance, inf until the heap is full.
+    # The best so far, keyed (-dist2, -index): appended until k are held,
+    # then a max-heap.
     heap: list[tuple[float, int]] = []
-    worst = float("inf")
-    visited: list[int] | None = [] if record_visited else None
     stack: list[tuple[int, float]] = [(0, 0.0)]
     steps, truncated = 0, False
     while stack:
@@ -178,12 +180,15 @@ def knn_search(
             for idx, x, y, z in zip(index[a:b], xs[a:b], ys[a:b], zs[a:b]):
                 dx, dy, dz = x - qx, y - qy, z - qz
                 d2 = dx * dx + dy * dy + dz * dz
-                if len(heap) < k:
-                    heapq.heappush(heap, (-d2, -idx))
-                    if len(heap) == k:
-                        worst = -heap[0][0]
                 # A point farther than the worst held cannot replace it.
-                elif d2 <= worst and (-d2, -idx) > heap[0]:
+                if d2 > worst:
+                    continue
+                if len(heap) < k:
+                    heap.append((-d2, -idx))
+                    if len(heap) == k:
+                        heapq.heapify(heap)
+                        worst = -heap[0][0]
+                elif (-d2, -idx) > heap[0]:
                     heapq.heapreplace(heap, (-d2, -idx))
                     worst = -heap[0][0]
             if visited is not None:
@@ -202,6 +207,23 @@ def knn_search(
     )
 
 
+def knn_search(
+    tree: KdTree,
+    query: np.ndarray,
+    k: int,
+    deadline: int | None = None,
+    record_visited: bool = False,
+) -> SearchResult:
+    """k nearest neighbors of ``query``; exact when ``deadline`` is None.
+
+    Asking for more neighbors than the tree holds returns every point.
+    ``record_visited`` lists every point scanned, in scan order.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return _search(tree, query, k, float("inf"), deadline, [] if record_visited else None)
+
+
 def range_search(
     tree: KdTree,
     query: np.ndarray,
@@ -213,44 +235,7 @@ def range_search(
     within the step budget."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if deadline is not None and deadline < 1:
-        raise ValueError("deadline must be >= 1 when set")
-    qs = np.asarray(query, dtype=np.float64).tolist()
-    qx, qy, qz = qs
-    dims, values, child, lo, hi = tree.split_dim, tree.split_value, tree.child, tree.lo, tree.hi
-    index, (xs, ys, zs) = tree.index, tree.coords
-    r2 = radius * radius
-    hits: list[tuple[float, int]] = []
-    stack: list[tuple[int, float]] = [(0, 0.0)]
-    steps, truncated = 0, False
-    while stack:
-        if deadline is not None and steps >= deadline:
-            truncated = True
-            break
-        node, plane_d2 = stack.pop()
-        if plane_d2 > r2:
-            continue
-        steps += 1
-        dim = dims[node]
-        if dim < 0:
-            a, b = lo[node], hi[node]
-            for idx, x, y, z in zip(index[a:b], xs[a:b], ys[a:b], zs[a:b]):
-                dx, dy, dz = x - qx, y - qy, z - qz
-                d2 = dx * dx + dy * dy + dz * dz
-                if d2 <= r2:
-                    hits.append((d2, idx))
-            continue
-        gap = qs[dim] - values[node]
-        left = child[node]
-        near, far = (left, left + 1) if gap < 0 else (left + 1, left)
-        stack.append((far, gap * gap))
-        stack.append((near, 0.0))
-    hits.sort()
-    return SearchResult(
-        neighbors=[(idx, d2) for d2, idx in hits],
-        steps_used=steps,
-        truncated=truncated,
-    )
+    return _search(tree, query, len(tree.index), radius * radius, deadline, None)
 
 
 def brute_force_knn(points: np.ndarray, query: np.ndarray, k: int) -> list[tuple[int, float]]:

@@ -46,15 +46,23 @@ at 0, which no translation prune skips; the walk has either met it or
 skipped it by the bound, because its total already reached the
 incumbent's.
 
-**Evaluation.** Each edge's least feasible offset is found by bisection
-on the stall check, seeded at the threshold that the offset-0 curves give:
-a Global consumer may start at ``ceil(write_end)``, and any other edge's
-demand must start, and finish, no earlier than the readable supply, which
-gives ``ceil(write_start + 1 - demand_start + max(0, V/out_rate -
-V/in_rate))``. The guess and the offset below it are probed first, and the
-bisection narrows whatever bracket they leave, so a wrong guess costs only
-probes; on the test suites every edge takes exactly those two scorings.
-The guess comes from the curves, not from ``EdgeModel.min_offset``.
+**Evaluation.** Each edge's least feasible offset is read off the curves
+at offset 0. A Global consumer may start once writing ends, at
+``ceil(write_end)``, where ``writes(consumer_start)`` reaches V. On any
+other edge the readable supply and the demand are both ramps clamped to
+[0, V]: readable rises from 0 at ``write_start + 1`` to V at ``write_end
++ 1``, and demand from 0 at ``demand_start`` to V at ``demand_start +
+V/in_rate``. Two clamped ramps between the same levels satisfy demand <=
+readable everywhere exactly when demand starts no earlier, and ends no
+earlier, than the supply; ``edge_stall_margin`` compares the two at all
+four of those ends, so it agrees. Moving the consumer by the offset moves
+demand alone, so the least feasible offset is ``ceil(write_start + 1 -
+demand_start + max(0, V/out_rate - V/in_rate))``. The threshold is then
+scored twice, at itself and one below, and must be feasible and
+infeasible: feasibility only grows with the offset, so the two scorings
+prove it least by the simulator's stall check alone, with nothing taken
+from ``EdgeModel.min_offset``. A failed probe is a
+``ScheduleError("internal inconsistency: ...")``.
 
 Each edge's (feasible, peak) is scored by the curves at most once per
 offset and kept in a list indexed by offset from
@@ -128,38 +136,24 @@ class _EdgeEval:
     def __init__(self, model: EdgeModel):
         self.model = model
         self._memo: dict[int, tuple[bool, Fraction]] = {}
-        slack = ceil(model.depth_p + model.depth_c + model.dur_p + model.dur_c + 2)
-        # Offsets at least `slack` are always feasible (producer fully done
-        # with a cycle to spare before the consumer needs anything) and the
-        # smallest feasible offset cannot sit below -slack, so feasibility
-        # is monotone on [-slack, slack] and bisection finds its threshold.
-        # The guess and the offset below it narrow the bracket first.
-        lo, hi = -slack, slack
-        guess = self._threshold_guess()
-        for probe in (guess, guess - 1):
-            if lo <= probe < hi:
-                if self.evaluate(probe)[0]:
-                    hi = probe
-                else:
-                    lo = probe + 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.evaluate(mid)[0]:
-                hi = mid
-            else:
-                lo = mid + 1
-        self.min_offset = lo
-        self.min_cost = self.evaluate(lo)[1]
+        least = self._threshold_guess()
+        if not self.evaluate(least)[0] or self.evaluate(least - 1)[0]:
+            raise ScheduleError(
+                f"internal inconsistency: offset {least} is not the least that "
+                f"edge {model.key} passes the stall check at")
+        self.min_offset = least
+        self.min_cost = self.evaluate(least)[1]
         # Offset from which the overwrite starts at or past the producer's
         # write end: the whole volume is resident at once, so the peak and
         # the verdict stop changing, and later offsets read this one.
-        self.sat_offset = max(lo, ceil(model.write_end - model.depth_c))
+        self.sat_offset = max(least, ceil(model.write_end - model.depth_c))
 
     def _threshold_guess(self) -> int:
         """The least offset at which the curves at offset 0, moved by it,
-        pass the stall check: a Global consumer starts once writing ends;
-        any other starts demand, and finishes it, no earlier than the
-        readable supply, which trails the writes by one cycle."""
+        pass the stall check (see the module docstring): a Global consumer
+        starts once writing ends; any other starts demand, and finishes it,
+        no earlier than the readable supply, which trails the writes by one
+        cycle."""
         e = self.model.edge
         c = edge_curves(self.model, {e.producer: 0, e.consumer: 0})
         if c.is_global:

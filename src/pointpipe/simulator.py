@@ -43,10 +43,6 @@ first reaches its peak where it rises to it, at some chunk's kink, so the
 shifts 0 to m give both the peak and the earliest time it is reached,
 which times an overflow: m + 1 shifts, 2 of 32 when m = 1. At II <= 0
 every shift is scanned.
-
-The written and freed totals count V for each chunk quiesced at or past
-its write end (it has written all of V and, being past its drain end,
-freed all of it), and evaluate the other chunks alone.
 """
 
 from __future__ import annotations
@@ -218,8 +214,6 @@ class SimTrace:
     chunk_completions: list[Fraction]
     first_read: dict[str, int]
     first_output: dict[str, int]
-    written_total: dict[str, Fraction]
-    freed_total: dict[str, Fraction]
     _curves: dict[str, EdgeCurves] = field(default_factory=dict, repr=False)
     _interval: Fraction = field(default=_ZERO, repr=False)
 
@@ -283,8 +277,6 @@ def simulate(
     stall_events: list[StallEvent] = []
     overflow_events: list[OverflowEvent] = []
     peaks: dict[str, Fraction] = {}
-    written: dict[str, Fraction] = {}
-    freed: dict[str, Fraction] = {}
     curves_by_key: dict[str, EdgeCurves] = {}
     end_of_run = _ZERO
     shifts = [k * interval for k in range(chunk_count)]  # chunk k's time shift
@@ -328,16 +320,7 @@ def simulate(
                 )
             )
 
-        quiesce = cur.drain_end + max(shifts)
-        end_of_run = max(end_of_run, quiesce)
-        # Chunk k is quiesced at quiesce - k*II: the first `done` chunks are
-        # at or past the write end, which leaves all of V written and freed.
-        done = 0
-        if interval > 0 and quiesce >= cur.write_end:
-            done = min(chunk_count, floor((quiesce - cur.write_end) / interval) + 1)
-        rest = shifts[done:]
-        written[key] = done * cur.volume + sum((cur.writes(quiesce - s) for s in rest), _ZERO)
-        freed[key] = done * cur.volume + sum((cur.frees(quiesce - s) for s in rest), _ZERO)
+        end_of_run = max(end_of_run, cur.drain_end + max(shifts))
 
     first_read: dict[str, int] = {}
     first_output: dict[str, int] = {}
@@ -364,8 +347,6 @@ def simulate(
         chunk_completions=chunk_completions,
         first_read=first_read,
         first_output=first_output,
-        written_total=written,
-        freed_total=freed,
         _curves=curves_by_key,
         _interval=interval,
     )

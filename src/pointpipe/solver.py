@@ -19,6 +19,12 @@ may enter afterwards. A pivot on such a column subtracts zero times the
 pivot row from the first objective's reduced costs, which leaves them and
 that objective's value unchanged: the second pass walks the optimal face
 and nothing else.
+
+The second pass is needed. Bland's rule started from the least vertex,
+the lower bounds, does not always stop at the least optimal vertex: on the
+7-stage diamond pinned in ``tests/golden/reconvergent/diamond7_tiebreak/``
+the first pass alone ends at an optimum with one branch start at 29, where
+the tiebreak pass puts it at 0.
 """
 
 from __future__ import annotations

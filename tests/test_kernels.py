@@ -343,6 +343,16 @@ def test_scan_distances_equal_brute_force_at_the_float_limits(kind, seed):
         assert 0.0 in d2 and any(0.0 < d < np.finfo(float).tiny for d in d2)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_searches_reject_a_non_finite_query(bad):
+    tree = kdtree_build(np.random.default_rng(0).random((50, 3)))
+    query = np.array([0.5, bad, 0.5])
+    with pytest.raises(ValueError, match="query must be finite"):
+        knn_search(tree, query, 3)
+    with pytest.raises(ValueError, match="query must be finite"):
+        range_search(tree, query, 0.1)
+
+
 def test_kdtree_ties_keep_the_parents_order():
     # The root splits on x; its left child holds points 3, 2, 1, 0 in that
     # order and splits on z, where 1 and 2 tie: they stay in the root's x

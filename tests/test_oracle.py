@@ -6,7 +6,7 @@ import pytest
 
 from _pipegen import suite
 from pointpipe import oracle
-from pointpipe.cli import INCONCLUSIVE, VERIFY_FAILED, main
+from pointpipe.cli import INCONCLUSIVE, USAGE, VERIFY_FAILED, main
 from pointpipe.graph import parse_pipeline
 from pointpipe.optimizer import ScheduleError, build_constraints, edge_models, solve
 from pointpipe.oracle import exhaustive_minimum, verify_against_oracle
@@ -207,9 +207,8 @@ def test_pruned_walk_equals_the_plain_walk(shape):
 
 
 def test_seeded_threshold_equals_the_plain_bisection():
-    # The bisection seeded at the curves' threshold finds what the plain
-    # bisection over [-slack, slack] finds, and on these suites its guess
-    # is right: the guess and the offset below it are the only scorings.
+    # The curves' threshold is what the plain bisection over [-slack, slack]
+    # finds, and it and the offset below it are the only scorings.
     edges = 0
     for graphs in (suite(300, start_seed=5000), suite(200, shape="tree"),
                    suite(300, start_seed=30000)):
@@ -221,3 +220,20 @@ def test_seeded_threshold_equals_the_plain_bisection():
                     plain.min_offset, plain.min_cost, plain.sat_offset), m.key
                 edges += 1
     assert edges > 2000
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_wrong_threshold_is_an_internal_inconsistency(shift, monkeypatch, capsys):
+    # A threshold one above the least feasible offset fails the scoring one
+    # below it, and one below fails its own: verify reports either as an
+    # input error, not a traceback and not a verdict.
+    threshold = oracle._EdgeEval._threshold_guess
+    monkeypatch.setattr(oracle._EdgeEval, "_threshold_guess",
+                        lambda self: threshold(self) + shift)
+    graph = parse_pipeline(Path(KNN_STENCIL).read_text())
+    with pytest.raises(ScheduleError, match="internal inconsistency"):
+        exhaustive_minimum(graph, 128)
+    assert main(["verify", KNN_STENCIL]) == USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: internal inconsistency: offset ")

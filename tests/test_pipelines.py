@@ -1,8 +1,9 @@
 """Every shipped example in ``pipelines/`` loads and runs end to end, and its
 ``optimize`` and ``simulate`` outputs match the checked-in bytes in
-``tests/golden/<pipeline>/``. Every shipped example is a tree, so three
-reconvergent pipelines from the other tests pin the LP search's bytes in
-``tests/golden/reconvergent/<name>/``."""
+``tests/golden/<pipeline>/``. Every shipped example is a tree, so four
+reconvergent pipelines pin the LP search's bytes in
+``tests/golden/reconvergent/<name>/``: three from the other tests, and one
+whose least optimal start vector only the solver's tiebreak pass finds."""
 
 from pathlib import Path
 
@@ -17,7 +18,23 @@ from test_oracle import DIAMOND5_1
 
 PIPELINES = sorted((Path(__file__).parent.parent / "pipelines").glob("*.json"))
 GOLDEN = Path(__file__).parent / "golden"
-RECONVERGENT = {"diamond": DIAMOND, "diamond5_1": DIAMOND5_1, "diamond_chain": DIAMOND_CHAIN}
+# Without solve_lp's tiebreak pass, Bland's rule ends at another optimal
+# vertex here, with s2 at 29 rather than 0.
+DIAMOND7_TIEBREAK = """{"input_work": 24, "stages": [
+  {"id": "s0", "kind": "Stencil", "i_shape": [1, 3], "o_shape": [2, 1], "stage": 0,
+   "i_freq": 2, "o_freq": 2, "reuse": [2, 1]},
+  {"id": "s1", "kind": "Global", "i_shape": [2, 1], "o_shape": [1, 1], "stage": 0,
+   "i_freq": 3},
+  {"id": "s2", "kind": "Elementwise", "i_shape": [2, 1], "o_shape": [1, 2], "stage": 3,
+   "i_freq": 2},
+  {"id": "s3", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 1},
+  {"id": "s4", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 1},
+  {"id": "s5", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 1},
+  {"id": "s6", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 1}
+], "edges": [["s0", "s1"], ["s0", "s2"], ["s1", "s3"], ["s2", "s3"], ["s3", "s4"],
+             ["s4", "s5"], ["s5", "s6"]]}"""
+RECONVERGENT = {"diamond": DIAMOND, "diamond5_1": DIAMOND5_1, "diamond_chain": DIAMOND_CHAIN,
+                "diamond7_tiebreak": DIAMOND7_TIEBREAK}
 
 
 def test_shipped_pipelines_keep_duration_identity():
@@ -53,3 +70,14 @@ def test_reconvergent_pipeline_optimizes_to_golden(name, tmp_path, capsys):
         assert main(["optimize", str(path), "--chunks", chunks, "--out", str(schedule)]) == 0
         assert capsys.readouterr().err == (golden / f"optimize.c{chunks}.stderr").read_text()
         assert schedule.read_bytes() == (golden / f"optimize.c{chunks}.json").read_bytes()
+
+
+def test_tiebreak_diamond_verifies(tmp_path, capsys):
+    # The oracle, which never runs the LP, finds the same least vector.
+    path = tmp_path / "diamond7_tiebreak.json"
+    path.write_text(DIAMOND7_TIEBREAK)
+    assert main(["verify", str(path)]) == 0
+    starts = "{'s0': 0, 's1': 32, 's2': 0, 's3': 32, 's4': 33, 's5': 34, 's6': 35}"
+    assert capsys.readouterr().out == (
+        f"match: oracle total 101 at {starts}, solver total 101 at {starts} "
+        "(1 candidates, horizon 2240)\n")

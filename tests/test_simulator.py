@@ -42,13 +42,15 @@ def test_occupancy_matches_rate_formulas(knn_stencil, local_chain):
 
 
 def test_conservation(knn_stencil, local_chain, global_edge):
+    # By its drain end each edge has written and freed its whole volume,
+    # and the trace holds nothing from then on.
     for g in (knn_stencil, local_chain, global_edge):
         sol = solve(build_constraints(g))
         trace = simulate(g, sol)
-        for e in g.edges:
-            key = edge_key(e)
-            assert trace.written_total[key] == g.edge_volume[e]
-            assert trace.freed_total[key] == g.edge_volume[e]
+        for m in edge_models(g):
+            c = edge_curves(m, sol.start_cycles, sol.overwrite_starts[m.key])
+            assert c.writes(c.drain_end) == c.frees(c.drain_end) == g.edge_volume[m.edge]
+            assert trace.occupancy_at(m.key, c.drain_end) == 0
 
 
 def test_optimized_schedules_run_clean():
@@ -170,9 +172,10 @@ def _chunk_curves(m, sol, k):
 @pytest.mark.parametrize("chunks", [1, 2, 5, 7, 64])
 def test_live_chunk_sums_equal_brute_force_over_every_chunk(chunks):
     # Keeping chunk 0's curves alone, summing only the live chunks and
-    # scanning only the shifts 0 to m must change nothing: peaks, the cycle of each overflow and stall, the written and
-    # freed totals, occupancy_at and sample_rows all equal what every
-    # chunk's own curves give. The variants give the last edge m = 0, 1
+    # scanning only the shifts 0 to m must change nothing: peaks, the cycle
+    # of each overflow and stall, occupancy_at and sample_rows all equal
+    # what every chunk's own curves give, and each chunk writes and frees
+    # its whole volume. The variants give the last edge m = 0, 1
     # and 2, so the counts fall below 2m + 2 (1, 2, 5) and above it (5, 7,
     # 64). 64 chunks cost O(chunks^2) here, so one graph there.
     stalled = 0
@@ -204,9 +207,12 @@ def test_live_chunk_sums_equal_brute_force_over_every_chunk(chunks):
             tight = copy.deepcopy(sol)
             want_overflows = []
             for key, curves in every.items():
-                quiesce = max(c.drain_end for c in curves)
-                assert trace.written_total[key] == sum(c.writes(quiesce) for c in curves)
-                assert trace.freed_total[key] == sum(c.frees(quiesce) for c in curves)
+                # A moved overwrite start can end the draining before the
+                # writing: then the chunk quiesces at its write end.
+                quiesce = [max(c.drain_end, c.write_end) for c in curves]
+                for c, done in zip(curves, quiesce):
+                    assert c.writes(done) == c.frees(done) == c.volume
+                assert trace.occupancy_at(key, max(quiesce)) == 0
                 kinks = sorted({t for c in curves for t in c.occupancy_kinks()})
                 occ = [brute(key, t) for t in kinks]
                 assert [trace.occupancy_at(key, t) for t in kinks] == occ
