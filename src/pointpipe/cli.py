@@ -3,7 +3,8 @@
 Every command is a pure function of its inputs, flags, and seed: given the
 same arguments twice it produces byte-identical outputs. Synthetic clouds
 come from a named deterministic generator whose identifier and seed are
-recorded in whatever the command writes.
+recorded in whatever the command writes. Each command accepts only the
+flags it reads; any other flag exits 2.
 
 Exit codes: 0 success (or verified), 1 verification failure (stalls,
 overflows, oracle mismatch, sort mismatch), 2 usage or input errors (among
@@ -147,7 +148,7 @@ def _load_cloud(args) -> tuple[PointCloud, dict]:
 
 
 def _queries(args, cloud: PointCloud) -> np.ndarray:
-    if getattr(args, "query_input", None):
+    if args.query_input:
         qc = cloudio.load(args.query_input, fmt=args.format)
         return qc.points
     return synthetic_cloud(args.queries, args.seed + 1)
@@ -405,15 +406,6 @@ def cmd_sort(args) -> int:
 
 # -- wiring -------------------------------------------------------------------
 
-def _add_cloud_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", help="point cloud file")
-    p.add_argument("--synthetic", type=int, help="generate N uniform points instead")
-    p.add_argument("--queries", type=int, default=100,
-                   help="synthetic query count (seed+1)")
-    p.add_argument("--query-input", help="load queries from a cloud file")
-    p.add_argument("--leaf-size", type=int, default=16)
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and kept: parsing keeps
@@ -423,25 +415,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Line-buffer scheduling and streaming search kernels "
                     "for point-cloud pipelines",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-    common.add_argument("--format", choices=("text", "binary"), default="text",
-                        help="point cloud file format")
-    common.add_argument("--out", default=None,
-                        help="primary output file (default stdout)")
+    # Parents: each command takes only the flags it reads.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None,
+                     help="primary output file (default stdout)")
+    cloud = argparse.ArgumentParser(add_help=False, parents=[out])
+    cloud.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
+    cloud.add_argument("--format", choices=("text", "binary"), default="text",
+                       help="point cloud file format")
+    cloud.add_argument("--input", help="point cloud file")
+    cloud.add_argument("--synthetic", type=int, help="generate N uniform points instead")
+    search = argparse.ArgumentParser(add_help=False, parents=[cloud])
+    search.add_argument("--queries", type=int, default=100,
+                        help="synthetic query count (seed+1)")
+    search.add_argument("--query-input", help="load queries from a cloud file")
+    search.add_argument("--leaf-size", type=int, default=16)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_parser(name: str, **kw) -> argparse.ArgumentParser:
-        return sub.add_parser(name, parents=[common], **kw)
-
-    p = add_parser("optimize", help="solve minimal line-buffer schedule")
+    p = sub.add_parser("optimize", parents=[out], help="solve minimal line-buffer schedule")
     p.add_argument("graph", help="pipeline description JSON")
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--element-bytes", type=int, default=None)
     p.add_argument("--chunks", type=int, default=1)
     p.set_defaults(func=cmd_optimize)
 
-    p = add_parser("simulate", help="token-simulate a schedule")
+    p = sub.add_parser("simulate", help="token-simulate a schedule")
     p.add_argument("graph")
     p.add_argument("schedule")
     p.add_argument("--chunks", type=int, default=1)
@@ -450,13 +448,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=int, default=1, help="trace sampling stride")
     p.set_defaults(func=cmd_simulate)
 
-    p = add_parser("verify", help="cross-check the solver against enumeration")
+    p = sub.add_parser("verify", help="cross-check the solver against enumeration")
     p.add_argument("graph")
     p.add_argument("--horizon", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
-    p = add_parser("knn", help="k-nearest-neighbor search")
-    _add_cloud_options(p)
+    p = sub.add_parser("knn", parents=[search], help="k-nearest-neighbor search")
     p.add_argument("--k", type=int, default=8)
     p.add_argument("--deadline", default=None, help="step cap, or 'inf'")
     p.add_argument("--deadline-frac", default=None,
@@ -465,27 +462,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report recall against brute force")
     p.set_defaults(func=cmd_knn)
 
-    p = add_parser("range", help="radius search")
-    _add_cloud_options(p)
+    p = sub.add_parser("range", parents=[search], help="radius search")
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--deadline", default=None)
     p.add_argument("--recall", action="store_true")
     p.set_defaults(func=cmd_range)
 
-    p = add_parser("profile-deadline", help="suggest a step cap from profiling")
-    _add_cloud_options(p)
+    p = sub.add_parser("profile-deadline", parents=[search],
+                       help="suggest a step cap from profiling")
     p.add_argument("--k", type=int, default=32)
     p.add_argument("--fraction", default="1/4")
     p.set_defaults(func=cmd_profile_deadline)
 
-    p = add_parser("stats-chunks", help="mean grid cells touched per search")
-    _add_cloud_options(p)
+    p = sub.add_parser("stats-chunks", parents=[search],
+                       help="mean grid cells touched per search")
     p.add_argument("--grid", required=True, help="cell grid, e.g. 8x8x1")
     p.add_argument("--k-list", default="16,32,64,128,256")
     p.set_defaults(func=cmd_stats_chunks)
 
-    p = add_parser("split", help="partition a cloud into chunks/groups")
-    _add_cloud_options(p)
+    p = sub.add_parser("split", parents=[cloud], help="partition a cloud into chunks/groups")
     p.add_argument("--grid", default=None, help="cell grid, e.g. 3x3x1")
     p.add_argument("--kernel", default=None, help="group window, e.g. 2x2x1")
     p.add_argument("--stride", default=None, help="group stride, e.g. 1x1x1")
@@ -495,8 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include point index lists in the manifest")
     p.set_defaults(func=cmd_split)
 
-    p = add_parser("sort", help="chunked sort along an axis")
-    _add_cloud_options(p)
+    p = sub.add_parser("sort", parents=[cloud], help="chunked sort along an axis")
     p.add_argument("--axis", choices=("x", "y", "z"), default="x")
     p.add_argument("--chunks", type=int, default=8,
                    help="equal-width buckets along the axis")

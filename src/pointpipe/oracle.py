@@ -65,20 +65,28 @@ from ``EdgeModel.min_offset``. A failed probe is a
 ``ScheduleError("internal inconsistency: ...")``.
 
 Each edge's (feasible, peak) is scored by the curves at most once per
-offset and kept in a list indexed by offset from
-``min_offset``. An offset above ``sat_offset`` reads that offset's row:
-from there the overwrite starts at or past the producer's write end
-(``overwrite_delay`` is at least the consumer's depth), so the whole
-volume V is resident at the write end and the peak is V, the most any
-occupancy can reach; and feasibility only grows with the offset. The walk
-adds and compares integers: every peak is scaled by ``scale``, the least
-common multiple of the denominators scored so far. A newly scored peak
-whose denominator does not divide ``scale`` restarts the walk at the
-larger scale, with every row kept; the walk is deterministic, so it ends
-with the same vectors and count. The total goes back to a ``Fraction``
-once, at the end. Rows are scored on first use, not for the whole range,
-because one scoring costs a fraction of a millisecond and a walk on a
-tree uses a few offsets of ranges a hundred long.
+offset and kept in a list indexed by offset from ``min_offset``, whose
+first row is the threshold's score. An offset above ``sat_offset`` reads
+that offset's row: from there the overwrite starts at or past the
+producer's write end (``overwrite_delay`` is at least the consumer's
+depth), so the whole volume V is resident at the write end and the peak is
+V, the most any occupancy can reach; and feasibility only grows with the
+offset. Rows are scored on first use, because one scoring costs a fraction
+of a millisecond and a walk on a tree uses a few offsets of ranges a
+hundred long.
+
+The walk adds and compares integers, every peak scaled by ``scale``, which
+is fixed before the walk. At an integer offset an edge's peak is the
+largest occupancy over ``occupancy_kinks()``. At a root kink the writes
+equal the raw frees, and both lie in [0, V], so the occupancy is 0. At
+``write_start``, ``write_end``, ``overwrite_start`` and ``drain_end`` the
+writes are 0, V or ``out_rate * (t - write_start)``, and the frees are the
+writes, 0, V or ``in_rate * (t - overwrite_start)``. Moving the consumer by
+an integer changes no kink's denominator, and V is an integer. So every
+peak is a multiple of 1/L, L = lcm(den ``out_rate``, den ``in_rate``) *
+lcm(the four kinks' denominators at offset 0), and ``scale`` is the lcm of
+L over the edges; a peak off it is a ``ScheduleError("internal
+inconsistency: ...")``. The total is a ``Fraction`` again at the end.
 
 **Budget.** A walk that scores ``MAX_SEARCH_NODES`` candidate starts stops
 with ``SearchBudgetError``; ``verify`` then reports neither a match nor a
@@ -130,19 +138,24 @@ class SearchBudgetError(Exception):
 
 class _EdgeEval:
     """Feasibility and exact peak for one edge as a function of the
-    consumer-minus-producer start offset; memoized per offset. Scored by
-    the simulator's curves, never by ``EdgeModel``'s closed forms."""
+    consumer-minus-producer start offset. Scored by the simulator's curves,
+    never by ``EdgeModel``'s closed forms."""
 
     def __init__(self, model: EdgeModel):
         self.model = model
-        self._memo: dict[int, tuple[bool, Fraction]] = {}
+        e = model.edge
+        c = self._at_zero = edge_curves(model, {e.producer: 0, e.consumer: 0})
+        # L of the module docstring: every peak is a multiple of 1/L.
+        kinks = (c.write_start, c.write_end, c.overwrite_start, c.drain_end)
+        self.scale = (lcm(c.out_rate.denominator, c.in_rate.denominator)
+                      * lcm(*(t.denominator for t in kinks)))
         least = self._threshold_guess()
-        if not self.evaluate(least)[0] or self.evaluate(least - 1)[0]:
+        ok, self.min_cost = self.evaluate(least)
+        if not ok or self.evaluate(least - 1)[0]:
             raise ScheduleError(
                 f"internal inconsistency: offset {least} is not the least that "
                 f"edge {model.key} passes the stall check at")
         self.min_offset = least
-        self.min_cost = self.evaluate(least)[1]
         # Offset from which the overwrite starts at or past the producer's
         # write end: the whole volume is resident at once, so the peak and
         # the verdict stop changing, and later offsets read this one.
@@ -154,34 +167,22 @@ class _EdgeEval:
         starts once writing ends; any other starts demand, and finishes it,
         no earlier than the readable supply, which trails the writes by one
         cycle."""
-        e = self.model.edge
-        c = edge_curves(self.model, {e.producer: 0, e.consumer: 0})
+        c = self._at_zero
         if c.is_global:
             return ceil(c.write_end)
         lag = max(_ZERO, c.volume / c.out_rate - c.volume / c.in_rate)
         return ceil(c.write_start + 1 - c.demand_start + lag)
 
     def evaluate(self, offset: int) -> tuple[bool, Fraction]:
-        hit = self._memo.get(offset)
-        if hit is None:
-            e = self.model.edge
-            curves = edge_curves(self.model, {e.producer: 0, e.consumer: offset})
-            margin, _ = edge_stall_margin(curves)
-            peak = _ZERO
-            for t in curves.occupancy_kinks():
-                occ = curves.occupancy(t)
-                if occ > peak:
-                    peak = occ
-            hit = (margin >= 0, peak)
-            self._memo[offset] = hit
-        return hit
-
-
-class _Rescale(Exception):
-    """A peak's denominator does not divide the walk's scale."""
-
-    def __init__(self, denominator: int):
-        self.denominator = denominator
+        e = self.model.edge
+        curves = edge_curves(self.model, {e.producer: 0, e.consumer: offset})
+        margin, _ = edge_stall_margin(curves)
+        peak = _ZERO
+        for t in curves.occupancy_kinks():
+            occ = curves.occupancy(t)
+            if occ > peak:
+                peak = occ
+        return margin >= 0, peak
 
 
 @dataclass
@@ -244,46 +245,44 @@ def exhaustive_minimum(
         max(abs(ev.min_offset), abs(ev.sat_offset)) + 1 for ev in evals.values()
     )
     latest = min(horizon, span)
-    scale = lcm(*(ev.min_cost.denominator for ev in evals.values()))
-    while True:
-        try:
-            total, starts, tried = _walk(in_edges, latest, scale)
-        except _Rescale as r:
-            scale = lcm(scale, r.denominator)
-            continue
-        if total is None:
-            return None, None, tried
-        return Fraction(total, scale), dict(zip(order, starts)), tried
+    scale = lcm(*(ev.scale for ev in evals.values()))
+    total, starts, tried = _walk(in_edges, latest, scale)
+    if total is None:
+        return None, None, tried
+    return Fraction(total, scale), dict(zip(order, starts)), tried
 
 
 def _walk(
     in_edges: list[list[tuple[int, _EdgeEval]]], latest: int, scale: int
 ) -> tuple[int | None, list[int] | None, int]:
-    """The depth-first walk of ``exhaustive_minimum`` with every peak an
-    integer multiple of 1/``scale``; raises ``_Rescale`` on one that is not."""
+    """The depth-first walk of ``exhaustive_minimum`` with every peak
+    counted in units of 1/``scale``."""
     n = len(in_edges)
-    # Per position and in-edge: (producer position, min_offset, sat_offset,
-    # scaled peak per offset from min_offset: None until scored, -1 where
-    # infeasible, and the edge's evaluator).
-    edges = [
-        [(p, ev.min_offset, ev.sat_offset,
-          [None] * (ev.sat_offset - ev.min_offset + 1), ev) for p, ev in ins]
-        for ins in in_edges
-    ]
 
-    def scored(ev: _EdgeEval, offset: int) -> int:
-        ok, peak = ev.evaluate(offset)
+    def scored(ev: _EdgeEval, offset: int, ok: bool, peak: Fraction) -> int:
+        """The row for one scoring: -1 where infeasible, else the peak
+        in units of 1/``scale``."""
         if not ok:
             return -1
         if scale % peak.denominator:
-            raise _Rescale(peak.denominator)
+            raise ScheduleError(
+                f"internal inconsistency: peak {peak} of edge {ev.model.key} "
+                f"at offset {offset} is not a multiple of 1/{scale}")
         return peak.numerator * (scale // peak.denominator)
 
+    # Per position and in-edge: (producer position, min_offset, sat_offset,
+    # scaled peak per offset from min_offset: None until scored, -1 where
+    # infeasible, and the edge's evaluator). Row 0 is the threshold's score.
+    edges = [
+        [(p, ev.min_offset, ev.sat_offset,
+          [scored(ev, ev.min_offset, True, ev.min_cost)]
+          + [None] * (ev.sat_offset - ev.min_offset), ev) for p, ev in ins]
+        for ins in in_edges
+    ]
     # Lower bound on everything scheduled after position i.
     rest_min = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        rest_min[i] = rest_min[i + 1] + sum(
-            scored(ev, ev.min_offset) for _, ev in in_edges[i])
+        rest_min[i] = rest_min[i + 1] + sum(costs[0] for _, _, _, costs, _ in edges[i])
     # How far past a stage's start the start rule pushes its descendants:
     # the longest path of ``min_offset``s out of it, and at least 0.
     reach = [0] * n
@@ -342,7 +341,7 @@ def _walk(
                 k = (top if d > top else d) - off
                 c = costs[k]
                 if c is None:
-                    c = costs[k] = scored(ev, off + k)
+                    c = costs[k] = scored(ev, off + k, *ev.evaluate(off + k))
                 if c < 0:
                     break
                 cost += c

@@ -22,28 +22,29 @@ PIPELINES = sorted((Path(__file__).parent.parent / "pipelines").glob("*.json"))
 KNN_STENCIL = str(Path(__file__).parent.parent / "pipelines" / "knn_stencil.json")
 GOLDEN_SPLIT = Path(__file__).parent / "golden" / "split"
 GOLDEN_SEARCH = Path(__file__).parent / "golden" / "search"
-CLOUD = ["--synthetic", "50", "--queries", "3"]
+POINTS = ["--synthetic", "50"]
+CLOUD = [*POINTS, "--queries", "3"]
 
 BAD_INPUTS = [
     ["range", *CLOUD, "--radius", "0.2", "--deadline", "abc"],
     ["range", *CLOUD, "--radius", "0"],
-    ["sort", *CLOUD, "--cuts", "a,b"],
-    ["sort", *CLOUD, "--chunks", "0"],
+    ["sort", *POINTS, "--cuts", "a,b"],
+    ["sort", *POINTS, "--chunks", "0"],
     ["profile-deadline", *CLOUD, "--fraction", "x"],
     ["profile-deadline", *CLOUD, "--fraction", "1/0"],
     ["knn", *CLOUD, "--k", "0"],
     ["knn", *CLOUD, "--deadline-frac", "x"],
     ["knn", *CLOUD, "--deadline-frac", "1/0"],
     ["knn", "--synthetic", "50", "--queries", "0"],
-    ["split", *CLOUD, "--grid", "0x1x1"],
-    ["split", *CLOUD, "--serial", "0"],
-    ["split", *CLOUD, "--serial", "10", "--grid", "2x2x2"],
-    ["split", *CLOUD, "--serial", "10", "--kernel", "1x1x1"],
-    ["split", *CLOUD, "--serial", "10", "--stride", "1x1x1"],
+    ["split", *POINTS, "--grid", "0x1x1"],
+    ["split", *POINTS, "--serial", "0"],
+    ["split", *POINTS, "--serial", "10", "--grid", "2x2x2"],
+    ["split", *POINTS, "--serial", "10", "--kernel", "1x1x1"],
+    ["split", *POINTS, "--serial", "10", "--stride", "1x1x1"],
     # One past MAX_GRID_CELLS = 2**20: 2**20 + 1 = 17 * 61681 cells, and as
     # many (window, cell) pairs, 61681 windows of 17, on fewer cells.
-    ["split", *CLOUD, "--grid", "17x61681x1"],
-    ["split", *CLOUD, "--grid", "61697x1x1", "--kernel", "17x1x1"],
+    ["split", *POINTS, "--grid", "17x61681x1"],
+    ["split", *POINTS, "--grid", "61697x1x1", "--kernel", "17x1x1"],
     ["stats-chunks", *CLOUD, "--grid", "0x1x1"],
     ["stats-chunks", *CLOUD, "--grid", "17x61681x1"],
     ["optimize", KNN_STENCIL, "--chunks", "0"],
@@ -110,7 +111,7 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
         ["knn", *CLOUD, "--k", "2", "--recall"],
         ["simulate", KNN_STENCIL, schedule, "--chunks", "8", "--stride", "3", "--trace", trace],
         ["simulate", KNN_STENCIL, schedule, "--chunks", "8"],
-        ["sort", *CLOUD, "--verify"],
+        ["sort", *POINTS, "--verify"],
         ["optimize", KNN_STENCIL],
     ]
     fresh = []
@@ -121,6 +122,29 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
     build_parser.cache_clear()
     assert [_outputs(argv, work, capsys) for argv in calls] == fresh
     assert build_parser.cache_info().misses == 1
+
+
+# (command, flag) pairs that the command would not read: it rejects each.
+UNREAD_FLAGS = [
+    ("optimize", "--seed"), ("optimize", "--format"),
+    ("simulate", "--seed"), ("simulate", "--format"), ("simulate", "--out"),
+    ("verify", "--seed"), ("verify", "--format"), ("verify", "--out"),
+    ("split", "--queries"), ("split", "--query-input"), ("split", "--leaf-size"),
+    ("sort", "--queries"), ("sort", "--query-input"), ("sort", "--leaf-size"),
+]
+
+
+@pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
+def test_unread_flag_is_a_usage_error(command, flag, tmp_path, capsys):
+    # An accepted flag that is never read fails silently: `verify g.json
+    # --out F` would exit 0 and write no F.
+    operands = {"optimize": [KNN_STENCIL], "verify": [KNN_STENCIL],
+                "simulate": [KNN_STENCIL, str(tmp_path / "schedule.json")]}
+    with pytest.raises(SystemExit) as exit_:
+        main([command, *operands.get(command, POINTS), flag, str(tmp_path / "f")])
+    assert exit_.value.code == USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
 
 
 def test_no_prune_is_gone():

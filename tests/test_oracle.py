@@ -206,16 +206,26 @@ def test_pruned_walk_equals_the_plain_walk(shape):
                 assert list(fast[1]) == list(plain[1])
 
 
-def test_seeded_threshold_equals_the_plain_bisection():
+def test_seeded_threshold_equals_the_plain_bisection(monkeypatch):
     # The curves' threshold is what the plain bisection over [-slack, slack]
-    # finds, and it and the offset below it are the only scorings.
+    # finds, and the only curves built are those at offset 0, the threshold
+    # and the offset below it.
+    built = []
+
+    def counted(*args, **kw):
+        built.append(args)
+        return edge_curves(*args, **kw)
+
+    monkeypatch.setattr(oracle, "edge_curves", counted)
     edges = 0
     for graphs in (suite(300, start_seed=5000), suite(200, shape="tree"),
                    suite(300, start_seed=30000)):
         for g in graphs:
             for m in edge_models(g):
-                seeded, plain = oracle._EdgeEval(m), _PlainEdgeEval(m)
-                assert len(seeded._memo) <= 2, m.key
+                built.clear()
+                seeded = oracle._EdgeEval(m)
+                assert len(built) == 3, m.key
+                plain = _PlainEdgeEval(m)
                 assert (seeded.min_offset, seeded.min_cost, seeded.sat_offset) == (
                     plain.min_offset, plain.min_cost, plain.sat_offset), m.key
                 edges += 1
@@ -237,3 +247,22 @@ def test_wrong_threshold_is_an_internal_inconsistency(shift, monkeypatch, capsys
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: internal inconsistency: offset ")
+
+
+def test_peak_off_the_scale_is_an_internal_inconsistency(monkeypatch, capsys):
+    # knn_stencil's optimum, 3/2, has a peak of half an element: at scale 1
+    # the walk must stop with an input error, not round or restart.
+    init = oracle._EdgeEval.__init__
+
+    def unscaled(self, model):
+        init(self, model)
+        self.scale = 1
+
+    monkeypatch.setattr(oracle._EdgeEval, "__init__", unscaled)
+    graph = parse_pipeline(Path(KNN_STENCIL).read_text())
+    with pytest.raises(ScheduleError, match="internal inconsistency: peak "):
+        exhaustive_minimum(graph, 128)
+    assert main(["verify", KNN_STENCIL]) == USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: internal inconsistency: peak ")
