@@ -3,7 +3,10 @@
 ``tests/golden/<pipeline>/``. Every shipped example is a tree, so four
 reconvergent pipelines pin the LP search's bytes in
 ``tests/golden/reconvergent/<name>/``: three from the other tests, and one
-whose least optimal start vector only the solver's tiebreak pass finds."""
+whose least optimal start vector only the solver's tiebreak pass finds.
+Each of these graphs also pins ``simulate --trace``'s occupancy rows in
+``trace.c<chunks>.s<stride>.csv``, at one chunk and stride 1 and at four
+chunks and stride 3."""
 
 from pathlib import Path
 
@@ -35,6 +38,8 @@ DIAMOND7_TIEBREAK = """{"input_work": 24, "stages": [
              ["s4", "s5"], ["s5", "s6"]]}"""
 RECONVERGENT = {"diamond": DIAMOND, "diamond5_1": DIAMOND5_1, "diamond_chain": DIAMOND_CHAIN,
                 "diamond7_tiebreak": DIAMOND7_TIEBREAK}
+TRACED = [(path.stem, path) for path in PIPELINES] + [
+    (f"reconvergent/{name}", name) for name in sorted(RECONVERGENT)]
 
 
 def test_shipped_pipelines_keep_duration_identity():
@@ -81,3 +86,20 @@ def test_tiebreak_diamond_verifies(tmp_path, capsys):
     assert capsys.readouterr().out == (
         f"match: oracle total 101 at {starts}, solver total 101 at {starts} "
         "(1 candidates, horizon 2240)\n")
+
+
+@pytest.mark.parametrize("chunks, stride", [("1", "1"), ("4", "3")])
+@pytest.mark.parametrize("name, source", TRACED, ids=[name for name, _ in TRACED])
+def test_trace_rows_match_golden(name, source, chunks, stride, tmp_path):
+    if isinstance(source, str):
+        path = tmp_path / f"{source}.json"
+        path.write_text(RECONVERGENT[source])
+    else:
+        path = source
+    schedule = tmp_path / "schedule.json"
+    trace = tmp_path / "trace.csv"
+    assert main(["optimize", str(path), "--chunks", chunks, "--out", str(schedule)]) == 0
+    assert main(["simulate", str(path), str(schedule), "--chunks", chunks,
+                 "--stride", stride, "--trace", str(trace),
+                 "--summary", str(tmp_path / "summary.json")]) == 0
+    assert trace.read_bytes() == (GOLDEN / name / f"trace.c{chunks}.s{stride}.csv").read_bytes()
