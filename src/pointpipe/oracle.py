@@ -64,29 +64,46 @@ prove it least by the simulator's stall check alone, with nothing taken
 from ``EdgeModel.min_offset``. A failed probe is a
 ``ScheduleError("internal inconsistency: ...")``.
 
-Each edge's (feasible, peak) is scored by the curves at most once per
-offset and kept in a list indexed by offset from ``min_offset``, whose
-first row is the threshold's score. An offset above ``sat_offset`` reads
-that offset's row: from there the overwrite starts at or past the
-producer's write end (``overwrite_delay`` is at least the consumer's
-depth), so the whole volume V is resident at the write end and the peak is
-V, the most any occupancy can reach; and feasibility only grows with the
-offset. Rows are scored on first use, because one scoring costs a fraction
-of a millisecond and a walk on a tree uses a few offsets of ranges a
-hundred long.
+An offset d is scored on ``_at_zero`` with only the consumer side moved.
+The producer starts at 0 at every offset, so ``write_start``,
+``write_end``, the writes and the readable supply are those at 0;
+``demand_start``, ``overwrite_start``, ``consumer_start`` and
+``drain_end`` are each the consumer's start plus a span the graph fixes,
+so each is its value at 0 plus d. The stall check is
+``edge_stall_margin``'s at the moved times, at the two ramp ends where it
+can fail: ``write_start + 1``, where readable is 0, and ``demand_start + d
++ V/in_rate``, where demand is V; at the other two, readable is V or
+demand is 0. The peak is the largest occupancy over the moved curves'
+``occupancy_kinks()``. The occupancy, writes minus min(writes, raw frees),
+is max(0, writes - raw frees): linear between those kinks and constant
+outside them, so largest at one of them. It is 0 at a root, where the
+writes equal the raw frees and both lie in [0, V]; at ``write_start``,
+which has no writes yet; and at ``drain_end + d``, where the raw frees are
+V. So the peak is the largest of 0 and the occupancy at ``write_end`` and
+``overwrite_start + d``.
 
-The walk adds and compares integers, every peak scaled by ``scale``, which
-is fixed before the walk. At an integer offset an edge's peak is the
-largest occupancy over ``occupancy_kinks()``. At a root kink the writes
-equal the raw frees, and both lie in [0, V], so the occupancy is 0. At
-``write_start``, ``write_end``, ``overwrite_start`` and ``drain_end`` the
-writes are 0, V or ``out_rate * (t - write_start)``, and the frees are the
-writes, 0, V or ``in_rate * (t - overwrite_start)``. Moving the consumer by
-an integer changes no kink's denominator, and V is an integer. So every
-peak is a multiple of 1/L, L = lcm(den ``out_rate``, den ``in_rate``) *
-lcm(the four kinks' denominators at offset 0), and ``scale`` is the lcm of
-L over the edges; a peak off it is a ``ScheduleError("internal
-inconsistency: ...")``. The total is a ``Fraction`` again at the end.
+Both are integers. Times are counted in 1/T cycles, T the lcm of the
+denominators of the curves' times at offset 0 (those of ``demand_start``
+and ``consumer_start``, the consumer's depth and 0, are 1), and tokens in
+1/L, L = lcm(den ``out_rate``, den ``in_rate``) * T. A rate times a time
+difference is then a whole number of 1/L tokens, and so is V, an integer,
+and moving the consumer by d adds d*T to a time. So every peak is a
+multiple of 1/L.
+
+Each edge's (feasible, peak) is scored at most once per offset and kept
+in a list indexed by offset from ``min_offset``, whose first row is the
+threshold's score. An offset above ``sat_offset`` reads that offset's
+row: from there the overwrite starts at or past the producer's write end
+(``overwrite_delay`` is at least the consumer's depth), so the whole
+volume V is resident at the write end and the peak is V, the most any
+occupancy can reach; and feasibility only grows with the offset. Rows are
+scored on first use, because a walk on a tree uses a few offsets of
+ranges a hundred long.
+
+The walk adds and compares integers, every peak in units of 1/``scale``,
+the lcm of L over the edges, fixed before the walk; a peak off it is a
+``ScheduleError("internal inconsistency: ...")``. The total is a
+``Fraction`` again at the end.
 
 **Budget.** A walk that scores ``MAX_SEARCH_NODES`` candidate starts stops
 with ``SearchBudgetError``; ``verify`` then reports neither a match nor a
@@ -109,7 +126,7 @@ from .optimizer import (
     edge_models,
     solve,
 )
-from .simulator import edge_curves, edge_stall_margin
+from .simulator import edge_curves
 
 _ZERO = Fraction(0)
 
@@ -145,10 +162,15 @@ class _EdgeEval:
         self.model = model
         e = model.edge
         c = self._at_zero = edge_curves(model, {e.producer: 0, e.consumer: 0})
-        # L of the module docstring: every peak is a multiple of 1/L.
-        kinks = (c.write_start, c.write_end, c.overwrite_start, c.drain_end)
-        self.scale = (lcm(c.out_rate.denominator, c.in_rate.denominator)
-                      * lcm(*(t.denominator for t in kinks)))
+        # T and L of the module docstring: times in 1/T cycles and tokens in
+        # 1/L, so every peak is a multiple of 1/L.
+        times = (c.write_start, c.write_end, c.overwrite_start, c.drain_end,
+                 c.demand_start, c.consumer_start)
+        ticks = lcm(*(t.denominator for t in times))
+        rates = lcm(c.out_rate.denominator, c.in_rate.denominator)
+        self.scale = rates * ticks
+        self._ints = (*(int(t * ticks) for t in times), ticks, int(c.out_rate * rates),
+                      int(c.in_rate * rates), int(c.volume * self.scale), self.scale)
         least = self._threshold_guess()
         ok, self.min_cost = self.evaluate(least)
         if not ok or self.evaluate(least - 1)[0]:
@@ -174,15 +196,24 @@ class _EdgeEval:
         return ceil(c.write_start + 1 - c.demand_start + lag)
 
     def evaluate(self, offset: int) -> tuple[bool, Fraction]:
-        e = self.model.edge
-        curves = edge_curves(self.model, {e.producer: 0, e.consumer: offset})
-        margin, _ = edge_stall_margin(curves)
-        peak = _ZERO
-        for t in curves.occupancy_kinks():
-            occ = curves.occupancy(t)
-            if occ > peak:
-                peak = occ
-        return margin >= 0, peak
+        """(passes the stall check, peak) at ``offset``: the curves at offset
+        0 with the consumer side moved by it (see the module docstring), in
+        integers at the edge's scale."""
+        ws, we, ow, de, ds, cs, one, out, inn, vol, unit = self._ints
+        d = offset * one
+        if self._at_zero.is_global:
+            ok = min(max(out * (cs + d - ws), 0), vol) >= vol
+        else:
+            # Readable supply against demand where the supply starts and
+            # where demand ends.
+            ok = all(
+                min(max(out * (t - one - ws), 0), vol) >= min(max(inn * (t - ds - d), 0), vol)
+                for t in (ws + one, ds + d + de - ow))
+        # Writes minus raw frees where writing ends and where freeing starts.
+        peak = max(
+            min(max(out * (t - ws), 0), vol) - min(max(inn * (t - ow - d), 0), vol)
+            for t in (we, ow + d))
+        return ok, Fraction(max(peak, 0), unit)
 
 
 @dataclass

@@ -26,7 +26,8 @@ zero up to its write start and from its drain end on, for any overwrite
 start, so at time t only the chunks with
 ``write_start + k*II <= t <= drain_end + k*II`` are live, and an edge's
 occupancy is summed over those alone (``_live_occupancy``).
-``SimTrace.occupancy_at`` and ``SimTrace.sample_rows`` use it.
+``SimTrace.occupancy_at``, the peak scan below and the breakpoints of
+``SimTrace.sample_rows`` use it.
 
 **The peak scan is bounded in the chunk count.** Let D = drain_end -
 write_start and, for II > 0, m = floor(D / II). Chunk 0's occupancy is
@@ -43,13 +44,34 @@ first reaches its peak where it rises to it, at some chunk's kink, so the
 shifts 0 to m give both the peak and the earliest time it is reached,
 which times an overflow: m + 1 shifts, 2 of 32 when m = 1. At II <= 0
 every shift is scanned.
+
+**Trace rows are swept, not sampled.** Let B be the set of chunk 0's kept
+kinks x moved by k*II, for every k < C. Chunk k's occupancy is chunk 0's
+moved k*II later: zero outside [write_start + k*II, drain_end + k*II],
+whose ends are in B, and linear between its kept kinks moved by k*II,
+which are in B too. Writes and frees are clamped ramps, so every
+occupancy is continuous. A sum of such functions is linear on each closed
+piece [b, b'] between consecutive points of B, and zero before min B and
+from max B on (B is empty, and the occupancy zero, when drain_end <
+write_start). That holds for any II: at II = 0, B is chunk 0's kept kinks
+and the sum is C times chunk 0's occupancy; at II < 0, min B is the last
+chunk's write start. ``sample_rows`` evaluates ``_live_occupancy`` once at
+each point of B and writes the line through a piece's two end values as
+(A + S*t) / D, with integers A, S and D. An integer cycle t with b <= t < b'
+reads that line, which equals the summed occupancy at t because the sum is
+linear on [b, b'], ends included. Points of B need not be integers: an
+integer cycle between two fractional points reads the line between them,
+and a piece with no integer cycle in it is read by none. The stride only
+picks the cycles; they grow, so each edge's cursor over its pieces only
+moves forward, and every edge's cursor moves with the cycle. A row costs
+one integer multiply-add and one ``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, inf, lcm
 
 from .graph import PipelineGraph
 from .optimizer import EdgeModel, ScheduleSolution, _frac_to_json, edge_key, edge_models
@@ -168,6 +190,33 @@ def _live_occupancy(
     return sum((curves.occupancy(t - k * interval) for k in range(lo, hi)), _ZERO)
 
 
+def _kept_kinks(curves: EdgeCurves) -> list[Fraction]:
+    """The occupancy kinks in [write_start, drain_end], outside which the
+    occupancy is zero."""
+    return [t for t in curves.occupancy_kinks() if curves.write_start <= t <= curves.drain_end]
+
+
+def _occupancy_pieces(
+    curves: EdgeCurves, chunks: int, interval: Fraction
+) -> list[tuple[int | float, int, int, int]]:
+    """One edge's occupancy summed over ``chunks`` chunks as linear pieces
+    in time order (see the module docstring): (first integer cycle after
+    the piece, A, S, D), the occupancy at an integer cycle t on the piece
+    being (A + S*t) / D. Zero pieces come before the first point and from
+    the last on."""
+    pts = sorted({t + k * interval for t in _kept_kinks(curves) for k in range(chunks)})
+    vals = [_live_occupancy(curves, chunks, interval, t) for t in pts]
+    pieces = [(ceil(pts[0]), 0, 0, 1)] if pts else []
+    for t0, v0, t1, v1 in zip(pts, vals, pts[1:], vals[1:]):
+        slope = (v1 - v0) / (t1 - t0)
+        at0 = v0 - slope * t0
+        den = lcm(slope.denominator, at0.denominator)
+        pieces.append((ceil(t1), at0.numerator * (den // at0.denominator),
+                       slope.numerator * (den // slope.denominator), den))
+    pieces.append((inf, 0, 0, 1))
+    return pieces
+
+
 def edge_stall_margin(curves: EdgeCurves) -> tuple[Fraction, Fraction]:
     """(worst margin, time of worst margin); negative margin means a stall."""
     if curves.is_global:
@@ -226,10 +275,20 @@ class SimTrace:
         return _live_occupancy(self._curves[key], chunks, self._interval, Fraction(t))
 
     def sample_rows(self, stride: int = 1):
-        """Yield (cycle, edge, occupancy) rows at integer cycles."""
+        """Yield (cycle, edge, occupancy) rows at integer cycles, swept over
+        each edge's linear pieces (see the module docstring)."""
+        chunks = len(self.chunk_completions)
+        edges = [(key, _occupancy_pieces(self._curves[key], chunks, self._interval))
+                 for key in self.edge_order]
+        at = [0] * len(edges)
         for cyc in range(0, self.completion_cycle + 1, stride):
-            for key in self.edge_order:
-                yield cyc, key, self.occupancy_at(key, cyc)
+            for j, (key, pieces) in enumerate(edges):
+                i = at[j]
+                while pieces[i][0] <= cyc:
+                    i += 1
+                at[j] = i
+                _, a, b, den = pieces[i]
+                yield cyc, key, Fraction(a + b * cyc, den)
 
     def summary_dict(self) -> dict:
         return {
@@ -298,7 +357,7 @@ def simulate(
                 for s in shifts
             )
 
-        kinks = [t for t in cur.occupancy_kinks() if cur.write_start <= t <= cur.drain_end]
+        kinks = _kept_kinks(cur)
         scanned = shifts
         if interval > 0 and kinks:
             # No shift past m reaches a higher occupancy (see above).

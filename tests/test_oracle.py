@@ -101,6 +101,57 @@ def test_search_budget_is_inconclusive(budget, best, tmp_path, monkeypatch, caps
     assert not report.matches and report.budget_nodes == budget
 
 
+def _scored_by_curves(model, offset):
+    """An edge's (feasible, peak) at ``offset`` as the oracle scored it
+    before it moved only the consumer side: new curves at the offset, their
+    stall margin, and the largest occupancy over every occupancy kink."""
+    e = model.edge
+    curves = edge_curves(model, {e.producer: 0, e.consumer: offset})
+    margin, _ = edge_stall_margin(curves)
+    peak = Fraction(0)
+    for t in curves.occupancy_kinks():
+        peak = max(peak, curves.occupancy(t))
+    return margin >= 0, peak
+
+
+SCORED_SUITES = ((200, {"start_seed": 5000}), (100, {"shape": "tree"}),
+                 (200, {"start_seed": 30000}))
+
+
+def test_consumer_shift_scoring_equals_new_curves_at_every_offset():
+    # Two kinks and two stall ends moved by the offset give what new curves
+    # at the offset give, on both sides of the threshold and past saturation.
+    scored = 0
+    for count, kw in SCORED_SUITES:
+        for g in suite(count, **kw):
+            for m in edge_models(g):
+                ev = oracle._EdgeEval(m)
+                for d in range(ev.min_offset - 3, ev.sat_offset + 3):
+                    assert ev.evaluate(d) == _scored_by_curves(m, d), (m.key, d)
+                    scored += 1
+    assert scored > 20000
+
+
+def test_walk_is_unchanged_by_the_consumer_shift_scoring(monkeypatch):
+    # Total, starts (order included) and candidate count, scored both ways,
+    # where the horizon binds and where it does not.
+    walks = 0
+    for count, kw in SCORED_SUITES:
+        for g in suite(count, **kw):
+            latest = max(solve(build_constraints(g)).start_cycles.values())
+            for horizon in (latest - 1, latest + 2):
+                fast = exhaustive_minimum(g, horizon)
+                with monkeypatch.context() as patch:
+                    patch.setattr(oracle._EdgeEval, "evaluate",
+                                  lambda self, d: _scored_by_curves(self.model, d))
+                    reference = exhaustive_minimum(g, horizon)
+                assert fast == reference, horizon
+                if fast[1] is not None:
+                    assert list(fast[1]) == list(reference[1])
+                walks += 1
+    assert walks == 1000
+
+
 # The walk as it was before the translation prune and the integer tables:
 # every start vector in [0, latest]^n in lexicographic order, each edge
 # scored through a memo dict and summed as Fractions. The faster walk must
@@ -124,13 +175,7 @@ class _PlainEdgeEval:
     def evaluate(self, offset):
         hit = self._memo.get(offset)
         if hit is None:
-            e = self.model.edge
-            curves = edge_curves(self.model, {e.producer: 0, e.consumer: offset})
-            margin, _ = edge_stall_margin(curves)
-            peak = Fraction(0)
-            for t in curves.occupancy_kinks():
-                peak = max(peak, curves.occupancy(t))
-            hit = self._memo[offset] = (margin >= 0, peak)
+            hit = self._memo[offset] = _scored_by_curves(self.model, offset)
         return hit
 
 
@@ -208,8 +253,8 @@ def test_pruned_walk_equals_the_plain_walk(shape):
 
 def test_seeded_threshold_equals_the_plain_bisection(monkeypatch):
     # The curves' threshold is what the plain bisection over [-slack, slack]
-    # finds, and the only curves built are those at offset 0, the threshold
-    # and the offset below it.
+    # finds, and the only curves built are those at offset 0: the scorings
+    # of the threshold and the offset below it move their consumer side.
     built = []
 
     def counted(*args, **kw):
@@ -224,7 +269,7 @@ def test_seeded_threshold_equals_the_plain_bisection(monkeypatch):
             for m in edge_models(g):
                 built.clear()
                 seeded = oracle._EdgeEval(m)
-                assert len(built) == 3, m.key
+                assert len(built) == 1, m.key
                 plain = _PlainEdgeEval(m)
                 assert (seeded.min_offset, seeded.min_cost, seeded.sat_offset) == (
                     plain.min_offset, plain.min_cost, plain.sat_offset), m.key

@@ -38,8 +38,8 @@ DIAMOND7_TIEBREAK = """{"input_work": 24, "stages": [
              ["s4", "s5"], ["s5", "s6"]]}"""
 RECONVERGENT = {"diamond": DIAMOND, "diamond5_1": DIAMOND5_1, "diamond_chain": DIAMOND_CHAIN,
                 "diamond7_tiebreak": DIAMOND7_TIEBREAK}
-TRACED = [(path.stem, path) for path in PIPELINES] + [
-    (f"reconvergent/{name}", name) for name in sorted(RECONVERGENT)]
+TRACED = {path.stem: path.read_text() for path in PIPELINES} | {
+    f"reconvergent/{name}": text for name, text in RECONVERGENT.items()}
 
 
 def test_shipped_pipelines_keep_duration_identity():
@@ -89,13 +89,10 @@ def test_tiebreak_diamond_verifies(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("chunks, stride", [("1", "1"), ("4", "3")])
-@pytest.mark.parametrize("name, source", TRACED, ids=[name for name, _ in TRACED])
-def test_trace_rows_match_golden(name, source, chunks, stride, tmp_path):
-    if isinstance(source, str):
-        path = tmp_path / f"{source}.json"
-        path.write_text(RECONVERGENT[source])
-    else:
-        path = source
+@pytest.mark.parametrize("name", sorted(TRACED))
+def test_trace_rows_match_golden(name, chunks, stride, tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(TRACED[name])
     schedule = tmp_path / "schedule.json"
     trace = tmp_path / "trace.csv"
     assert main(["optimize", str(path), "--chunks", chunks, "--out", str(schedule)]) == 0

@@ -231,3 +231,29 @@ def test_live_chunk_sums_equal_brute_force_over_every_chunk(chunks):
             ]
     assert stalled
     assert {0, 1, 2} <= reaches
+
+
+@pytest.mark.parametrize("chunks", [1, 5, 32])
+def test_swept_rows_equal_pointwise_live_occupancy(chunks):
+    # sample_rows sweeps each edge's linear pieces; occupancy_at sums the
+    # live chunks at one cycle. The variants give interval 0 with every
+    # chunk on top of the others, interval 1, so that many chunks overlap,
+    # fractional intervals whose breakpoints fall between integer cycles,
+    # and moved overwrite starts. At 32 chunks the pointwise side takes
+    # seconds per random graph, so the hand-written graphs alone.
+    graphs = [parse_pipeline(KNN_STENCIL), parse_pipeline(LOCAL_CHAIN),
+              parse_pipeline(GLOBAL_EDGE)]
+    if chunks < 32:
+        graphs += suite(3, start_seed=900)
+    fractional = 0
+    for g in graphs:
+        for sol in _variants(g, chunks):
+            fractional += sol.initiation_interval.denominator > 1
+            trace = simulate(g, sol, chunk_count=chunks)
+            for stride in (1, 3):
+                assert list(trace.sample_rows(stride=stride)) == [
+                    (cyc, key, trace.occupancy_at(key, cyc))
+                    for cyc in range(0, trace.completion_cycle + 1, stride)
+                    for key in trace.edge_order
+                ], (sol.initiation_interval, stride)
+    assert fractional
