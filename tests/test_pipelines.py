@@ -6,14 +6,19 @@ reconvergent pipelines pin the LP search's bytes in
 whose least optimal start vector only the solver's tiebreak pass finds.
 Each of these graphs also pins ``simulate --trace``'s occupancy rows in
 ``trace.c<chunks>.s<stride>.csv``, at one chunk and stride 1 and at four
-chunks and stride 3."""
+chunks and stride 3, and its 32-chunk ``simulate`` summary in
+``simulate.c32.json``. One overflowing 32-chunk summary pins the cycle and
+occupancy of each overflow."""
 
+import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from pointpipe.cli import main
+from pointpipe.cli import VERIFY_FAILED, main
 from pointpipe.graph import check_duration_identity, load_pipeline
+from pointpipe.optimizer import ScheduleSolution
 
 from conftest import DIAMOND
 from test_optimizer import DIAMOND_CHAIN
@@ -100,3 +105,37 @@ def test_trace_rows_match_golden(name, chunks, stride, tmp_path):
                  "--stride", stride, "--trace", str(trace),
                  "--summary", str(tmp_path / "summary.json")]) == 0
     assert trace.read_bytes() == (GOLDEN / name / f"trace.c{chunks}.s{stride}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(TRACED))
+def test_simulate_summary_matches_golden_at_32_chunks(name, tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(TRACED[name])
+    schedule = tmp_path / "schedule.json"
+    summary = tmp_path / "summary.json"
+    assert main(["optimize", str(path), "--chunks", "32", "--out", str(schedule)]) == 0
+    assert main(["simulate", str(path), str(schedule), "--chunks", "32",
+                 "--summary", str(summary)]) == 0
+    assert summary.read_bytes() == (GOLDEN / name / "simulate.c32.json").read_bytes()
+
+
+def test_overflow_summary_matches_golden(tmp_path, capsys):
+    # The 32-chunk diamond chain with its interval cut from 98 to 45/2, so
+    # chunks overlap and peaks fall between integer cycles, and with every
+    # capacity halved: each edge overflows, at the ceiling of its peak time.
+    path = tmp_path / "graph.json"
+    path.write_text(DIAMOND_CHAIN)
+    schedule = tmp_path / "schedule.json"
+    summary = tmp_path / "summary.json"
+    assert main(["optimize", str(path), "--chunks", "32", "--out", str(schedule)]) == 0
+    sol = ScheduleSolution.from_json_dict(json.loads(schedule.read_text()))
+    sol.initiation_interval = Fraction(45, 2)
+    sol.buffer_sizes = {key: size / 2 for key, size in sol.buffer_sizes.items()}
+    schedule.write_text(sol.dumps())
+    capsys.readouterr()
+    assert main(["simulate", str(path), str(schedule), "--chunks", "32",
+                 "--summary", str(summary)]) == VERIFY_FAILED
+    assert capsys.readouterr().err == (
+        "simulation violated the schedule: 0 stalls, 9 overflows\n")
+    golden = GOLDEN / "reconvergent" / "diamond_chain" / "simulate.c32.overflow.json"
+    assert summary.read_bytes() == golden.read_bytes()
