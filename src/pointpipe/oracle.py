@@ -54,8 +54,9 @@ other edge the readable supply and the demand are both ramps clamped to
 + 1``, and demand from 0 at ``demand_start`` to V at ``demand_start +
 V/in_rate``. Two clamped ramps between the same levels satisfy demand <=
 readable everywhere exactly when demand starts no earlier, and ends no
-earlier, than the supply; ``edge_stall_margin`` compares the two at all
-four of those ends, so it agrees. Moving the consumer by the offset moves
+earlier, than the supply; the simulator's stall check
+(``EdgeTicks.stall``) compares the two at all four of those ends, so it
+agrees. Moving the consumer by the offset moves
 demand alone, so the least feasible offset is ``ceil(write_start + 1 -
 demand_start + max(0, V/out_rate - V/in_rate))``. The threshold is then
 scored twice, at itself and one below, and must be feasible and
@@ -69,26 +70,20 @@ The producer starts at 0 at every offset, so ``write_start``,
 ``write_end``, the writes and the readable supply are those at 0;
 ``demand_start``, ``overwrite_start``, ``consumer_start`` and
 ``drain_end`` are each the consumer's start plus a span the graph fixes,
-so each is its value at 0 plus d. The stall check is
-``edge_stall_margin``'s at the moved times, at the two ramp ends where it
-can fail: ``write_start + 1``, where readable is 0, and ``demand_start + d
-+ V/in_rate``, where demand is V; at the other two, readable is V or
-demand is 0. The peak is the largest occupancy over the moved curves'
-``occupancy_kinks()``. The occupancy, writes minus min(writes, raw frees),
-is max(0, writes - raw frees): linear between those kinks and constant
-outside them, so largest at one of them. It is 0 at a root, where the
-writes equal the raw frees and both lie in [0, V]; at ``write_start``,
-which has no writes yet; and at ``drain_end + d``, where the raw frees are
-V. So the peak is the largest of 0 and the occupancy at ``write_end`` and
-``overwrite_start + d``.
+so each is its value at 0 plus d. The stall check is ``EdgeTicks.stall``
+at the moved times. The peak is the largest
+occupancy over the moved curves' kinks. The occupancy, max(0, writes -
+raw frees), is linear between those kinks and constant outside them, so
+largest at one of them. It is 0 at a root, where the writes equal the raw
+frees and both lie in [0, V]; at ``write_start``, which has no writes yet;
+and at ``drain_end + d``, where the raw frees are V. So the peak is the
+largest of 0 and the occupancy at ``write_end`` and ``overwrite_start +
+d``.
 
-Both are integers. Times are counted in 1/T cycles, T the lcm of the
-denominators of the curves' times at offset 0 (those of ``demand_start``
-and ``consumer_start``, the consumer's depth and 0, are 1), and tokens in
-1/L, L = lcm(den ``out_rate``, den ``in_rate``) * T. A rate times a time
-difference is then a whole number of 1/L tokens, and so is V, an integer,
-and moving the consumer by d adds d*T to a time. So every peak is a
-multiple of 1/L.
+Both run in integers: the curves at offset 0 are the simulator's integer
+record (``EdgeTicks``), whose scale of T ticks a cycle and L units a
+token the ``simulator`` module docstring states. An offset of d cycles is
+d*T ticks, and every peak is a multiple of 1/L.
 
 Each edge's (feasible, peak) is scored at most once per offset and kept
 in a list indexed by offset from ``min_offset``, whose first row is the
@@ -126,7 +121,7 @@ from .optimizer import (
     edge_models,
     solve,
 )
-from .simulator import edge_curves
+from .simulator import edge_curves, edge_ticks
 
 _ZERO = Fraction(0)
 
@@ -162,15 +157,8 @@ class _EdgeEval:
         self.model = model
         e = model.edge
         c = self._at_zero = edge_curves(model, {e.producer: 0, e.consumer: 0})
-        # T and L of the module docstring: times in 1/T cycles and tokens in
-        # 1/L, so every peak is a multiple of 1/L.
-        times = (c.write_start, c.write_end, c.overwrite_start, c.drain_end,
-                 c.demand_start, c.consumer_start)
-        ticks = lcm(*(t.denominator for t in times))
-        rates = lcm(c.out_rate.denominator, c.in_rate.denominator)
-        self.scale = rates * ticks
-        self._ints = (*(int(t * ticks) for t in times), ticks, int(c.out_rate * rates),
-                      int(c.in_rate * rates), int(c.volume * self.scale), self.scale)
+        self._ticks = edge_ticks(c)
+        self.scale = self._ticks.unit
         least = self._threshold_guess()
         ok, self.min_cost = self.evaluate(least)
         if not ok or self.evaluate(least - 1)[0]:
@@ -199,21 +187,10 @@ class _EdgeEval:
         """(passes the stall check, peak) at ``offset``: the curves at offset
         0 with the consumer side moved by it (see the module docstring), in
         integers at the edge's scale."""
-        ws, we, ow, de, ds, cs, one, out, inn, vol, unit = self._ints
-        d = offset * one
-        if self._at_zero.is_global:
-            ok = min(max(out * (cs + d - ws), 0), vol) >= vol
-        else:
-            # Readable supply against demand where the supply starts and
-            # where demand ends.
-            ok = all(
-                min(max(out * (t - one - ws), 0), vol) >= min(max(inn * (t - ds - d), 0), vol)
-                for t in (ws + one, ds + d + de - ow))
-        # Writes minus raw frees where writing ends and where freeing starts.
-        peak = max(
-            min(max(out * (t - ws), 0), vol) - min(max(inn * (t - ow - d), 0), vol)
-            for t in (we, ow + d))
-        return ok, Fraction(max(peak, 0), unit)
+        e = self._ticks
+        d = offset * e.ticks
+        peak = max(e.occupancy(e.write_end, d), e.occupancy(e.overwrite_start + d, d))
+        return e.stall(d) is None, Fraction(peak, e.unit)
 
 
 @dataclass

@@ -3,9 +3,9 @@
 Moves counted tokens, not point data: each stage writes at its output rate
 once its pipeline depth has filled, and each edge buffer frees tokens at the
 consumer's read rate from the edge's overwrite-start time. All bookkeeping
-is exact rational arithmetic evaluated at every breakpoint of the piecewise
-linear token curves, so measured peaks, stalls, and overflows are exact
-rather than sampled.
+is exact integer arithmetic at each edge's own scale (below), evaluated at
+every breakpoint of the piecewise linear token curves, so measured peaks,
+stalls, and overflows are exact rather than sampled.
 
 The three per-edge cumulative curves:
 
@@ -19,59 +19,101 @@ any instant where writes - frees exceeds the edge's allocated capacity. A
 consumer of Global kind must not start before its producer finishes
 writing; that check replaces the rate comparison on such edges.
 
-Chunk k runs chunk 0's curves shifted by k initiation intervals (II), so
-each edge keeps chunk 0's curves alone: chunk k's value at t is chunk 0's
-at t - k*II, and its stall is chunk 0's, k*II later. A chunk's occupancy is
-zero up to its write start and from its drain end on, for any overwrite
-start, so at time t only the chunks with
-``write_start + k*II <= t <= drain_end + k*II`` are live, and an edge's
-occupancy is summed over those alone (``_live_occupancy``).
-``SimTrace.occupancy_at``, the peak scan below and the breakpoints of
-``SimTrace.sample_rows`` use it.
+**One integer record per edge.** ``edge_ticks`` turns an edge's
+``EdgeCurves`` and the initiation interval (II) into ``EdgeTicks``, and the
+stall check, the peak scan, ``SimTrace.occupancy_at``, the breakpoints of
+``SimTrace.sample_rows`` and the oracle's scoring all read that record
+alone. Let R = lcm(den out_rate, den in_rate), so that out = out_rate*R and
+in = in_rate*R are integers. Times are counted in ticks of 1/T cycle, T
+being the lcm of the denominators of write_start, write_end,
+overwrite_start, drain_end, demand_start, consumer_start and II, times
+|out - in| (or 1 where they are equal). Tokens are counted in 1/L, L = R*T.
+A rate times a time is then a whole number of 1/L tokens: out_rate tokens
+a cycle over n ticks is (out/R)*(n/T) = out*n/L tokens. V, an integer, is
+V*L of them. So writes, raw frees, readable supply and demand at an
+integer tick are integers, and so are occupancies and stall margins; a
+cycle is T ticks, and chunk k's shift k*II is k*ii ticks, ii = II*T. Only what ``SimTrace`` hands out
+becomes a ``Fraction`` again: peaks and their times, row values, and the
+cycles of stalls and overflows (ceilings of ticks over T).
+
+The factor |out - in| puts the roots on ticks too. Chunk 0's occupancy is
+max(0, f), f = writes - raw frees, both clamped ramps. Between consecutive
+ends among write_start, write_end, overwrite_start and drain_end, f is
+linear; it can cross 0 strictly inside such a piece only where both ramp,
+at r = (out*ws - in*ow) / (out - in) ticks (ws = write_start, ow =
+overwrite_start). Where writes are 0 or V, or the raw frees are 0 or V, f
+reaches 0 only at one of the four ends. T carries |out - in|, so ws and ow
+are multiples of it and r is an integer. Every breakpoint of every chunk
+is thus an integer tick, and between two consecutive integer ticks each
+chunk's occupancy, and any sum of them, is linear: ``occupancy_at`` reads a
+time between ticks off the line through the two.
+
+Chunk k runs chunk 0's curves shifted by k*II, so each edge keeps chunk 0's
+curves alone: chunk k's value at t is chunk 0's at t - k*II, and its stall
+is chunk 0's, k*II later. A chunk's occupancy is zero up to its write start
+and from its drain end on, for any overwrite start, so at time t only the
+chunks with ``write_start + k*II <= t <= drain_end + k*II`` are live, and
+an edge's occupancy is summed over those alone (``_live``).
+
+**The peak scan skips the roots.** A root r is a convex kink of max(0, f):
+f crosses 0 there and max(0, f) bends upward, so the slope just left of r
+is at most the slope just right of it. Let S be the summed occupancy and
+M > 0 its largest value, first reached at t*. S is continuous, piecewise
+linear, and below M just before t*, so its slope just left of t* is
+positive and t* is a kink of some chunk. A chunk's kinks are its ends in
+[write_start, drain_end] (outside it the occupancy is 0 nearby) and its
+root. Suppose no chunk has such an end at t*. Then each chunk with a kink
+there has its root there, a convex kink, and every other chunk is linear
+through t*; so the slope of S just right of t* is at least the one just
+left of it, S exceeds M just after t*, and M is not its largest value. So
+t* is some chunk's kept end (a root may lie there too), and the scan reads
+the four ends alone. When S is 0 throughout, the peak and its time are
+both 0.
 
 **The peak scan is bounded in the chunk count.** Let D = drain_end -
 write_start and, for II > 0, m = floor(D / II). Chunk 0's occupancy is
 never negative, zero outside [write_start, drain_end] and linear between
-the kinks that lie in it; a kink outside it (an overwrite start before the
+the kinks that lie in it; an end outside it (an overwrite start before the
 write start, say) is not a kink of the occupancy and is dropped. Take a
-kept kink x and the scan point t = x + k*II. Chunk j is live at t only if
+kept end x and the scan point t = x + k*II. Chunk j is live at t only if
 write_start < x + (k-j)*II < drain_end, so |k - j| * II < D and
 |k - j| <= m: the occupancy at t is chunk 0's at x + i*II summed over the
 i in [-m, m] with 0 <= k - i < C, C being the chunk count. For k >= m
 those i only shrink as k grows, so no shift past m gives a higher
-occupancy than shift m does, and it comes later. The summed occupancy
-first reaches its peak where it rises to it, at some chunk's kink, so the
-shifts 0 to m give both the peak and the earliest time it is reached,
+occupancy than shift m does, and it comes later. By the paragraph above,
+the summed occupancy first reaches its peak at some chunk's kept end, so
+the shifts 0 to m give both the peak and the earliest time it is reached,
 which times an overflow: m + 1 shifts, 2 of 32 when m = 1. At II <= 0
 every shift is scanned.
 
 **Trace rows are swept, not sampled.** Let B be the set of chunk 0's kept
-kinks x moved by k*II, for every k < C. Chunk k's occupancy is chunk 0's
-moved k*II later: zero outside [write_start + k*II, drain_end + k*II],
-whose ends are in B, and linear between its kept kinks moved by k*II,
-which are in B too. Writes and frees are clamped ramps, so every
-occupancy is continuous. A sum of such functions is linear on each closed
-piece [b, b'] between consecutive points of B, and zero before min B and
-from max B on (B is empty, and the occupancy zero, when drain_end <
-write_start). That holds for any II: at II = 0, B is chunk 0's kept kinks
-and the sum is C times chunk 0's occupancy; at II < 0, min B is the last
-chunk's write start. ``sample_rows`` evaluates ``_live_occupancy`` once at
-each point of B and writes the line through a piece's two end values as
-(A + S*t) / D, with integers A, S and D. An integer cycle t with b <= t < b'
+kinks (its kept ends, and its root where that lies inside both ramps)
+moved by k*II, for every k < C. Chunk k's occupancy is chunk 0's moved k*II later:
+zero outside [write_start + k*II, drain_end + k*II], whose ends are in B,
+and linear between its kept kinks moved by k*II, which are in B too.
+Writes and frees are clamped ramps, so every occupancy is continuous. A sum
+of such functions is linear on each closed piece [b, b'] between
+consecutive points of B, and zero before min B and from max B on (B is
+empty, and the occupancy zero, when drain_end < write_start). That holds
+for any II: at II = 0, B is chunk 0's kept kinks and the sum is C times
+chunk 0's occupancy; at II < 0, min B is the last chunk's write start.
+``sample_rows`` evaluates ``_live`` once at each point of B, in ticks, and
+writes the line through a piece's two end values as (A + S*t) / D, with
+integers A, S and D and t in cycles. An integer cycle t with b <= t*T < b'
 reads that line, which equals the summed occupancy at t because the sum is
-linear on [b, b'], ends included. Points of B need not be integers: an
-integer cycle between two fractional points reads the line between them,
-and a piece with no integer cycle in it is read by none. The stride only
-picks the cycles; they grow, so each edge's cursor over its pieces only
-moves forward, and every edge's cursor moves with the cycle. A row costs
-one integer multiply-add and one ``Fraction``.
+linear on [b, b'], ends included. Points of B need not be whole cycles: an
+integer cycle between two of them reads the line between them, and a piece
+with no integer cycle in it is read by none. The stride only picks the
+cycles; they grow, so each edge's cursor over its pieces only moves
+forward, and every edge's cursor moves with the cycle. A row costs one
+integer multiply-add and one ``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor, inf, lcm
+from math import ceil, gcd, inf, lcm
 
 from .graph import PipelineGraph
 from .optimizer import EdgeModel, ScheduleSolution, _frac_to_json, edge_key, edge_models
@@ -79,13 +121,10 @@ from .optimizer import EdgeModel, ScheduleSolution, _frac_to_json, edge_key, edg
 _ZERO = Fraction(0)
 
 
-def _clamp(x: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
-    return lo if x < lo else hi if x > hi else x
-
-
 @dataclass(frozen=True)
 class EdgeCurves:
-    """Closed-form token curves for one edge under one chunk's schedule."""
+    """One edge's curve ends under one chunk's schedule, in cycles and
+    tokens."""
 
     key: str
     volume: Fraction
@@ -98,54 +137,9 @@ class EdgeCurves:
     consumer_start: Fraction
     is_global: bool
 
-    def writes(self, t: Fraction) -> Fraction:
-        return _clamp(self.out_rate * (t - self.write_start), _ZERO, self.volume)
-
-    def readable(self, t: Fraction) -> Fraction:
-        # One-cycle write-to-read latency.
-        return _clamp(self.out_rate * (t - 1 - self.write_start), _ZERO, self.volume)
-
-    def demand(self, t: Fraction) -> Fraction:
-        return _clamp(self.in_rate * (t - self.demand_start), _ZERO, self.volume)
-
-    def frees(self, t: Fraction) -> Fraction:
-        raw = _clamp(self.in_rate * (t - self.overwrite_start), _ZERO, self.volume)
-        return min(self.writes(t), raw)
-
-    def occupancy(self, t: Fraction) -> Fraction:
-        return self.writes(t) - self.frees(t)
-
     @property
     def drain_end(self) -> Fraction:
         return self.overwrite_start + self.volume / self.in_rate
-
-    def occupancy_kinks(self) -> list[Fraction]:
-        pts = [
-            self.write_start,
-            self.write_end,
-            self.overwrite_start,
-            self.drain_end,
-        ]
-        # The write clamp on frees can add sign-change roots of
-        # writes - raw_frees between known kinks.
-        pts = sorted(set(pts))
-        roots: list[Fraction] = []
-        for a, b in zip(pts, pts[1:]):
-            fa = self.writes(a) - self.in_rate * (a - self.overwrite_start)
-            fb = self.writes(b) - self.in_rate * (b - self.overwrite_start)
-            if (fa < 0 < fb) or (fb < 0 < fa):
-                roots.append(a + (b - a) * fa / (fa - fb))
-        return sorted(set(pts + roots))
-
-    def stall_kinks(self) -> list[Fraction]:
-        return sorted(
-            {
-                self.write_start + 1,
-                self.write_end + 1,
-                self.demand_start,
-                self.demand_start + self.volume / self.in_rate,
-            }
-        )
 
 
 def edge_curves(
@@ -176,62 +170,135 @@ def edge_curves(
     )
 
 
-def _live_occupancy(
-    curves: EdgeCurves, chunks: int, interval: Fraction, t: Fraction
-) -> Fraction:
-    """Occupancy at ``t`` of one edge summed over ``chunks`` chunks, chunk k
-    being chunk 0's ``curves`` shifted by ``k * interval``; only the chunks
-    live at ``t`` are evaluated, or every chunk when the interval is not
+@dataclass(frozen=True, slots=True)
+class EdgeTicks:
+    """One edge's curves in integers at its own scale (see the module
+    docstring): times and the initiation interval in 1/``ticks`` cycles,
+    volume in 1/``unit`` tokens, and rates in 1/``unit`` tokens per tick.
+    ``d`` moves the consumer side (demand, overwrite and consumer starts,
+    drain end) that many ticks later."""
+
+    write_start: int
+    write_end: int
+    overwrite_start: int
+    drain_end: int
+    demand_start: int
+    consumer_start: int
+    interval: int
+    out_rate: int
+    in_rate: int
+    volume: int
+    ticks: int
+    unit: int
+    is_global: bool
+
+    def occupancy(self, t: int, d: int = 0) -> int:
+        """Chunk 0's writes minus frees at ``t``: max(0, writes - raw
+        frees), both clamped to [0, volume]."""
+        v = self.volume
+        w = self.out_rate * (t - self.write_start)
+        if w <= 0:
+            return 0
+        f = self.in_rate * (t - self.overwrite_start - d)
+        if f >= v:
+            return 0
+        return (w if w < v else v) - (f if f > 0 else 0) if f < w else 0
+
+    def stall(self, d: int = 0) -> int | None:
+        """The earliest time of the worst negative stall margin (readable
+        supply minus demand), or None if the margin never falls below 0. A
+        Global consumer instead needs every token written at its start."""
+        out, inn, v, one = self.out_rate, self.in_rate, self.volume, self.ticks
+        ws, ds = self.write_start, self.demand_start + d
+        if self.is_global:
+            t = self.consumer_start + d
+            return t if out * (t - ws) < v else None
+        worst, when = 0, None
+        for t in sorted({ws + one, self.write_end + one, ds,
+                         ds + self.drain_end - self.overwrite_start}):
+            r = min(max(out * (t - one - ws), 0), v)
+            margin = r - min(max(inn * (t - ds), 0), v)
+            if margin < worst:
+                worst, when = margin, t
+        return when
+
+    def kinks(self, roots: bool) -> list[int]:
+        """Chunk 0's occupancy kinks in [write_start, drain_end], outside
+        which the occupancy is zero; with ``roots``, also the point inside
+        both ramps where writes cross the raw frees."""
+        ws, we, ow, de = self.write_start, self.write_end, self.overwrite_start, self.drain_end
+        pts = {t for t in (ws, we, ow, de) if ws <= t <= de}
+        out, inn = self.out_rate, self.in_rate
+        if roots and out != inn:
+            root = (out * ws - inn * ow) // (out - inn)
+            if max(ws, ow) < root < min(we, de):
+                pts.add(root)
+        return sorted(pts)
+
+
+def edge_ticks(curves: EdgeCurves, interval: Fraction = _ZERO) -> EdgeTicks:
+    """``curves`` and ``interval`` at the edge's integer scale (see the
+    module docstring)."""
+    c = curves
+    rates = lcm(c.out_rate.denominator, c.in_rate.denominator)
+    out = c.out_rate.numerator * (rates // c.out_rate.denominator)
+    inn = c.in_rate.numerator * (rates // c.in_rate.denominator)
+    times = (c.write_start, c.write_end, c.overwrite_start, c.drain_end,
+             c.demand_start, c.consumer_start, interval)
+    ticks = lcm(*(t.denominator for t in times)) * (abs(out - inn) or 1)
+    unit = rates * ticks
+    return EdgeTicks(*(t.numerator * (ticks // t.denominator) for t in times),
+                     out, inn, int(c.volume * unit), ticks, unit, c.is_global)
+
+
+def _live(e: EdgeTicks, chunks: int, t: int) -> int:
+    """Occupancy at tick ``t`` of one edge summed over ``chunks`` chunks,
+    chunk k being chunk 0 shifted by k intervals; only the chunks live at
+    ``t`` are evaluated, or every chunk when the interval is not
     positive."""
+    ii = e.interval
     lo, hi = 0, chunks
-    if interval > 0:
-        lo = max(lo, ceil((t - curves.drain_end) / interval))
-        hi = min(hi, floor((t - curves.write_start) / interval) + 1)
-    return sum((curves.occupancy(t - k * interval) for k in range(lo, hi)), _ZERO)
+    if ii > 0:
+        lo = max(lo, -((e.drain_end - t) // ii))
+        hi = min(hi, (t - e.write_start) // ii + 1)
+    return sum(e.occupancy(t - k * ii) for k in range(lo, hi))
 
 
-def _kept_kinks(curves: EdgeCurves) -> list[Fraction]:
-    """The occupancy kinks in [write_start, drain_end], outside which the
-    occupancy is zero."""
-    return [t for t in curves.occupancy_kinks() if curves.write_start <= t <= curves.drain_end]
+def _peak(e: EdgeTicks, chunks: int) -> tuple[int, int]:
+    """(peak, earliest tick it is reached) of the summed occupancy, by the
+    scan of the module docstring; (0, 0) when it is 0 throughout."""
+    kinks = e.kinks(roots=False)
+    ii = e.interval
+    shifts = chunks
+    if ii > 0 and kinks:
+        # No shift past m reaches a higher occupancy (see above).
+        shifts = min(chunks, (e.drain_end - e.write_start) // ii + 1)
+    peak = peak_t = 0
+    for t in sorted({x + k * ii for x in kinks for k in range(shifts)}):
+        occ = _live(e, chunks, t)
+        if occ > peak:
+            peak, peak_t = occ, t
+    return peak, peak_t
 
 
-def _occupancy_pieces(
-    curves: EdgeCurves, chunks: int, interval: Fraction
-) -> list[tuple[int | float, int, int, int]]:
+def _occupancy_pieces(e: EdgeTicks, chunks: int) -> list[tuple[int | float, int, int, int]]:
     """One edge's occupancy summed over ``chunks`` chunks as linear pieces
     in time order (see the module docstring): (first integer cycle after
-    the piece, A, S, D), the occupancy at an integer cycle t on the piece
-    being (A + S*t) / D. Zero pieces come before the first point and from
+    the piece, A, S, D), the occupancy at an integer cycle c on the piece
+    being (A + S*c) / D. Zero pieces come before the first point and from
     the last on."""
-    pts = sorted({t + k * interval for t in _kept_kinks(curves) for k in range(chunks)})
-    vals = [_live_occupancy(curves, chunks, interval, t) for t in pts]
-    pieces = [(ceil(pts[0]), 0, 0, 1)] if pts else []
+    one, ii = e.ticks, e.interval
+    pts = sorted({x + k * ii for x in e.kinks(roots=True) for k in range(chunks)})
+    vals = [_live(e, chunks, t) for t in pts]
+    pieces = [(-(-pts[0] // one), 0, 0, 1)] if pts else []
     for t0, v0, t1, v1 in zip(pts, vals, pts[1:], vals[1:]):
-        slope = (v1 - v0) / (t1 - t0)
-        at0 = v0 - slope * t0
-        den = lcm(slope.denominator, at0.denominator)
-        pieces.append((ceil(t1), at0.numerator * (den // at0.denominator),
-                       slope.numerator * (den // slope.denominator), den))
+        # v0 + (v1 - v0) * (c*one - t0) / (t1 - t0), in 1/unit tokens.
+        dt, dv = t1 - t0, v1 - v0
+        a, s, den = v0 * dt - dv * t0, dv * one, dt * e.unit
+        g = gcd(a, s, den)
+        pieces.append((-(-t1 // one), a // g, s // g, den // g))
     pieces.append((inf, 0, 0, 1))
     return pieces
-
-
-def edge_stall_margin(curves: EdgeCurves) -> tuple[Fraction, Fraction]:
-    """(worst margin, time of worst margin); negative margin means a stall."""
-    if curves.is_global:
-        # Everything must be written before the consumer activates.
-        margin = curves.writes(curves.consumer_start) - curves.volume
-        return margin, curves.consumer_start
-    worst = None
-    worst_t = curves.demand_start
-    for t in curves.stall_kinks():
-        m = curves.readable(t) - curves.demand(t)
-        if worst is None or m < worst:
-            worst = m
-            worst_t = t
-    assert worst is not None
-    return worst, worst_t
 
 
 @dataclass
@@ -255,6 +322,7 @@ class SimTrace:
 
     edge_order: list[str]
     peaks: dict[str, Fraction]
+    peak_times: dict[str, Fraction]    # earliest time each peak is reached
     capacities: dict[str, Fraction]
     stall_events: list[StallEvent]
     overflow_events: list[OverflowEvent]
@@ -263,22 +331,31 @@ class SimTrace:
     chunk_completions: list[Fraction]
     first_read: dict[str, int]
     first_output: dict[str, int]
-    _curves: dict[str, EdgeCurves] = field(default_factory=dict, repr=False)
-    _interval: Fraction = field(default=_ZERO, repr=False)
+    _ticks: dict[str, EdgeTicks] = field(default_factory=dict, repr=False)
 
     @property
     def ok(self) -> bool:
         return not self.stall_events and not self.overflow_events
 
     def occupancy_at(self, key: str, t: Fraction | int) -> Fraction:
+        """The summed occupancy at ``t``; between two integer ticks it is
+        read off the line through them (see the module docstring)."""
+        e = self._ticks[key]
         chunks = len(self.chunk_completions)
-        return _live_occupancy(self._curves[key], chunks, self._interval, Fraction(t))
+        t = Fraction(t)
+        p, q = t.numerator * e.ticks, t.denominator
+        a = p // q
+        lo = _live(e, chunks, a)
+        if a * q == p:
+            return Fraction(lo, e.unit)
+        hi = _live(e, chunks, a + 1)
+        return Fraction(lo * q + (hi - lo) * (p - a * q), q * e.unit)
 
     def sample_rows(self, stride: int = 1):
         """Yield (cycle, edge, occupancy) rows at integer cycles, swept over
         each edge's linear pieces (see the module docstring)."""
         chunks = len(self.chunk_completions)
-        edges = [(key, _occupancy_pieces(self._curves[key], chunks, self._interval))
+        edges = [(key, _occupancy_pieces(self._ticks[key], chunks))
                  for key in self.edge_order]
         at = [0] * len(edges)
         for cyc in range(0, self.completion_cycle + 1, stride):
@@ -336,50 +413,41 @@ def simulate(
     stall_events: list[StallEvent] = []
     overflow_events: list[OverflowEvent] = []
     peaks: dict[str, Fraction] = {}
-    curves_by_key: dict[str, EdgeCurves] = {}
+    peak_times: dict[str, Fraction] = {}
+    ticks_by_key: dict[str, EdgeTicks] = {}
     end_of_run = _ZERO
-    shifts = [k * interval for k in range(chunk_count)]  # chunk k's time shift
+    last_shift = max(_ZERO, (chunk_count - 1) * interval)  # latest chunk's time shift
 
     for m in edge_models(graph):
         key = m.key
         cur = edge_curves(m, starts, overwrite=solution.overwrite_starts.get(key))
-        curves_by_key[key] = cur
+        e = ticks_by_key[key] = edge_ticks(cur, interval)
 
-        margin, when = edge_stall_margin(cur)
-        if margin < 0:
+        when = e.stall()
+        if when is not None:
             cause = (
                 "producer incomplete at global consumer start"
-                if cur.is_global
+                if e.is_global
                 else "consumer demand outruns readable supply"
             )
             stall_events.extend(
-                StallEvent(cycle=ceil(when + s), stage=m.edge.consumer, cause=cause)
-                for s in shifts
+                StallEvent(cycle=-(-(when + k * e.interval) // e.ticks),
+                           stage=m.edge.consumer, cause=cause)
+                for k in range(chunk_count)
             )
 
-        kinks = _kept_kinks(cur)
-        scanned = shifts
-        if interval > 0 and kinks:
-            # No shift past m reaches a higher occupancy (see above).
-            scanned = shifts[: floor((cur.drain_end - cur.write_start) / interval) + 1]
-        peak = _ZERO
-        peak_t = _ZERO
-        for t in sorted({t + s for t in kinks for s in scanned}):
-            occ = _live_occupancy(cur, chunk_count, interval, t)
-            if occ > peak:
-                peak = occ
-                peak_t = t
-        peaks[key] = peak
+        peak, peak_t = _peak(e, chunk_count)
+        peaks[key] = Fraction(peak, e.unit)
+        peak_times[key] = Fraction(peak_t, e.ticks)
 
         capacity = solution.buffer_sizes.get(key)
-        if capacity is not None and peak > capacity:
+        if capacity is not None and peaks[key] > capacity:
             overflow_events.append(
-                OverflowEvent(
-                    cycle=ceil(peak_t), edge=key, occupancy=peak, capacity=capacity
-                )
+                OverflowEvent(cycle=-(-peak_t // e.ticks), edge=key,
+                              occupancy=peaks[key], capacity=capacity)
             )
 
-        end_of_run = max(end_of_run, cur.drain_end + max(shifts))
+        end_of_run = max(end_of_run, cur.drain_end + last_shift)
 
     first_read: dict[str, int] = {}
     first_output: dict[str, int] = {}
@@ -389,15 +457,15 @@ def simulate(
         first_read[s.id] = starts[s.id] + 1
         first_output[s.id] = ceil(w + 1 / s.throughputs().tau_out)
         write_ends.append(w + graph.duration[s.id])
-    chunk_completions = [
-        max(write_ends) + k * interval for k in range(chunk_count)
-    ]
+    last_write = max(write_ends)
+    chunk_completions = [last_write + k * interval for k in range(chunk_count)]
     makespan = chunk_completions[-1] - min(Fraction(v) for v in starts.values())
     end_of_run = max(end_of_run, chunk_completions[-1])
 
     return SimTrace(
         edge_order=[edge_key(e) for e in graph.edges],
         peaks=peaks,
+        peak_times=peak_times,
         capacities=dict(solution.buffer_sizes),
         stall_events=sorted(stall_events, key=lambda s: (s.cycle, s.stage)),
         overflow_events=sorted(overflow_events, key=lambda o: (o.cycle, o.edge)),
@@ -406,6 +474,5 @@ def simulate(
         chunk_completions=chunk_completions,
         first_read=first_read,
         first_output=first_output,
-        _curves=curves_by_key,
-        _interval=interval,
+        _ticks=ticks_by_key,
     )

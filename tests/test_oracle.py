@@ -10,7 +10,8 @@ from pointpipe.cli import INCONCLUSIVE, USAGE, VERIFY_FAILED, main
 from pointpipe.graph import parse_pipeline
 from pointpipe.optimizer import ScheduleError, build_constraints, edge_models, solve
 from pointpipe.oracle import exhaustive_minimum, verify_against_oracle
-from pointpipe.simulator import edge_curves, edge_stall_margin
+from pointpipe.simulator import edge_curves
+from test_simulator import edge_stall_margin, occupancy, occupancy_kinks
 
 KNN_STENCIL = str(Path(__file__).parent.parent / "pipelines" / "knn_stencil.json")
 
@@ -109,8 +110,8 @@ def _scored_by_curves(model, offset):
     curves = edge_curves(model, {e.producer: 0, e.consumer: offset})
     margin, _ = edge_stall_margin(curves)
     peak = Fraction(0)
-    for t in curves.occupancy_kinks():
-        peak = max(peak, curves.occupancy(t))
+    for t in occupancy_kinks(curves):
+        peak = max(peak, occupancy(curves, t))
     return margin >= 0, peak
 
 

@@ -14,11 +14,125 @@ from pointpipe.optimizer import (
     schedule_chunks,
     solve,
 )
-from pointpipe.simulator import edge_curves, edge_stall_margin, simulate
+from pointpipe.simulator import edge_curves, simulate
 
 
 def _clamp(x, lo, hi):
     return max(lo, min(hi, x))
+
+
+# The Fraction reference that the simulator's integer record replaced: the
+# curves at a point, every occupancy kink (the roots of writes minus raw
+# frees included), the stall margin at the four ramp ends, the occupancy
+# summed over the live chunks, and the peak scan over the kept kinks moved
+# by the shifts 0 to m.
+
+def writes(c, t):
+    return _clamp(c.out_rate * (t - c.write_start), F(0), c.volume)
+
+
+def readable(c, t):
+    # One-cycle write-to-read latency.
+    return _clamp(c.out_rate * (t - 1 - c.write_start), F(0), c.volume)
+
+
+def demand(c, t):
+    return _clamp(c.in_rate * (t - c.demand_start), F(0), c.volume)
+
+
+def frees(c, t):
+    return min(writes(c, t), _clamp(c.in_rate * (t - c.overwrite_start), F(0), c.volume))
+
+
+def occupancy(c, t):
+    w = writes(c, t)
+    return w - min(w, _clamp(c.in_rate * (t - c.overwrite_start), F(0), c.volume))
+
+
+def occupancy_kinks(c):
+    pts = sorted({c.write_start, c.write_end, c.overwrite_start, c.drain_end})
+    # The write clamp on frees can add sign-change roots of
+    # writes - raw_frees between known kinks.
+    roots = []
+    for a, b in zip(pts, pts[1:]):
+        fa = writes(c, a) - c.in_rate * (a - c.overwrite_start)
+        fb = writes(c, b) - c.in_rate * (b - c.overwrite_start)
+        if (fa < 0 < fb) or (fb < 0 < fa):
+            roots.append(a + (b - a) * fa / (fa - fb))
+    return sorted(set(pts + roots))
+
+
+def edge_stall_margin(c):
+    """(worst margin, time of worst margin); negative margin means a stall."""
+    if c.is_global:
+        # Everything must be written before the consumer activates.
+        return writes(c, c.consumer_start) - c.volume, c.consumer_start
+    worst, worst_t = None, c.demand_start
+    for t in sorted({c.write_start + 1, c.write_end + 1, c.demand_start,
+                     c.demand_start + c.volume / c.in_rate}):
+        m = readable(c, t) - demand(c, t)
+        if worst is None or m < worst:
+            worst, worst_t = m, t
+    return worst, worst_t
+
+
+def live_occupancy(c, chunks, interval, t):
+    """Occupancy at ``t`` summed over the chunks live at ``t``, chunk k
+    being ``c`` shifted by k intervals."""
+    lo, hi = 0, chunks
+    if interval > 0:
+        lo = max(lo, ceil((t - c.drain_end) / interval))
+        hi = min(hi, floor((t - c.write_start) / interval) + 1)
+    return sum((occupancy(c, t - k * interval) for k in range(lo, hi)), F(0))
+
+
+def reference_scan(c, kinks, chunks, interval):
+    """(peak, earliest time of the peak, and the summed occupancy at every
+    point of ``kinks``, chunk 0's occupancy kinks with the roots, moved by
+    each scanned shift). The scan takes the kinks in [write_start,
+    drain_end] moved by the shifts 0 to m, or by every shift at interval 0.
+
+    The sums are ``live_occupancy``'s, regrouped: chunk k at x + j*interval
+    reads chunk 0 at x + i*interval, i = j - k, which is zero unless
+    write_start <= x + i*interval <= drain_end, and 1 - chunks <= i <
+    shifts. So each kink's chunk-0 values are taken once, and each point
+    sums a window of them by prefix sums: at interval 1 and 32 chunks a
+    point sums up to 32 of them."""
+    assert interval >= 0
+    start, end = c.write_start, c.drain_end
+    kept = [t for t in kinks if start <= t <= end]
+    shifts = 1
+    if interval > 0 and kept:
+        shifts = min(chunks, floor((end - start) / interval) + 1)
+    values = {}
+    scanned = []
+    memo = {}  # chunk 0's occupancy by time; kinks a whole number of intervals apart share it
+    for x in kinks:
+        if interval == 0:
+            points = [x]
+            values[x] = chunks * occupancy(c, x)
+        else:
+            lo = max(1 - chunks, ceil((start - x) / interval))
+            hi = min(shifts - 1, floor((end - x) / interval))
+            prefix = [F(0)]
+            t = x + lo * interval
+            for _ in range(lo, hi + 1):
+                if t not in memo:
+                    memo[t] = occupancy(c, t)
+                prefix.append(prefix[-1] + memo[t])
+                t += interval
+            points = [x + j * interval for j in range(shifts)]
+            for j, t in enumerate(points):
+                first, last = max(lo, j - chunks + 1), min(hi, j)
+                values[t] = (prefix[last - lo + 1] - prefix[first - lo]
+                             if first <= last else F(0))
+        if start <= x <= end:
+            scanned += points
+    peak = peak_t = F(0)
+    for t in sorted(set(scanned)):
+        if values[t] > peak:
+            peak, peak_t = values[t], t
+    return peak, peak_t, values
 
 
 def test_occupancy_matches_rate_formulas(knn_stencil, local_chain):
@@ -49,7 +163,7 @@ def test_conservation(knn_stencil, local_chain, global_edge):
         trace = simulate(g, sol)
         for m in edge_models(g):
             c = edge_curves(m, sol.start_cycles, sol.overwrite_starts[m.key])
-            assert c.writes(c.drain_end) == c.frees(c.drain_end) == g.edge_volume[m.edge]
+            assert writes(c, c.drain_end) == frees(c, c.drain_end) == g.edge_volume[m.edge]
             assert trace.occupancy_at(m.key, c.drain_end) == 0
 
 
@@ -127,7 +241,7 @@ def test_edge_model_closed_form_matches_curves_offset_by_offset():
                 margin, _ = edge_stall_margin(curves)
                 assert (margin >= 0) == (d >= m.min_offset), (m.key, d)
                 if d >= m.min_offset:
-                    scan = max(curves.occupancy(t) for t in curves.occupancy_kinks())
+                    scan = max(occupancy(curves, t) for t in occupancy_kinks(curves))
                     assert m.peak(d) == scan, (m.key, d)
                 pairs += 1
     assert pairs > 3000
@@ -191,7 +305,7 @@ def test_live_chunk_sums_equal_brute_force_over_every_chunk(chunks):
                      for m in models}
 
             def brute(key, t):
-                return sum((c.occupancy(t) for c in every[key]), F(0))
+                return sum((occupancy(c, t) for c in every[key]), F(0))
 
             trace = simulate(g, sol, chunk_count=chunks)
             last = every[models[-1].key][0]
@@ -211,9 +325,9 @@ def test_live_chunk_sums_equal_brute_force_over_every_chunk(chunks):
                 # writing: then the chunk quiesces at its write end.
                 quiesce = [max(c.drain_end, c.write_end) for c in curves]
                 for c, done in zip(curves, quiesce):
-                    assert c.writes(done) == c.frees(done) == c.volume
+                    assert writes(c, done) == frees(c, done) == c.volume
                 assert trace.occupancy_at(key, max(quiesce)) == 0
-                kinks = sorted({t for c in curves for t in c.occupancy_kinks()})
+                kinks = sorted({t for c in curves for t in occupancy_kinks(c)})
                 occ = [brute(key, t) for t in kinks]
                 assert [trace.occupancy_at(key, t) for t in kinks] == occ
                 peak = max(occ)
@@ -257,3 +371,49 @@ def test_swept_rows_equal_pointwise_live_occupancy(chunks):
                     for key in trace.edge_order
                 ], (sol.initiation_interval, stride)
     assert fractional
+
+
+def test_integer_record_equals_the_fraction_reference():
+    # The integer peak scan reads the four kept curve ends and no root; the
+    # reference scans every kept kink in Fractions. Peaks, the earliest time
+    # of each, stall events, and occupancy_at at every reference kink, roots
+    # included, must agree on each variant schedule of two random suites at
+    # 1, 2, 7 and 32 chunks. One chunk makes the hand-set intervals moot, so
+    # those variants repeat there and are skipped.
+    roots = regrouped = 0
+    for g in suite(200, start_seed=5000) + suite(60, shape="tree"):
+        models = edge_models(g)
+        reference = {}  # kinks and stall margin of each curves, shared by variants
+        for chunks in (1, 2, 7, 32):
+            seen = set()
+            for sol in _variants(g, chunks):
+                interval = sol.initiation_interval
+                schedule = (tuple(sol.start_cycles.items()), tuple(sol.overwrite_starts.items()),
+                            interval if chunks > 1 else None)
+                if schedule in seen:
+                    continue
+                seen.add(schedule)
+                trace = simulate(g, sol, chunk_count=chunks)
+                want_stalls = []
+                for m in models:
+                    c = edge_curves(m, sol.start_cycles, sol.overwrite_starts[m.key])
+                    if c not in reference:
+                        reference[c] = occupancy_kinks(c), edge_stall_margin(c)
+                    kinks, (margin, when) = reference[c]
+                    peak, peak_t, values = reference_scan(c, kinks, chunks, interval)
+                    assert (trace.peaks[m.key], trace.peak_times[m.key]) == (peak, peak_t), (
+                        m.key, chunks)
+                    if margin < 0:
+                        want_stalls += [(ceil(when + k * interval), m.edge.consumer)
+                                        for k in range(chunks)]
+                    roots += len(kinks) - len(
+                        {c.write_start, c.write_end, c.overwrite_start, c.drain_end})
+                    for t, want in values.items():
+                        assert trace.occupancy_at(m.key, t) == want, (m.key, chunks, t)
+                    if chunks == 7 and regrouped < 500:
+                        # The regrouped sums are live_occupancy's.
+                        for t, want in values.items():
+                            assert live_occupancy(c, chunks, interval, t) == want
+                            regrouped += 1
+                assert [(s.cycle, s.stage) for s in trace.stall_events] == sorted(want_stalls)
+    assert roots and regrouped >= 500
