@@ -27,14 +27,15 @@ alone. Let R = lcm(den out_rate, den in_rate), so that out = out_rate*R and
 in = in_rate*R are integers. Times are counted in ticks of 1/T cycle, T
 being the lcm of the denominators of write_start, write_end,
 overwrite_start, drain_end, demand_start, consumer_start and II, times
-|out - in| (or 1 where they are equal). Tokens are counted in 1/L, L = R*T.
-A rate times a time is then a whole number of 1/L tokens: out_rate tokens
-a cycle over n ticks is (out/R)*(n/T) = out*n/L tokens. V, an integer, is
-V*L of them. So writes, raw frees, readable supply and demand at an
-integer tick are integers, and so are occupancies and stall margins; a
-cycle is T ticks, and chunk k's shift k*II is k*ii ticks, ii = II*T. Only what ``SimTrace`` hands out
-becomes a ``Fraction`` again: peaks and their times, row values, and the
-cycles of stalls and overflows (ceilings of ticks over T).
+|out - in| (or 1 where they are equal). Tokens are counted in 1/L, L =
+R*T. A rate times a time is then a whole number of 1/L tokens: out_rate
+tokens a cycle over n ticks is (out/R)*(n/T) = out*n/L tokens. V, an
+integer, is V*L of them. So writes, raw frees, readable supply and demand at an integer
+tick are integers, and so are occupancies and stall margins; a cycle is T
+ticks, and chunk k's shift k*II is k*ii ticks, ii = II*T. Only what
+``SimTrace`` hands out becomes a ``Fraction`` again: peaks and their times,
+row values, and the cycles of stalls and overflows (ceilings of ticks over
+T).
 
 The factor |out - in| puts the roots on ticks too. Chunk 0's occupancy is
 max(0, f), f = writes - raw frees, both clamped ramps. Between consecutive
@@ -87,10 +88,10 @@ which times an overflow: m + 1 shifts, 2 of 32 when m = 1. At II <= 0
 every shift is scanned.
 
 **Trace rows are swept, not sampled.** Let B be the set of chunk 0's kept
-kinks (its kept ends, and its root where that lies inside both ramps)
-moved by k*II, for every k < C. Chunk k's occupancy is chunk 0's moved k*II later:
-zero outside [write_start + k*II, drain_end + k*II], whose ends are in B,
-and linear between its kept kinks moved by k*II, which are in B too.
+kinks (its kept ends, and its root where that lies inside both ramps) moved
+by k*II, for every k < C. Chunk k's occupancy is chunk 0's moved k*II
+later: zero outside [write_start + k*II, drain_end + k*II], whose ends are
+in B, and linear between its kept kinks moved by k*II, which are in B too.
 Writes and frees are clamped ramps, so every occupancy is continuous. A sum
 of such functions is linear on each closed piece [b, b'] between
 consecutive points of B, and zero before min B and from max B on (B is
@@ -194,15 +195,12 @@ class EdgeTicks:
 
     def occupancy(self, t: int, d: int = 0) -> int:
         """Chunk 0's writes minus frees at ``t``: max(0, writes - raw
-        frees), both clamped to [0, volume]."""
-        v = self.volume
-        w = self.out_rate * (t - self.write_start)
-        if w <= 0:
-            return 0
-        f = self.in_rate * (t - self.overwrite_start - d)
-        if f >= v:
-            return 0
-        return (w if w < v else v) - (f if f > 0 else 0) if f < w else 0
+        frees), both clamped to [0, volume]. Clamping the writes below and
+        the raw frees above changes nothing: where either binds, the
+        difference is at most 0."""
+        w = min(self.out_rate * (t - self.write_start), self.volume)
+        f = max(self.in_rate * (t - self.overwrite_start - d), 0)
+        return w - f if w > f else 0
 
     def stall(self, d: int = 0) -> int | None:
         """The earliest time of the worst negative stall margin (readable
