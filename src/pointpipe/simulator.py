@@ -27,15 +27,14 @@ alone. Let R = lcm(den out_rate, den in_rate), so that out = out_rate*R and
 in = in_rate*R are integers. Times are counted in ticks of 1/T cycle, T
 being the lcm of the denominators of write_start, write_end,
 overwrite_start, drain_end, demand_start, consumer_start and II, times
-|out - in| (or 1 where they are equal). Tokens are counted in 1/L, L =
-R*T. A rate times a time is then a whole number of 1/L tokens: out_rate
-tokens a cycle over n ticks is (out/R)*(n/T) = out*n/L tokens. V, an
-integer, is V*L of them. So writes, raw frees, readable supply and demand at an integer
+|out - in| (or 1 where they are equal). Tokens are counted in 1/L, L = R*T. A
+rate times a time is then a whole number of 1/L tokens: out_rate tokens a
+cycle over n ticks is (out/R)*(n/T) = out*n/L tokens. V, an integer, is V*L
+of them. So writes, raw frees, readable supply and demand at an integer
 tick are integers, and so are occupancies and stall margins; a cycle is T
 ticks, and chunk k's shift k*II is k*ii ticks, ii = II*T. Only what
-``SimTrace`` hands out becomes a ``Fraction`` again: peaks and their times,
-row values, and the cycles of stalls and overflows (ceilings of ticks over
-T).
+``SimTrace`` hands out becomes a ``Fraction`` again: peaks, row values, and
+the cycles of stalls and overflows (ceilings of ticks over T).
 
 The factor |out - in| puts the roots on ticks too. Chunk 0's occupancy is
 max(0, f), f = writes - raw frees, both clamped ramps. Between consecutive
@@ -320,7 +319,6 @@ class SimTrace:
 
     edge_order: list[str]
     peaks: dict[str, Fraction]
-    peak_times: dict[str, Fraction]    # earliest time each peak is reached
     capacities: dict[str, Fraction]
     stall_events: list[StallEvent]
     overflow_events: list[OverflowEvent]
@@ -411,7 +409,6 @@ def simulate(
     stall_events: list[StallEvent] = []
     overflow_events: list[OverflowEvent] = []
     peaks: dict[str, Fraction] = {}
-    peak_times: dict[str, Fraction] = {}
     ticks_by_key: dict[str, EdgeTicks] = {}
     end_of_run = _ZERO
     last_shift = max(_ZERO, (chunk_count - 1) * interval)  # latest chunk's time shift
@@ -436,7 +433,6 @@ def simulate(
 
         peak, peak_t = _peak(e, chunk_count)
         peaks[key] = Fraction(peak, e.unit)
-        peak_times[key] = Fraction(peak_t, e.ticks)
 
         capacity = solution.buffer_sizes.get(key)
         if capacity is not None and peaks[key] > capacity:
@@ -463,7 +459,6 @@ def simulate(
     return SimTrace(
         edge_order=[edge_key(e) for e in graph.edges],
         peaks=peaks,
-        peak_times=peak_times,
         capacities=dict(solution.buffer_sizes),
         stall_events=sorted(stall_events, key=lambda s: (s.cycle, s.stage)),
         overflow_events=sorted(overflow_events, key=lambda o: (o.cycle, o.edge)),
