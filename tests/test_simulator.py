@@ -106,7 +106,8 @@ def reference_scan(c, kinks, chunks, interval):
         shifts = min(chunks, floor((end - start) / interval) + 1)
     values = {}
     scanned = []
-    memo = {}  # chunk 0's occupancy by time; kinks a whole number of intervals apart share it
+    # Chunk 0's occupancy by time: kinks whole intervals apart share it.
+    memo = {}
     for x in kinks:
         if interval == 0:
             points = [x]
