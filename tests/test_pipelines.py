@@ -1,6 +1,6 @@
 """Every shipped example in ``pipelines/`` loads and runs end to end, and its
-``optimize`` and ``simulate`` outputs match the checked-in bytes in
-``tests/golden/<pipeline>/``. Every shipped example is a tree, so four
+``optimize``, ``simulate`` and ``verify`` outputs match the checked-in
+bytes in ``tests/golden/<pipeline>/``. Every shipped example is a tree, so four
 reconvergent pipelines pin the LP search's bytes in
 ``tests/golden/reconvergent/<name>/``: three from the other tests, and one
 whose least optimal start vector only the solver's tiebreak pass finds.
@@ -8,7 +8,8 @@ Each of these graphs also pins ``simulate --trace``'s occupancy rows in
 ``trace.c<chunks>.s<stride>.csv``, at one chunk and stride 1 and at four
 chunks and stride 3, and its 32-chunk ``simulate`` summary in
 ``simulate.c32.json``. One overflowing 32-chunk summary pins the cycle and
-occupancy of each overflow."""
+occupancy of each overflow. The diamond's ``verify`` line is pinned in
+``verify.txt``, as each shipped pipeline's is."""
 
 import json
 from fractions import Fraction
@@ -66,7 +67,9 @@ def test_shipped_pipeline_optimizes_simulates_and_verifies(path, tmp_path, capsy
         assert main(["simulate", str(path), str(schedule), "--chunks", chunks,
                      "--summary", str(summary)]) == 0
         assert summary.read_bytes() == (golden / f"simulate.c{chunks}.json").read_bytes()
+    capsys.readouterr()
     assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == (golden / "verify.txt").read_text()
 
 
 @pytest.mark.parametrize("name", sorted(RECONVERGENT))
@@ -80,6 +83,14 @@ def test_reconvergent_pipeline_optimizes_to_golden(name, tmp_path, capsys):
         assert main(["optimize", str(path), "--chunks", chunks, "--out", str(schedule)]) == 0
         assert capsys.readouterr().err == (golden / f"optimize.c{chunks}.stderr").read_text()
         assert schedule.read_bytes() == (golden / f"optimize.c{chunks}.json").read_bytes()
+
+
+def test_diamond_verify_matches_golden(tmp_path, capsys):
+    path = tmp_path / "diamond.json"
+    path.write_text(DIAMOND)
+    assert main(["verify", str(path)]) == 0
+    golden = GOLDEN / "reconvergent" / "diamond" / "verify.txt"
+    assert capsys.readouterr().out == golden.read_text()
 
 
 def test_tiebreak_diamond_verifies(tmp_path, capsys):
