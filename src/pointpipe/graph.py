@@ -37,10 +37,6 @@ class StageKind(Enum):
     GLOBAL = "Global"
 
 
-LOCAL = "local"
-GLOBAL = "global"
-
-
 @dataclass(frozen=True)
 class Shape:
     """2-D payload shape: a block of `rows` points with `attrs` values each."""
@@ -121,10 +117,6 @@ class StageSpec:
                 raise ValidationError(
                     f"stage {self.id!r}: {self.kind.value} stages take reuse [1, 1]"
                 )
-
-    @property
-    def dependency_class(self) -> str:
-        return GLOBAL if self.kind is StageKind.GLOBAL else LOCAL
 
     @property
     def reuse_total(self) -> int:

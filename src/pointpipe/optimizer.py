@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, lcm
 
-from .graph import GLOBAL, Edge, PipelineGraph
+from .graph import Edge, PipelineGraph, StageKind
 from . import solver
 from .solver import Problem
 
@@ -190,7 +190,7 @@ def edge_models(graph: PipelineGraph) -> list[EdgeModel]:
             edge=e, key=edge_key(e), volume=v, out_rate=out_rate, in_rate=in_rate,
             depth_p=p.stage_depth, depth_c=c.stage_depth,
             dur_p=v / out_rate, dur_c=graph.duration[e.consumer], drain=v / in_rate,
-            is_global=c.dependency_class == GLOBAL,
+            is_global=c.kind is StageKind.GLOBAL,
         ))
     return models
 
@@ -200,10 +200,12 @@ def default_horizon(graph: PipelineGraph) -> int:
     return ceil(4 * sum(graph.duration.values()))
 
 
-def earliest_starts(graph: PipelineGraph, horizon: int) -> dict[str, int]:
-    """Cascaded earliest feasible start per stage; error if past the horizon."""
+def earliest_starts(
+    graph: PipelineGraph, models: list[EdgeModel], horizon: int
+) -> dict[str, int]:
+    """Cascaded earliest feasible start per stage under ``graph``'s edge
+    ``models``; error if past the horizon."""
     starts: dict[str, int] = {}
-    models = edge_models(graph)
     for sid in graph.topo_order:
         lo = max(
             [0] + [starts[m.edge.producer] + m.min_offset
@@ -258,8 +260,8 @@ def build_constraints(graph: PipelineGraph, horizon: int | None = None) -> Const
     from below: the first-read row and the read window's endpoint row."""
     if horizon is None:
         horizon = default_horizon(graph)
-    earliest = earliest_starts(graph, horizon)
-    return ConstraintSystem(graph, horizon, edge_models(graph), earliest)
+    models = edge_models(graph)
+    return ConstraintSystem(graph, horizon, models, earliest_starts(graph, models, horizon))
 
 
 @dataclass

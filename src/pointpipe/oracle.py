@@ -1,7 +1,7 @@
 """Exhaustive schedule search used to cross-check the optimizer.
 
 Enumerates integer start-cycle vectors over a bounded horizon and scores
-each candidate with the token simulator's edge curves: a candidate is
+each candidate with the token simulator's per-edge record: a candidate is
 feasible when every edge is stall-free, and its cost is the summed exact
 peak occupancy. Nothing here consults the optimizer's constraint algebra,
 so agreement between the two is a genuine two-route check.
@@ -46,54 +46,57 @@ at 0, which no translation prune skips; the walk has either met it or
 skipped it by the bound, because its total already reached the
 incumbent's.
 
-**Evaluation.** Each edge's least feasible offset is read off the curves
-at offset 0. A Global consumer may start once writing ends, at
-``ceil(write_end)``, where ``writes(consumer_start)`` reaches V. On any
-other edge the readable supply and the demand are both ramps clamped to
-[0, V]: readable rises from 0 at ``write_start + 1`` to V at ``write_end
-+ 1``, and demand from 0 at ``demand_start`` to V at ``demand_start +
-V/in_rate``. Two clamped ramps between the same levels satisfy demand <=
-readable everywhere exactly when demand starts no earlier, and ends no
-earlier, than the supply; the simulator's stall check
-(``EdgeTicks.stall``) compares the two at all four of those ends, so it
-agrees. Moving the consumer by the offset moves
-demand alone, so the least feasible offset is ``ceil(write_start + 1 -
-demand_start + max(0, V/out_rate - V/in_rate))``. The threshold is then
-scored twice, at itself and one below, and must be feasible and
-infeasible: feasibility only grows with the offset, so the two scorings
-prove it least by the simulator's stall check alone, with nothing taken
-from ``EdgeModel.min_offset``. A failed probe is a
+**Evaluation.** Each edge is scored on one record: the simulator's
+``EdgeTicks`` for the edge with both stages started at 0, whose scale of T
+ticks a cycle and L units a token the ``simulator`` module docstring
+states. ``edge_ticks`` builds it from what the graph fixes alone (depths,
+write end, overwrite delay, drain, volume, rates and kind); neither it nor
+anything here reads ``EdgeModel``'s ``min_offset``, ``peak``, ``g`` or
+``branches``.
+
+The least feasible offset is read off the record in ticks. A Global
+consumer may start once writing ends, at ``ceil(write_end / T)``, where
+the writes at its start reach V. On any other edge the readable supply
+and the demand are both ramps clamped to [0, V]: readable rises from 0 at
+``write_start + T`` to V at ``write_end + T``, and demand from 0 at
+``demand_start`` to V at ``demand_start + drain_end - overwrite_start``.
+Two clamped ramps between the same levels satisfy demand <= readable
+everywhere exactly when demand starts no earlier, and ends no earlier,
+than the supply; the simulator's stall check (``EdgeTicks.stall``)
+compares the two at all four of those ends, so it agrees. Moving the
+consumer by the offset moves demand alone, so the least feasible offset is
+``ceil((write_start + T - demand_start + max(0, (write_end - write_start)
+- (drain_end - overwrite_start))) / T)``. The threshold is then scored
+twice, at itself and one below, and must be feasible and infeasible:
+feasibility only grows with the offset, so the two scorings prove it least
+by the simulator's stall check alone. A failed probe is a
 ``ScheduleError("internal inconsistency: ...")``.
 
-An offset d is scored on ``_at_zero`` with only the consumer side moved.
-The producer starts at 0 at every offset, so ``write_start``,
-``write_end``, the writes and the readable supply are those at 0;
-``demand_start``, ``overwrite_start``, ``consumer_start`` and
+An offset of d cycles is scored on the record with only the consumer side
+moved, by d*T ticks. The producer starts at 0 at every offset, so
+``write_start``, ``write_end``, the writes and the readable supply are
+those at 0; ``demand_start``, ``overwrite_start``, ``consumer_start`` and
 ``drain_end`` are each the consumer's start plus a span the graph fixes,
-so each is its value at 0 plus d. The stall check is ``EdgeTicks.stall``
-at the moved times. The peak is the largest
-occupancy over the moved curves' kinks. The occupancy, max(0, writes -
-raw frees), is linear between those kinks and constant outside them, so
-largest at one of them. It is 0 at a root, where the writes equal the raw
-frees and both lie in [0, V]; at ``write_start``, which has no writes yet;
-and at ``drain_end + d``, where the raw frees are V. So the peak is the
-largest of 0 and the occupancy at ``write_end`` and ``overwrite_start +
-d``.
-
-Both run in integers: the curves at offset 0 are the simulator's integer
-record (``EdgeTicks``), whose scale of T ticks a cycle and L units a
-token the ``simulator`` module docstring states. An offset of d cycles is
-d*T ticks, and every peak is a multiple of 1/L.
+so each is its value at 0 plus d*T. The stall check is ``EdgeTicks.stall``
+at the moved times. The peak is the largest occupancy over the moved
+curves' kinks. The occupancy, max(0, writes - raw frees), is linear
+between those kinks and constant outside them, so largest at one of them.
+It is 0 at a root, where the writes equal the raw frees and both lie in
+[0, V]; at ``write_start``, which has no writes yet; and at ``drain_end +
+d*T``, where the raw frees are V. So the peak is the largest of 0 and the
+occupancy at ``write_end`` and ``overwrite_start + d*T``, a multiple of
+1/L.
 
 Each edge's (feasible, peak) is scored at most once per offset and kept
-in a list indexed by offset from ``min_offset``, whose first row is the
-threshold's score. An offset above ``sat_offset`` reads that offset's
-row: from there the overwrite starts at or past the producer's write end
-(``overwrite_delay`` is at least the consumer's depth), so the whole
-volume V is resident at the write end and the peak is V, the most any
-occupancy can reach; and feasibility only grows with the offset. Rows are
-scored on first use, because a walk on a tree uses a few offsets of
-ranges a hundred long.
+in a list indexed by offset from the threshold, whose first row is the
+threshold's score. ``sat_offset``, read off the record too, is the larger
+of the threshold and ``ceil((write_end - demand_start) / T)``. An offset
+above it reads its row: from there the overwrite starts at or past the
+producer's write end (``overwrite_delay`` is at least the consumer's
+depth), so the whole volume V is resident at the write end and the peak
+is V, the most any occupancy can reach; and feasibility only grows with
+the offset. Rows are scored on first use, because a walk on a tree uses a
+few offsets of ranges a hundred long.
 
 The walk adds and compares integers, every peak in units of 1/``scale``,
 the lcm of L over the edges, fixed before the walk; a peak off it is a
@@ -109,7 +112,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm
+from math import lcm
 
 from .graph import PipelineGraph
 from .optimizer import (
@@ -121,9 +124,7 @@ from .optimizer import (
     edge_models,
     solve,
 )
-from .simulator import edge_curves, edge_ticks
-
-_ZERO = Fraction(0)
+from .simulator import edge_ticks
 
 # Candidate starts the walk may score in one search. Over 5070 searches
 # (three horizons each for the graphs of `suite(160, start_seed=5000)`,
@@ -150,15 +151,14 @@ class SearchBudgetError(Exception):
 
 class _EdgeEval:
     """Feasibility and exact peak for one edge as a function of the
-    consumer-minus-producer start offset. Scored by the simulator's curves,
-    never by ``EdgeModel``'s closed forms."""
+    consumer-minus-producer start offset. Scored by the simulator's integer
+    record at offset 0, never by ``EdgeModel``'s closed forms."""
 
     def __init__(self, model: EdgeModel):
         self.model = model
         e = model.edge
-        c = self._at_zero = edge_curves(model, {e.producer: 0, e.consumer: 0})
-        self._ticks = edge_ticks(c)
-        self.scale = self._ticks.unit
+        t = self._ticks = edge_ticks(model, {e.producer: 0, e.consumer: 0})
+        self.scale = t.unit
         least = self._threshold_guess()
         ok, self.min_cost = self.evaluate(least)
         if not ok or self.evaluate(least - 1)[0]:
@@ -169,19 +169,19 @@ class _EdgeEval:
         # Offset from which the overwrite starts at or past the producer's
         # write end: the whole volume is resident at once, so the peak and
         # the verdict stop changing, and later offsets read this one.
-        self.sat_offset = max(least, ceil(model.write_end - model.depth_c))
+        self.sat_offset = max(least, -((t.demand_start - t.write_end) // t.ticks))
 
     def _threshold_guess(self) -> int:
-        """The least offset at which the curves at offset 0, moved by it,
-        pass the stall check (see the module docstring): a Global consumer
-        starts once writing ends; any other starts demand, and finishes it,
-        no earlier than the readable supply, which trails the writes by one
-        cycle."""
-        c = self._at_zero
-        if c.is_global:
-            return ceil(c.write_end)
-        lag = max(_ZERO, c.volume / c.out_rate - c.volume / c.in_rate)
-        return ceil(c.write_start + 1 - c.demand_start + lag)
+        """The least offset at which the record at offset 0, its consumer
+        side moved by it, passes the stall check (see the module
+        docstring): a Global consumer starts once writing ends; any other
+        starts demand, and finishes it, no earlier than the readable supply,
+        which trails the writes by one cycle."""
+        e = self._ticks
+        if e.is_global:
+            return -(-e.write_end // e.ticks)
+        lag = max(0, (e.write_end - e.write_start) - (e.drain_end - e.overwrite_start))
+        return -((e.demand_start - e.write_start - e.ticks - lag) // e.ticks)
 
     def evaluate(self, offset: int) -> tuple[bool, Fraction]:
         """(passes the stall check, peak) at ``offset``: the curves at offset

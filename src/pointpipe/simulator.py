@@ -20,10 +20,11 @@ consumer of Global kind must not start before its producer finishes
 writing; that check replaces the rate comparison on such edges.
 
 **One integer record per edge.** ``edge_ticks`` turns an edge's
-``EdgeCurves`` and the initiation interval (II) into ``EdgeTicks``, and the
-stall check, the peak scan, ``SimTrace.occupancy_at``, the breakpoints of
-``SimTrace.sample_rows`` and the oracle's scoring all read that record
-alone. Let R = lcm(den out_rate, den in_rate), so that out = out_rate*R and
+``EdgeModel``, the stages' starts, the edge's overwrite start and the
+initiation interval (II) into ``EdgeTicks``, and the stall check, the peak
+scan, ``SimTrace.occupancy_at``, the breakpoints of ``SimTrace.sample_rows``
+and the oracle's scoring all read that record alone; no curve is held in
+``Fraction`` cycles on the way. Let R = lcm(den out_rate, den in_rate), so that out = out_rate*R and
 in = in_rate*R are integers. Times are counted in ticks of 1/T cycle, T
 being the lcm of the denominators of write_start, write_end,
 overwrite_start, drain_end, demand_start, consumer_start and II, times
@@ -121,55 +122,6 @@ from .optimizer import EdgeModel, ScheduleSolution, _frac_to_json, edge_key, edg
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class EdgeCurves:
-    """One edge's curve ends under one chunk's schedule, in cycles and
-    tokens."""
-
-    key: str
-    volume: Fraction
-    out_rate: Fraction
-    in_rate: Fraction
-    write_start: Fraction      # producer start + producer depth
-    write_end: Fraction
-    demand_start: Fraction     # consumer start + consumer depth
-    overwrite_start: Fraction
-    consumer_start: Fraction
-    is_global: bool
-
-    @property
-    def drain_end(self) -> Fraction:
-        return self.overwrite_start + self.volume / self.in_rate
-
-
-def edge_curves(
-    model: EdgeModel,
-    starts: dict[str, int],
-    overwrite: Fraction | None = None,
-) -> EdgeCurves:
-    """Curves for one edge under ``starts``.
-
-    ``overwrite`` is the edge's absolute overwrite start; by default the
-    earliest legal one, ``overwrite_delay`` after the consumer's start.
-    """
-    s_p = Fraction(starts[model.edge.producer])
-    s_c = Fraction(starts[model.edge.consumer])
-    if overwrite is None:
-        overwrite = s_c + model.overwrite_delay
-    return EdgeCurves(
-        key=model.key,
-        volume=model.volume,
-        out_rate=model.out_rate,
-        in_rate=model.in_rate,
-        write_start=s_p + model.depth_p,
-        write_end=s_p + model.write_end,
-        demand_start=s_c + model.depth_c,
-        overwrite_start=overwrite,
-        consumer_start=s_c,
-        is_global=model.is_global,
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class EdgeTicks:
     """One edge's curves in integers at its own scale (see the module
@@ -233,19 +185,29 @@ class EdgeTicks:
         return sorted(pts)
 
 
-def edge_ticks(curves: EdgeCurves, interval: Fraction = _ZERO) -> EdgeTicks:
-    """``curves`` and ``interval`` at the edge's integer scale (see the
-    module docstring)."""
-    c = curves
-    rates = lcm(c.out_rate.denominator, c.in_rate.denominator)
-    out = c.out_rate.numerator * (rates // c.out_rate.denominator)
-    inn = c.in_rate.numerator * (rates // c.in_rate.denominator)
-    times = (c.write_start, c.write_end, c.overwrite_start, c.drain_end,
-             c.demand_start, c.consumer_start, interval)
+def edge_ticks(
+    model: EdgeModel,
+    starts: dict[str, int],
+    overwrite: Fraction | None = None,
+    interval: Fraction | int = 0,
+) -> EdgeTicks:
+    """One edge's record under ``starts`` and ``interval`` at the edge's
+    integer scale (see the module docstring). ``overwrite`` is the edge's
+    absolute overwrite start; by default the earliest legal one,
+    ``overwrite_delay`` after the consumer's start."""
+    m = model
+    s_p, s_c = starts[m.edge.producer], starts[m.edge.consumer]
+    if overwrite is None:
+        overwrite = s_c + m.overwrite_delay
+    rates = lcm(m.out_rate.denominator, m.in_rate.denominator)
+    out = m.out_rate.numerator * (rates // m.out_rate.denominator)
+    inn = m.in_rate.numerator * (rates // m.in_rate.denominator)
+    times = (s_p + m.depth_p, s_p + m.write_end, overwrite, overwrite + m.drain,
+             s_c + m.depth_c, s_c, interval)
     ticks = lcm(*(t.denominator for t in times)) * (abs(out - inn) or 1)
     unit = rates * ticks
     return EdgeTicks(*(t.numerator * (ticks // t.denominator) for t in times),
-                     out, inn, int(c.volume * unit), ticks, unit, c.is_global)
+                     out, inn, int(m.volume * unit), ticks, unit, m.is_global)
 
 
 def _live(e: EdgeTicks, chunks: int, t: int) -> int:
@@ -415,8 +377,7 @@ def simulate(
 
     for m in edge_models(graph):
         key = m.key
-        cur = edge_curves(m, starts, overwrite=solution.overwrite_starts.get(key))
-        e = ticks_by_key[key] = edge_ticks(cur, interval)
+        e = ticks_by_key[key] = edge_ticks(m, starts, solution.overwrite_starts.get(key), interval)
 
         when = e.stall()
         if when is not None:
@@ -441,7 +402,7 @@ def simulate(
                               occupancy=peaks[key], capacity=capacity)
             )
 
-        end_of_run = max(end_of_run, cur.drain_end + last_shift)
+        end_of_run = max(end_of_run, Fraction(e.drain_end, e.ticks) + last_shift)
 
     first_read: dict[str, int] = {}
     first_output: dict[str, int] = {}

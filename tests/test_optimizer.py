@@ -5,7 +5,7 @@ import pytest
 
 from _pipegen import generate, suite
 from pointpipe import optimizer
-from pointpipe.graph import parse_pipeline
+from pointpipe.graph import StageKind, parse_pipeline
 from pointpipe.optimizer import (
     ScheduleError,
     ScheduleSolution,
@@ -122,7 +122,7 @@ def test_global_edges_dominate_local_rule():
     for g in suite(25):
         sol = solve(build_constraints(g))
         for e in g.edges:
-            if g.stage(e.consumer).dependency_class != "global":
+            if g.stage(e.consumer).kind is not StageKind.GLOBAL:
                 continue
             p = g.stage(e.producer)
             end = sol.start_cycles[e.producer] + p.stage_depth + g.duration[e.producer]

@@ -10,8 +10,8 @@ from pointpipe.cli import INCONCLUSIVE, USAGE, VERIFY_FAILED, main
 from pointpipe.graph import parse_pipeline
 from pointpipe.optimizer import ScheduleError, build_constraints, edge_models, solve
 from pointpipe.oracle import exhaustive_minimum, verify_against_oracle
-from pointpipe.simulator import edge_curves
-from test_simulator import edge_stall_margin, occupancy, occupancy_kinks
+from pointpipe.simulator import edge_ticks
+from test_simulator import curves_of, edge_stall_margin, occupancy, occupancy_kinks
 
 KNN_STENCIL = str(Path(__file__).parent.parent / "pipelines" / "knn_stencil.json")
 
@@ -107,7 +107,7 @@ def _scored_by_curves(model, offset):
     before it moved only the consumer side: new curves at the offset, their
     stall margin, and the largest occupancy over every occupancy kink."""
     e = model.edge
-    curves = edge_curves(model, {e.producer: 0, e.consumer: offset})
+    curves = curves_of(model, {e.producer: 0, e.consumer: offset})
     margin, _ = edge_stall_margin(curves)
     peak = Fraction(0)
     for t in occupancy_kinks(curves):
@@ -253,16 +253,16 @@ def test_pruned_walk_equals_the_plain_walk(shape):
 
 
 def test_seeded_threshold_equals_the_plain_bisection(monkeypatch):
-    # The curves' threshold is what the plain bisection over [-slack, slack]
-    # finds, and the only curves built are those at offset 0: the scorings
-    # of the threshold and the offset below it move their consumer side.
+    # The record's threshold is what the plain bisection over [-slack, slack]
+    # finds, and the only record built is the one at offset 0: the scorings
+    # of the threshold and the offset below it move its consumer side.
     built = []
 
     def counted(*args, **kw):
         built.append(args)
-        return edge_curves(*args, **kw)
+        return edge_ticks(*args, **kw)
 
-    monkeypatch.setattr(oracle, "edge_curves", counted)
+    monkeypatch.setattr(oracle, "edge_ticks", counted)
     edges = 0
     for graphs in (suite(300, start_seed=5000), suite(200, shape="tree"),
                    suite(300, start_seed=30000)):

@@ -1,6 +1,7 @@
 import copy
 from fractions import Fraction as F
 from math import ceil, floor
+from typing import NamedTuple
 
 import pytest
 
@@ -14,18 +15,51 @@ from pointpipe.optimizer import (
     schedule_chunks,
     solve,
 )
-from pointpipe.simulator import _peak, edge_curves, edge_ticks, simulate
+from pointpipe.simulator import _peak, edge_ticks, simulate
 
 
 def _clamp(x, lo, hi):
     return max(lo, min(hi, x))
 
 
-# The Fraction reference that the simulator's integer record replaced: the
-# curves at a point, every occupancy kink (the roots of writes minus raw
-# frees included), the stall margin at the four ramp ends, the occupancy
-# summed over the live chunks, and the peak scan over the kept kinks moved
-# by the shifts 0 to m.
+# The Fraction reference that the simulator's integer record replaced: one
+# edge's curve ends in cycles, built here from the model's fields, every
+# occupancy kink (the roots of writes minus raw frees included), the curves
+# at a point, the stall margin at the four ramp ends, the occupancy summed
+# over the live chunks, and the peak scan over the kept kinks moved by the
+# shifts 0 to m.
+
+class Curves(NamedTuple):
+    """One edge's curve ends under one chunk's schedule, in cycles and
+    tokens."""
+
+    volume: F
+    out_rate: F
+    in_rate: F
+    write_start: F
+    write_end: F
+    demand_start: F
+    overwrite_start: F
+    drain_end: F
+    consumer_start: F
+    is_global: bool
+
+
+def curves_of(model, starts, overwrite=None):
+    """``model``'s curves under ``starts``; ``overwrite`` is the absolute
+    overwrite start, by default the consumer's start plus its depth, and
+    plus its duration on a Global edge."""
+    m = model
+    s_p, s_c = F(starts[m.edge.producer]), F(starts[m.edge.consumer])
+    if overwrite is None:
+        overwrite = s_c + m.depth_c + (m.dur_c if m.is_global else 0)
+    return Curves(
+        volume=m.volume, out_rate=m.out_rate, in_rate=m.in_rate,
+        write_start=s_p + m.depth_p, write_end=s_p + m.depth_p + m.dur_p,
+        demand_start=s_c + m.depth_c, overwrite_start=overwrite,
+        drain_end=overwrite + m.volume / m.in_rate, consumer_start=s_c,
+        is_global=m.is_global,
+    )
 
 def writes(c, t):
     return _clamp(c.out_rate * (t - c.write_start), F(0), c.volume)
@@ -163,7 +197,7 @@ def test_conservation(knn_stencil, local_chain, global_edge):
         sol = solve(build_constraints(g))
         trace = simulate(g, sol)
         for m in edge_models(g):
-            c = edge_curves(m, sol.start_cycles, sol.overwrite_starts[m.key])
+            c = curves_of(m, sol.start_cycles, sol.overwrite_starts[m.key])
             assert writes(c, c.drain_end) == frees(c, c.drain_end) == g.edge_volume[m.edge]
             assert trace.occupancy_at(m.key, c.drain_end) == 0
 
@@ -238,7 +272,7 @@ def test_edge_model_closed_form_matches_curves_offset_by_offset():
         for m in edge_models(g):
             last = ceil(m.min_offset + m.dur_p + m.drain) + 5
             for d in range(m.min_offset - 4, last + 1):
-                curves = edge_curves(m, {m.edge.producer: 0, m.edge.consumer: d})
+                curves = curves_of(m, {m.edge.producer: 0, m.edge.consumer: d})
                 margin, _ = edge_stall_margin(curves)
                 assert (margin >= 0) == (d >= m.min_offset), (m.key, d)
                 if d >= m.min_offset:
@@ -260,7 +294,7 @@ def _variants(g, chunks):
     sol = schedule_chunks(solve(build_constraints(g)), g, chunks)
     yield sol
     m = edge_models(g)[-1]
-    c = edge_curves(m, sol.start_cycles, sol.overwrite_starts[m.key])
+    c = curves_of(m, sol.start_cycles, sol.overwrite_starts[m.key])
     span = c.drain_end - c.write_start
     for interval in (F(0), F(1), *(span / (reach + F(1, 2)) for reach in range(3))):
         v = copy.deepcopy(sol)
@@ -281,7 +315,7 @@ def _chunk_curves(m, sol, k):
     k initiation intervals later."""
     shift = k * sol.initiation_interval
     starts = {sid: start + shift for sid, start in sol.start_cycles.items()}
-    return edge_curves(m, starts, sol.overwrite_starts[m.key] + shift)
+    return curves_of(m, starts, sol.overwrite_starts[m.key] + shift)
 
 
 @pytest.mark.parametrize("chunks", [1, 2, 5, 7, 64])
@@ -397,12 +431,17 @@ def test_integer_record_equals_the_fraction_reference():
                 trace = simulate(g, sol, chunk_count=chunks)
                 want_stalls = []
                 for m in models:
-                    c = edge_curves(m, sol.start_cycles, sol.overwrite_starts[m.key])
+                    c = curves_of(m, sol.start_cycles, sol.overwrite_starts[m.key])
                     if c not in reference:
                         reference[c] = occupancy_kinks(c), edge_stall_margin(c)
                     kinks, (margin, when) = reference[c]
                     peak, peak_t, values = reference_scan(c, kinks, chunks, interval)
-                    e = edge_ticks(c, interval)
+                    e = edge_ticks(m, sol.start_cycles, sol.overwrite_starts[m.key], interval)
+                    assert [F(t, e.ticks) for t in (
+                        e.write_start, e.write_end, e.overwrite_start, e.drain_end,
+                        e.demand_start, e.consumer_start, e.interval)] == [
+                        c.write_start, c.write_end, c.overwrite_start, c.drain_end,
+                        c.demand_start, c.consumer_start, interval], (m.key, chunks)
                     got, got_t = _peak(e, chunks)
                     assert (F(got, e.unit), F(got_t, e.ticks)) == (peak, peak_t), (m.key, chunks)
                     assert trace.peaks[m.key] == peak
