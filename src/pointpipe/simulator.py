@@ -23,18 +23,18 @@ writing; that check replaces the rate comparison on such edges.
 ``EdgeModel``, the stages' starts, the edge's overwrite start and the
 initiation interval (II) into ``EdgeTicks``, and the stall check, the peak
 scan, ``SimTrace.occupancy_at``, the breakpoints of ``SimTrace.sample_rows``
-and the oracle's scoring all read that record alone; no curve is held in
-``Fraction`` cycles on the way. Let R = lcm(den out_rate, den in_rate), so that out = out_rate*R and
-in = in_rate*R are integers. Times are counted in ticks of 1/T cycle, T
-being the lcm of the denominators of write_start, write_end,
-overwrite_start, drain_end, demand_start, consumer_start and II, times
-|out - in| (or 1 where they are equal). Tokens are counted in 1/L, L = R*T. A
-rate times a time is then a whole number of 1/L tokens: out_rate tokens a
-cycle over n ticks is (out/R)*(n/T) = out*n/L tokens. V, an integer, is V*L
-of them. So writes, raw frees, readable supply and demand at an integer
-tick are integers, and so are occupancies and stall margins; a cycle is T
-ticks, and chunk k's shift k*II is k*ii ticks, ii = II*T. Only what
-``SimTrace`` hands out becomes a ``Fraction`` again: peaks, row values, and
+and the oracle's scoring all read that record alone. Let R = lcm(den
+out_rate, den in_rate), so that out = out_rate*R and in = in_rate*R are
+integers. Times are counted in ticks of 1/T cycle, T being the lcm of the
+denominators of write_start, write_end, overwrite_start, drain_end,
+demand_start, consumer_start and II, times |out - in| (or 1 where they are
+equal). Tokens are counted in 1/L, L = R*T. A rate times a time is then a
+whole number of 1/L tokens: out_rate tokens a cycle over n ticks is
+(out/R)*(n/T) = out*n/L tokens. V, an integer, is V*L of them. So writes,
+raw frees, readable supply and demand at an integer tick are integers, and
+so are occupancies and stall margins; a cycle is T ticks, and chunk k's
+shift k*II is k*ii ticks, ii = II*T. Only what ``SimTrace`` hands out
+becomes a ``Fraction`` again: peaks, row values, the end of the run, and
 the cycles of stalls and overflows (ceilings of ticks over T).
 
 The factor |out - in| puts the roots on ticks too. Chunk 0's occupancy is

@@ -61,6 +61,7 @@ def curves_of(model, starts, overwrite=None):
         is_global=m.is_global,
     )
 
+
 def writes(c, t):
     return _clamp(c.out_rate * (t - c.write_start), F(0), c.volume)
 
