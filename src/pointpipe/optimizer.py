@@ -50,6 +50,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, floor, lcm
 
 from .graph import Edge, PipelineGraph, StageKind
@@ -92,7 +93,8 @@ class EdgeModel:
 
     Times below are relative to the producer's start: the producer writes
     from ``depth_p`` to ``write_end`` and the consumer's overwriting starts
-    at ``d + overwrite_delay``.
+    at ``d + overwrite_delay``. The derived fields are computed once per
+    model, on first use.
     """
 
     edge: Edge
@@ -107,16 +109,16 @@ class EdgeModel:
     drain: Fraction          # cycles to retire this edge's volume (V / in_rate)
     is_global: bool
 
-    @property
+    @cached_property
     def write_end(self) -> Fraction:
         return self.depth_p + self.dur_p
 
-    @property
+    @cached_property
     def overwrite_delay(self) -> Fraction:
         """Cycles from the consumer's start to the edge's overwrite start."""
         return self.depth_c + self.dur_c if self.is_global else Fraction(self.depth_c)
 
-    @property
+    @cached_property
     def min_offset(self) -> int:
         """Earliest feasible consumer-minus-producer start offset."""
         if self.is_global:
@@ -125,13 +127,13 @@ class EdgeModel:
         gap_rate = self.write_end + 1 - self.depth_c - self.drain
         return ceil(max(gap_avail, gap_rate))
 
-    @property
+    @cached_property
     def window_steps(self) -> int:
         """Rows of the unpruned availability family: the consumer's read
         window on a grid fine enough to hit every demand kink."""
         return int(self.drain * lcm(self.in_rate.denominator, self.drain.denominator))
 
-    @property
+    @cached_property
     def max_floor_offset(self) -> int | None:
         """Largest offset whose peak is still ``peak(min_offset)``, or None
         when every larger offset keeps it. ``peak`` is flat only where it is
@@ -141,7 +143,7 @@ class EdgeModel:
         rise strictly, so ``min_offset`` is the only optimal offset."""
         return None if self.peak(self.min_offset) == self.volume else self.min_offset
 
-    @property
+    @cached_property
     def branches(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """(slope, value at d = 0) of each line whose maximum is ``g``, the
         unclamped peak: b1 = out_rate*(t_o - w_p), the fill when overwriting
