@@ -34,36 +34,36 @@ peak is least at ``min_offset`` and stays there up to ``max_floor_offset``
 (unbounded once the buffer holds all of V), so the optimal schedules are
 exactly the offset box ``min_offset <= s_c - s_p <= max_floor_offset`` with
 every start >= 0. ``solve`` returns the box's least member, found in two
-passes over the forest, with no LP.
+passes over the forest, with no saturated-set search.
 
 Where paths reconverge (some stage has two or more producers), or when
 that least member starts a stage past the horizon, only the cap at V keeps
 the total from being convex in the starts. ``solve`` fixes the set Z of
 edges that pay V; every other edge pays ``g``, and the rest is the
 convex-cost tension problem of min-register retiming (Leiserson and Saxe,
-"Retiming Synchronous Circuitry", Algorithmica 1991): one exact LP per set
-Z, with no integer variables (see ``solve``).
+"Retiming Synchronous Circuitry", Algorithmica 1991). Each set Z is solved
+in ints: a min-cost circulation, the problem's dual, gives Z's optimum,
+and one longest-path pass gives its least optimal starts (see ``solve``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, floor, lcm
 
 from .graph import Edge, PipelineGraph, StageKind
 from . import solver
-from .solver import Problem
 
 _ZERO = Fraction(0)
 
-# Most saturated-edge sets whose LP ``solve`` runs for one graph. The
+# Most saturated-edge sets that ``solve`` solves for one graph. The
 # generated test suites and the benchmark's DAG pool need at most 9;
-# chains of four diamonds (13 stages, 16 edges) needed up to 664, at about
-# 11 ms each (2 shared CPUs, Python 3.11), so the cap stops a search after
-# about 45 s.
+# chains of four diamonds (13 stages, 16 edges) needed up to 664. A set of
+# such a chain takes about 0.2 ms (2 shared CPUs, Python 3.11), so the cap
+# stops a search after about 1 s.
 MAX_SATURATED_SETS = 4096
 
 
@@ -180,6 +180,21 @@ class EdgeModel:
         rise = self.g(k + 1) - self.g(k)
         return [*lines, (rise, self.g(k) - rise * k)]
 
+    @cached_property
+    def pieces(self) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
+        """The maximum of ``integer_branches`` from ``min_offset`` up, as
+        ``solver.Tension`` takes it: its kinks, which are integers, and its
+        slopes, ``slopes[0]`` up to ``kinks[0]`` and so on. Each next piece
+        is the steeper line that crosses the current one first."""
+        lines = self.integer_branches()
+        slope, at0 = max(lines, key=lambda line: (line[0] * self.min_offset + line[1], line[0]))
+        kinks, slopes = [], [slope]
+        while steeper := [((at0 - a) / (s - slope), s, a) for s, a in lines if s > slope]:
+            cross, slope, at0 = min(steeper, key=lambda c: (c[0], -c[1]))
+            kinks.append(int(cross))
+            slopes.append(slope)
+        return tuple(kinks), tuple(slopes)
+
 
 def edge_models(graph: PipelineGraph) -> list[EdgeModel]:
     """One ``EdgeModel`` per edge, in ``graph.edges`` order."""
@@ -234,7 +249,7 @@ class ConstraintSystem:
 
     @property
     def constraint_count(self) -> int:
-        """Rows of the formulation, not of the LPs that ``solve`` runs: a
+        """Rows of the formulation, not of the problems that ``solve`` solves: a
         start bound per stage; per Global edge the dependency, the overwrite
         start and the full buffer; per local edge the first-read and
         window-endpoint dependencies, the overwrite start, the two peak
@@ -394,49 +409,67 @@ def _tree_starts(graph: PipelineGraph, models: list[EdgeModel]) -> dict[str, int
     return {s.id: starts[s.id] for s in graph.stages}
 
 
-def _lp(system: ConstraintSystem, saturated: tuple[int, ...]) -> tuple[Problem, Fraction]:
-    """The LP of one saturated set, and the constant by which the free
-    edges' total exceeds its optimum. Edges in ``saturated`` and edges
-    that never rise pay V and get no variable; every other edge pays B - u
-    above its ``integer_branches`` (see ``solve``). The tiebreak is the
-    starts' sum, and every row holds at the variables' lower bounds."""
-    prob = Problem()
-    earliest, horizon = system.earliest, system.horizon
-    start = {
-        s.id: prob.add_variable(f"start[{s.id}]", lower=earliest[s.id], upper=horizon,
-                                tiebreak=1)
-        for s in system.graph.stages
-    }
-    ceiling = _ZERO
-    for i, m in enumerate(system.edges):
-        sp, sc = start[m.edge.producer], start[m.edge.consumer]
-        prob.add_le({sp: 1, sc: -1}, -m.min_offset)
-        if i in saturated or m.max_floor_offset is None:
-            continue
-        top = m.g(horizon - earliest[m.edge.producer])
-        ceiling += top
-        u = prob.add_variable(f"saving[{m.key}]", objective=-1)
-        for slope, at0 in m.integer_branches():
-            prob.add_le({u: 1, sc: slope, sp: -slope}, top - at0)
-    return prob, ceiling
+class _SaturatedSets:
+    """The problems of one system's saturated sets (see ``solve``). Every
+    amount is scaled by one common denominator, so a set is solved and
+    priced in ints alone."""
+
+    def __init__(self, system: ConstraintSystem):
+        models, stages = system.edges, system.graph.stages
+        at = {s.id: k for k, s in enumerate(stages)}
+        self.rising = [i for i, m in enumerate(models) if m.max_floor_offset is not None]
+        amounts = [x for m in models for x in (m.volume, m.peak(m.min_offset))]
+        amounts += [x for i in self.rising for line in models[i].integer_branches()
+                    for x in line]
+        self.scale = scale = lcm(*(x.denominator for x in amounts))
+        self.volume = [int(m.volume * scale) for m in models]
+        self.fixed = sum(v for v, m in zip(self.volume, models) if m.max_floor_offset is None)
+        self.rise = {i: self.volume[i] - int(models[i].peak(models[i].min_offset) * scale)
+                     for i in self.rising}
+        self.lines = {i: [(int(slope * scale), int(at0 * scale))
+                          for slope, at0 in models[i].integer_branches()]
+                      for i in self.rising}
+        self.bare = [solver.Tension(at[m.edge.producer], at[m.edge.consumer], m.min_offset)
+                     for m in models]
+        self.priced = {}
+        for i in self.rising:
+            kinks, slopes = models[i].pieces
+            self.priced[i] = replace(self.bare[i], kinks=kinks,
+                                     slopes=tuple(int(slope * scale) for slope in slopes))
+        self.lower = [system.earliest[s.id] for s in stages]
+        self.upper = [system.horizon] * len(stages)
+
+    def solve(self, saturated: tuple[int, ...]) -> tuple[int, list[int]]:
+        """The scaled optimal total of the set ``saturated`` and its least
+        optimal start vector, in declaration order. Edges in the set and
+        edges that never rise pay V and keep only their ``min_offset`` row;
+        every other edge pays its ``integer_branches``."""
+        arcs = list(self.bare)
+        free = [i for i in self.rising if i not in saturated]
+        for i in free:
+            arcs[i] = self.priced[i]
+        x = solver.least_optimal(self.lower, self.upper, arcs)
+        total = self.fixed + sum(self.volume[i] for i in saturated)
+        for i in free:
+            d = x[arcs[i].head] - x[arcs[i].tail]
+            total += max(slope * d + at0 for slope, at0 in self.lines[i])
+        return total, x
 
 
 def _search(system: ConstraintSystem) -> tuple[dict[str, int], Fraction]:
     """Least optimal start vector and the optimal total, over the saturated
     sets in order of size (see ``solve``)."""
-    models, stages = system.edges, system.graph.stages
-    rising = [i for i, m in enumerate(models) if m.max_floor_offset is not None]
-    fixed = sum((m.volume for m in models if m.max_floor_offset is None), _ZERO)
-    rise = {i: models[i].volume - models[i].peak(models[i].min_offset) for i in rising}
+    sets = _SaturatedSets(system)
+    rising, rise = sets.rising, sets.rise
     # Every total is at least each peak at its edge's least offset.
-    least = fixed + sum((models[i].volume - rise[i] for i in rising), _ZERO)
-    best: tuple[Fraction, list[Fraction]] | None = None
+    least = sets.fixed + sum(sets.volume[i] - rise[i] for i in rising)
+    best: tuple[int, list[int]] | None = None
     level: list[tuple[int, ...]] = [()]
     solved = 0
     while level:
         children = []
         for z in level:
-            if best is not None and least + sum((rise[i] for i in z), _ZERO) > best[0]:
+            if best is not None and least + sum(rise[i] for i in z) > best[0]:
                 continue
             if solved == MAX_SATURATED_SETS:
                 raise SearchLimitError(
@@ -444,12 +477,7 @@ def _search(system: ConstraintSystem) -> tuple[dict[str, int], Fraction]:
                     "solved without proving an optimum"
                 )
             solved += 1
-            prob, ceiling = _lp(system, z)
-            sol = solver.solve_lp(prob)
-            if sol.status != solver.OPTIMAL:
-                raise ScheduleError(f"schedule LP {sol.status}")
-            total = fixed + sum((models[i].volume for i in z), _ZERO) + ceiling + sol.objective
-            found = (total, sol.values[:len(stages)])
+            found = sets.solve(z)
             best = found if best is None else min(best, found)
             # Each set is reached once, from the set without its last edge.
             # A skipped set's extensions are not made: their bounds are
@@ -458,9 +486,8 @@ def _search(system: ConstraintSystem) -> tuple[dict[str, int], Fraction]:
         level = children
     assert best is not None
     optimum, vector = best
-    if any(v.denominator != 1 for v in vector):
-        raise ScheduleError(f"internal inconsistency: fractional LP starts {vector}")
-    return {s.id: int(v) for s, v in zip(stages, vector)}, optimum
+    stages = system.graph.stages
+    return {s.id: v for s, v in zip(stages, vector)}, Fraction(optimum, sets.scale)
 
 
 def solve(system: ConstraintSystem) -> ScheduleSolution:
@@ -475,37 +502,34 @@ def solve(system: ConstraintSystem) -> ScheduleSolution:
     Every other graph is searched over the sets Z of rising edges (those
     with a ``max_floor_offset``) that pay V. With Z fixed, every other edge
     pays ``g``, which is convex and agrees with ``integer_branches`` at the
-    integers, so one LP with no integer variables prices Z:
+    integers:
 
     - No Z undercuts the optimum, since each edge pays V or ``g``, at least
       its peak, and the optimum is reached by the Z of the edges whose
       ``g`` reaches V in an optimal schedule.
-    - Each free edge's buffer is B - u, where B is ``g`` at the largest
-      offset the start box allows, horizon - earliest[producer]. Every
-      offset in the box is at most that one, and ``g`` and its
-      interpolation at the integers rise with the offset, so B bounds the
-      buffer everywhere and the saving u >= 0 cuts off no schedule. ``g``
-      at the earliest offset would not do: one buffer may have to grow so
-      that others can shrink. With no saving every row holds at the
-      earliest starts, the single-phase simplex's first vertex.
-    - Every LP vertex has integral starts. Where an edge's saving meets
-      two of its rows, its offset sits at an integer (b1 and b2 meet off
-      the integers only below the chord, and the saving reaches 0 only at
-      the box's largest offset), so the tight rows that fix the starts are
-      difference rows and start bounds, all integral.
-    - For a fixed Z the optimal starts form a lattice, closed under
-      componentwise min and max, because a convex function of a start
-      difference is submodular. Its least element is integral and is the
-      one optimal point with the least start sum. The LP minimizes that
-      sum as its tiebreak: at the savings' optimum a feasible point is
-      optimal exactly when every column of positive reduced cost is zero,
-      so barring those columns from entering walks the optimal face and
-      nothing else, and the same LP gives both Z's total and its least
-      element.
+    - Z's problem is a convex-cost tension problem. Each free edge's cost
+      is the maximum of its ``integer_branches``, a convex piecewise-linear
+      function of one start difference whose kinks (``pieces``) are
+      integers. The ``min_offset`` rows and the box [earliest, horizon]
+      bound the starts. Scaled by one common denominator, its slopes are
+      ints, and ``solver.least_optimal`` solves the dual, a min-cost
+      circulation. The slopes are the capacities, and the kinks, the
+      ``min_offset`` floors and the box bounds, all ints, are the costs.
+    - By LP duality, a start vector is optimal for Z exactly when it meets
+      the difference rows that complementary slackness sets with one
+      optimal circulation: each free edge's offset held to the kink or
+      piece that its flow prices, and each start held to its bound where
+      its box arc carries flow. Difference rows are closed under
+      componentwise min, so Z's optima have a least element, and one
+      Bellman-Ford longest-path pass from ``earliest`` finds it. Every
+      bound is an integer, so it is integral. The integer optima are
+      among the relaxation's and reach its value, so it is also the least
+      integer optimum, with no tiebreak objective.
 
-    Every optimal schedule lies on the optimal face of some Z that ties the
+    Every optimal schedule is among the optima of some Z that ties the
     optimum, so the lexicographically least optimal schedule is the least
-    of those sets' least elements. A set is skipped only when its bound
+    of those sets' least elements. The search adds and compares totals as
+    ints at the common denominator. A set is skipped only when its bound
     (V on Z, each other edge's peak at ``min_offset``) is strictly above
     the best total found, so no tied set is lost. ``SearchLimitError`` is
     raised once ``MAX_SATURATED_SETS`` sets have been solved.

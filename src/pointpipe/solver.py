@@ -1,190 +1,156 @@
-"""Exact linear programming over rationals.
+"""Least optimal potentials of an integer convex-cost tension problem.
 
-Small, dependency-free solver used by the schedule optimizer: a primal
-simplex with Bland's rule on ``Fraction`` arithmetic (no tolerances, no
-cycling). Problem sizes here are tiny (tens of rows), so a dense tableau
-is fine.
+The problem: integer potentials x in a box ``lower <= x <= upper`` and a
+list of ``Tension`` arcs. Arc e holds its tension t = x[head] - x[tail] at
+``floor`` or above and costs f_e(t), a convex piecewise-linear function
+with integer kinks and integer slopes. ``least_optimal`` returns the least
+x that minimizes the summed cost. It needs ``lower`` to be feasible, so the
+problem always has an optimum.
 
-The simplex has one phase. Every row ``a . x <= b``, and every upper
-bound, must hold with each variable at its lower bound: that point is the
-first vertex, with one slack per row in the basis. ``solve_lp`` raises
-``ValueError`` for a row that does not hold there; it never searches for
-a feasible point.
+It solves the dual, a min-cost circulation (Ahuja, Hochbaum and Orlin,
+"Solving the convex cost integer dual network flow problem", Management
+Science 49(7), 2003; Ahuja, Magnanti and Orlin, *Network Flows*, 1993),
+by successive shortest paths, in ints only. Nodes are the potentials and a
+root r whose potential is pinned at 0. Arc e becomes, from tail p to head
+c:
 
-Each variable's ``tiebreak`` is a second objective, minimized over the
-first one's optimal face. At the first optimum no column prices below
-zero, and a feasible point is optimal exactly when every column of
-positive reduced cost is zero there. So only columns that price at zero
-may enter afterwards. A pivot on such a column subtracts zero times the
-pivot row from the first objective's reduced costs, which leaves them and
-that objective's value unchanged: the second pass walks the optimal face
-and nothing else.
+- a constant flow slopes[0], the slope of f_e at its floor;
+- an arc c -> p of cost -floor and unbounded capacity;
+- per kink b_j, an arc p -> c of cost b_j and capacity slopes[j + 1] -
+  slopes[j].
 
-The second pass is needed. Bland's rule started from the least vertex,
-the lower bounds, does not always stop at the least optimal vertex: on the
-7-stage diamond pinned in ``tests/golden/reconvergent/diamond7_tiebreak/``
-the first pass alone ends at an optimum with one branch start at 29, where
-the tiebreak pass puts it at 0.
+Each potential i gets an arc i -> r of cost -lower[i] and an arc r -> i of
+cost upper[i], both unbounded. With potentials x, a residual arc u -> v of
+cost w asks x[v] - x[u] <= w. On the unbounded arcs that is the floor and
+the box. On a kink's arc it says that t is at most b_j while the arc has
+room, and at least b_j while it carries flow: the flow on arc e is a slope
+of f_e at t. So a circulation and potentials that satisfy every residual
+arc's row are an optimal pair (complementary slackness), and the
+circulation's value is minus f's total up to a constant.
+
+Successive shortest paths keeps every residual arc's reduced cost w + x[u]
+- x[v] at 0 or above. It starts from x = lower, with each kink's arc full
+below the tension there and empty from it up, so every row holds. It then
+sends each node's excess to a deficit, along a shortest path by reduced
+cost, as much as the path's narrowest arc carries, and shifts the
+potentials by the path lengths (Dijkstra, dense, on a few dozen nodes). The
+flow is integral throughout, and each path cuts the total excess, so the
+loop ends, with an optimal circulation.
+
+By LP duality, an x is optimal exactly when it meets every residual arc's
+row of one optimal circulation, with x[r] = 0. Those rows are difference
+constraints, so the optimal set is closed under componentwise min, and
+its least member is the longest-path solution from ``lower`` (Bellman-Ford,
+at most one round per node, since the final potentials solve the system
+and so it has no positive cycle). All its bounds are integers, so it is
+integral, and it is the least optimal point of the problem's LP relaxation
+as well.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-
-Status = str
-OPTIMAL: Status = "optimal"
-UNBOUNDED: Status = "unbounded"
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from dataclasses import dataclass
 
 
-@dataclass
-class Variable:
-    name: str
-    lower: Fraction
-    upper: Fraction | None
-    objective: Fraction
-    tiebreak: Fraction
+@dataclass(frozen=True)
+class Tension:
+    """The tension t = x[head] - x[tail], held at ``floor`` or above, and
+    its cost: slope ``slopes[0]`` from ``floor`` to ``kinks[0]``,
+    ``slopes[j]`` from ``kinks[j - 1]`` to ``kinks[j]``, and
+    ``slopes[-1]`` past the last kink. Kinks rise strictly from above
+    ``floor``, and slopes rise strictly. The default costs nothing."""
+
+    tail: int
+    head: int
+    floor: int
+    kinks: tuple[int, ...] = ()
+    slopes: tuple[int, ...] = (0,)
 
 
-@dataclass
-class Problem:
-    """min  c . x, then min  t . x  among its minimizers,
-    s.t.  rows (a . x <= b),  lower <= x <= upper."""
+def least_optimal(lower: list[int], upper: list[int], arcs: list[Tension]) -> list[int]:
+    """Least x in the box that minimizes the arcs' summed cost (see the
+    module docstring). Raises ``ValueError`` when ``lower`` misses an arc's
+    floor or lies above ``upper``."""
+    n = len(lower)
+    root = n
+    # Residual arcs in pairs, arc k and its reverse k ^ 1: head, room, cost.
+    head: list[int] = []
+    room: list[int] = []
+    cost: list[int] = []
+    out: list[list[int]] = [[] for _ in range(n + 1)]
+    excess = [0] * (n + 1)
+    # Paths never carry more in all than the starting excess, which is
+    # below this: an arc this wide never fills.
+    wide = 1 + sum(max(abs(s) for s in a.slopes) for a in arcs)
 
-    variables: list[Variable] = field(default_factory=list)
-    rows: list[tuple[dict[int, Fraction], Fraction]] = field(default_factory=list)
+    def add(u: int, v: int, width: int, w: int, flow: int = 0) -> None:
+        out[u].append(len(head))
+        out[v].append(len(head) + 1)
+        head.extend((v, u))
+        room.extend((width - flow, flow))
+        cost.extend((w, -w))
+        excess[u] -= flow
+        excess[v] += flow
 
-    def add_variable(
-        self,
-        name: str,
-        lower: Fraction | int = 0,
-        upper: Fraction | int | None = None,
-        objective: Fraction | int = 0,
-        tiebreak: Fraction | int = 0,
-    ) -> int:
-        self.variables.append(
-            Variable(
-                name=name,
-                lower=Fraction(lower),
-                upper=None if upper is None else Fraction(upper),
-                objective=Fraction(objective),
-                tiebreak=Fraction(tiebreak),
-            )
-        )
-        return len(self.variables) - 1
+    for a in arcs:
+        p, c = a.tail, a.head
+        t = lower[c] - lower[p]
+        if t < a.floor:
+            raise ValueError(f"lower bounds give arc {p} -> {c} tension {t} < {a.floor}")
+        excess[p] -= a.slopes[0]
+        excess[c] += a.slopes[0]
+        add(c, p, wide, -a.floor)
+        for b, below, above in zip(a.kinks, a.slopes, a.slopes[1:]):
+            add(p, c, above - below, b, above - below if b < t else 0)
+    for i in range(n):
+        if lower[i] > upper[i]:
+            raise ValueError(f"potential {i}: lower bound {lower[i]} > {upper[i]}")
+        add(i, root, wide, -lower[i])
+        add(root, i, wide, upper[i])
 
-    def add_le(self, coeffs: dict[int, Fraction | int], rhs: Fraction | int) -> None:
-        cleaned = {j: Fraction(a) for j, a in coeffs.items() if a != 0}
-        self.rows.append((cleaned, Fraction(rhs)))
-
-
-@dataclass
-class Solution:
-    status: Status
-    objective: Fraction | None = None
-    values: list[Fraction] | None = None
-
-
-class _Tableau:
-    """Dense simplex tableau with an explicit basis, all entries Fractions;
-    each row ends with its right-hand side."""
-
-    def __init__(self, rows: list[list[Fraction]], basis: list[int]):
-        self.rows = rows
-        self.basis = basis
-
-    def pivot(self, prow: int, pcol: int) -> None:
-        inv = _ONE / self.rows[prow][pcol]
-        self.rows[prow] = rowdata = [a * inv if a else a for a in self.rows[prow]]
-        # Rows are mostly zeros: update only the pivot row's nonzero columns.
-        nonzero = [(j, a) for j, a in enumerate(rowdata) if a]
-        for r, row in enumerate(self.rows):
-            factor = row[pcol]
-            if r != prow and factor != 0:
-                for j, a in nonzero:
-                    row[j] -= factor * a
-        self.basis[prow] = pcol
-
-    def minimize(
-        self, costs: list[Fraction], enterable: list[int]
-    ) -> tuple[Status, list[Fraction]]:
-        """Run Bland's rule over the columns in ``enterable`` (ascending)
-        until none prices below zero or one is unbounded; return the status
-        and every column's reduced cost."""
-        reduced = [*costs, _ZERO]
-        for i, b in enumerate(self.basis):
-            cb = costs[b]
-            if cb != 0:
-                for j, a in enumerate(self.rows[i]):
-                    if a:
-                        reduced[j] -= cb * a
+    pi = [*lower, 0]
+    nodes = range(n + 1)
+    while (s := next((u for u in nodes if excess[u] > 0), None)) is not None:
+        dist: list[int | None] = [None] * (n + 1)
+        via = [-1] * (n + 1)
+        done = [False] * (n + 1)
+        dist[s] = 0
         while True:
-            # A basic column prices at exactly zero, so it never enters.
-            enter = next((j for j in enterable if reduced[j] < 0), -1)
-            if enter < 0:
-                return OPTIMAL, reduced
-            leave = -1
-            best_ratio: Fraction | None = None
-            for i, row in enumerate(self.rows):
-                a = row[enter]
-                if a > 0:
-                    ratio = row[-1] / a
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and self.basis[i] < self.basis[leave])
-                    ):
-                        best_ratio = ratio
-                        leave = i
-            if leave < 0:
-                return UNBOUNDED, reduced
-            self.pivot(leave, enter)
-            # Keep the reduced costs current instead of pricing anew.
-            factor = reduced[enter]
-            for j, a in enumerate(self.rows[leave]):
-                if a:
-                    reduced[j] -= factor * a
+            u = min((v for v in nodes if not done[v] and dist[v] is not None),
+                    key=dist.__getitem__)
+            done[u] = True
+            if excess[u] < 0:
+                break
+            for k in out[u]:
+                v = head[k]
+                if room[k] and not done[v]:
+                    d = dist[u] + cost[k] + pi[u] - pi[v]
+                    if dist[v] is None or d < dist[v]:
+                        dist[v], via[v] = d, k
+        # Every node reaches a deficit through the root, so u is one. Nodes
+        # not settled are at least dist[u] away.
+        for v in nodes:
+            pi[v] += dist[v] if done[v] else dist[u]
+        path = []
+        v = u
+        while v != s:
+            path.append(via[v])
+            v = head[via[v] ^ 1]
+        flow = min(excess[s], -excess[u], *(room[k] for k in path))
+        for k in path:
+            room[k] -= flow
+            room[k ^ 1] += flow
+        excess[s] -= flow
+        excess[u] += flow
 
-
-def solve_lp(prob: Problem) -> Solution:
-    """Exact optimum of ``prob``, least in ``tiebreak`` among the optima.
-
-    Raises ``ValueError`` when a row or an upper bound does not hold with
-    every variable at its lower bound (see the module docstring)."""
-    variables = prob.variables
-    n = len(variables)
-    lows = [v.lower for v in variables]
-    bounds = [({j: _ONE}, v.upper) for j, v in enumerate(variables) if v.upper is not None]
-    # Shift every variable by its lower bound, x = lower + y with y >= 0, so
-    # the origin is feasible and the slacks are the first basis.
-    constraints = prob.rows + bounds
-    m = len(constraints)
-    rows: list[list[Fraction]] = []
-    for i, (coeffs, rhs) in enumerate(constraints):
-        row = [_ZERO] * (n + m + 1)
-        for j, a in coeffs.items():
-            row[j] = a
-            rhs -= a * lows[j]
-        if rhs < 0:
-            raise ValueError(f"row {i} of {m} does not hold at the lower bounds")
-        row[n + i], row[-1] = _ONE, rhs
-        rows.append(row)
-    tab = _Tableau(rows, list(range(n, n + m)))
-
-    slacks, columns = [_ZERO] * m, list(range(n + m))
-    status, reduced = tab.minimize([v.objective for v in variables] + slacks, columns)
-    if status == OPTIMAL:
-        face = [j for j in columns if reduced[j] == 0]
-        status, _ = tab.minimize([v.tiebreak for v in variables] + slacks, face)
-    if status != OPTIMAL:
-        return Solution(status)
-
-    y = [_ZERO] * (n + m)
-    for i, b in enumerate(tab.basis):
-        y[b] = tab.rows[i][-1]
-    values = [lo + y[j] for j, lo in enumerate(lows)]
-    total = sum((v.objective * x for v, x in zip(variables, values)), _ZERO)
-    return Solution(OPTIMAL, total, values)
+    x = [*lower, 0]
+    changed = True
+    while changed:
+        changed = False
+        for u in nodes:
+            for k in out[u]:
+                if room[k] and x[head[k]] - cost[k] > x[u]:
+                    x[u] = x[head[k]] - cost[k]
+                    changed = True
+    assert x[root] == 0, f"root potential {x[root]}"
+    return x[:n]

@@ -4,7 +4,7 @@ from math import ceil
 import pytest
 
 from _pipegen import generate, suite
-from pointpipe import optimizer
+from pointpipe import optimizer, solver
 from pointpipe.graph import StageKind, parse_pipeline
 from pointpipe.optimizer import (
     ScheduleError,
@@ -325,13 +325,13 @@ def test_diamond_chain_stays_far_below_the_set_cap(monkeypatch):
     system = build_constraints(g)
     assert all(m.max_floor_offset is not None for m in system.edges)
     solved = []
-    lp = optimizer._lp
+    least_optimal = solver.least_optimal
 
-    def counting_lp(system, saturated):
-        solved.append(saturated)
-        return lp(system, saturated)
+    def counting(lower, upper, arcs):
+        solved.append(arcs)
+        return least_optimal(lower, upper, arcs)
 
-    monkeypatch.setattr(optimizer, "_lp", counting_lp)
+    monkeypatch.setattr(solver, "least_optimal", counting)
     sol = solve(system)
     assert sol.total_buffer == F(1363, 6)
     assert sol.start_cycles == {"s0": 0, "s1": 1, "s2": 16, "s3": 17, "s4": 75,

@@ -1,9 +1,9 @@
 """Every shipped example in ``pipelines/`` loads and runs end to end, and its
 ``optimize``, ``simulate`` and ``verify`` outputs match the checked-in
 bytes in ``tests/golden/<pipeline>/``. Every shipped example is a tree, so four
-reconvergent pipelines pin the LP search's bytes in
+reconvergent pipelines pin the saturated-set search's bytes in
 ``tests/golden/reconvergent/<name>/``: three from the other tests, and one
-whose least optimal start vector only the solver's tiebreak pass finds.
+where Bland's rule's first optimum is not the least optimal start vector.
 Each of these graphs also pins ``simulate --trace``'s occupancy rows in
 ``trace.c<chunks>.s<stride>.csv``, at one chunk and stride 1 and at four
 chunks and stride 3, and its 32-chunk ``simulate`` summary in
@@ -27,8 +27,10 @@ from test_oracle import DIAMOND5_1
 
 PIPELINES = sorted((Path(__file__).parent.parent / "pipelines").glob("*.json"))
 GOLDEN = Path(__file__).parent / "golden"
-# Without solve_lp's tiebreak pass, Bland's rule ends at another optimal
-# vertex here, with s2 at 29 rather than 0.
+# Bland's rule, run from the lower bounds, stops here at an optimal vertex
+# with s2 at 29, not at the least one, with s2 at 0: the simplex that once
+# priced each saturated set needed a tiebreak pass for it. Its golden pins
+# the least vector.
 DIAMOND7_TIEBREAK = """{"input_work": 24, "stages": [
   {"id": "s0", "kind": "Stencil", "i_shape": [1, 3], "o_shape": [2, 1], "stage": 0,
    "i_freq": 2, "o_freq": 2, "reuse": [2, 1]},
@@ -94,7 +96,7 @@ def test_diamond_verify_matches_golden(tmp_path, capsys):
 
 
 def test_tiebreak_diamond_verifies(tmp_path, capsys):
-    # The oracle, which never runs the LP, finds the same least vector.
+    # The oracle, which never runs the solver, finds the same least vector.
     path = tmp_path / "diamond7_tiebreak.json"
     path.write_text(DIAMOND7_TIEBREAK)
     assert main(["verify", str(path)]) == 0
