@@ -15,11 +15,9 @@ from .graph import (
     Shape,
     StageKind,
     StageSpec,
-    Throughputs,
     ValidationError,
     load_pipeline,
     parse_pipeline,
-    serialize_pipeline,
 )
 from .optimizer import (
     ConstraintSystem,
@@ -48,14 +46,12 @@ __all__ = [
     "SimTrace",
     "StageKind",
     "StageSpec",
-    "Throughputs",
     "ValidationError",
     "build_constraints",
     "load_pipeline",
     "optimize",
     "parse_pipeline",
     "schedule_chunks",
-    "serialize_pipeline",
     "simulate",
     "solve",
     "verify_against_oracle",

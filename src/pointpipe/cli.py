@@ -9,7 +9,9 @@ flags it reads; any other flag exits 2.
 Exit codes: 0 success (or verified), 1 verification failure (stalls,
 overflows, oracle mismatch, sort mismatch), 2 usage or input errors (among
 them a grid with more than ``kernels.grid.MAX_GRID_CELLS`` = 2**20 cells or
-window count times kernel volume), 3 verification inconclusive
+window count times kernel volume, and an ``optimize`` or ``verify`` whose
+schedule search reaches ``optimizer.MAX_SATURATED_SETS`` sets, reported as
+``error: schedule optimization stopped: ...``), 3 verification inconclusive
 (``verify``'s oracle ran out of its node budget, ``oracle.MAX_SEARCH_NODES``,
 before it proved a minimum).
 """
@@ -260,12 +262,7 @@ def cmd_knn(args) -> int:
     cloud, meta = _load_cloud(args)
     tree = kdtree_build(cloud.points, leaf_size=args.leaf_size)
     queries = _queries(args, cloud)
-    if args.deadline is not None and args.deadline_frac is not None:
-        raise CliError("--deadline and --deadline-frac are mutually exclusive")
     deadline = _parse_deadline(args.deadline)
-    if args.deadline_frac is not None:
-        frac = _parse_fraction(args.deadline_frac, "--deadline-frac")
-        deadline = profile_deadline(tree, queries, args.k, frac).deadline
 
     results = [knn_search(tree, q, args.k, deadline=deadline) for q in queries]
     _write_neighbors(args.out, results)
@@ -456,8 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("knn", parents=[search], help="k-nearest-neighbor search")
     p.add_argument("--k", type=int, default=8)
     p.add_argument("--deadline", default=None, help="step cap, or 'inf'")
-    p.add_argument("--deadline-frac", default=None,
-                   help="derive the cap from profiled mean steps")
     p.add_argument("--recall", action="store_true",
                    help="report recall against brute force")
     p.set_defaults(func=cmd_knn)

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
+from functools import cached_property
 
 
 class PipelineError(Exception):
@@ -53,22 +53,6 @@ class Shape:
     @property
     def elements(self) -> int:
         return self.rows * self.attrs
-
-
-@dataclass(frozen=True)
-class Throughputs:
-    """Exact per-cycle consume/produce rates of one stage.
-
-    ``tau_in`` counts unique input elements per cycle (reuse divided out),
-    ``tau_out`` counts output elements per cycle.
-    """
-
-    tau_in: Fraction
-    tau_out: Fraction
-
-    def __post_init__(self) -> None:
-        if self.tau_in <= 0 or self.tau_out <= 0:
-            raise ValidationError(f"throughputs must be positive, got {self!r}")
 
 
 @dataclass(frozen=True)
@@ -125,10 +109,15 @@ class StageSpec:
             return self.reuse[0] * self.reuse[1]
         return 1
 
-    def throughputs(self) -> Throughputs:
-        tau_in = Fraction(self.i_shape.elements, self.reuse_total * self.i_freq)
-        tau_out = Fraction(self.o_shape.elements, self.o_freq)
-        return Throughputs(tau_in=tau_in, tau_out=tau_out)
+    @cached_property
+    def tau_in(self) -> Fraction:
+        """Unique input elements consumed per cycle (reuse divided out)."""
+        return Fraction(self.i_shape.elements, self.reuse_total * self.i_freq)
+
+    @cached_property
+    def tau_out(self) -> Fraction:
+        """Output elements produced per cycle."""
+        return Fraction(self.o_shape.elements, self.o_freq)
 
 
 @dataclass(frozen=True)
@@ -172,15 +161,6 @@ class PipelineGraph:
     def __post_init__(self) -> None:
         self.validate()
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PipelineGraph):
-            return NotImplemented
-        return (
-            self.stages == other.stages
-            and self.edges == other.edges
-            and self.input_work == other.input_work
-        )
-
     # -- structure ---------------------------------------------------------
 
     def stage(self, stage_id: str) -> StageSpec:
@@ -188,14 +168,6 @@ class PipelineGraph:
 
     def producers_of(self, stage_id: str) -> list[str]:
         return [e.producer for e in self.edges if e.consumer == stage_id]
-
-    def consumers_of(self, stage_id: str) -> list[str]:
-        return [e.consumer for e in self.edges if e.producer == stage_id]
-
-    @property
-    def sources(self) -> list[str]:
-        has_in = {e.consumer for e in self.edges}
-        return [s.id for s in self.stages if s.id not in has_in]
 
     def validate(self) -> None:
         if self.input_work < 1:
@@ -258,18 +230,17 @@ class PipelineGraph:
                 volume = sum(self.work[p] for p in producers)
             else:
                 volume = self.input_work
-            t = spec.throughputs()
-            w = Fraction(volume) * t.tau_out / t.tau_in
+            w = Fraction(volume) * spec.tau_out / spec.tau_in
             if w.denominator != 1:
                 raise ValidationError(
                     f"stage {sid!r}: derived work {w} is not an integer "
-                    f"(input volume {volume}, tau_in {t.tau_in}, tau_out {t.tau_out})"
+                    f"(input volume {volume}, tau_in {spec.tau_in}, tau_out {spec.tau_out})"
                 )
             if w <= 0:
                 raise ValidationError(f"stage {sid!r}: derived work must be positive")
             self.input_volume[sid] = volume
             self.work[sid] = int(w)
-            self.duration[sid] = Fraction(volume) / t.tau_in
+            self.duration[sid] = Fraction(volume) / spec.tau_in
         for e in self.edges:
             self.edge_volume[e] = self.work[e.producer]
 
@@ -376,42 +347,6 @@ def parse_pipeline(document: str) -> PipelineGraph:
     return PipelineGraph(stages=stages, edges=edges, input_work=input_work)
 
 
-def serialize_pipeline(graph: PipelineGraph) -> str:
-    """Canonical JSON for a graph; ``parse_pipeline`` round-trips it exactly."""
-    stages = []
-    for s in graph.stages:
-        rec: dict[str, object] = {
-            "id": s.id,
-            "kind": s.kind.value,
-            "i_shape": [s.i_shape.rows, s.i_shape.attrs],
-            "o_shape": [s.o_shape.rows, s.o_shape.attrs],
-            "stage": s.stage_depth,
-        }
-        if s.i_freq != 1:
-            rec["i_freq"] = s.i_freq
-        if s.o_freq != 1:
-            rec["o_freq"] = s.o_freq
-        if s.reuse != (1, 1):
-            rec["reuse"] = list(s.reuse)
-        stages.append(rec)
-    doc = {
-        "input_work": graph.input_work,
-        "stages": stages,
-        "edges": [[e.producer, e.consumer] for e in graph.edges],
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def load_pipeline(path: str) -> PipelineGraph:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_pipeline(fh.read())
-
-
-def check_duration_identity(graph: PipelineGraph) -> None:
-    """Assert U/tau_in == W/tau_out for every stage (exact)."""
-    for s in graph.stages:
-        t = s.throughputs()
-        lhs = Fraction(graph.input_volume[s.id]) / t.tau_in
-        rhs = Fraction(graph.work[s.id]) / t.tau_out
-        if lhs != rhs:
-            raise ValidationError(f"stage {s.id!r}: duration identity violated")

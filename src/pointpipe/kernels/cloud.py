@@ -1,9 +1,9 @@
 """Point cloud container and file formats.
 
 Two interchange formats: whitespace-separated text with one ``x y z
-[attrs...]`` line per point, and a raw binary layout (little-endian uint64
-point count, then count*3 float32 coordinates). Attributes survive only the
-text format.
+[extra...]`` line per point, and a raw binary layout (little-endian uint64
+point count, then count*3 float32 coordinates). Text lines may carry extra
+columns, as many on every line; they are parsed as numbers and dropped.
 
 ``from_text`` reads text with no ``#`` in one ``np.loadtxt`` pass, which
 splits and converts fields as ``str.split`` and ``float()`` do or raises, so
@@ -21,8 +21,7 @@ import numpy as np
 
 @dataclass
 class PointCloud:
-    points: np.ndarray                  # (n, 3) float64
-    attrs: np.ndarray | None = None     # (n, k) float64 or None
+    points: np.ndarray  # (n, 3) float64
 
     def __post_init__(self) -> None:
         self.points = np.asarray(self.points, dtype=np.float64)
@@ -32,10 +31,6 @@ class PointCloud:
             raise ValueError("point cloud must contain at least one point")
         if not np.isfinite(self.points).all():
             raise ValueError("points must be finite")
-        if self.attrs is not None:
-            self.attrs = np.asarray(self.attrs, dtype=np.float64)
-            if self.attrs.shape[0] != self.points.shape[0]:
-                raise ValueError("attrs row count must match points")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -48,13 +43,12 @@ def from_text(text: str) -> PointCloud:
         except ValueError:
             table = np.empty((0, 0))
         if table.shape[1] >= 3:
-            attrs = table[:, 3:].copy() if table.shape[1] > 3 else None
-            return PointCloud(points=table[:, :3].copy(), attrs=attrs)
+            return PointCloud(points=table[:, :3].copy())
     return _from_lines(text)
 
 
 def _from_lines(text: str) -> PointCloud:
-    points, attrs, width = [], [], None
+    points, width = [], None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -71,20 +65,9 @@ def _from_lines(text: str) -> PointCloud:
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         points.append(values[:3])
-        attrs.append(values[3:])
     if not points:
         raise ValueError("no points in input")
-    return PointCloud(points=np.array(points), attrs=np.array(attrs) if attrs[0] else None)
-
-
-def to_text(cloud: PointCloud) -> str:
-    lines = []
-    for i, p in enumerate(cloud.points):
-        fields = [repr(float(v)) for v in p]
-        if cloud.attrs is not None:
-            fields += [repr(float(v)) for v in cloud.attrs[i]]
-        lines.append(" ".join(fields))
-    return "\n".join(lines) + "\n"
+    return PointCloud(points=np.array(points))
 
 
 def from_binary(data: bytes) -> PointCloud:
@@ -101,11 +84,6 @@ def from_binary(data: bytes) -> PointCloud:
     return PointCloud(points=coords.reshape(count, 3))
 
 
-def to_binary(cloud: PointCloud) -> bytes:
-    header = struct.pack("<Q", len(cloud))
-    return header + cloud.points.astype("<f4").tobytes()
-
-
 def load(path: str, fmt: str = "text") -> PointCloud:
     if fmt == "text":
         with open(path, "r", encoding="utf-8") as fh:
@@ -115,13 +93,3 @@ def load(path: str, fmt: str = "text") -> PointCloud:
             return from_binary(fh.read())
     raise ValueError(f"unknown cloud format {fmt!r}")
 
-
-def save(cloud: PointCloud, path: str, fmt: str = "text") -> None:
-    if fmt == "text":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(to_text(cloud))
-    elif fmt == "binary":
-        with open(path, "wb") as fh:
-            fh.write(to_binary(cloud))
-    else:
-        raise ValueError(f"unknown cloud format {fmt!r}")

@@ -233,7 +233,7 @@ def range_search(
     """All points within ``radius`` (inclusive) of ``query``, ascending by
     (distance, index); the deadline-capped variant returns the subset found
     within the step budget."""
-    if radius <= 0:
+    if not radius > 0:  # also rejects NaN, which would never prune
         raise ValueError("radius must be positive")
     return _search(tree, query, len(tree.index), radius * radius, deadline, None)
 

@@ -60,10 +60,11 @@ from . import solver
 _ZERO = Fraction(0)
 
 # Most saturated-edge sets that ``solve`` solves for one graph. The
-# generated test suites and the benchmark's DAG pool need at most 9;
-# chains of four diamonds (13 stages, 16 edges) needed up to 664. A set of
-# such a chain takes about 0.2 ms (2 shared CPUs, Python 3.11), so the cap
-# stops a search after about 1 s.
+# generated test suites and the benchmark's DAG pool need at most 9. A chain
+# of four diamonds does not fit: the four-diamond extension of the tests'
+# ``DIAMOND_CHAIN`` (13 stages, 16 edges, input_work 288) raises
+# ``SearchLimitError`` after 4096 sets in about 0.8 CPU-s (2 shared CPUs,
+# Python 3.11), so the cap stops a search after about 1 s.
 MAX_SATURATED_SETS = 4096
 
 
@@ -202,7 +203,7 @@ def edge_models(graph: PipelineGraph) -> list[EdgeModel]:
     for e in graph.edges:
         p, c = graph.stage(e.producer), graph.stage(e.consumer)
         v = Fraction(graph.edge_volume[e])
-        out_rate, in_rate = p.throughputs().tau_out, c.throughputs().tau_in
+        out_rate, in_rate = p.tau_out, c.tau_in
         models.append(EdgeModel(
             edge=e, key=edge_key(e), volume=v, out_rate=out_rate, in_rate=in_rate,
             depth_p=p.stage_depth, depth_c=c.stage_depth,
@@ -580,18 +581,10 @@ def schedule_chunks(
             need = (t_o - m.depth_p) + max(_ZERO, m.drain - m.dur_p)
             interval = max(interval, need)
 
-    bubbles = {
-        s.id: interval - graph.duration[s.id] for s in graph.stages
-    }
-    return ScheduleSolution(
-        start_cycles=dict(solution.start_cycles),
-        buffer_sizes=dict(solution.buffer_sizes),
-        overwrite_starts=dict(solution.overwrite_starts),
-        total_buffer=solution.total_buffer,
+    return replace(
+        solution,
         makespan=solution.makespan + (chunk_count - 1) * interval,
         initiation_interval=interval,
-        bubbles=bubbles,
+        bubbles={s.id: interval - graph.duration[s.id] for s in graph.stages},
         chunk_count=chunk_count,
-        constraint_counts=dict(solution.constraint_counts),
-        horizon=solution.horizon,
     )

@@ -410,7 +410,7 @@ def simulate(
     for s in graph.stages:
         w = Fraction(starts[s.id] + s.stage_depth)
         first_read[s.id] = starts[s.id] + 1
-        first_output[s.id] = ceil(w + 1 / s.throughputs().tau_out)
+        first_output[s.id] = ceil(w + 1 / s.tau_out)
         write_ends.append(w + graph.duration[s.id])
     last_write = max(write_ends)
     chunk_completions = [last_write + k * interval for k in range(chunk_count)]

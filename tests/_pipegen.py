@@ -89,8 +89,7 @@ def _attempt(rng: random.Random, input_work: int | None, shape: str) -> Pipeline
     if sum(graph.duration.values()) > 250:
         return None
     for s in graph.stages:
-        t = s.throughputs()
-        if t.tau_in.denominator > 4 or t.tau_out.denominator > 4:
+        if s.tau_in.denominator > 4 or s.tau_out.denominator > 4:
             return None
     return graph
 

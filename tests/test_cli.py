@@ -28,13 +28,12 @@ CLOUD = [*POINTS, "--queries", "3"]
 BAD_INPUTS = [
     ["range", *CLOUD, "--radius", "0.2", "--deadline", "abc"],
     ["range", *CLOUD, "--radius", "0"],
+    ["range", *CLOUD, "--radius", "nan"],
     ["sort", *POINTS, "--cuts", "a,b"],
     ["sort", *POINTS, "--chunks", "0"],
     ["profile-deadline", *CLOUD, "--fraction", "x"],
     ["profile-deadline", *CLOUD, "--fraction", "1/0"],
     ["knn", *CLOUD, "--k", "0"],
-    ["knn", *CLOUD, "--deadline-frac", "x"],
-    ["knn", *CLOUD, "--deadline-frac", "1/0"],
     ["knn", "--synthetic", "50", "--queries", "0"],
     ["split", *POINTS, "--grid", "0x1x1"],
     ["split", *POINTS, "--serial", "0"],
@@ -131,6 +130,7 @@ UNREAD_FLAGS = [
     ("verify", "--seed"), ("verify", "--format"), ("verify", "--out"),
     ("split", "--queries"), ("split", "--query-input"), ("split", "--leaf-size"),
     ("sort", "--queries"), ("sort", "--query-input"), ("sort", "--leaf-size"),
+    ("knn", "--deadline-frac"),
 ]
 
 

@@ -1,6 +1,7 @@
 """The point kernels against brute force and against their documented rules."""
 
 import os
+import struct
 import tempfile
 import warnings
 from fractions import Fraction
@@ -393,9 +394,8 @@ def test_plain_text_skips_the_line_parser(monkeypatch):
         raise AssertionError("line parser called")
 
     monkeypatch.setattr(cloud, "_from_lines", refuse)
-    c = cloud.from_text("1 2 3 9\n-0.0 1e-3 5 8\n")
-    assert c.points.tolist() == [[1, 2, 3], [-0.0, 1e-3, 5]] and c.attrs.tolist() == [[9], [8]]
-    assert c.points.flags.c_contiguous and c.attrs.flags.c_contiguous
+    c = cloud.from_text("1 2 3 9\n-0.0 1e-3 5 8\n")  # the fourth column is dropped
+    assert c.points.tolist() == [[1, 2, 3], [-0.0, 1e-3, 5]] and c.points.flags.c_contiguous
 
 
 # Fields float() and numpy may read differently, or one of them not at all.
@@ -438,7 +438,7 @@ def _parsed(parse, text):
         c = parse(text)
     except ValueError as exc:
         return str(exc)
-    return c.points.tobytes(), None if c.attrs is None else (c.attrs.shape, c.attrs.tobytes())
+    return c.points.tobytes()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -452,28 +452,28 @@ def test_text_fast_path_equals_the_line_parser(text):
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
-def _round_trip(c, fmt):
+def _load_written(data: bytes, fmt):
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "cloud")
-        cloud.save(c, path, fmt=fmt)
+        with open(path, "wb") as fh:
+            fh.write(data)
         return cloud.load(path, fmt=fmt)
+
+
+def _binary(points):
+    return struct.pack("<Q", len(points)) + points.astype("<f4").tobytes()
 
 
 @EXAMPLES
 @given(rows=st.lists(st.lists(finite, min_size=3, max_size=3), min_size=1, max_size=20),
        attr_width=st.integers(0, 2), data=st.data())
 def test_text_round_trip_is_exact(rows, attr_width, data):
-    attrs = None
-    if attr_width:
-        attrs = np.array(data.draw(st.lists(
-            st.lists(finite, min_size=attr_width, max_size=attr_width),
-            min_size=len(rows), max_size=len(rows))))
-    c = PointCloud(points=np.array(rows), attrs=attrs)
-    back = _round_trip(c, "text")
-    assert back.points.tobytes() == c.points.tobytes()
-    assert (back.attrs is None) == (attrs is None)
-    if attrs is not None:
-        assert back.attrs.tobytes() == c.attrs.tobytes()
+    # Attribute columns are accepted and dropped.
+    attrs = data.draw(st.lists(st.lists(finite, min_size=attr_width, max_size=attr_width),
+                               min_size=len(rows), max_size=len(rows)))
+    text = "".join(" ".join(map(repr, p + a)) + "\n" for p, a in zip(rows, attrs))
+    back = _load_written(text.encode(), "text")
+    assert back.points.tobytes() == np.array(rows).tobytes()
 
 
 @EXAMPLES
@@ -481,13 +481,12 @@ def test_text_round_trip_is_exact(rows, attr_width, data):
                      min_size=1, max_size=20))
 def test_binary_round_trip_keeps_float32_values(rows):
     # Binary stores float32: a float32 value comes back exactly, any other
-    # as its float32 rounding, and attributes are dropped.
-    c = PointCloud(points=np.array(rows), attrs=np.ones((len(rows), 1)))
-    as32 = c.points.astype(np.float32).astype(np.float64)
-    back = _round_trip(c, "binary")
+    # as its float32 rounding.
+    points = np.array(rows)
+    as32 = points.astype(np.float32).astype(np.float64)
+    back = _load_written(_binary(points), "binary")
     assert back.points.tobytes() == as32.tobytes()
-    assert back.attrs is None
-    assert _round_trip(back, "binary").points.tobytes() == as32.tobytes()
+    assert _load_written(_binary(back.points), "binary").points.tobytes() == as32.tobytes()
 
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from pointpipe.cli import VERIFY_FAILED, main
-from pointpipe.graph import check_duration_identity, load_pipeline
+from pointpipe.graph import load_pipeline
 from pointpipe.optimizer import ScheduleSolution
 
 from conftest import DIAMOND
@@ -53,7 +53,9 @@ TRACED = {path.stem: path.read_text() for path in PIPELINES} | {
 def test_shipped_pipelines_keep_duration_identity():
     assert PIPELINES
     for path in PIPELINES:
-        check_duration_identity(load_pipeline(str(path)))
+        g = load_pipeline(str(path))
+        for s in g.stages:
+            assert Fraction(g.input_volume[s.id]) / s.tau_in == Fraction(g.work[s.id]) / s.tau_out
 
 
 @pytest.mark.parametrize("path", PIPELINES, ids=lambda p: p.stem)

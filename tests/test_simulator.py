@@ -181,8 +181,8 @@ def test_occupancy_matches_rate_formulas(knn_stencil, local_chain):
             key = edge_key(e)
             p, c = g.stage(e.producer), g.stage(e.consumer)
             v = F(g.edge_volume[e])
-            out_rate = p.throughputs().tau_out
-            in_rate = c.throughputs().tau_in
+            out_rate = p.tau_out
+            in_rate = c.tau_in
             w_start = F(sol.start_cycles[e.producer] + p.stage_depth)
             t_o = sol.overwrite_starts[key]
             for t in range(trace.completion_cycle + 1):
