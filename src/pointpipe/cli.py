@@ -168,13 +168,6 @@ def _parse_deadline(text: str | None) -> int | None:
     return value
 
 
-def _parse_fraction(text: str, flag: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise CliError(f"{flag} must be a number or a fraction like 1/4, got {text!r}") from None
-
-
 # -- scheduling commands ------------------------------------------------------
 
 def cmd_optimize(args) -> int:
@@ -299,7 +292,12 @@ def cmd_profile_deadline(args) -> int:
     cloud, _ = _load_cloud(args)
     tree = kdtree_build(cloud.points, leaf_size=args.leaf_size)
     queries = _queries(args, cloud)
-    prof = profile_deadline(tree, queries, args.k, _parse_fraction(args.fraction, "--fraction"))
+    try:
+        fraction = Fraction(args.fraction)
+    except (ValueError, ZeroDivisionError):
+        raise CliError("--fraction must be a number or a fraction like 1/4, "
+                       f"got {args.fraction!r}") from None
+    prof = profile_deadline(tree, queries, args.k, fraction)
     lines = ["query,steps"] + [f"{i},{s}" for i, s in enumerate(prof.steps)]
     _write(args.out, "\n".join(lines) + "\n")
     print(f"mean steps: {prof.mean_steps!r}", file=sys.stderr)
