@@ -149,10 +149,14 @@ def chunked_sort(
 
     Returns the permutation (point indices in sorted order); ties keep
     arrival order. Values equal to a boundary go to the lower bucket.
+    Infinite cuts are legal; a NaN cut has no place in the order and is
+    rejected.
     """
     if axis not in (0, 1, 2):
         raise ValueError("axis must be 0, 1, or 2")
     cuts = np.asarray(sorted(chunk_boundaries), dtype=np.float64)
+    if np.isnan(cuts).any():
+        raise ValueError("chunk boundaries must not be NaN")
     coords = cloud.points[:, axis]
     bucket = np.searchsorted(cuts, coords, side="left")
     # By bucket, then stably by coordinate within each bucket.

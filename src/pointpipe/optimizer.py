@@ -25,7 +25,8 @@ through the offset d = s_c - s_p, and the model gives, as functions of d:
   that bound.
 - ``peak(d)``: the exact buffer occupancy peak, reached when overwriting
   starts or when the producer stops writing: ``min(V, g(d))`` with
-  ``g = max(b1, b2)`` convex and piecewise linear in d. Global edges hold
+  ``g = max(b1, b2)`` convex in d, with one bend where b1 and b2 cross.
+  ``pieces`` is g on the integers, with integer kinks. Global edges hold
   V outright.
 
 When no stage has two producers the graph is a forest: its edge offsets
@@ -39,11 +40,12 @@ passes over the forest, with no saturated-set search.
 Where paths reconverge (some stage has two or more producers), or when
 that least member starts a stage past the horizon, only the cap at V keeps
 the total from being convex in the starts. ``solve`` fixes the set Z of
-edges that pay V; every other edge pays ``g``, and the rest is the
-convex-cost tension problem of min-register retiming (Leiserson and Saxe,
-"Retiming Synchronous Circuitry", Algorithmica 1991). Each set Z is solved
-in ints: a min-cost circulation, the problem's dual, gives Z's optimum,
-and one longest-path pass gives its least optimal starts (see ``solve``).
+edges that pay V; every other edge pays its ``pieces``, and the rest is
+the convex-cost tension problem of min-register retiming (Leiserson and
+Saxe, "Retiming Synchronous Circuitry", Algorithmica 1991). Each set Z is
+solved in ints: a min-cost circulation, the problem's dual, gives Z's
+optimum, and one longest-path pass gives its least optimal starts (see
+``solve``).
 """
 
 from __future__ import annotations
@@ -60,12 +62,12 @@ from . import solver
 _ZERO = Fraction(0)
 
 # Most saturated-edge sets that ``solve`` solves for one graph. The
-# generated test suites and the benchmark's DAG pool need at most 9. A chain
-# of four diamonds does not fit: the four-diamond extension of the tests'
-# ``DIAMOND_CHAIN`` (13 stages, 16 edges, input_work 288) raises
-# ``SearchLimitError`` after 4096 sets in about 0.8 CPU-s (2 shared CPUs,
-# Python 3.11), so the cap stops a search after about 1 s.
-MAX_SATURATED_SETS = 4096
+# generated test suites and the benchmark's DAG pool need at most 9. The
+# four-diamond extension of the tests' ``DIAMOND_CHAIN`` (13 stages, 16
+# edges, input_work 288) needs 9905, in about 1.7 CPU-s, or 0.17 ms a set
+# (2 shared CPUs, Python 3.11), so the cap stops a search of that size
+# after about 6 s.
+MAX_SATURATED_SETS = 2**15
 
 
 class ScheduleError(Exception):
@@ -163,38 +165,32 @@ class EdgeModel:
         ``d``: min(V, g(d)). Every feasible Global offset saturates at V."""
         return max(_ZERO, min(self.volume, self.g(d)))
 
-    def integer_branches(self) -> list[tuple[Fraction, Fraction]]:
-        """``branches``, plus the chord through g(k) and g(k + 1) when b1 and
-        b2 cross strictly between the integers k and k + 1: their maximum is
-        the interpolation of ``g`` at the integers, which agrees with ``g``
-        on every integer offset and has its kinks only there. On a local
-        edge the two lines cross where they reach V (overwriting starts as
-        writing ends). Parallel lines give only the higher one, which is
-        ``g``, so no two lines share a slope."""
-        (s1, a1), (s2, a2) = lines = self.branches
-        if s1 == s2:
-            return [max(lines)]
-        cross = (a2 - a1) / (s1 - s2)
-        if cross.denominator == 1:
-            return list(lines)
-        k = floor(cross)
-        rise = self.g(k + 1) - self.g(k)
-        return [*lines, (rise, self.g(k) - rise * k)]
-
     @cached_property
     def pieces(self) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
-        """The maximum of ``integer_branches`` from ``min_offset`` up, as
-        ``solver.Tension`` takes it: its kinks, which are integers, and its
-        slopes, ``slopes[0]`` up to ``kinks[0]`` and so on. Each next piece
-        is the steeper line that crosses the current one first."""
-        lines = self.integer_branches()
-        slope, at0 = max(lines, key=lambda line: (line[0] * self.min_offset + line[1], line[0]))
-        kinks, slopes = [], [slope]
-        while steeper := [((at0 - a) / (s - slope), s, a) for s, a in lines if s > slope]:
-            cross, slope, at0 = min(steeper, key=lambda c: (c[0], -c[1]))
-            kinks.append(int(cross))
-            slopes.append(slope)
-        return tuple(kinks), tuple(slopes)
+        """``g`` on the integers from ``min_offset`` up, as ``solver.Tension``
+        takes it: its kinks, which are integers, and its slopes,
+        ``slopes[0]`` up to ``kinks[0]`` and so on.
+
+        g bends once, from the smaller rate to the larger, where b1 and b2
+        cross, at c = (a2 - a1) / (s1 - s2). An integer c is the one kink.
+        Else the chord through g(k) and g(k + 1), k = floor(c), replaces g
+        between them: it agrees with g at every integer, and its slope, the
+        larger rate times k + 1 - c plus the smaller times c - k, lies
+        strictly between them, so the slopes rise strictly. Parallel lines
+        give no kink.
+        Kinks at or below ``min_offset`` go with the slopes before them."""
+        (s1, a1), (s2, a2) = self.branches
+        if s1 == s2:
+            return (), (s1,)
+        cross = (a2 - a1) / (s1 - s2)
+        lo, hi = sorted((s1, s2))
+        if cross.denominator == 1:
+            kinks, slopes = [int(cross)], [lo, hi]
+        else:
+            k = floor(cross)
+            kinks, slopes = [k, k + 1], [lo, self.g(k + 1) - self.g(k), hi]
+        cut = sum(kink <= self.min_offset for kink in kinks)
+        return tuple(kinks[cut:]), tuple(slopes[cut:])
 
 
 def edge_models(graph: PipelineGraph) -> list[EdgeModel]:
@@ -419,17 +415,15 @@ class _SaturatedSets:
         models, stages = system.edges, system.graph.stages
         at = {s.id: k for k, s in enumerate(stages)}
         self.rising = [i for i, m in enumerate(models) if m.max_floor_offset is not None]
+        # g at the integers and ``pieces``' slopes are ints at the scale of
+        # the branches' coefficients.
         amounts = [x for m in models for x in (m.volume, m.peak(m.min_offset))]
-        amounts += [x for i in self.rising for line in models[i].integer_branches()
-                    for x in line]
+        amounts += [x for i in self.rising for line in models[i].branches for x in line]
         self.scale = scale = lcm(*(x.denominator for x in amounts))
         self.volume = [int(m.volume * scale) for m in models]
         self.fixed = sum(v for v, m in zip(self.volume, models) if m.max_floor_offset is None)
         self.rise = {i: self.volume[i] - int(models[i].peak(models[i].min_offset) * scale)
                      for i in self.rising}
-        self.lines = {i: [(int(slope * scale), int(at0 * scale))
-                          for slope, at0 in models[i].integer_branches()]
-                      for i in self.rising}
         self.bare = [solver.Tension(at[m.edge.producer], at[m.edge.consumer], m.min_offset)
                      for m in models]
         self.priced = {}
@@ -444,7 +438,7 @@ class _SaturatedSets:
         """The scaled optimal total of the set ``saturated`` and its least
         optimal start vector, in declaration order. Edges in the set and
         edges that never rise pay V and keep only their ``min_offset`` row;
-        every other edge pays its ``integer_branches``."""
+        every other edge pays ``g``, priced by its ``pieces``."""
         arcs = list(self.bare)
         free = [i for i in self.rising if i not in saturated]
         for i in free:
@@ -452,8 +446,9 @@ class _SaturatedSets:
         x = solver.least_optimal(self.lower, self.upper, arcs)
         total = self.fixed + sum(self.volume[i] for i in saturated)
         for i in free:
-            d = x[arcs[i].head] - x[arcs[i].tail]
-            total += max(slope * d + at0 for slope, at0 in self.lines[i])
+            # g at min_offset, then the pieces' cost, which is g's rise.
+            arc = arcs[i]
+            total += self.volume[i] - self.rise[i] + arc.cost(x[arc.head] - x[arc.tail])
         return total, x
 
 
@@ -502,20 +497,20 @@ def solve(system: ConstraintSystem) -> ScheduleSolution:
 
     Every other graph is searched over the sets Z of rising edges (those
     with a ``max_floor_offset``) that pay V. With Z fixed, every other edge
-    pays ``g``, which is convex and agrees with ``integer_branches`` at the
+    pays ``g``, which is convex and agrees with its ``pieces`` at the
     integers:
 
     - No Z undercuts the optimum, since each edge pays V or ``g``, at least
       its peak, and the optimum is reached by the Z of the edges whose
       ``g`` reaches V in an optimal schedule.
     - Z's problem is a convex-cost tension problem. Each free edge's cost
-      is the maximum of its ``integer_branches``, a convex piecewise-linear
-      function of one start difference whose kinks (``pieces``) are
-      integers. The ``min_offset`` rows and the box [earliest, horizon]
-      bound the starts. Scaled by one common denominator, its slopes are
-      ints, and ``solver.least_optimal`` solves the dual, a min-cost
-      circulation. The slopes are the capacities, and the kinks, the
-      ``min_offset`` floors and the box bounds, all ints, are the costs.
+      is its ``pieces``, a convex piecewise-linear function of one start
+      difference whose kinks are integers. The ``min_offset`` rows and the
+      box [earliest, horizon] bound the starts. Scaled by one common
+      denominator, its slopes are ints, and ``solver.least_optimal``
+      solves the dual, a min-cost circulation. The slopes are the
+      capacities, and the kinks, the ``min_offset`` floors and the box
+      bounds, all ints, are the costs.
     - By LP duality, a start vector is optimal for Z exactly when it meets
       the difference rows that complementary slackness sets with one
       optimal circulation: each free edge's offset held to the kink or

@@ -196,7 +196,6 @@ class _EdgeEval:
 @dataclass
 class OracleReport:
     matches: bool
-    graph_feasible: bool
     oracle_total: Fraction | None
     oracle_starts: dict[str, int] | None
     solver_total: Fraction | None
@@ -392,7 +391,6 @@ def verify_against_oracle(
         # A route that finds no schedule reports None, so two infeasible
         # verdicts match and one feasible verdict matches neither.
         matches=budget_nodes is None and solver_total == oracle_total,
-        graph_feasible=solver_total is not None and oracle_total is not None,
         oracle_total=oracle_total,
         oracle_starts=oracle_starts,
         solver_total=solver_total,

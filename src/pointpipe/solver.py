@@ -66,6 +66,12 @@ class Tension:
     kinks: tuple[int, ...] = ()
     slopes: tuple[int, ...] = (0,)
 
+    def cost(self, t: int) -> int:
+        """The cost at tension ``t``, counted from 0 at ``floor``."""
+        return self.slopes[0] * (t - self.floor) + sum(
+            (above - below) * max(0, t - kink)
+            for kink, below, above in zip(self.kinks, self.slopes, self.slopes[1:]))
+
 
 def least_optimal(lower: list[int], upper: list[int], arcs: list[Tension]) -> list[int]:
     """Least x in the box that minimizes the arcs' summed cost (see the

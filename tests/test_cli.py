@@ -30,6 +30,7 @@ BAD_INPUTS = [
     ["range", *CLOUD, "--radius", "0"],
     ["range", *CLOUD, "--radius", "nan"],
     ["sort", *POINTS, "--cuts", "a,b"],
+    ["sort", *POINTS, "--cuts", "0.5,nan,0.2"],
     ["sort", *POINTS, "--chunks", "0"],
     ["profile-deadline", *CLOUD, "--fraction", "x"],
     ["profile-deadline", *CLOUD, "--fraction", "1/0"],

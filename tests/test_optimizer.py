@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 from math import ceil
 
@@ -182,22 +183,36 @@ def test_derived_row_counts_equal_both_builds():
         assert optimize(g).constraint_counts == {"pruned": pruned, "unpruned": unpruned}
 
 
-def test_integer_branches_are_g_at_every_integer_offset():
-    # From min_offset to a few cycles past the b1/b2 crossing, the lines'
-    # maximum is g, and no two lines share a slope: parallel b1 and b2
-    # give only the higher line.
+# 9 elements written 4 a cycle and read 1 a cycle: b1 and b2 cross at
+# d = 9/4, above min_offset 1. Every chord above min_offset in the suites
+# sits halfway between two integers, where both rates weigh the same.
+QUARTER = """{"input_work": 9, "stages": [
+  {"id": "a", "kind": "Elementwise", "i_shape": [1, 4], "o_shape": [1, 4], "stage": 0},
+  {"id": "b", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 0}
+], "edges": [["a", "b"]]}"""
+
+
+def test_pieces_are_g_at_every_integer_offset():
+    # From min_offset to a few cycles past the b1/b2 crossing, walking the
+    # pieces from g(min_offset) gives g at every integer offset.
     kinds = set()
-    for g in suite(200, start_seed=30000):
+    for g in [*suite(200, start_seed=30000), parse_pipeline(QUARTER)]:
         for m in edge_models(g):
-            lines = m.integer_branches()
-            assert len({slope for slope, _ in lines}) == len(lines), m.key
+            kinks, slopes = m.pieces
+            assert all(type(k) is int for k in kinks), m.key
+            assert all(a < b for a, b in zip((m.min_offset, *kinks), kinks)), m.key
+            assert len(slopes) == len(kinks) + 1
+            assert all(a < b for a, b in zip(slopes, slopes[1:])), m.key
             (s1, a1), (s2, a2) = m.branches
             cross = m.min_offset if s1 == s2 else ceil((a2 - a1) / (s1 - s2))
+            value = m.g(m.min_offset)
             for d in range(m.min_offset, max(m.min_offset, cross) + 4):
-                assert max(slope * d + at0 for slope, at0 in lines) == m.g(d), (m.key, d)
-            kinds.add(len(lines))
-    # Parallel pairs, crossings on an integer and chords all occur.
-    assert kinds == {1, 2, 3}
+                assert value == m.g(d), (m.key, d)
+                value += slopes[sum(k <= d for k in kinks)]
+            kinds.add(len(kinks))
+    # Parallel or passed crossings, crossings on an integer and chords all
+    # occur.
+    assert kinds == {0, 1, 2}
 
 
 def test_max_floor_offset_is_where_the_peak_first_rises():
@@ -345,3 +360,36 @@ def test_diamond_chain_stays_far_below_the_set_cap(monkeypatch):
     monkeypatch.setattr(optimizer, "MAX_SATURATED_SETS", sets - 1)
     with pytest.raises(optimizer.SearchLimitError):
         solve(system)
+
+
+def four_diamond_chain():
+    """``DIAMOND_CHAIN`` grown to four diamonds, on s0-s3, s3-s6, s6-s9 and
+    s9-s12, with s7-s12 copying s1-s6: 13 stages, 16 edges."""
+    doc = json.loads(DIAMOND_CHAIN)
+    spec = {s["id"]: s for s in doc["stages"]}
+    stages = [spec[f"s{i}"] for i in range(7)]
+    stages += [dict(spec[f"s{i - 6}"], id=f"s{i}") for i in range(7, 13)]
+    edges = [[f"s{3 * j}", f"s{3 * j + k}"] for j in range(4) for k in (1, 2)]
+    edges += [[f"s{3 * j + k}", f"s{3 * j + 3}"] for j in range(4) for k in (1, 2)]
+    return parse_pipeline(json.dumps({"input_work": 288, "stages": stages, "edges": edges}))
+
+
+def test_four_diamond_chain_fits_the_set_cap(monkeypatch):
+    # The exhaustive oracle cannot check a 13-stage graph (ROADMAP item 2),
+    # so this pins the search's answer and its set count against
+    # regressions; it does not show that the total is the minimum.
+    solved = []
+    least_optimal = solver.least_optimal
+
+    def counting(lower, upper, arcs):
+        solved.append(arcs)
+        return least_optimal(lower, upper, arcs)
+
+    monkeypatch.setattr(solver, "least_optimal", counting)
+    sol = optimize(four_diamond_chain())
+    assert sol.total_buffer == F(47903, 6)
+    assert sol.start_cycles == {
+        "s0": 0, "s1": 1, "s2": 192, "s3": 193, "s4": 867, "s5": 194, "s6": 1035,
+        "s7": 1037, "s8": 2016, "s9": 2017, "s10": 3391, "s11": 2018, "s12": 3734}
+    assert len(solved) == 9905
+    assert 3 * len(solved) < optimizer.MAX_SATURATED_SETS

@@ -33,6 +33,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction as F
 from itertools import combinations
+from math import floor
 from pathlib import Path
 
 import pytest
@@ -169,11 +170,27 @@ def solve_lp(prob: Problem) -> Solution:
     return Solution(OPTIMAL, total, values)
 
 
+def integer_lines(m):
+    """``m.branches``, plus the chord through g(k) and g(k + 1) when b1 and
+    b2 cross strictly between the integers k and k + 1: their maximum
+    agrees with ``g`` at every integer offset and has its kinks only
+    there. Built from the lines alone, apart from ``EdgeModel.pieces``."""
+    (s1, a1), (s2, a2) = lines = m.branches
+    if s1 == s2:
+        return [max(lines)]
+    cross = (a2 - a1) / (s1 - s2)
+    if cross.denominator == 1:
+        return list(lines)
+    k = floor(cross)
+    rise = m.g(k + 1) - m.g(k)
+    return [*lines, (rise, m.g(k) - rise * k)]
+
+
 def reference_set(system, saturated):
     """Optimal total and least start vector of one saturated set, by the
     LP that priced it before: each free edge pays B - u above its
-    ``integer_branches``, B being ``g`` at the box's largest offset, and
-    the starts' sum is the tiebreak."""
+    ``integer_lines``, B being ``g`` at the box's largest offset, and the
+    starts' sum is the tiebreak."""
     prob = Problem()
     earliest, horizon = system.earliest, system.horizon
     start = {s.id: prob.add_variable(f"start[{s.id}]", lower=earliest[s.id], upper=horizon,
@@ -189,7 +206,7 @@ def reference_set(system, saturated):
         top = m.g(horizon - earliest[m.edge.producer])
         total += top
         u = prob.add_variable(f"saving[{m.key}]", objective=-1)
-        for slope, at0 in m.integer_branches():
+        for slope, at0 in integer_lines(m):
             prob.add_le({u: 1, sc: slope, sp: -slope}, top - at0)
     sol = solve_lp(prob)
     assert sol.status == OPTIMAL
@@ -359,12 +376,6 @@ def test_least_optimal_on_a_hand_solved_chain():
         least_optimal([1, 2, 2], [10, 1, 10], arcs)
 
 
-def _cost(arc, t):
-    return arc.slopes[0] * (t - arc.floor) + sum(
-        (above - below) * max(0, t - kink)
-        for kink, below, above in zip(arc.kinks, arc.slopes, arc.slopes[1:]))
-
-
 def test_least_optimal_equals_brute_force_on_random_small_problems():
     rng = random.Random(20030700)
     for _ in range(300):
@@ -387,7 +398,7 @@ def test_least_optimal_equals_brute_force_on_random_small_problems():
         costs = {}
         for x in points:
             if all(x[a.head] - x[a.tail] >= a.floor for a in arcs):
-                costs[tuple(x)] = sum(_cost(a, x[a.head] - x[a.tail]) for a in arcs)
+                costs[tuple(x)] = sum(a.cost(x[a.head] - x[a.tail]) for a in arcs)
         best = min(costs.values())
         optima = [x for x, v in costs.items() if v == best]
         least = [min(x[i] for x in optima) for i in range(n)]
