@@ -230,6 +230,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.horizon is not None and args.horizon < 0:
+        # No start vector fits, so "both infeasible" would be vacuous.
+        raise CliError("--horizon must be >= 0")
     graph = load_pipeline(args.graph)
     report = verify_against_oracle(graph, horizon=args.horizon)
     print(str(report))

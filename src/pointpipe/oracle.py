@@ -19,32 +19,57 @@ incumbent is still, at each point, the least total of all feasible vectors
 before that point.
 
 **Prunes.** Each of the three below skips only vectors that are not kept.
+Three facts carry them. A feasible vector starts each stage j at least the
+longest path of ``min_offset``s after each earlier stage r (``apart``), and
+an edge's cost never falls as its consumer starts later (frees only move
+later). The walk starts each stage at max(0, producer start +
+``min_offset``) over its in-edges, the *start rule*; carried from the
+placed starts through the unplaced stages in topological order, it gives a
+lower bound E_j on each unplaced start, which only grows with any placed
+start. Position c is a *cut* when no edge runs from before c to past it,
+so every edge from before c into c or later ends at c; position 0 always
+is one. The *block* after position i runs up to the next cut, or to the
+last position. One pass of the start rule over the block per start serves
+the bound and the shift.
 
-- *Bound.* An edge's cost never falls as its consumer starts later (frees
-  only move later), and each unplaced edge costs at least its cheapest
-  feasible peak. A stage's candidate loop stops once the placed cost plus
-  those minima reaches the incumbent: every vector skipped costs at least
-  the incumbent's total.
-- *Horizon.* The walk starts each stage at max(0, producer start +
-  ``min_offset``) over its in-edges, so below a stage started at s every
-  descendant starts at least s plus the longest path of ``min_offset``s to
-  it. A stage's loop ends where that would put a descendant past
-  ``latest``: no vector the walk could reach lies below.
-- *Translation.* Every edge's verdict and peak depend only on its start
-  offset, so v and v - m (m subtracted from every start) have the same
-  verdict and total. If m = min(v) > 0, v - m lies in the box and comes
-  before v, so v is not kept. The start rule above, carried from the
-  placed starts through the unplaced stages in topological order, gives
-  a lower bound on each unplaced start. When every placed start and every
-  such bound is positive, each vector below has a positive minimum, and
-  so do those under every later start of the same stage (the bounds only
-  grow with it), so the loop stops.
+- *Bound.* Every edge not yet placed is priced once, in a *unit*: a pair
+  q -> p -> j while p is unplaced, where p is fed by q alone and j by two
+  or more (each edge in at most one pair), or else the edge alone. The
+  offsets of a pair add up to s_j - s_q, so it costs at least F(L) = min
+  over x + y >= L of c_qp(x) + c_pj(y), x and y at least their
+  ``min_offset``s, at L = s_j - s_q; F is memoized per pair and flat from
+  sat_qp + sat_pj on. A unit from a placed stage r into the block is
+  priced at its cost at E_j - s_r; any other unit at its *floor*, its cost
+  at the longest path from r to j. Past the next cut that is all the bound
+  reads, so a node's cost stays within its block. As the current stage's
+  start rises, its in-edge costs, the units from earlier stages and the
+  floors cannot fall; once they reach the incumbent the loop stops. The
+  units out of the current stage can fall (E_j - s_i shrinks as s_i
+  grows), so their cost above their floors may only skip that one start.
+  Every vector skipped costs at least the incumbent's total.
+- *Horizon.* Below a stage started at s every descendant starts at least s
+  plus the longest path of ``min_offset``s to it. A stage's loop ends
+  where that would put a descendant past ``latest``: no vector the walk
+  could reach lies below.
+- *Shift.* Let c be a cut, and v a vector whose start at c lies above
+  every in-edge's producer start plus ``min_offset``, and whose starts
+  from c on are all at least 1. Then v with every start from c on one
+  cycle earlier lies in the box, is feasible (edges from c on keep their
+  offsets, and edges into c lose one cycle but stay at or above their
+  ``min_offset``s), comes before v and costs no more, so v is not kept.
+  At position i the walk checks this for the cuts c <= i with that room
+  whose starts from c to i are all at least 1, reading E_j >= 1 on the
+  block and, past the next cut c', the least start of c' from which the
+  start rule puts every later stage at cycle 1 or later. Every larger start of i passes too (the
+  bounds only grow, and at c = i so does the room on c's in-edges), so
+  the loop stops. With c = 0 this is the translation v - min(v), which
+  the walk used to check on its own.
 
 The incumbent stays right. The horizon prune skips no vector the walk
-could reach. A vector skipped by translation has a translate with a start
-at 0, which no translation prune skips; the walk has either met it or
-skipped it by the bound, because its total already reached the
-incumbent's.
+could reach. A vector skipped by the shift has an earlier one of no larger
+total and a smaller sum of starts; following such shifts ends at a vector
+the shift does not skip, which the walk has either met or skipped by the
+bound, because its total already reached the incumbent's.
 
 **Evaluation.** Each edge is scored on one record: the simulator's
 ``EdgeTicks`` for the edge with both stages started at 0, whose scale of T
@@ -112,7 +137,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 
 from .graph import PipelineGraph
 from .optimizer import (
@@ -126,15 +151,18 @@ from .optimizer import (
 )
 from .simulator import edge_ticks
 
-# Candidate starts the walk may score in one search. Over 5070 searches
-# (three horizons each for the graphs of `suite(160, start_seed=5000)`,
-# `suite(100, shape="tree")` and `suite(1430, start_seed=30000)`) the most
-# was 318550, a 5-stage reconvergent graph at its default horizon; 74628
-# on the benchmark's sched_dag pool (diamond5_1, also the most in the
-# Tier-1 tests) and at most 15 on the shipped pipelines and the sched_tree
-# pool. A node costs about 1.2 us, so the cap ends a search in about five
-# seconds; an 8-stage chain of two diamonds reaches it at its default
-# horizon.
+# Candidate starts the walk may score in one search. Over 7086 searches
+# (the default horizon, 20 and 60 for each graph of `suite(200,
+# start_seed=5000)`, `suite(100, shape="tree")`, `suite(1430,
+# start_seed=30000)`, `suite(600, start_seed=20000)` and the benchmark's
+# two seed-1 pools) the most was 180, a tree at its default horizon; 69 on
+# the benchmark's diamond5_1, 91 on the 8-stage chain of two diamonds in
+# the Tier-1 tests, and at most 1487 on 16 random chains of 2 to 5
+# diamonds. A skip edge across diamonds leaves the graph one block, and
+# such graphs reach the cap: 8 of 100 chains of three diamonds with one
+# skip edge (`tests/_pipegen.drawn`, for instance s1 -> s8 drawn from
+# `random.Random("skip18-1")`). There a node costs 1.1 to 1.6 us on two
+# shared CPUs, so the cap ends a search in 4.5 to 6.5 seconds.
 MAX_SEARCH_NODES = 4_000_000
 
 
@@ -286,16 +314,120 @@ def _walk(
           + [None] * (ev.sat_offset - ev.min_offset), ev) for p, ev in ins]
         for ins in in_edges
     ]
-    # Lower bound on everything scheduled after position i.
-    rest_min = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        rest_min[i] = rest_min[i + 1] + sum(costs[0] for _, _, _, costs, _ in edges[i])
-    # How far past a stage's start the start rule pushes its descendants:
-    # the longest path of ``min_offset``s out of it, and at least 0.
-    reach = [0] * n
-    for j in range(n - 1, -1, -1):
-        for p, ev in in_edges[j]:
-            reach[p] = max(reach[p], ev.min_offset + reach[j])
+
+    def row(edge: tuple, k: int) -> int:
+        """Row k of an edge's table, scored on first use."""
+        _, off, _, costs, ev = edge
+        c = costs[k]
+        if c is None:
+            c = costs[k] = scored(ev, off + k, *ev.evaluate(off + k))
+        return c
+
+    def joint(pair: tuple, total: int) -> int:
+        """F(L) of a pair q -> p -> j at L = ``total``: the least cost of
+        its two edges at offsets x and y, each at least its
+        ``min_offset``, with x + y at least L. Costs never fall with the
+        offset, so x + y = L is enough; past an edge's ``sat_offset`` its
+        cost is flat, so only the x in [L - sat_pj, sat_qp] and the two
+        ends with one edge at its ``min_offset`` are read, and F is flat
+        from sat_qp + sat_pj on. Memoized by L in the pair's table."""
+        _, _, _, lo, hi, table, first, second = pair
+        k = (hi if total > hi else total) - lo
+        cost = table[k]
+        if cost is None:
+            m1, t1, m2, t2, total = first[1], first[2], second[1], second[2], lo + k
+            cost = min(row(first, 0) + row(second, min(total - m1, t2) - m2),
+                       row(first, min(total - m2, t1) - m1) + row(second, 0))
+            for x in range(max(m1, total - t2), min(t1, total - m2) + 1):
+                cost = min(cost, row(first, x - m1) + row(second, total - x - m2))
+            table[k] = cost
+        return cost
+
+    # The longest path of ``min_offset``s from each position to each later
+    # one, -inf where there is none: every feasible vector starts j at
+    # least that long after r.
+    apart = [[-inf] * n for _ in range(n)]
+    for r in range(n):
+        apart[r][r] = 0
+        for j in range(r + 1, n):
+            apart[r][j] = max([-inf] + [apart[r][p] + off for p, off, _, _, _ in edges[j]])
+    # How far past a stage's start the start rule pushes its descendants,
+    # and at least 0.
+    reach = [max(0, *row_r) for row_r in apart]
+    # Position c is a cut when no edge runs from before c to past it.
+    cut = [True] * n
+    for j in range(n):
+        for p, _, _, _, _ in edges[j]:
+            for c in range(p + 1, j):
+                cut[c] = False
+    # The least start x of cut c from which the start rule puts every later
+    # position at cycle 1 or later. From c on, the rule's bound on j is
+    # x + apart[c][j] or the longest path to j from a later position,
+    # whichever is larger.
+    need = [inf] * n
+    for c in range(1, n):
+        if cut[c]:
+            need[c] = max([1] + [
+                1 - apart[c][j] for j in range(c + 1, n)
+                if max(apart[k][j] for k in range(c + 1, j + 1)) < 1])
+    # The bound prices units, each with its floor: its price at the
+    # longest path from its first position r to its last j. A unit is an
+    # edge, (r, j, floor, edge), or while p is unplaced a pair q -> p -> j
+    # in which p is fed by q alone and j by two or more, each edge in at
+    # most one pair: (q, j, floor, the least and the greatest L that F
+    # reads, F by L from the least, None until read, and the two edges),
+    # keyed by p.
+    units = []
+    for j in range(n):
+        for e in edges[j]:
+            p, off, top, _, _ = e
+            units.append((p, j, row(e, min(apart[p][j], top) - off), e))
+    pairs = {}
+    for p in range(n):
+        if len(edges[p]) == 1:
+            for j in range(p + 1, n):
+                second = [e for e in edges[j] if e[0] == p]
+                if second and len(edges[j]) > 1:
+                    (first,), (second,) = edges[p], second
+                    q, lo, hi = first[0], first[1] + second[1], first[2] + second[2]
+                    pair = [q, j, None, lo, hi, [None] * (hi - lo + 1), first, second]
+                    pair[2] = joint(pair, apart[q][j])
+                    pairs[p] = tuple(pair)
+                    break
+    # Per position i, the block after it: the positions up to the next cut
+    # (or the last), each with its in-edges for the start rule, and the
+    # shift prune's least start for each. Then the units into the block
+    # from a placed first position, priced at the start rule's bound on j:
+    # those from before i, and those from i itself; and ``floor``, the
+    # floors of every unplaced unit but those from before i.
+    plans = []
+    for i in range(n):
+        nxt = next((c for c in range(i + 1, n) if cut[c]), n)
+        block = range(i + 1, min(nxt, n - 1) + 1)
+        spread = [(j, [(p, off) for p, off, _, _, _ in edges[j]], apart[i][j])
+                  for j in block]
+        lifted = [(j, need[j] if j == nxt else 1) for j in block]
+        whole = [pair for p, pair in pairs.items() if p > i]
+        inside = {id(e) for pair in whole for e in pair[6:]}
+        before, out, joint_before, joint_out = [], [], [], []
+        floor = 0
+        for unit in whole:
+            if unit[0] < i and unit[1] in block:
+                joint_before.append(unit)
+            else:
+                floor += unit[2]
+                if unit[0] == i and unit[1] in block:
+                    joint_out.append(unit)
+        for r, j, least, e in units:
+            if j <= i or id(e) in inside:
+                continue
+            if r < i and j in block:
+                before.append((j, *e))
+            else:
+                floor += least
+                if r == i and j in block:
+                    out.append((j, *e, least))
+        plans.append((spread, lifted, before, out, joint_before, joint_out, floor))
     budget = MAX_SEARCH_NODES
 
     best_total: int | None = None
@@ -304,21 +436,10 @@ def _walk(
     nodes = 0
     placed = [0] * n
 
-    def lifted(i: int) -> bool:
-        """Whether every stage after position i must start above cycle 0,
-        by ``min_offset`` propagated from the placed starts."""
-        lb = placed[: i + 1]
-        for j in range(i + 1, n):
-            b = 0
-            for p, off, _, _, _ in edges[j]:
-                if lb[p] + off > b:
-                    b = lb[p] + off
-            if b == 0:
-                return False
-            lb.append(b)
-        return True
-
-    def place(i: int, partial: int, pinned: bool) -> None:
+    def place(i: int, partial: int, shiftable: bool) -> None:
+        """Walk position i's starts. ``shiftable``: some cut c < i leaves
+        its in-edges above their ``min_offset``s, and every start from c
+        to i - 1 is at least 1."""
         nonlocal best_total, best_starts, tried, nodes
         if i == n:
             tried += 1
@@ -327,16 +448,38 @@ def _walk(
                 best_starts = placed[:]
             return
         ins = edges[i]
-        lo = 0
+        spread, lifted, before, out, joint_before, joint_out, floor = plans[i]
+        pushed = -1
         for p, off, _, _, _ in ins:
-            lo = max(lo, placed[p] + off)
+            if placed[p] + off > pushed:
+                pushed = placed[p] + off
+        at_cut = cut[i]
+        # The start rule's bound on each stage j of the block is the larger
+        # of start + apart[i][j] and its bound from the stages before i.
+        lines = []
+        for j, js, a in spread:
+            b = 0
+            for p, off in js:
+                if p != i and placed[p] + off > b:
+                    b = placed[p] + off
+            placed[j] = b
+            lines.append((j, a, b))
         # Past latest - reach[i] some descendant would start past latest.
-        for start in range(lo, latest - reach[i] + 1):
+        for start in range(max(0, pushed), latest - reach[i] + 1):
             placed[i] = start
-            if not pinned and start > 0 and lifted(i):
-                # Every vector below has all starts positive, and its shift
-                # by the least start is lex-smaller with the same total.
-                break
+            # The bounds on the block, kept where the starts go until the
+            # walk places them.
+            for j, a, b in lines:
+                placed[j] = start + a if start + a > b else b
+            shift = start > 0 and (shiftable or (at_cut and start > pushed))
+            if shift:
+                for j, least in lifted:
+                    if placed[j] < least:
+                        break
+                else:
+                    # Every vector below, shifted one cycle earlier from
+                    # the cut on, is feasible, lex-smaller and no costlier.
+                    break
             if nodes == budget:
                 raise SearchBudgetError(
                     nodes, None if best_total is None else Fraction(best_total, scale),
@@ -353,11 +496,42 @@ def _walk(
                     break
                 cost += c
             else:
-                if best_total is not None and cost + rest_min[i + 1] >= best_total:
-                    # In-edge costs only grow with later starts: the rest of
-                    # this loop cannot beat the incumbent.
-                    break
-                place(i + 1, cost, pinned or start == 0)
+                if best_total is not None:
+                    bound = cost + floor
+                    for j, p, off, top, costs, ev in before:
+                        d = placed[j] - placed[p]
+                        k = (top if d > top else d) - off
+                        c = costs[k]
+                        if c is None:
+                            c = costs[k] = scored(ev, off + k, *ev.evaluate(off + k))
+                        bound += c
+                    for pair in joint_before:
+                        q, j, _, lo, hi, table, _, _ = pair
+                        d = placed[j] - placed[q]
+                        c = table[(hi if d > hi else d) - lo]
+                        if c is None:
+                            c = joint(pair, d)
+                        bound += c
+                    if bound >= best_total:
+                        # No term so far falls as the start rises.
+                        break
+                    for j, p, off, top, costs, ev, least in out:
+                        d = placed[j] - start
+                        k = (top if d > top else d) - off
+                        c = costs[k]
+                        if c is None:
+                            c = costs[k] = scored(ev, off + k, *ev.evaluate(off + k))
+                        bound += c - least
+                    for pair in joint_out:
+                        _, j, least, lo, hi, table, _, _ = pair
+                        d = placed[j] - start
+                        c = table[(hi if d > hi else d) - lo]
+                        if c is None:
+                            c = joint(pair, d)
+                        bound += c - least
+                    if bound >= best_total:
+                        continue
+                place(i + 1, cost, shift)
 
     place(0, 0, False)
     return best_total, best_starts, tried

@@ -5,12 +5,16 @@ and integral derived work, via rejection sampling on a seeded RNG.
 ``suite(n)`` returns the first ``n`` valid graphs from consecutive seeds,
 so every run sees the same graphs. Its default shape is a single-source
 chain, some with one skip edge; ``shape="tree"`` gives branching forests
-in which no stage has two producers.
+in which no stage has two producers. ``drawn(edges, rng)`` draws the
+stages of any edge list by the benchmark's stage rules, and
+``diamond_chain(k, seed)`` so draws k diamonds in a row, 3k + 1 stages.
 """
 
 from __future__ import annotations
 
+import json
 import random
+from fractions import Fraction
 
 from pointpipe.graph import (
     Edge,
@@ -19,6 +23,7 @@ from pointpipe.graph import (
     StageKind,
     StageSpec,
     ValidationError,
+    parse_pipeline,
 )
 
 _KINDS = [
@@ -113,3 +118,59 @@ def suite(count: int, start_seed: int = 0, input_work: int | None = None,
         if seed - start_seed > 100 * count:
             raise RuntimeError("generator rejection rate unexpectedly high")
     return graphs
+
+
+def _drawn_stage(rng: random.Random, sid: str) -> dict:
+    """One stage document as ``bench/workloads.py`` draws it."""
+    stage = {"id": sid, "kind": rng.choice(_KINDS).value,
+             "i_shape": [rng.choice((1, 1, 2)), rng.choice((1, 2, 3))],
+             "o_shape": [rng.choice((1, 1, 2)), rng.choice((1, 2))],
+             "stage": rng.choice((0, 0, 1, 2, 3)),
+             "i_freq": rng.choice((1, 1, 2, 3, 4)), "o_freq": rng.choice((1, 1, 2, 3, 4))}
+    if stage["kind"] == "Stencil":
+        stage["reuse"] = [rng.choice((1, 2, 3)), rng.choice((1, 2))]
+    return stage
+
+
+def drawn(edges: list[tuple[int, int]], rng: random.Random) -> PipelineGraph:
+    """Stages s0, s1, ... joined by ``edges`` (pairs of stage numbers),
+    drawn by the stage rules of ``bench/workloads.make_pipeline``: each
+    stage is redrawn up to 8 times until its work is a whole number of at
+    most 192, its rates' denominators are at most 4 and the durations add
+    up to at most 250, and is a unit-rate Elementwise stage otherwise."""
+    pairs = [[f"s{a}", f"s{b}"] for a, b in edges]
+    input_work = rng.choice((8, 12, 16, 24, 32, 48, 64))
+    work: dict[str, int] = {}
+    stages = []
+    durations = Fraction(0)
+    for i in range(1 + max(max(e) for e in edges)):
+        sid = f"s{i}"
+        producers = [p for p, c in pairs if c == sid]
+        volume = sum(work[p] for p in producers) if producers else input_work
+        for _ in range(8):
+            stage = _drawn_stage(rng, sid)
+            reuse = stage.get("reuse", [1, 1])
+            tau_in = Fraction(stage["i_shape"][0] * stage["i_shape"][1],
+                              reuse[0] * reuse[1] * stage["i_freq"])
+            tau_out = Fraction(stage["o_shape"][0] * stage["o_shape"][1], stage["o_freq"])
+            w, duration = volume * tau_out / tau_in, volume / tau_in
+            if (w.denominator == 1 and 0 < w <= 192 and tau_in.denominator <= 4
+                    and tau_out.denominator <= 4 and durations + duration <= 250):
+                break
+        else:
+            stage = {"id": sid, "kind": "Elementwise", "i_shape": [1, 1],
+                     "o_shape": [1, 1], "stage": 1}
+            w = duration = Fraction(volume)
+        stages.append(stage)
+        work[sid] = int(w)
+        durations += duration
+    return parse_pipeline(json.dumps(
+        {"input_work": input_work, "stages": stages, "edges": pairs}))
+
+
+def diamond_chain(diamonds: int, seed: int) -> PipelineGraph:
+    """``diamonds`` diamonds in a row, diamond j on stages 3j to 3j + 3,
+    drawn from ``random.Random(f"dchain{diamonds}-{seed}")``."""
+    edges = [(3 * j + a, 3 * j + b) for j in range(diamonds)
+             for a, b in ((0, 1), (0, 2), (1, 3), (2, 3))]
+    return drawn(edges, random.Random(f"dchain{diamonds}-{seed}"))

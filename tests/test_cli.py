@@ -50,12 +50,16 @@ BAD_INPUTS = [
     ["optimize", KNN_STENCIL, "--chunks", "0"],
     ["optimize", KNN_STENCIL, "--element-bytes", "0"],
     ["optimize", KNN_STENCIL, "--element-bytes", "-4"],
+    ["optimize", KNN_STENCIL, "--horizon", "-1"],
+    ["verify", KNN_STENCIL, "--horizon", "-1"],
 ]
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS, ids=lambda a: " ".join(a[:1] + a[-2:]))
 def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
-    assert main([*argv, "--out", str(tmp_path / "out")]) == USAGE
+    # verify writes no file, so it takes no --out.
+    out = [] if argv[0] == "verify" else ["--out", str(tmp_path / "out")]
+    assert main([*argv, *out]) == USAGE
     assert capsys.readouterr().err.startswith("error: ")
 
 

@@ -318,8 +318,9 @@ def test_join_of_bridges_equals_exhaustive_minimum(horizon):
 
 # Two diamonds in a row, 8 stages: all 9 edges can still rise, against at
 # most 5 on the generated suites and the benchmark's DAG pool. The
-# exhaustive oracle runs out of its node budget on it, with this total as
-# its best.
+# exhaustive oracle proves this total in under 100 nodes: it shifts at the
+# cut s3 between the diamonds and prices each diamond's two paths as pairs
+# (``tests/golden/reconvergent/diamond_chain/verify.txt``).
 DIAMOND_CHAIN = """{"input_work": 24, "stages": [
   {"id": "s0", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 2], "stage": 0},
   {"id": "s1", "kind": "Reduction", "i_shape": [1, 1], "o_shape": [2, 1], "stage": 0,

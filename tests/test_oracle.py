@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 from math import ceil
 from pathlib import Path
 
 import pytest
 
-from _pipegen import suite
+from _pipegen import diamond_chain, drawn, suite
 from pointpipe import oracle
 from pointpipe.cli import INCONCLUSIVE, USAGE, VERIFY_FAILED, main
 from pointpipe.graph import parse_pipeline
@@ -99,6 +100,24 @@ def test_search_budget_is_inconclusive(budget, best, tmp_path, monkeypatch, caps
         f"inconclusive (budget): {budget} nodes, best total {best}\n")
     report = verify_against_oracle(parse_pipeline(DIAMOND5_1))
     assert not report.matches and report.budget_nodes == budget
+
+
+def test_random_diamond_chains_never_mismatch(monkeypatch):
+    # Chains of 2 to 5 diamonds, 7 to 16 stages, four of each, drawn by the
+    # benchmark's stage rules. Under a budget per graph a verdict may be
+    # inconclusive, but never a mismatch; the walk proves every total with
+    # at most 1487 nodes, where a walk without the shift at cuts and the
+    # pair prices ran out of 4M nodes on 5 of them.
+    monkeypatch.setattr(oracle, "MAX_SEARCH_NODES", 20_000)
+    decided = 0
+    for diamonds in (2, 3, 4, 5):
+        for seed in range(4):
+            report = verify_against_oracle(diamond_chain(diamonds, seed))
+            assert not str(report).startswith("MISMATCH"), str(report)
+            if report.budget_nodes is None:
+                assert report.matches, str(report)
+                decided += 1
+    assert decided == 16
 
 
 def _scored_by_curves(model, offset):
@@ -230,12 +249,20 @@ def _single_producer(g):
     return len(consumers) == len(set(consumers))
 
 
+# A diamond followed by a chain, and a skip edge with a tail, drawn with
+# seeds on which the walk both shifts at a cut past position 0 and breaks
+# or skips on a pair's price, at each horizon below.
+CUT_GRAPHS = {"diamond_tail-39": [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5)],
+              "skip_tail3-52": [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]}
+
+
 @pytest.mark.parametrize("shape", ["reconvergent", "tree"])
 def test_pruned_walk_equals_the_plain_walk(shape):
     # Suites on which the plain walk takes about a second in all; at a
     # binding horizon it takes 20 s or more on some trees of 5 and 6 stages.
     if shape == "reconvergent":
         graphs = [g for g in suite(110, start_seed=30000) if not _single_producer(g)]
+        graphs += [drawn(edges, random.Random(seed)) for seed, edges in CUT_GRAPHS.items()]
     else:
         graphs = suite(12, start_seed=200, shape="tree")
     assert len(graphs) >= 11

@@ -8,7 +8,8 @@ Each of these graphs also pins ``simulate --trace``'s occupancy rows in
 ``trace.c<chunks>.s<stride>.csv``, at one chunk and stride 1 and at four
 chunks and stride 3, and its 32-chunk ``simulate`` summary in
 ``simulate.c32.json``. One overflowing 32-chunk summary pins the cycle and
-occupancy of each overflow. The diamond's ``verify`` line is pinned in
+occupancy of each overflow. The ``verify`` lines of the diamond, the
+benchmark's ``diamond5_1`` and the two-diamond chain are pinned in
 ``verify.txt``, as each shipped pipeline's is."""
 
 import json
@@ -94,6 +95,17 @@ def test_diamond_verify_matches_golden(tmp_path, capsys):
     path.write_text(DIAMOND)
     assert main(["verify", str(path)]) == 0
     golden = GOLDEN / "reconvergent" / "diamond" / "verify.txt"
+    assert capsys.readouterr().out == golden.read_text()
+
+
+@pytest.mark.parametrize("name", ["diamond5_1", "diamond_chain"])
+def test_reconvergent_verify_matches_golden(name, tmp_path, capsys):
+    # The benchmark's slowest verify, and two diamonds in a row: the walk
+    # shifts at the cut between them and prices each diamond's pairs.
+    path = tmp_path / f"{name}.json"
+    path.write_text(RECONVERGENT[name])
+    assert main(["verify", str(path)]) == 0
+    golden = GOLDEN / "reconvergent" / name / "verify.txt"
     assert capsys.readouterr().out == golden.read_text()
 
 
