@@ -38,15 +38,16 @@ the bound and the shift.
   offsets of a pair add up to s_j - s_q, so it costs at least F(L) = min
   over x + y >= L of c_qp(x) + c_pj(y), x and y at least their
   ``min_offset``s, at L = s_j - s_q; F is memoized per pair and flat from
-  sat_qp + sat_pj on. A unit from a placed stage r into the block is
-  priced at its cost at E_j - s_r; any other unit at its *floor*, its cost
-  at the longest path from r to j. Past the next cut that is all the bound
-  reads, so a node's cost stays within its block. As the current stage's
-  start rises, its in-edge costs, the units from earlier stages and the
-  floors cannot fall; once they reach the incumbent the loop stops. The
-  units out of the current stage can fall (E_j - s_i shrinks as s_i
-  grows), so their cost above their floors may only skip that one start.
-  Every vector skipped costs at least the incumbent's total.
+  sat_qp + sat_pj on. A unit from a placed stage r (q of a pair) into the
+  block is priced at E_j - s_r; any other unit at its *floor*, its price
+  at the longest path from r to j. Past the next cut the bound reads
+  floors alone, so its work per start stays within the block. As the
+  current stage's start rises, its in-edge costs, the units from earlier
+  stages and the floors cannot fall; once they reach the incumbent the
+  loop stops. The units out of the current stage can fall (E_j - s_i
+  shrinks as s_i grows), so their prices above their floors may only skip
+  that one start. Every vector skipped costs at least the incumbent's
+  total.
 - *Horizon.* Below a stage started at s every descendant starts at least s
   plus the longest path of ``min_offset``s to it. A stage's loop ends
   where that would put a descendant past ``latest``: no vector the walk
@@ -60,10 +61,10 @@ the bound and the shift.
   At position i the walk checks this for the cuts c <= i with that room
   whose starts from c to i are all at least 1, reading E_j >= 1 on the
   block and, past the next cut c', the least start of c' from which the
-  start rule puts every later stage at cycle 1 or later. Every larger start of i passes too (the
-  bounds only grow, and at c = i so does the room on c's in-edges), so
-  the loop stops. With c = 0 this is the translation v - min(v), which
-  the walk used to check on its own.
+  start rule puts every later stage at cycle 1 or later. Every larger
+  start of i passes too (the bounds only grow, and at c = i so does the
+  room on c's in-edges), so the loop stops. At c = 0 the shift is the
+  translation v - min(v).
 
 The incumbent stays right. The horizon prune skips no vector the walk
 could reach. A vector skipped by the shift has an earlier one of no larger
@@ -343,33 +344,41 @@ def _walk(
             table[k] = cost
         return cost
 
+    # Each position's (producer, ``min_offset``) pairs.
+    feeds = [[(p, off) for p, off, _, _, _ in ins] for ins in edges]
     # The longest path of ``min_offset``s from each position to each later
     # one, -inf where there is none: every feasible vector starts j at
     # least that long after r.
     apart = [[-inf] * n for _ in range(n)]
-    for r in range(n):
-        apart[r][r] = 0
+    for r, longest in enumerate(apart):
+        longest[r] = 0
         for j in range(r + 1, n):
-            apart[r][j] = max([-inf] + [apart[r][p] + off for p, off, _, _, _ in edges[j]])
+            for p, off in feeds[j]:
+                if longest[p] + off > longest[j]:
+                    longest[j] = longest[p] + off
     # How far past a stage's start the start rule pushes its descendants,
     # and at least 0.
-    reach = [max(0, *row_r) for row_r in apart]
+    reach = [max(0, *longest) for longest in apart]
     # Position c is a cut when no edge runs from before c to past it.
     cut = [True] * n
     for j in range(n):
-        for p, _, _, _, _ in edges[j]:
+        for p, _ in feeds[j]:
             for c in range(p + 1, j):
                 cut[c] = False
     # The least start x of cut c from which the start rule puts every later
-    # position at cycle 1 or later. From c on, the rule's bound on j is
-    # x + apart[c][j] or the longest path to j from a later position,
-    # whichever is larger.
+    # position at cycle 1 or later. From c on, the rule's bound on j is the
+    # larger of x + apart[c][j] and its bound with x at -inf, ``rest``.
     need = [inf] * n
     for c in range(1, n):
         if cut[c]:
-            need[c] = max([1] + [
-                1 - apart[c][j] for j in range(c + 1, n)
-                if max(apart[k][j] for k in range(c + 1, j + 1)) < 1])
+            need[c], rest = 1, [0] * n
+            rest[c] = -inf
+            for j in range(c + 1, n):
+                for p, off in feeds[j]:
+                    if rest[p] + off > rest[j]:
+                        rest[j] = rest[p] + off
+                if rest[j] < 1:
+                    need[c] = max(need[c], 1 - apart[c][j])
     # The bound prices units, each with its floor: its price at the
     # longest path from its first position r to its last j. A unit is an
     # edge, (r, j, floor, edge), or while p is unplaced a pair q -> p -> j
@@ -377,23 +386,23 @@ def _walk(
     # most one pair: (q, j, floor, the least and the greatest L that F
     # reads, F by L from the least, None until read, and the two edges),
     # keyed by p.
-    units = []
+    units, starts = [], []
     for j in range(n):
+        starts.append(len(units))
         for e in edges[j]:
             p, off, top, _, _ = e
             units.append((p, j, row(e, min(apart[p][j], top) - off), e))
+    starts.append(len(units))
     pairs = {}
-    for p in range(n):
-        if len(edges[p]) == 1:
-            for j in range(p + 1, n):
-                second = [e for e in edges[j] if e[0] == p]
-                if second and len(edges[j]) > 1:
-                    (first,), (second,) = edges[p], second
-                    q, lo, hi = first[0], first[1] + second[1], first[2] + second[2]
-                    pair = [q, j, None, lo, hi, [None] * (hi - lo + 1), first, second]
-                    pair[2] = joint(pair, apart[q][j])
-                    pairs[p] = tuple(pair)
-                    break
+    for j in range(n):
+        for second in edges[j] if len(edges[j]) > 1 else ():
+            p = second[0]
+            if len(edges[p]) == 1 and p not in pairs:
+                (first,) = edges[p]
+                q, lo, hi = first[0], first[1] + second[1], first[2] + second[2]
+                pair = [q, j, None, lo, hi, [None] * (hi - lo + 1), first, second]
+                pair[2] = joint(pair, apart[q][j])
+                pairs[p] = tuple(pair)
     # Per position i, the block after it: the positions up to the next cut
     # (or the last), each with its in-edges for the start rule, and the
     # shift prune's least start for each. Then the units into the block
@@ -401,11 +410,10 @@ def _walk(
     # those from before i, and those from i itself; and ``floor``, the
     # floors of every unplaced unit but those from before i.
     plans = []
-    for i in range(n):
-        nxt = next((c for c in range(i + 1, n) if cut[c]), n)
+    nxt = n
+    for i in range(n - 1, -1, -1):
         block = range(i + 1, min(nxt, n - 1) + 1)
-        spread = [(j, [(p, off) for p, off, _, _, _ in edges[j]], apart[i][j])
-                  for j in block]
+        spread = [(j, feeds[j], apart[i][j]) for j in block]
         lifted = [(j, need[j] if j == nxt else 1) for j in block]
         whole = [pair for p, pair in pairs.items() if p > i]
         inside = {id(e) for pair in whole for e in pair[6:]}
@@ -418,8 +426,8 @@ def _walk(
                 floor += unit[2]
                 if unit[0] == i and unit[1] in block:
                     joint_out.append(unit)
-        for r, j, least, e in units:
-            if j <= i or id(e) in inside:
+        for r, j, least, e in units[starts[i + 1]:]:
+            if id(e) in inside:
                 continue
             if r < i and j in block:
                 before.append((j, *e))
@@ -428,6 +436,9 @@ def _walk(
                 if r == i and j in block:
                     out.append((j, *e, least))
         plans.append((spread, lifted, before, out, joint_before, joint_out, floor))
+        if cut[i]:
+            nxt = i
+    plans.reverse()
     budget = MAX_SEARCH_NODES
 
     best_total: int | None = None
