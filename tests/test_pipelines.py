@@ -90,18 +90,11 @@ def test_reconvergent_pipeline_optimizes_to_golden(name, tmp_path, capsys):
         assert schedule.read_bytes() == (golden / f"optimize.c{chunks}.json").read_bytes()
 
 
-def test_diamond_verify_matches_golden(tmp_path, capsys):
-    path = tmp_path / "diamond.json"
-    path.write_text(DIAMOND)
-    assert main(["verify", str(path)]) == 0
-    golden = GOLDEN / "reconvergent" / "diamond" / "verify.txt"
-    assert capsys.readouterr().out == golden.read_text()
-
-
-@pytest.mark.parametrize("name", ["diamond5_1", "diamond_chain"])
+@pytest.mark.parametrize("name", ["diamond", "diamond5_1", "diamond_chain"])
 def test_reconvergent_verify_matches_golden(name, tmp_path, capsys):
-    # The benchmark's slowest verify, and two diamonds in a row: the walk
-    # shifts at the cut between them and prices each diamond's pairs.
+    # Besides the diamond, the benchmark's slowest verify, and two diamonds
+    # in a row: the walk shifts at the cut between them and prices each
+    # diamond's two paths together.
     path = tmp_path / f"{name}.json"
     path.write_text(RECONVERGENT[name])
     assert main(["verify", str(path)]) == 0
