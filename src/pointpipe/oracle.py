@@ -403,12 +403,14 @@ def _walk(
                 pair = [q, j, None, lo, hi, [None] * (hi - lo + 1), first, second]
                 pair[2] = joint(pair, apart[q][j])
                 pairs[p] = tuple(pair)
-    # Per position i, the block after it: the positions up to the next cut
-    # (or the last), each with its in-edges for the start rule, and the
-    # shift prune's least start for each. Then the units into the block
-    # from a placed first position, priced at the start rule's bound on j:
-    # those from before i, and those from i itself; and ``floor``, the
-    # floors of every unplaced unit but those from before i.
+    # Per position i, built from the last one back so that ``nxt`` is the
+    # next cut: the block after i, the positions up to the next cut (or the
+    # last), each with its (producer, ``min_offset``) pairs and its longest
+    # path from i for the start rule, and with the shift prune's least
+    # start; the units into the block from a placed first position, priced
+    # at the start rule's bound on j: those from before i, and those from i
+    # itself; and ``floor``, the floors of every unplaced unit but those
+    # from before i.
     plans = []
     nxt = n
     for i in range(n - 1, -1, -1):
