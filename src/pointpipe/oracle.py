@@ -32,22 +32,23 @@ is one. The *block* after position i runs up to the next cut, or to the
 last position. One pass of the start rule over the block per start serves
 the bound and the shift.
 
-- *Bound.* Every edge not yet placed is priced once, in a *unit*: a pair
-  q -> p -> j while p is unplaced, where p is fed by q alone and j by two
-  or more (each edge in at most one pair), or else the edge alone. The
-  offsets of a pair add up to s_j - s_q, so it costs at least F(L) = min
-  over x + y >= L of c_qp(x) + c_pj(y), x and y at least their
-  ``min_offset``s, at L = s_j - s_q; F is memoized per pair and flat from
-  sat_qp + sat_pj on. A unit from a placed stage r (q of a pair) into the
-  block is priced at E_j - s_r; any other unit at its *floor*, its price
-  at the longest path from r to j. Past the next cut the bound reads
-  floors alone, so its work per start stays within the block. As the
-  current stage's start rises, its in-edge costs, the units from earlier
-  stages and the floors cannot fall; once they reach the incumbent the
-  loop stops. The units out of the current stage can fall (E_j - s_i
-  shrinks as s_i grows), so their prices above their floors may only skip
-  that one start. Every vector skipped costs at least the incumbent's
-  total.
+- *Bound.* Every edge not yet placed is priced once, in a *unit*: an edge,
+  or a pair q -> p -> j while p is unplaced, where p is fed by q alone and
+  j by two or more (each edge in at most one pair). Each unit has one table
+  by offset, from its least offset to the one from which its cost is flat.
+  An edge's is its scored rows. The offsets of a pair add up to s_j - s_q,
+  so at L = s_j - s_q it costs at least F(L) = min over x + y >= L of
+  c_qp(x) + c_pj(y), x and y at least their ``min_offset``s; a pair's table
+  is F, read off its edges' tables and flat from sat_qp + sat_pj on. A unit
+  from a placed stage r (q of a pair) into the block is priced at E_j -
+  s_r; any other unit at its *floor*, its price at the longest path from r
+  to j. Past the next cut the bound reads floors alone, so its work per
+  start stays within the block. As the current stage's start rises, its
+  in-edge costs, the units from earlier stages and the floors cannot fall;
+  once they reach the incumbent the loop stops. The units out of the
+  current stage can fall (E_j - s_i shrinks as s_i grows), so their prices
+  above their floors may only skip that one start. Every vector skipped
+  costs at least the incumbent's total.
 - *Horizon.* Below a stage started at s every descendant starts at least s
   plus the longest path of ``min_offset``s to it. A stage's loop ends
   where that would put a descendant past ``latest``: no vector the walk
@@ -113,16 +114,19 @@ d*T``, where the raw frees are V. So the peak is the largest of 0 and the
 occupancy at ``write_end`` and ``overwrite_start + d*T``, a multiple of
 1/L.
 
-Each edge's (feasible, peak) is scored at most once per offset and kept
-in a list indexed by offset from the threshold, whose first row is the
-threshold's score. ``sat_offset``, read off the record too, is the larger
-of the threshold and ``ceil((write_end - demand_start) / T)``. An offset
-above it reads its row: from there the overwrite starts at or past the
-producer's write end (``overwrite_delay`` is at least the consumer's
-depth), so the whole volume V is resident at the write end and the peak
-is V, the most any occupancy can reach; and feasibility only grows with
-the offset. Rows are scored on first use, because a walk on a tree uses a
-few offsets of ranges a hundred long.
+Each edge's peak is scored at most once per offset and kept in its table
+by offset from the threshold, whose first row is the threshold's score.
+Rows from the threshold on are always feasible: the threshold passes, and
+a later consumer meets the same supply with its demand no earlier (a
+Global one, with every write done), so a row that fails the stall check
+is a ``ScheduleError("internal inconsistency: ...")``. ``sat_offset``,
+read off the record too, is the larger of the threshold and
+``ceil((write_end - demand_start) / T)``. An offset above it reads its
+row: from there the overwrite starts at or past the producer's write end
+(``overwrite_delay`` is at least the consumer's depth), so the whole
+volume V is resident at the write end and the peak is V, the most any
+occupancy can reach. Rows are scored on first use, because a walk on a
+tree uses a few offsets of ranges a hundred long.
 
 The walk adds and compares integers, every peak in units of 1/``scale``,
 the lcm of L over the edges, fixed before the walk; a peak off it is a
@@ -162,8 +166,8 @@ from .simulator import edge_ticks
 # diamonds. A skip edge across diamonds leaves the graph one block, and
 # such graphs reach the cap: 8 of 100 chains of three diamonds with one
 # skip edge (`tests/_pipegen.drawn`, for instance s1 -> s8 drawn from
-# `random.Random("skip18-1")`). There a node costs 1.1 to 1.6 us on two
-# shared CPUs, so the cap ends a search in 4.5 to 6.5 seconds.
+# `random.Random("skip18-1")`). There a node costs 1.0 to 2.0 us on two
+# shared CPUs, so the cap ends a search in 4 to 8 seconds.
 MAX_SEARCH_NODES = 4_000_000
 
 
@@ -294,68 +298,22 @@ def _walk(
     """The depth-first walk of ``exhaustive_minimum`` with every peak
     counted in units of 1/``scale``."""
     n = len(in_edges)
-
-    def scored(ev: _EdgeEval, offset: int, ok: bool, peak: Fraction) -> int:
-        """The row for one scoring: -1 where infeasible, else the peak
-        in units of 1/``scale``."""
-        if not ok:
-            return -1
-        if scale % peak.denominator:
-            raise ScheduleError(
-                f"internal inconsistency: peak {peak} of edge {ev.model.key} "
-                f"at offset {offset} is not a multiple of 1/{scale}")
-        return peak.numerator * (scale // peak.denominator)
-
-    # Per position and in-edge: (producer position, min_offset, sat_offset,
-    # scaled peak per offset from min_offset: None until scored, -1 where
-    # infeasible, and the edge's evaluator). Row 0 is the threshold's score.
-    edges = [
-        [(p, ev.min_offset, ev.sat_offset,
-          [scored(ev, ev.min_offset, True, ev.min_cost)]
-          + [None] * (ev.sat_offset - ev.min_offset), ev) for p, ev in ins]
-        for ins in in_edges
-    ]
-
-    def row(edge: tuple, k: int) -> int:
-        """Row k of an edge's table, scored on first use."""
-        _, off, _, costs, ev = edge
-        c = costs[k]
-        if c is None:
-            c = costs[k] = scored(ev, off + k, *ev.evaluate(off + k))
-        return c
-
-    def joint(pair: tuple, total: int) -> int:
-        """F(L) of a pair q -> p -> j at L = ``total``: the least cost of
-        its two edges at offsets x and y, each at least its
-        ``min_offset``, with x + y at least L. Costs never fall with the
-        offset, so x + y = L is enough; past an edge's ``sat_offset`` its
-        cost is flat, so only the x in [L - sat_pj, sat_qp] and the two
-        ends with one edge at its ``min_offset`` are read, and F is flat
-        from sat_qp + sat_pj on. Memoized by L in the pair's table."""
-        _, _, _, lo, hi, table, first, second = pair
-        k = (hi if total > hi else total) - lo
-        cost = table[k]
-        if cost is None:
-            m1, t1, m2, t2, total = first[1], first[2], second[1], second[2], lo + k
-            cost = min(row(first, 0) + row(second, min(total - m1, t2) - m2),
-                       row(first, min(total - m2, t1) - m1) + row(second, 0))
-            for x in range(max(m1, total - t2), min(t1, total - m2) + 1):
-                cost = min(cost, row(first, x - m1) + row(second, total - x - m2))
-            table[k] = cost
-        return cost
-
     # Each position's (producer, ``min_offset``) pairs.
-    feeds = [[(p, off) for p, off, _, _, _ in ins] for ins in edges]
+    feeds = [[(p, ev.min_offset) for p, ev in ins] for ins in in_edges]
+
+    def carried(bounds: list, first: int) -> list:
+        """``bounds`` with the start rule carried from position ``first`` on:
+        each position at least each producer's bound plus its ``min_offset``."""
+        for j in range(first, n):
+            for p, off in feeds[j]:
+                if bounds[p] + off > bounds[j]:
+                    bounds[j] = bounds[p] + off
+        return bounds
+
     # The longest path of ``min_offset``s from each position to each later
     # one, -inf where there is none: every feasible vector starts j at
     # least that long after r.
-    apart = [[-inf] * n for _ in range(n)]
-    for r, longest in enumerate(apart):
-        longest[r] = 0
-        for j in range(r + 1, n):
-            for p, off in feeds[j]:
-                if longest[p] + off > longest[j]:
-                    longest[j] = longest[p] + off
+    apart = [carried([-inf] * r + [0] + [-inf] * (n - r - 1), r + 1) for r in range(n)]
     # How far past a stage's start the start rule pushes its descendants,
     # and at least 0.
     reach = [max(0, *longest) for longest in apart]
@@ -371,38 +329,71 @@ def _walk(
     need = [inf] * n
     for c in range(1, n):
         if cut[c]:
-            need[c], rest = 1, [0] * n
-            rest[c] = -inf
-            for j in range(c + 1, n):
-                for p, off in feeds[j]:
-                    if rest[p] + off > rest[j]:
-                        rest[j] = rest[p] + off
-                if rest[j] < 1:
-                    need[c] = max(need[c], 1 - apart[c][j])
-    # The bound prices units, each with its floor: its price at the
-    # longest path from its first position r to its last j. A unit is an
-    # edge, (r, j, floor, edge), or while p is unplaced a pair q -> p -> j
-    # in which p is fed by q alone and j by two or more, each edge in at
-    # most one pair: (q, j, floor, the least and the greatest L that F
-    # reads, F by L from the least, None until read, and the two edges),
-    # keyed by p.
-    units, starts = [], []
-    for j in range(n):
-        starts.append(len(units))
-        for e in edges[j]:
-            p, off, top, _, _ = e
-            units.append((p, j, row(e, min(apart[p][j], top) - off), e))
-    starts.append(len(units))
+            rest = carried([0] * c + [-inf] + [0] * (n - c - 1), c + 1)
+            need[c] = max([1] + [1 - apart[c][j] for j in range(c + 1, n) if rest[j] < 1])
+
+    def scored(ev: _EdgeEval, offset: int, ok: bool, peak: Fraction) -> int:
+        """A row: the peak at ``offset``, at or above the threshold, in units of 1/``scale``."""
+        if not ok:
+            raise ScheduleError(
+                f"internal inconsistency: edge {ev.model.key} fails the stall check "
+                f"at offset {offset}, above its least feasible offset {ev.min_offset}")
+        if scale % peak.denominator:
+            raise ScheduleError(
+                f"internal inconsistency: peak {peak} of edge {ev.model.key} "
+                f"at offset {offset} is not a multiple of 1/{scale}")
+        return peak.numerator * (scale // peak.denominator)
+
+    # The bound prices units. A unit is (first position r, last position j,
+    # least offset, the offset from which its cost is flat, its cost by
+    # offset from the least, None until read, the function that fills a
+    # row, and its floor: its cost at apart[r][j]). Every lookup clamps the
+    # offset to the flat one, indexes, and fills a missing row.
+    def price(unit: tuple, d: int) -> int:
+        """A unit's cost at offset ``d``."""
+        lo, hi, table, fill = unit[2:6]
+        k = (hi if d > hi else d) - lo
+        c = table[k]
+        if c is None:
+            c = table[k] = fill(k)
+        return c
+
+    def with_floor(*unit) -> tuple:
+        return unit + (price(unit, apart[unit[0]][unit[1]]),)
+
+    def edge(p: int, j: int, ev: _EdgeEval) -> tuple:
+        """The edge p -> j as a unit, row 0 the threshold's score."""
+        off = ev.min_offset
+        table = [scored(ev, off, True, ev.min_cost)] + [None] * (ev.sat_offset - off)
+        return with_floor(p, j, off, ev.sat_offset, table,
+                          lambda k: scored(ev, off + k, *ev.evaluate(off + k)))
+
+    def pair(first: tuple, second: tuple) -> tuple:
+        """The pair q -> p -> j as a unit, its cost F(L). Costs never fall with
+        the offset, so x + y = L is enough; past ``sat_offset`` they are flat,
+        so only the x in [L - sat_pj, sat_qp] and the two ends with one edge
+        at its ``min_offset`` are read."""
+        q, _, m1, t1, _, _, _ = first
+        _, j, m2, t2, _, _, _ = second
+
+        def fill(k: int) -> int:
+            total = m1 + m2 + k
+            cost = min(price(first, m1) + price(second, total - m1),
+                       price(first, total - m2) + price(second, m2))
+            for x in range(max(m1, total - t2), min(t1, total - m2) + 1):
+                cost = min(cost, price(first, x) + price(second, total - x))
+            return cost
+
+        return with_floor(q, j, m1 + m2, t1 + t2, [None] * (t1 + t2 - m1 - m2 + 1), fill)
+
+    # Each position's in-edges, and the pairs q -> p -> j keyed by p.
+    edges = [[edge(p, j, ev) for p, ev in ins] for j, ins in enumerate(in_edges)]
     pairs = {}
     for j in range(n):
         for second in edges[j] if len(edges[j]) > 1 else ():
             p = second[0]
             if len(edges[p]) == 1 and p not in pairs:
-                (first,) = edges[p]
-                q, lo, hi = first[0], first[1] + second[1], first[2] + second[2]
-                pair = [q, j, None, lo, hi, [None] * (hi - lo + 1), first, second]
-                pair[2] = joint(pair, apart[q][j])
-                pairs[p] = tuple(pair)
+                pairs[p] = pair(edges[p][0], second)
     # Per position i, built from the last one back so that ``nxt`` is the
     # next cut: the block after i, the positions up to the next cut (or the
     # last), each with its (producer, ``min_offset``) pairs and its longest
@@ -417,27 +408,23 @@ def _walk(
         block = range(i + 1, min(nxt, n - 1) + 1)
         spread = [(j, feeds[j], apart[i][j]) for j in block]
         lifted = [(j, need[j] if j == nxt else 1) for j in block]
-        whole = [pair for p, pair in pairs.items() if p > i]
-        inside = {id(e) for pair in whole for e in pair[6:]}
-        before, out, joint_before, joint_out = [], [], [], []
-        floor = 0
-        for unit in whole:
-            if unit[0] < i and unit[1] in block:
-                joint_before.append(unit)
-            else:
-                floor += unit[2]
-                if unit[0] == i and unit[1] in block:
-                    joint_out.append(unit)
-        for r, j, least, e in units[starts[i + 1]:]:
-            if id(e) in inside:
+        before, out, floor = [], [], 0
+        for j in range(i + 1, n):
+            if j in pairs:
+                # j's one in-edge is priced in j's pair.
                 continue
-            if r < i and j in block:
-                before.append((j, *e))
-            else:
-                floor += least
-                if r == i and j in block:
-                    out.append((j, *e, least))
-        plans.append((spread, lifted, before, out, joint_before, joint_out, floor))
+            for unit in edges[j]:
+                r = unit[0]
+                if r > i and r in pairs and pairs[r][1] == j:
+                    unit = pairs[r]
+                    r = unit[0]
+                if r < i and j in block:
+                    before.append(unit)
+                else:
+                    floor += unit[6]
+                    if r == i and j in block:
+                        out.append(unit)
+        plans.append((spread, lifted, before, out, floor))
         if cut[i]:
             nxt = i
     plans.reverse()
@@ -461,9 +448,9 @@ def _walk(
                 best_starts = placed[:]
             return
         ins = edges[i]
-        spread, lifted, before, out, joint_before, joint_out, floor = plans[i]
+        spread, lifted, before, out, floor = plans[i]
         pushed = -1
-        for p, off, _, _, _ in ins:
+        for p, off in feeds[i]:
             if placed[p] + off > pushed:
                 pushed = placed[p] + off
         at_cut = cut[i]
@@ -499,52 +486,35 @@ def _walk(
                     tried)
             nodes += 1
             cost = partial
-            for p, off, top, costs, ev in ins:
+            for p, _, lo, hi, table, fill, _ in ins:
                 d = start - placed[p]
-                k = (top if d > top else d) - off
-                c = costs[k]
+                k = (hi if d > hi else d) - lo
+                c = table[k]
                 if c is None:
-                    c = costs[k] = scored(ev, off + k, *ev.evaluate(off + k))
-                if c < 0:
-                    break
+                    c = table[k] = fill(k)
                 cost += c
-            else:
-                if best_total is not None:
-                    bound = cost + floor
-                    for j, p, off, top, costs, ev in before:
-                        d = placed[j] - placed[p]
-                        k = (top if d > top else d) - off
-                        c = costs[k]
-                        if c is None:
-                            c = costs[k] = scored(ev, off + k, *ev.evaluate(off + k))
-                        bound += c
-                    for pair in joint_before:
-                        q, j, _, lo, hi, table, _, _ = pair
-                        d = placed[j] - placed[q]
-                        c = table[(hi if d > hi else d) - lo]
-                        if c is None:
-                            c = joint(pair, d)
-                        bound += c
-                    if bound >= best_total:
-                        # No term so far falls as the start rises.
-                        break
-                    for j, p, off, top, costs, ev, least in out:
-                        d = placed[j] - start
-                        k = (top if d > top else d) - off
-                        c = costs[k]
-                        if c is None:
-                            c = costs[k] = scored(ev, off + k, *ev.evaluate(off + k))
-                        bound += c - least
-                    for pair in joint_out:
-                        _, j, least, lo, hi, table, _, _ = pair
-                        d = placed[j] - start
-                        c = table[(hi if d > hi else d) - lo]
-                        if c is None:
-                            c = joint(pair, d)
-                        bound += c - least
-                    if bound >= best_total:
-                        continue
-                place(i + 1, cost, shift)
+            if best_total is not None:
+                bound = cost + floor
+                for r, j, lo, hi, table, fill, _ in before:
+                    d = placed[j] - placed[r]
+                    k = (hi if d > hi else d) - lo
+                    c = table[k]
+                    if c is None:
+                        c = table[k] = fill(k)
+                    bound += c
+                if bound >= best_total:
+                    # No term so far falls as the start rises.
+                    break
+                for _, j, lo, hi, table, fill, least in out:
+                    d = placed[j] - start
+                    k = (hi if d > hi else d) - lo
+                    c = table[k]
+                    if c is None:
+                        c = table[k] = fill(k)
+                    bound += c - least
+                if bound >= best_total:
+                    continue
+            place(i + 1, cost, shift)
 
     place(0, 0, False)
     return best_total, best_starts, tried

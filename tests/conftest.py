@@ -8,6 +8,15 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from pointpipe.graph import parse_pipeline
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def reconvergent(name: str) -> str:
+    """The reconvergent pipeline ``name``, checked in once as
+    ``tests/golden/reconvergent/<name>/pipeline.json``."""
+    return (GOLDEN / "reconvergent" / name / "pipeline.json").read_text()
+
+
 KNN_STENCIL = """{
   "input_work": 24,
   "stages": [
@@ -57,12 +66,7 @@ LOCAL_CHAIN = """{
 
 # Two paths from "a" reconverge at "d": the closed form does not apply, and
 # the saturated-edge search schedules it.
-DIAMOND = """{"input_work": 8, "stages": [
-  {"id": "a", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 0},
-  {"id": "b", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 2},
-  {"id": "c", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 0},
-  {"id": "d", "kind": "Elementwise", "i_shape": [2, 1], "o_shape": [2, 1], "stage": 0}
-], "edges": [["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]]}"""
+DIAMOND = reconvergent("diamond")
 
 
 def naive_groups(grid):

@@ -5,6 +5,7 @@ from math import ceil
 import pytest
 
 from _pipegen import generate, suite
+from conftest import reconvergent
 from pointpipe import optimizer, solver
 from pointpipe.graph import StageKind, parse_pipeline
 from pointpipe.optimizer import (
@@ -321,20 +322,7 @@ def test_join_of_bridges_equals_exhaustive_minimum(horizon):
 # exhaustive oracle proves this total in under 100 nodes: it shifts at the
 # cut s3 between the diamonds and prices each diamond's two paths as pairs
 # (``tests/golden/reconvergent/diamond_chain/verify.txt``).
-DIAMOND_CHAIN = """{"input_work": 24, "stages": [
-  {"id": "s0", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 2], "stage": 0},
-  {"id": "s1", "kind": "Reduction", "i_shape": [1, 1], "o_shape": [2, 1], "stage": 0,
-   "o_freq": 2},
-  {"id": "s2", "kind": "Reduction", "i_shape": [2, 3], "o_shape": [1, 1], "stage": 1},
-  {"id": "s3", "kind": "Elementwise", "i_shape": [1, 2], "o_shape": [1, 1], "stage": 1,
-   "i_freq": 3},
-  {"id": "s4", "kind": "Stencil", "i_shape": [2, 3], "o_shape": [1, 2], "stage": 0,
-   "o_freq": 4, "reuse": [2, 1]},
-  {"id": "s5", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 1},
-  {"id": "s6", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 1},
-  {"id": "s7", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 1}
-], "edges": [["s0", "s1"], ["s0", "s2"], ["s1", "s3"], ["s2", "s3"], ["s3", "s4"],
-             ["s3", "s5"], ["s4", "s6"], ["s5", "s6"], ["s6", "s7"]]}"""
+DIAMOND_CHAIN = reconvergent("diamond_chain")
 
 
 def test_diamond_chain_stays_far_below_the_set_cap(monkeypatch):

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from _pipegen import diamond_chain, drawn, suite
+from conftest import GOLDEN, reconvergent
 from pointpipe import oracle
 from pointpipe.cli import INCONCLUSIVE, USAGE, VERIFY_FAILED, main
 from pointpipe.graph import parse_pipeline
@@ -69,15 +70,7 @@ def test_one_sided_infeasibility_is_a_mismatch(monkeypatch, capsys):
 # s1's cost flat over thousands of starts: a walk without the shift prune
 # did not finish in minutes on it, and one without the pair prices took
 # 74628 nodes.
-DIAMOND5_1 = """{"input_work": 32, "stages": [
-  {"id": "s0", "kind": "Global", "i_shape": [1, 2], "o_shape": [2, 1], "stage": 3,
-   "i_freq": 4},
-  {"id": "s1", "kind": "Global", "i_shape": [1, 1], "o_shape": [1, 2], "stage": 0,
-   "o_freq": 2},
-  {"id": "s2", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 1},
-  {"id": "s3", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 1},
-  {"id": "s4", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 1}
-], "edges": [["s0", "s1"], ["s0", "s2"], ["s1", "s3"], ["s2", "s3"], ["s3", "s4"]]}"""
+DIAMOND5_1 = reconvergent("diamond5_1")
 
 
 def test_flat_global_in_edges_verify_well_inside_the_budget(tmp_path, monkeypatch, capsys):
@@ -101,6 +94,20 @@ def test_search_budget_is_inconclusive(budget, best, tmp_path, monkeypatch, caps
         f"inconclusive (budget): {budget} nodes, best total {best}\n")
     report = verify_against_oracle(parse_pipeline(DIAMOND5_1))
     assert not report.matches and report.budget_nodes == budget
+
+
+@pytest.mark.parametrize("name, nodes", [("diamond", 11), ("diamond5_1", 69), ("diamond_chain", 91)])
+def test_walk_node_counts(name, nodes, monkeypatch, capsys):
+    # The walk proves each total in exactly this many nodes: one fewer
+    # leaves the verdict inconclusive, and no prune may cost a node.
+    golden = GOLDEN / "reconvergent" / name
+    path = str(golden / "pipeline.json")
+    monkeypatch.setattr(oracle, "MAX_SEARCH_NODES", nodes - 1)
+    assert main(["verify", path]) == INCONCLUSIVE
+    assert capsys.readouterr().out.startswith(f"inconclusive (budget): {nodes - 1} nodes, ")
+    monkeypatch.setattr(oracle, "MAX_SEARCH_NODES", nodes)
+    assert main(["verify", path]) == 0
+    assert capsys.readouterr().out == (golden / "verify.txt").read_text()
 
 
 def test_random_diamond_chains_never_mismatch(monkeypatch):
@@ -320,6 +327,46 @@ def test_wrong_threshold_is_an_internal_inconsistency(shift, monkeypatch, capsys
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: internal inconsistency: offset ")
+
+
+def test_failed_row_above_the_threshold_is_an_internal_inconsistency(monkeypatch, capsys):
+    # Feasibility only grows with the offset, so every row the walk reads
+    # passes the stall check. A row one above the threshold that fails
+    # contradicts that proof: verify reports an input error, not a verdict
+    # with the start that read it skipped.
+    evaluate = oracle._EdgeEval.evaluate
+
+    def failing(self, offset):
+        ok, peak = evaluate(self, offset)
+        return ok and not (hasattr(self, "min_offset") and offset == self.min_offset + 1), peak
+
+    monkeypatch.setattr(oracle._EdgeEval, "evaluate", failing)
+    assert main(["verify", str(GOLDEN / "reconvergent" / "diamond" / "pipeline.json")]) == USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: internal inconsistency: edge ")
+
+
+def test_whole_element_walk_equals_the_rounded_optimum(monkeypatch):
+    # The walk with each peak rounded up to whole elements finds the
+    # rational optimum with each edge's buffer rounded up, which is what
+    # `optimize --element-bytes 1` reports: measured here, not proved.
+    evaluate = oracle._EdgeEval.evaluate
+
+    def whole(self, offset):
+        ok, peak = evaluate(self, offset)
+        return ok, Fraction(ceil(peak))
+
+    monkeypatch.setattr(oracle._EdgeEval, "evaluate", whole)
+    graphs = fractional = 0
+    for g in (suite(200, start_seed=5000) + suite(120, start_seed=30000)
+              + suite(60, shape="tree")):
+        sol = solve(build_constraints(g))
+        total, _, _ = exhaustive_minimum(g, max(sol.start_cycles.values()) + 2)
+        assert total == sol.to_json_dict(element_bytes=1)["total_buffer_bytes"]
+        graphs += 1
+        fractional += any(size.denominator > 1 for size in sol.buffer_sizes.values())
+    assert (graphs, fractional) == (380, 258)
 
 
 def test_peak_off_the_scale_is_an_internal_inconsistency(monkeypatch, capsys):
