@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 from math import ceil
@@ -173,6 +174,17 @@ def test_constraint_counts_attached(knn_stencil):
     sol = optimize(knn_stencil)
     assert sol.constraint_counts["pruned"] <= 8
     assert sol.constraint_counts["unpruned"] > sol.constraint_counts["pruned"]
+
+
+def test_suite_solutions_keep_their_digest():
+    # sha256 of optimize(g).dumps() concatenated over the 600 graphs in
+    # suite order: every start, buffer, overwrite start, total, makespan
+    # and row count, byte for byte, as the Fraction model gave them.
+    digest = hashlib.sha256()
+    for g in suite(600, start_seed=20000):
+        digest.update(optimize(g).dumps().encode())
+    assert digest.hexdigest() == (
+        "412d8f0f572cd95b581fed8a121b975e7674e051af9622d204a8d3ee8fa4bcd2")
 
 
 def test_derived_row_counts_equal_both_builds():
