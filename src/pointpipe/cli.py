@@ -212,7 +212,7 @@ def cmd_simulate(args) -> int:
     if args.trace:
         lines = ["cycle,edge,occupancy"]
         for cyc, edge, occ in trace.sample_rows(stride=args.stride):
-            lines.append(f"{cyc},{edge},{_frac_to_json(occ)}")
+            lines.append(f"{cyc},{edge},{occ}")
         _write(args.trace, "\n".join(lines) + "\n")
     summary = trace.summary_dict()
     if solution.initiation_interval is not None:

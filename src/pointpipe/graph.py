@@ -5,8 +5,10 @@ shape and frequency, its input reuse pattern, and its pipeline depth; from
 those the per-stage consume/produce rates follow. Every producer->consumer
 edge carries one line buffer whose capacity is sized by the optimizer.
 
-All rate arithmetic is exact (``fractions.Fraction``); no floats enter any
-derivation here.
+All rate arithmetic is exact and in integers: ``validate`` fixes the
+graph's one cycle unit and one token unit (``PipelineGraph.ticks`` and
+``unit``), and every derived duration, rate and volume is a whole number
+of them. No float enters any derivation here.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from math import gcd, lcm
 
 
 class PipelineError(Exception):
@@ -109,16 +111,6 @@ class StageSpec:
             return self.reuse[0] * self.reuse[1]
         return 1
 
-    @cached_property
-    def tau_in(self) -> Fraction:
-        """Unique input elements consumed per cycle (reuse divided out)."""
-        return Fraction(self.i_shape.elements, self.reuse_total * self.i_freq)
-
-    @cached_property
-    def tau_out(self) -> Fraction:
-        """Output elements produced per cycle."""
-        return Fraction(self.o_shape.elements, self.o_freq)
-
 
 @dataclass(frozen=True)
 class Edge:
@@ -139,13 +131,28 @@ class PipelineGraph:
     element); whether one should be is an open question, and this documents
     today's behaviour only.
 
-    Derived quantities (filled by ``validate``):
+    Derived quantities (filled by ``validate``), all integers:
 
+    - ``in_edges[s]``, ``out_edges[s]``: positions in ``edges`` of the edges
+      into and out of stage ``s``, in declaration order
     - ``input_volume[s]``: unique input elements stage ``s`` consumes per chunk
-    - ``work[s]``: output elements stage ``s`` produces per chunk (integral)
-    - ``duration[s]``: active cycles, ``input_volume/tau_in == work/tau_out``
+    - ``work[s]``: output elements stage ``s`` produces per chunk
     - ``edge_volume[e]``: elements transported over edge ``e`` (the producer's
       full output; multi-consumer producers broadcast)
+    - ``in_rate[s]``, ``out_rate[s]``: ``tau_in`` and ``tau_out``, in units
+      per tick
+    - ``duration[s]``: active ticks, ``input_volume/tau_in == work/tau_out``
+
+    A tick is 1/``ticks`` cycle and a unit 1/``unit`` element, the graph's
+    one cycle unit and one token unit. ``unit`` is R * ``ticks``, R the lcm
+    of the denominators of every ``tau_in`` and ``tau_out``, so each rate is
+    whole units a tick. ``ticks`` is T0 * M. T0, the lcm of the denominators
+    of every duration and every edge's drain (its volume over the consumer's
+    ``tau_in``) in cycles, makes each of them whole ticks. M, the lcm over
+    the edges of |producer ``out_rate`` - consumer ``in_rate``| (or 1), puts
+    the roots of each edge's occupancy on ticks (see ``simulator``). On the
+    test suites and the benchmark's pipelines ``ticks`` has at most 13 bits
+    and ``unit`` at most 16.
     """
 
     stages: list[StageSpec]
@@ -153,10 +160,16 @@ class PipelineGraph:
     input_work: int
 
     topo_order: list[str] = field(default_factory=list, repr=False)
+    in_edges: dict[str, list[int]] = field(default_factory=dict, repr=False)
+    out_edges: dict[str, list[int]] = field(default_factory=dict, repr=False)
     input_volume: dict[str, int] = field(default_factory=dict, repr=False)
     work: dict[str, int] = field(default_factory=dict, repr=False)
-    duration: dict[str, Fraction] = field(default_factory=dict, repr=False)
     edge_volume: dict[Edge, int] = field(default_factory=dict, repr=False)
+    ticks: int = field(default=1, repr=False)
+    unit: int = field(default=1, repr=False)
+    in_rate: dict[str, int] = field(default_factory=dict, repr=False)
+    out_rate: dict[str, int] = field(default_factory=dict, repr=False)
+    duration: dict[str, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self.validate()
@@ -167,7 +180,7 @@ class PipelineGraph:
         return self._by_id[stage_id]
 
     def producers_of(self, stage_id: str) -> list[str]:
-        return [e.producer for e in self.edges if e.consumer == stage_id]
+        return [self.edges[i].producer for i in self.in_edges[stage_id]]
 
     def validate(self) -> None:
         if self.input_work < 1:
@@ -178,12 +191,16 @@ class PipelineGraph:
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate stage ids")
         self._by_id = {s.id: s for s in self.stages}
-        for e in self.edges:
+        self.in_edges = {sid: [] for sid in ids}
+        self.out_edges = {sid: [] for sid in ids}
+        for i, e in enumerate(self.edges):
             for endpoint in (e.producer, e.consumer):
                 if endpoint not in self._by_id:
                     raise ValidationError(f"edge references undeclared stage {endpoint!r}")
             if e.producer == e.consumer:
                 raise ValidationError(f"self edge on stage {e.producer!r}")
+            self.out_edges[e.producer].append(i)
+            self.in_edges[e.consumer].append(i)
         if len(set(self.edges)) != len(self.edges):
             raise ValidationError("duplicate edge")
 
@@ -191,20 +208,16 @@ class PipelineGraph:
         self._derive()
 
     def _toposort(self) -> list[str]:
-        indeg = {s.id: 0 for s in self.stages}
-        for e in self.edges:
-            indeg[e.consumer] += 1
-        # Kahn's algorithm, declaration order as the tie break.
-        order: list[str] = []
-        ready = [s.id for s in self.stages if indeg[s.id] == 0]
-        while ready:
-            sid = ready.pop(0)
-            order.append(sid)
-            for e in self.edges:
-                if e.producer == sid:
-                    indeg[e.consumer] -= 1
-                    if indeg[e.consumer] == 0:
-                        ready.append(e.consumer)
+        # Kahn's algorithm, first in first out, declaration order as the
+        # tie break: ``order`` is the queue, read as it grows.
+        indeg = {sid: len(ins) for sid, ins in self.in_edges.items()}
+        order = [s.id for s in self.stages if not indeg[s.id]]
+        for sid in order:
+            for i in self.out_edges[sid]:
+                consumer = self.edges[i].consumer
+                indeg[consumer] -= 1
+                if not indeg[consumer]:
+                    order.append(consumer)
         if len(order) != len(self.stages):
             raise ValidationError("pipeline graph contains a cycle")
         return order
@@ -212,37 +225,42 @@ class PipelineGraph:
     # -- derived work ------------------------------------------------------
 
     def _derive(self) -> None:
-        """Propagate work totals through the DAG in exact arithmetic.
+        """Propagate work totals through the DAG and fix the graph's units.
 
         Sources consume the external input (``input_work`` elements each).
         A stage active for D cycles consumes U = D * tau_in unique elements
         and produces W = D * tau_out, so W = U * tau_out / tau_in. Every W
         must land on an integer or the description is rejected.
         """
-        self.input_volume = {}
-        self.work = {}
-        self.duration = {}
-        self.edge_volume = {}
+        # tau_in and tau_out of each stage as (numerator, denominator).
+        taus = {s.id: ((s.i_shape.elements, s.reuse_total * s.i_freq),
+                       (s.o_shape.elements, s.o_freq)) for s in self.stages}
+        rates = lcm(*(d // gcd(n, d) for pair in taus.values() for n, d in pair))
+        self.in_rate = {sid: n * rates // d for sid, ((n, d), _) in taus.items()}
+        self.out_rate = {sid: n * rates // d for sid, (_, (n, d)) in taus.items()}
+        self.input_volume, self.work = {}, {}
         for sid in self.topo_order:
-            spec = self._by_id[sid]
             producers = self.producers_of(sid)
-            if producers:
-                volume = sum(self.work[p] for p in producers)
-            else:
-                volume = self.input_work
-            w = Fraction(volume) * spec.tau_out / spec.tau_in
-            if w.denominator != 1:
+            volume = sum(self.work[p] for p in producers) if producers else self.input_work
+            work, rest = divmod(volume * self.out_rate[sid], self.in_rate[sid])
+            if rest:
+                tau_in, tau_out = (Fraction(*tau) for tau in taus[sid])
                 raise ValidationError(
-                    f"stage {sid!r}: derived work {w} is not an integer "
-                    f"(input volume {volume}, tau_in {spec.tau_in}, tau_out {spec.tau_out})"
+                    f"stage {sid!r}: derived work {volume * tau_out / tau_in} is not an "
+                    f"integer (input volume {volume}, tau_in {tau_in}, tau_out {tau_out})"
                 )
-            if w <= 0:
-                raise ValidationError(f"stage {sid!r}: derived work must be positive")
             self.input_volume[sid] = volume
-            self.work[sid] = int(w)
-            self.duration[sid] = Fraction(volume) / spec.tau_in
-        for e in self.edges:
-            self.edge_volume[e] = self.work[e.producer]
+            self.work[sid] = work
+        self.edge_volume = {e: self.work[e.producer] for e in self.edges}
+        # Each duration and drain in cycles is (amount * rates) / rate.
+        spans = [(self.input_volume[sid] * rates, self.in_rate[sid]) for sid in self.topo_order]
+        spans += [(v * rates, self.in_rate[e.consumer]) for e, v in self.edge_volume.items()]
+        grain = lcm(*(abs(self.out_rate[e.producer] - self.in_rate[e.consumer]) or 1
+                      for e in self.edges))
+        self.ticks = lcm(*(d // gcd(n, d) for n, d in spans)) * grain
+        self.unit = rates * self.ticks
+        self.duration = {sid: self.input_volume[sid] * self.unit // self.in_rate[sid]
+                         for sid in self.topo_order}
 
 
 # -- pipeline description files ---------------------------------------------

@@ -53,13 +53,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
-from math import ceil, floor, lcm
+from math import ceil, gcd, lcm
 
 from .graph import Edge, PipelineGraph, StageKind
 from . import solver
-
-_ZERO = Fraction(0)
 
 # Most saturated-edge sets that ``solve`` solves for one graph. The
 # generated test suites and the benchmark's DAG pool need at most 9. The
@@ -85,88 +82,93 @@ def edge_key(e: Edge) -> str:
     return f"{e.producer}->{e.consumer}"
 
 
-def _frac_to_json(x: Fraction) -> int | str:
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def _frac_to_json(x: Fraction | int, den: int = 1) -> int | str:
+    """x / den, den > 0, in lowest terms as JSON holds it: an int, or "n/d"."""
+    n, d = x.numerator, x.denominator * den
+    g = gcd(n, d)
+    return n // g if g == d else f"{n // g}/{d // g}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EdgeModel:
     """One edge p -> c as the graph fixes it, and its buffer as a function
-    of the start offset d = s_c - s_p alone.
+    of the start offset d = s_c - s_p alone, in the graph's units (see
+    ``PipelineGraph``): times in ticks of 1/``ticks`` cycle, amounts in
+    units of 1/``unit`` element, rates in units per tick. Offsets are whole
+    cycles.
 
     Times below are relative to the producer's start: the producer writes
     from ``depth_p`` to ``write_end`` and the consumer's overwriting starts
-    at ``d + overwrite_delay``. The derived fields are computed once per
-    model, on first use.
+    at ``d + overwrite_delay``.
     """
 
     edge: Edge
     key: str
-    volume: Fraction
-    out_rate: Fraction       # producer write rate
-    in_rate: Fraction        # consumer read rate
+    volume: int              # V
+    out_rate: int            # producer write rate
+    in_rate: int             # consumer read rate
     depth_p: int
     depth_c: int
-    dur_p: Fraction          # producer active cycles (volume / out_rate)
-    dur_c: Fraction          # consumer active cycles (U_c / in_rate)
-    drain: Fraction          # cycles to retire this edge's volume (V / in_rate)
+    dur_p: int               # producer active ticks (volume / out_rate)
+    dur_c: int               # consumer active ticks (U_c / in_rate)
+    drain: int               # ticks to retire this edge's volume (V / in_rate)
     is_global: bool
+    ticks: int
+    unit: int
+    write_end: int = field(init=False)
+    overwrite_delay: int = field(init=False)   # from the consumer's start
+    min_offset: int = field(init=False)
+    branches: tuple[tuple[int, int], ...] = field(init=False)
+    max_floor_offset: int | None = field(init=False)
 
-    @cached_property
-    def write_end(self) -> Fraction:
-        return self.depth_p + self.dur_p
-
-    @cached_property
-    def overwrite_delay(self) -> Fraction:
-        """Cycles from the consumer's start to the edge's overwrite start."""
-        return self.depth_c + self.dur_c if self.is_global else Fraction(self.depth_c)
-
-    @cached_property
-    def min_offset(self) -> int:
-        """Earliest feasible consumer-minus-producer start offset."""
+    def __post_init__(self) -> None:
+        one = self.ticks
+        self.write_end = self.depth_p + self.dur_p
+        self.overwrite_delay = self.depth_c + (self.dur_c if self.is_global else 0)
+        # Earliest feasible consumer-minus-producer start offset.
         if self.is_global:
-            return ceil(self.write_end)
-        gap_avail = Fraction(self.depth_p - self.depth_c + 1)
-        gap_rate = self.write_end + 1 - self.depth_c - self.drain
-        return ceil(max(gap_avail, gap_rate))
+            least = self.write_end
+        else:
+            least = max(self.depth_p - self.depth_c + one,
+                        self.write_end + one - self.depth_c - self.drain)
+        self.min_offset = -(-least // one)
+        # (slope per cycle, value at d = 0) of each line whose maximum is
+        # ``g``: b1 = out_rate*(t_o - w_p), the fill when overwriting begins
+        # at t_o = d + ``overwrite_delay``, and b2 = V - in_rate*(e_p -
+        # t_o), the fill when writing ends.
+        delay = self.overwrite_delay
+        self.branches = (
+            (self.out_rate * one, self.out_rate * (delay - self.depth_p)),
+            (self.in_rate * one, self.volume - self.in_rate * (self.write_end - delay)))
+        # The largest offset whose peak is still ``peak(min_offset)``, or
+        # None when every larger offset keeps it. ``peak`` is flat only
+        # where it is clamped. At V it stays there. It is never clamped at
+        # 0 on a feasible offset: a local consumer starts overwriting a
+        # cycle after the first write at the earliest, so b1 >= out_rate. In
+        # between, b1 and b2 rise strictly, so ``min_offset`` is the only
+        # optimal offset.
+        self.max_floor_offset = (
+            None if self.peak(self.min_offset) == self.volume else self.min_offset)
 
-    @cached_property
+    @property
     def window_steps(self) -> int:
         """Rows of the unpruned availability family: the consumer's read
         window on a grid fine enough to hit every demand kink."""
-        return int(self.drain * lcm(self.in_rate.denominator, self.drain.denominator))
+        rates = self.unit // self.ticks
+        grid = lcm(rates // gcd(self.in_rate, rates), self.ticks // gcd(self.drain, self.ticks))
+        return self.drain * grid // self.ticks
 
-    @cached_property
-    def max_floor_offset(self) -> int | None:
-        """Largest offset whose peak is still ``peak(min_offset)``, or None
-        when every larger offset keeps it. ``peak`` is flat only where it is
-        clamped. At V it stays there. It is never clamped at 0 on a feasible
-        offset: a local consumer starts overwriting a cycle after the first
-        write at the earliest, so b1 >= out_rate. In between, b1 and b2
-        rise strictly, so ``min_offset`` is the only optimal offset."""
-        return None if self.peak(self.min_offset) == self.volume else self.min_offset
-
-    @cached_property
-    def branches(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """(slope, value at d = 0) of each line whose maximum is ``g``, the
-        unclamped peak: b1 = out_rate*(t_o - w_p), the fill when overwriting
-        begins at t_o = d + ``overwrite_delay``, and b2 = V -
-        in_rate*(e_p - t_o), the fill when writing ends."""
-        delay = self.overwrite_delay
-        return ((self.out_rate, self.out_rate * (delay - self.depth_p)),
-                (self.in_rate, self.volume - self.in_rate * (self.write_end - delay)))
-
-    def g(self, d: int | Fraction) -> Fraction:
+    def g(self, d: int) -> int:
         """The peak at offset ``d`` before it is clamped to [0, V]."""
         return max(slope * d + at0 for slope, at0 in self.branches)
 
-    def peak(self, d: int) -> Fraction:
+    def peak(self, d: int) -> int:
         """Exact peak occupancy at a feasible offset ``d``, nondecreasing in
         ``d``: min(V, g(d)). Every feasible Global offset saturates at V."""
-        return max(_ZERO, min(self.volume, self.g(d)))
+        return max(0, min(self.volume, self.g(d)))
 
-    @cached_property
-    def pieces(self) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
+    @property
+    def pieces(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """``g`` on the integers from ``min_offset`` up, as ``solver.Tension``
         takes it: its kinks, which are integers, and its slopes,
         ``slopes[0]`` up to ``kinks[0]`` and so on.
@@ -182,12 +184,11 @@ class EdgeModel:
         (s1, a1), (s2, a2) = self.branches
         if s1 == s2:
             return (), (s1,)
-        cross = (a2 - a1) / (s1 - s2)
+        k, off = divmod(a2 - a1, s1 - s2)
         lo, hi = sorted((s1, s2))
-        if cross.denominator == 1:
-            kinks, slopes = [int(cross)], [lo, hi]
+        if not off:
+            kinks, slopes = [k], [lo, hi]
         else:
-            k = floor(cross)
             kinks, slopes = [k, k + 1], [lo, self.g(k + 1) - self.g(k), hi]
         cut = sum(kink <= self.min_offset for kink in kinks)
         return tuple(kinks[cut:]), tuple(slopes[cut:])
@@ -195,36 +196,36 @@ class EdgeModel:
 
 def edge_models(graph: PipelineGraph) -> list[EdgeModel]:
     """One ``EdgeModel`` per edge, in ``graph.edges`` order."""
+    one, unit = graph.ticks, graph.unit
     models = []
     for e in graph.edges:
         p, c = graph.stage(e.producer), graph.stage(e.consumer)
-        v = Fraction(graph.edge_volume[e])
-        out_rate, in_rate = p.tau_out, c.tau_in
+        v = graph.edge_volume[e] * unit
+        in_rate = graph.in_rate[c.id]
         models.append(EdgeModel(
-            edge=e, key=edge_key(e), volume=v, out_rate=out_rate, in_rate=in_rate,
-            depth_p=p.stage_depth, depth_c=c.stage_depth,
-            dur_p=v / out_rate, dur_c=graph.duration[e.consumer], drain=v / in_rate,
-            is_global=c.kind is StageKind.GLOBAL,
+            edge=e, key=edge_key(e), volume=v, out_rate=graph.out_rate[p.id],
+            in_rate=in_rate, depth_p=p.stage_depth * one, depth_c=c.stage_depth * one,
+            dur_p=graph.duration[p.id], dur_c=graph.duration[c.id], drain=v // in_rate,
+            is_global=c.kind is StageKind.GLOBAL, ticks=one, unit=unit,
         ))
     return models
 
 
 def default_horizon(graph: PipelineGraph) -> int:
     """Start-cycle search window: 4x the summed active durations."""
-    return ceil(4 * sum(graph.duration.values()))
+    return -(-4 * sum(graph.duration.values()) // graph.ticks)
 
 
 def earliest_starts(
     graph: PipelineGraph, models: list[EdgeModel], horizon: int
 ) -> dict[str, int]:
     """Cascaded earliest feasible start per stage under ``graph``'s edge
-    ``models``; error if past the horizon."""
+    ``models``, one per edge in ``graph.edges`` order; error if past the
+    horizon."""
     starts: dict[str, int] = {}
     for sid in graph.topo_order:
-        lo = max(
-            [0] + [starts[m.edge.producer] + m.min_offset
-                   for m in models if m.edge.consumer == sid]
-        )
+        lo = max([0] + [starts[models[i].edge.producer] + models[i].min_offset
+                        for i in graph.in_edges[sid]])
         if lo > horizon:
             raise ScheduleError(
                 f"stage {sid!r} cannot start before cycle {lo}, past horizon {horizon}; "
@@ -324,24 +325,18 @@ class ScheduleSolution:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ScheduleSolution":
+        def fractions(key: str) -> dict[str, Fraction]:
+            return {k: Fraction(v) for k, v in doc[key].items()}
+
         return cls(
             start_cycles={k: int(v) for k, v in doc["start_cycles"].items()},
-            buffer_sizes={k: Fraction(v) for k, v in doc["buffer_sizes"].items()},
-            overwrite_starts={
-                k: Fraction(v) for k, v in doc["overwrite_starts"].items()
-            },
+            buffer_sizes=fractions("buffer_sizes"),
+            overwrite_starts=fractions("overwrite_starts"),
             total_buffer=Fraction(doc["total_buffer"]),
             makespan=Fraction(doc["makespan"]),
-            initiation_interval=(
-                Fraction(doc["initiation_interval"])
-                if "initiation_interval" in doc
-                else None
-            ),
-            bubbles=(
-                {k: Fraction(v) for k, v in doc["bubbles"].items()}
-                if "bubbles" in doc
-                else None
-            ),
+            initiation_interval=(Fraction(doc["initiation_interval"])
+                                 if "initiation_interval" in doc else None),
+            bubbles=fractions("bubbles") if "bubbles" in doc else None,
             chunk_count=doc.get("chunk_count", 1),
             constraint_counts=doc.get("constraint_counts", {}),
             horizon=doc.get("horizon"),
@@ -354,23 +349,24 @@ class ScheduleSolution:
 def _solution_from_starts(
     graph: PipelineGraph, starts: dict[str, int], system: ConstraintSystem
 ) -> ScheduleSolution:
+    one, unit = graph.ticks, graph.unit
     buffers: dict[str, Fraction] = {}
     overwrites: dict[str, Fraction] = {}
+    total = 0  # units
     for m in system.edges:
         s_p, s_c = starts[m.edge.producer], starts[m.edge.consumer]
-        buffers[m.key] = m.peak(s_c - s_p)
-        overwrites[m.key] = s_c + m.overwrite_delay
-    write_ends = [
-        Fraction(starts[s.id] + s.stage_depth) + graph.duration[s.id]
-        for s in graph.stages
-    ]
-    makespan = max(write_ends) - min(Fraction(v) for v in starts.values())
+        peak = m.peak(s_c - s_p)
+        total += peak
+        buffers[m.key] = Fraction(peak, unit)
+        overwrites[m.key] = Fraction(s_c * one + m.overwrite_delay, one)
+    last_write = max((starts[s.id] + s.stage_depth) * one + graph.duration[s.id]
+                     for s in graph.stages)
     return ScheduleSolution(
         start_cycles=dict(starts),
         buffer_sizes=buffers,
         overwrite_starts=overwrites,
-        total_buffer=sum(buffers.values(), _ZERO),
-        makespan=makespan,
+        total_buffer=Fraction(total, unit),
+        makespan=Fraction(last_write - min(starts.values()) * one, one),
         horizon=system.horizon,
     )
 
@@ -385,11 +381,9 @@ def _tree_starts(graph: PipelineGraph, models: list[EdgeModel]) -> dict[str, int
     far as its subtree needs, then the lower bounds push each consumer down
     the tree.
     """
-    into: dict[str, EdgeModel] = {}
-    for m in models:
-        if m.edge.consumer in into:
-            return None
-        into[m.edge.consumer] = m
+    if any(len(ins) > 1 for ins in graph.in_edges.values()):
+        return None
+    into = {sid: models[ins[0]] for sid, ins in graph.in_edges.items() if ins}
     need = {sid: 0 for sid in graph.topo_order}
     for sid in reversed(graph.topo_order):
         m = into.get(sid)
@@ -408,34 +402,28 @@ def _tree_starts(graph: PipelineGraph, models: list[EdgeModel]) -> dict[str, int
 
 class _SaturatedSets:
     """The problems of one system's saturated sets (see ``solve``). Every
-    amount is scaled by one common denominator, so a set is solved and
-    priced in ints alone."""
+    amount is in the graph's units, so a set is solved and priced in ints
+    alone."""
 
     def __init__(self, system: ConstraintSystem):
         models, stages = system.edges, system.graph.stages
         at = {s.id: k for k, s in enumerate(stages)}
         self.rising = [i for i, m in enumerate(models) if m.max_floor_offset is not None]
-        # g at the integers and ``pieces``' slopes are ints at the scale of
-        # the branches' coefficients.
-        amounts = [x for m in models for x in (m.volume, m.peak(m.min_offset))]
-        amounts += [x for i in self.rising for line in models[i].branches for x in line]
-        self.scale = scale = lcm(*(x.denominator for x in amounts))
-        self.volume = [int(m.volume * scale) for m in models]
-        self.fixed = sum(v for v, m in zip(self.volume, models) if m.max_floor_offset is None)
-        self.rise = {i: self.volume[i] - int(models[i].peak(models[i].min_offset) * scale)
+        self.volume = [m.volume for m in models]
+        self.fixed = sum(m.volume for m in models if m.max_floor_offset is None)
+        self.rise = {i: models[i].volume - models[i].peak(models[i].min_offset)
                      for i in self.rising}
         self.bare = [solver.Tension(at[m.edge.producer], at[m.edge.consumer], m.min_offset)
                      for m in models]
         self.priced = {}
         for i in self.rising:
             kinks, slopes = models[i].pieces
-            self.priced[i] = replace(self.bare[i], kinks=kinks,
-                                     slopes=tuple(int(slope * scale) for slope in slopes))
+            self.priced[i] = replace(self.bare[i], kinks=kinks, slopes=slopes)
         self.lower = [system.earliest[s.id] for s in stages]
         self.upper = [system.horizon] * len(stages)
 
     def solve(self, saturated: tuple[int, ...]) -> tuple[int, list[int]]:
-        """The scaled optimal total of the set ``saturated`` and its least
+        """The optimal total, in units, of the set ``saturated`` and its least
         optimal start vector, in declaration order. Edges in the set and
         edges that never rise pay V and keep only their ``min_offset`` row;
         every other edge pays ``g``, priced by its ``pieces``."""
@@ -452,9 +440,9 @@ class _SaturatedSets:
         return total, x
 
 
-def _search(system: ConstraintSystem) -> tuple[dict[str, int], Fraction]:
-    """Least optimal start vector and the optimal total, over the saturated
-    sets in order of size (see ``solve``)."""
+def _search(system: ConstraintSystem) -> tuple[dict[str, int], int]:
+    """Least optimal start vector and the optimal total in units, over the
+    saturated sets in order of size (see ``solve``)."""
     sets = _SaturatedSets(system)
     rising, rise = sets.rising, sets.rise
     # Every total is at least each peak at its edge's least offset.
@@ -483,7 +471,7 @@ def _search(system: ConstraintSystem) -> tuple[dict[str, int], Fraction]:
     assert best is not None
     optimum, vector = best
     stages = system.graph.stages
-    return {s.id: v for s, v in zip(stages, vector)}, Fraction(optimum, sets.scale)
+    return {s.id: v for s, v in zip(stages, vector)}, optimum
 
 
 def solve(system: ConstraintSystem) -> ScheduleSolution:
@@ -506,8 +494,8 @@ def solve(system: ConstraintSystem) -> ScheduleSolution:
     - Z's problem is a convex-cost tension problem. Each free edge's cost
       is its ``pieces``, a convex piecewise-linear function of one start
       difference whose kinks are integers. The ``min_offset`` rows and the
-      box [earliest, horizon] bound the starts. Scaled by one common
-      denominator, its slopes are ints, and ``solver.least_optimal``
+      box [earliest, horizon] bound the starts. In the graph's units its
+      slopes are ints, and ``solver.least_optimal``
       solves the dual, a min-cost circulation. The slopes are the
       capacities, and the kinks, the ``min_offset`` floors and the box
       bounds, all ints, are the costs.
@@ -525,7 +513,7 @@ def solve(system: ConstraintSystem) -> ScheduleSolution:
     Every optimal schedule is among the optima of some Z that ties the
     optimum, so the lexicographically least optimal schedule is the least
     of those sets' least elements. The search adds and compares totals as
-    ints at the common denominator. A set is skipped only when its bound
+    ints in the graph's units. A set is skipped only when its bound
     (V on Z, each other edge's peak at ``min_offset``) is strictly above
     the best total found, so no tied set is lost. ``SearchLimitError`` is
     raised once ``MAX_SATURATED_SETS`` sets have been solved.
@@ -534,8 +522,9 @@ def solve(system: ConstraintSystem) -> ScheduleSolution:
     starts = _tree_starts(graph, system.edges)
     if starts is not None and max(starts.values()) <= system.horizon:
         return _solution_from_starts(graph, starts, system)
-    starts, optimum = _search(system)
+    starts, units = _search(system)
     solution = _solution_from_starts(graph, starts, system)
+    optimum = Fraction(units, graph.unit)
     if solution.total_buffer != optimum:
         raise ScheduleError(
             f"internal inconsistency: recomputed total {solution.total_buffer} "
@@ -566,20 +555,25 @@ def schedule_chunks(
     """
     if chunk_count < 1:
         raise ValueError("chunk_count must be >= 1")
-    interval = max(graph.duration.values())
+    one = graph.ticks
+    # Ticks times ``den``: whole for any overwrite start a schedule holds.
+    den = lcm(*(x.denominator for x in solution.overwrite_starts.values()))
+    interval = max(graph.duration.values()) * den
     for m in edge_models(graph):
-        # Overwrite start relative to the producer's start, as in EdgeModel.
-        t_o = solution.overwrite_starts[m.key] - solution.start_cycles[m.edge.producer]
-        if t_o >= m.write_end:
+        ow = solution.overwrite_starts[m.key]
+        # Overwrite start past the producer's write start.
+        t_o = (ow.numerator * one * (den // ow.denominator)
+               - (solution.start_cycles[m.edge.producer] * one + m.depth_p) * den)
+        if t_o >= m.dur_p * den:
             # Saturated edge: the next chunk's writes must never outrun the
             # previous chunk's frees.
-            need = (t_o - m.depth_p) + max(_ZERO, m.drain - m.dur_p)
-            interval = max(interval, need)
-
+            interval = max(interval, t_o + max(0, m.drain - m.dur_p) * den)
+    step = Fraction(interval, den * one)
     return replace(
         solution,
-        makespan=solution.makespan + (chunk_count - 1) * interval,
-        initiation_interval=interval,
-        bubbles={s.id: interval - graph.duration[s.id] for s in graph.stages},
+        makespan=solution.makespan + (chunk_count - 1) * step,
+        initiation_interval=step,
+        bubbles={s.id: Fraction(interval - graph.duration[s.id] * den, den * one)
+                 for s in graph.stages},
         chunk_count=chunk_count,
     )

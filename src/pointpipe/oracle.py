@@ -74,9 +74,9 @@ the shift does not skip, which the walk has either met or skipped by the
 bound, because its total already reached the incumbent's.
 
 **Evaluation.** Each edge is scored on one record: the simulator's
-``EdgeTicks`` for the edge with both stages started at 0, whose scale of T
-ticks a cycle and L units a token the ``simulator`` module docstring
-states. ``edge_ticks`` builds it from what the graph fixes alone (depths,
+``EdgeTicks`` for the edge with both stages started at 0, in the graph's
+units of T ticks a cycle and L units a token (``PipelineGraph``).
+``edge_ticks`` builds it from what the graph fixes alone (depths,
 write end, overwrite delay, drain, volume, rates and kind); neither it nor
 anything here reads ``EdgeModel``'s ``min_offset``, ``peak``, ``g`` or
 ``branches``.
@@ -128,10 +128,8 @@ volume V is resident at the write end and the peak is V, the most any
 occupancy can reach. Rows are scored on first use, because a walk on a
 tree uses a few offsets of ranges a hundred long.
 
-The walk adds and compares integers, every peak in units of 1/``scale``,
-the lcm of L over the edges, fixed before the walk; a peak off it is a
-``ScheduleError("internal inconsistency: ...")``. The total is a
-``Fraction`` again at the end.
+The walk adds and compares integers, every peak in units of 1/L, and
+the total is a ``Fraction`` again at the end.
 
 **Budget.** A walk that scores ``MAX_SEARCH_NODES`` candidate starts stops
 with ``SearchBudgetError``; ``verify`` then reports neither a match nor a
@@ -142,7 +140,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, lcm
+from math import inf
 
 from .graph import PipelineGraph
 from .optimizer import (
@@ -164,10 +162,11 @@ from .simulator import edge_ticks
 # the benchmark's diamond5_1, 91 on the 8-stage chain of two diamonds in
 # the Tier-1 tests, and at most 1487 on 16 random chains of 2 to 5
 # diamonds. A skip edge across diamonds leaves the graph one block, and
-# such graphs reach the cap: 8 of 100 chains of three diamonds with one
-# skip edge (`tests/_pipegen.drawn`, for instance s1 -> s8 drawn from
-# `random.Random("skip18-1")`). There a node costs 1.0 to 2.0 us on two
-# shared CPUs, so the cap ends a search in 4 to 8 seconds.
+# such graphs reach the cap: 13 of the 100 chains of three diamonds with
+# the skip edge s1 -> s8 that `tests/_pipegen.drawn` draws from
+# `random.Random(f"skip18-{s}")`, s = 0..99, at the default horizon. There
+# a node costs 1.0 to 2.0 us on two shared CPUs, so the cap ends a search
+# in 4 to 8 seconds.
 MAX_SEARCH_NODES = 4_000_000
 
 
@@ -191,7 +190,6 @@ class _EdgeEval:
         self.model = model
         e = model.edge
         t = self._ticks = edge_ticks(model, {e.producer: 0, e.consumer: 0})
-        self.scale = t.unit
         least = self._threshold_guess()
         ok, self.min_cost = self.evaluate(least)
         if not ok or self.evaluate(least - 1)[0]:
@@ -216,14 +214,14 @@ class _EdgeEval:
         lag = max(0, (e.write_end - e.write_start) - (e.drain_end - e.overwrite_start))
         return -((e.demand_start - e.write_start - e.ticks - lag) // e.ticks)
 
-    def evaluate(self, offset: int) -> tuple[bool, Fraction]:
-        """(passes the stall check, peak) at ``offset``: the curves at offset
-        0 with the consumer side moved by it (see the module docstring), in
-        integers at the edge's scale."""
+    def evaluate(self, offset: int) -> tuple[bool, int]:
+        """(passes the stall check, peak in the graph's units) at
+        ``offset``: the curves at offset 0 with the consumer side moved by
+        it (see the module docstring)."""
         e = self._ticks
         d = offset * e.ticks
         peak = max(e.occupancy(e.write_end, d), e.occupancy(e.overwrite_start + d, d))
-        return e.stall(d) is None, Fraction(peak, e.unit)
+        return e.stall(d) is None, peak
 
 
 @dataclass
@@ -274,29 +272,25 @@ def exhaustive_minimum(
     """
     order = graph.topo_order
     pos = {sid: i for i, sid in enumerate(order)}
-    evals = {m.edge: _EdgeEval(m) for m in edge_models(graph)}
-    in_edges: list[list[tuple[int, _EdgeEval]]] = [[] for _ in order]
-    for e in graph.edges:
-        in_edges[pos[e.consumer]].append((pos[e.producer], evals[e]))
+    evals = [_EdgeEval(m) for m in edge_models(graph)]
+    in_edges = [[(pos[graph.edges[i].producer], evals[i]) for i in graph.in_edges[sid]]
+                for sid in order]
     # Every optimum has a representative (shift the schedule so some stage
     # sits at cycle 0) in which each start is pinned through a chain of
     # edges, each contributing at most its saturation or earliest offset.
-    span = 1 + sum(
-        max(abs(ev.min_offset), abs(ev.sat_offset)) + 1 for ev in evals.values()
-    )
+    span = 1 + sum(max(abs(ev.min_offset), abs(ev.sat_offset)) + 1 for ev in evals)
     latest = min(horizon, span)
-    scale = lcm(*(ev.scale for ev in evals.values()))
-    total, starts, tried = _walk(in_edges, latest, scale)
+    total, starts, tried = _walk(in_edges, latest, graph.unit)
     if total is None:
         return None, None, tried
-    return Fraction(total, scale), dict(zip(order, starts)), tried
+    return Fraction(total, graph.unit), dict(zip(order, starts)), tried
 
 
 def _walk(
     in_edges: list[list[tuple[int, _EdgeEval]]], latest: int, scale: int
 ) -> tuple[int | None, list[int] | None, int]:
     """The depth-first walk of ``exhaustive_minimum`` with every peak
-    counted in units of 1/``scale``."""
+    counted in units of 1/``scale`` element."""
     n = len(in_edges)
     # Each position's (producer, ``min_offset``) pairs.
     feeds = [[(p, ev.min_offset) for p, ev in ins] for ins in in_edges]
@@ -332,17 +326,14 @@ def _walk(
             rest = carried([0] * c + [-inf] + [0] * (n - c - 1), c + 1)
             need[c] = max([1] + [1 - apart[c][j] for j in range(c + 1, n) if rest[j] < 1])
 
-    def scored(ev: _EdgeEval, offset: int, ok: bool, peak: Fraction) -> int:
-        """A row: the peak at ``offset``, at or above the threshold, in units of 1/``scale``."""
+    def scored(ev: _EdgeEval, offset: int) -> int:
+        """A row: the peak at ``offset``, above the threshold."""
+        ok, peak = ev.evaluate(offset)
         if not ok:
             raise ScheduleError(
                 f"internal inconsistency: edge {ev.model.key} fails the stall check "
                 f"at offset {offset}, above its least feasible offset {ev.min_offset}")
-        if scale % peak.denominator:
-            raise ScheduleError(
-                f"internal inconsistency: peak {peak} of edge {ev.model.key} "
-                f"at offset {offset} is not a multiple of 1/{scale}")
-        return peak.numerator * (scale // peak.denominator)
+        return peak
 
     # The bound prices units. A unit is (first position r, last position j,
     # least offset, the offset from which its cost is flat, its cost by
@@ -364,9 +355,8 @@ def _walk(
     def edge(p: int, j: int, ev: _EdgeEval) -> tuple:
         """The edge p -> j as a unit, row 0 the threshold's score."""
         off = ev.min_offset
-        table = [scored(ev, off, True, ev.min_cost)] + [None] * (ev.sat_offset - off)
-        return with_floor(p, j, off, ev.sat_offset, table,
-                          lambda k: scored(ev, off + k, *ev.evaluate(off + k)))
+        table = [ev.min_cost] + [None] * (ev.sat_offset - off)
+        return with_floor(p, j, off, ev.sat_offset, table, lambda k: scored(ev, off + k))
 
     def pair(first: tuple, second: tuple) -> tuple:
         """The pair q -> p -> j as a unit, its cost F(L). Costs never fall with

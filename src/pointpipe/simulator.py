@@ -23,31 +23,29 @@ writing; that check replaces the rate comparison on such edges.
 ``EdgeModel``, the stages' starts, the edge's overwrite start and the
 initiation interval (II) into ``EdgeTicks``, and the stall check, the peak
 scan, ``SimTrace.occupancy_at``, the breakpoints of ``SimTrace.sample_rows``
-and the oracle's scoring all read that record alone. Let R = lcm(den
-out_rate, den in_rate), so that out = out_rate*R and in = in_rate*R are
-integers. Times are counted in ticks of 1/T cycle, T being the lcm of the
-denominators of write_start, write_end, overwrite_start, drain_end,
-demand_start, consumer_start and II, times |out - in| (or 1 where they are
-equal). Tokens are counted in 1/L, L = R*T. A rate times a time is then a
-whole number of 1/L tokens: out_rate tokens a cycle over n ticks is
-(out/R)*(n/T) = out*n/L tokens. V, an integer, is V*L of them. So writes,
-raw frees, readable supply and demand at an integer tick are integers, and
-so are occupancies and stall margins; a cycle is T ticks, and chunk k's
-shift k*II is k*ii ticks, ii = II*T. Only what ``SimTrace`` hands out
-becomes a ``Fraction`` again: peaks, row values, the end of the run, and
-the cycles of stalls and overflows (ceilings of ticks over T).
+and the oracle's scoring all read that record alone. It counts in the
+graph's units (``PipelineGraph``), ticks of 1/T cycle and units of 1/L
+token, so writes, raw frees, readable supply, demand, occupancies and stall
+margins at an integer tick are integers. Every time the graph fixes is a
+multiple of |out - in| ticks, out and in being the edge's rates in units a
+tick. A schedule read from a file may put an overwrite start off such a
+multiple, or II off a tick; then that edge's record takes a finer tick, T
+times the least factor that puts both back. Only what ``SimTrace`` hands
+out leaves the integers: peaks and chunk completions as ``Fraction``s, row
+values as JSON numbers, and the cycles of stalls and overflows as ceilings
+of ticks over T.
 
-The factor |out - in| puts the roots on ticks too. Chunk 0's occupancy is
-max(0, f), f = writes - raw frees, both clamped ramps. Between consecutive
-ends among write_start, write_end, overwrite_start and drain_end, f is
-linear; it can cross 0 strictly inside such a piece only where both ramp,
-at r = (out*ws - in*ow) / (out - in) ticks (ws = write_start, ow =
+Those multiples put the roots on ticks too. Chunk 0's occupancy is max(0,
+f), f = writes - raw frees, both clamped ramps. Between consecutive ends
+among write_start, write_end, overwrite_start and drain_end, f is linear;
+it can cross 0 strictly inside such a piece only where both ramp, at r =
+(out*ws - in*ow) / (out - in) ticks (ws = write_start, ow =
 overwrite_start). Where writes are 0 or V, or the raw frees are 0 or V, f
-reaches 0 only at one of the four ends. T carries |out - in|, so ws and ow
-are multiples of it and r is an integer. Every breakpoint of every chunk
-is thus an integer tick, and between two consecutive integer ticks each
-chunk's occupancy, and any sum of them, is linear: ``occupancy_at`` reads a
-time between ticks off the line through the two.
+reaches 0 only at one of the four ends. ws and ow are multiples of |out -
+in|, so r is an integer. Every breakpoint of every chunk is thus an
+integer tick, and between two consecutive integer ticks each chunk's
+occupancy, and any sum of them, is linear: ``occupancy_at`` reads a time
+between ticks off the line through the two.
 
 Chunk k runs chunk 0's curves shifted by k*II, so each edge keeps chunk 0's
 curves alone: chunk k's value at t is chunk 0's at t - k*II, and its stall
@@ -107,7 +105,7 @@ integer cycle between two of them reads the line between them, and a piece
 with no integer cycle in it is read by none. The stride only picks the
 cycles; they grow, so each edge's cursor over its pieces only moves
 forward, and every edge's cursor moves with the cycle. A row costs one
-integer multiply-add and one ``Fraction``.
+integer multiply-add and one gcd.
 """
 
 from __future__ import annotations
@@ -119,14 +117,12 @@ from math import ceil, gcd, inf, lcm
 from .graph import PipelineGraph
 from .optimizer import EdgeModel, ScheduleSolution, _frac_to_json, edge_key, edge_models
 
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True, slots=True)
 class EdgeTicks:
-    """One edge's curves in integers at its own scale (see the module
-    docstring): times and the initiation interval in 1/``ticks`` cycles,
-    volume in 1/``unit`` tokens, and rates in 1/``unit`` tokens per tick.
+    """One edge's curves in integers (see the module docstring): times and
+    the initiation interval in 1/``ticks`` cycles, volume in 1/``unit``
+    tokens, and rates in 1/``unit`` tokens per tick.
     ``d`` moves the consumer side (demand, overwrite and consumer starts,
     drain end) that many ticks later."""
 
@@ -188,26 +184,30 @@ class EdgeTicks:
 def edge_ticks(
     model: EdgeModel,
     starts: dict[str, int],
-    overwrite: Fraction | None = None,
+    overwrite: Fraction | int | None = None,
     interval: Fraction | int = 0,
 ) -> EdgeTicks:
-    """One edge's record under ``starts`` and ``interval`` at the edge's
-    integer scale (see the module docstring). ``overwrite`` is the edge's
-    absolute overwrite start; by default the earliest legal one,
-    ``overwrite_delay`` after the consumer's start."""
+    """One edge's record under ``starts`` and ``interval`` (see the module
+    docstring). ``overwrite`` is the edge's absolute overwrite start; by
+    default the earliest legal one, ``overwrite_delay`` after the
+    consumer's start. Both are in cycles."""
     m = model
-    s_p, s_c = starts[m.edge.producer], starts[m.edge.consumer]
+    one = m.ticks
+    s_p, s_c = starts[m.edge.producer] * one, starts[m.edge.consumer] * one
     if overwrite is None:
-        overwrite = s_c + m.overwrite_delay
-    rates = lcm(m.out_rate.denominator, m.in_rate.denominator)
-    out = m.out_rate.numerator * (rates // m.out_rate.denominator)
-    inn = m.in_rate.numerator * (rates // m.in_rate.denominator)
-    times = (s_p + m.depth_p, s_p + m.write_end, overwrite, overwrite + m.drain,
-             s_c + m.depth_c, s_c, interval)
-    ticks = lcm(*(t.denominator for t in times)) * (abs(out - inn) or 1)
-    unit = rates * ticks
-    return EdgeTicks(*(t.numerator * (ticks // t.denominator) for t in times),
-                     out, inn, int(m.volume * unit), ticks, unit, m.is_global)
+        ow_n, ow_d = s_c + m.overwrite_delay, 1
+    else:
+        ow_n, ow_d = overwrite.numerator * one, overwrite.denominator
+    ii_n, ii_d = interval.numerator * one, interval.denominator
+    # The graph's ticks unless a schedule puts the overwrite start off a
+    # multiple of |out - in| ticks, or the interval off a tick.
+    step = ow_d * (abs(m.out_rate - m.in_rate) or 1)
+    fine = lcm(step // gcd(ow_n, step), ii_d // gcd(ii_n, ii_d))
+    ow = ow_n * fine // ow_d
+    return EdgeTicks(
+        (s_p + m.depth_p) * fine, (s_p + m.write_end) * fine, ow, ow + m.drain * fine,
+        (s_c + m.depth_c) * fine, s_c * fine, ii_n * fine // ii_d,
+        m.out_rate, m.in_rate, m.volume * fine, one * fine, m.unit * fine, m.is_global)
 
 
 def _live(e: EdgeTicks, chunks: int, t: int) -> int:
@@ -253,9 +253,7 @@ def _occupancy_pieces(e: EdgeTicks, chunks: int) -> list[tuple[int | float, int,
     for t0, v0, t1, v1 in zip(pts, vals, pts[1:], vals[1:]):
         # v0 + (v1 - v0) * (c*one - t0) / (t1 - t0), in 1/unit tokens.
         dt, dv = t1 - t0, v1 - v0
-        a, s, den = v0 * dt - dv * t0, dv * one, dt * e.unit
-        g = gcd(a, s, den)
-        pieces.append((-(-t1 // one), a // g, s // g, den // g))
+        pieces.append((-(-t1 // one), v0 * dt - dv * t0, dv * one, dt * e.unit))
     pieces.append((inf, 0, 0, 1))
     return pieces
 
@@ -311,7 +309,8 @@ class SimTrace:
 
     def sample_rows(self, stride: int = 1):
         """Yield (cycle, edge, occupancy) rows at integer cycles, swept over
-        each edge's linear pieces (see the module docstring)."""
+        each edge's linear pieces (see the module docstring); the occupancy
+        is in lowest terms as JSON writes it, an int or "n/d"."""
         chunks = len(self.chunk_completions)
         edges = [(key, _occupancy_pieces(self._ticks[key], chunks))
                  for key in self.edge_order]
@@ -323,7 +322,7 @@ class SimTrace:
                     i += 1
                 at[j] = i
                 _, a, b, den = pieces[i]
-                yield cyc, key, Fraction(a + b * cyc, den)
+                yield cyc, key, _frac_to_json(a + b * cyc, den)
 
     def summary_dict(self) -> dict:
         return {
@@ -365,15 +364,14 @@ def simulate(
         raise ValueError("chunk_count must be >= 1")
     if chunk_count > 1 and solution.initiation_interval is None:
         raise ValueError("multi-chunk simulation needs a chunked schedule")
-    interval = solution.initiation_interval or _ZERO
+    interval = solution.initiation_interval or 0
     starts = solution.start_cycles
 
     stall_events: list[StallEvent] = []
     overflow_events: list[OverflowEvent] = []
     peaks: dict[str, Fraction] = {}
     ticks_by_key: dict[str, EdgeTicks] = {}
-    end_of_run = _ZERO
-    last_shift = max(_ZERO, (chunk_count - 1) * interval)  # latest chunk's time shift
+    completion_cycle = 0
 
     for m in edge_models(graph):
         key = m.key
@@ -381,11 +379,8 @@ def simulate(
 
         when = e.stall()
         if when is not None:
-            cause = (
-                "producer incomplete at global consumer start"
-                if e.is_global
-                else "consumer demand outruns readable supply"
-            )
+            cause = ("producer incomplete at global consumer start" if e.is_global
+                     else "consumer demand outruns readable supply")
             stall_events.extend(
                 StallEvent(cycle=-(-(when + k * e.interval) // e.ticks),
                            stage=m.edge.consumer, cause=cause)
@@ -402,20 +397,23 @@ def simulate(
                               occupancy=peaks[key], capacity=capacity)
             )
 
-        end_of_run = max(end_of_run, Fraction(e.drain_end, e.ticks) + last_shift)
+        # The latest chunk's drain end.
+        last = e.drain_end + max(0, (chunk_count - 1) * e.interval)
+        completion_cycle = max(completion_cycle, -(-last // e.ticks))
 
-    first_read: dict[str, int] = {}
-    first_output: dict[str, int] = {}
-    write_ends: list[Fraction] = []
-    for s in graph.stages:
-        w = Fraction(starts[s.id] + s.stage_depth)
-        first_read[s.id] = starts[s.id] + 1
-        first_output[s.id] = ceil(w + 1 / s.tau_out)
-        write_ends.append(w + graph.duration[s.id])
-    last_write = max(write_ends)
-    chunk_completions = [last_write + k * interval for k in range(chunk_count)]
-    makespan = chunk_completions[-1] - min(Fraction(v) for v in starts.values())
-    end_of_run = max(end_of_run, chunk_completions[-1])
+    one = graph.ticks
+    first_read = {s.id: starts[s.id] + 1 for s in graph.stages}
+    # The first output element lands unit / out_rate ticks after the depth.
+    first_output = {s.id: starts[s.id] + s.stage_depth
+                    - (-graph.unit // (graph.out_rate[s.id] * one)) for s in graph.stages}
+    last_write = max((starts[s.id] + s.stage_depth) * one + graph.duration[s.id]
+                     for s in graph.stages)
+    # Chunk k completes at last_write + k * ii_n / ii_d ticks.
+    ii_n, ii_d = interval.numerator * one, interval.denominator
+    chunk_completions = [Fraction(last_write * ii_d + k * ii_n, ii_d * one)
+                         for k in range(chunk_count)]
+    makespan = chunk_completions[-1] - min(starts.values())
+    completion_cycle = max(completion_cycle, ceil(chunk_completions[-1]))
 
     return SimTrace(
         edge_order=[edge_key(e) for e in graph.edges],
@@ -423,7 +421,7 @@ def simulate(
         capacities=dict(solution.buffer_sizes),
         stall_events=sorted(stall_events, key=lambda s: (s.cycle, s.stage)),
         overflow_events=sorted(overflow_events, key=lambda o: (o.cycle, o.edge)),
-        completion_cycle=ceil(end_of_run),
+        completion_cycle=completion_cycle,
         makespan=makespan,
         chunk_completions=chunk_completions,
         first_read=first_read,

@@ -26,6 +26,8 @@ from pointpipe.graph import (
     parse_pipeline,
 )
 
+from _reference import derive, tau_in, tau_out
+
 _KINDS = [
     StageKind.ELEMENTWISE,
     StageKind.ELEMENTWISE,
@@ -91,10 +93,10 @@ def _attempt(rng: random.Random, input_work: int | None, shape: str) -> Pipeline
         return None
     if any(w > 192 for w in graph.work.values()):
         return None
-    if sum(graph.duration.values()) > 250:
+    if sum(derive(graph)[2].values()) > 250:
         return None
     for s in graph.stages:
-        if s.tau_in.denominator > 4 or s.tau_out.denominator > 4:
+        if tau_in(s).denominator > 4 or tau_out(s).denominator > 4:
             return None
     return graph
 

@@ -20,7 +20,7 @@ def test_single_chunk_is_identity(knn_stencil):
 def test_interval_is_longest_duration_on_local_chain(local_chain):
     sol = solve(build_constraints(local_chain))
     chunked = schedule_chunks(sol, local_chain, 4)
-    assert chunked.initiation_interval == max(local_chain.duration.values())
+    assert chunked.initiation_interval == F(max(local_chain.duration.values()), local_chain.ticks)
 
 
 def test_short_stages_get_bubbles_longest_gets_none():

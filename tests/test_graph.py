@@ -1,4 +1,9 @@
+import importlib.util
+import json
+import sys
 from fractions import Fraction
+from math import ceil
+from pathlib import Path
 
 import pytest
 
@@ -8,19 +13,29 @@ from pointpipe.graph import (
     StageKind,
     StageSpec,
     ValidationError,
+    load_pipeline,
     parse_pipeline,
 )
+from pointpipe.optimizer import edge_models
 
-from conftest import KNN_STENCIL
+from _pipegen import suite
+from _reference import derive, ref_models, tau_in, tau_out
+from conftest import KNN_STENCIL, reconvergent
+
+ROOT = Path(__file__).parent.parent
+
+
+def per_cycle(g, rate):
+    """A rate in units per tick as elements per cycle."""
+    return Fraction(rate * g.ticks, g.unit)
 
 
 def test_knn_stencil_throughputs(knn_stencil):
-    knn = knn_stencil.stage("knn")
-    stencil = knn_stencil.stage("stencil")
-    assert knn.tau_out == Fraction(12, 8) == Fraction(3, 2)
-    assert knn.tau_in == 3
-    assert stencil.tau_in == Fraction(3, 2)
-    assert stencil.tau_out == 1
+    g = knn_stencil
+    assert per_cycle(g, g.out_rate["knn"]) == Fraction(12, 8) == Fraction(3, 2)
+    assert per_cycle(g, g.in_rate["knn"]) == 3
+    assert per_cycle(g, g.in_rate["stencil"]) == Fraction(3, 2)
+    assert per_cycle(g, g.out_rate["stencil"]) == 1
 
 
 def test_defaults_applied():
@@ -39,8 +54,7 @@ def test_identity_stage_rates():
             {"id": "a", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 0}
         ], "edges": []}"""
     )
-    s = g.stage("a")
-    assert s.tau_in == 1 and s.tau_out == 1
+    assert per_cycle(g, g.in_rate["a"]) == 1 and per_cycle(g, g.out_rate["a"]) == 1
 
 
 def test_dangling_edge_rejected():
@@ -164,15 +178,78 @@ def test_multi_producer_volumes_sum():
 
 
 def test_duration_identity_exact(knn_stencil, image_stencil, local_chain):
+    # Ticks times units per tick: the input volume at the read rate, the
+    # work at the write rate, in units, and the reference's cycles.
     for g in (knn_stencil, image_stencil, local_chain):
         for s in g.stages:
             d = g.duration[s.id]
-            assert d == Fraction(g.input_volume[s.id]) / s.tau_in
-            assert d == Fraction(g.work[s.id]) / s.tau_out
+            assert d * g.in_rate[s.id] == g.input_volume[s.id] * g.unit
+            assert d * g.out_rate[s.id] == g.work[s.id] * g.unit
+            assert Fraction(d, g.ticks) == Fraction(g.input_volume[s.id]) / tau_in(s)
 
 
 def test_rationals_never_floats(knn_stencil):
-    for s in knn_stencil.stages:
-        assert isinstance(s.tau_in, Fraction) and isinstance(s.tau_out, Fraction)
-    assert all(isinstance(d, Fraction) for d in knn_stencil.duration.values())
-    assert all(isinstance(w, int) for w in knn_stencil.work.values())
+    g = knn_stencil
+    derived = [g.ticks, g.unit, *g.work.values(), *g.duration.values(),
+               *g.in_rate.values(), *g.out_rate.values()]
+    assert all(type(x) is int for x in derived)
+
+
+def _reference_graphs():
+    """The suites, the benchmark's two pools, the shipped pipelines and the
+    four reconvergent graphs."""
+    graphs = (suite(600, start_seed=20000) + suite(200, start_seed=5000)
+              + suite(100, shape="tree"))
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for pool in ("sched_tree", "sched_dag"):
+        graphs += [parse_pipeline(json.dumps(doc))
+                   for _, doc in workloads.pipeline_pool(1, pool)]
+    graphs += [load_pipeline(str(path)) for path in sorted((ROOT / "pipelines").glob("*.json"))]
+    graphs += [parse_pipeline(reconvergent(name)) for name in
+               ("diamond", "diamond5_1", "diamond_chain", "diamond7_tiebreak")]
+    return graphs
+
+
+TIMES = ("depth_p", "depth_c", "dur_p", "dur_c", "drain", "write_end", "overwrite_delay")
+
+
+def test_integer_model_equals_the_fraction_reference():
+    # Every int the graph derives and every field of each EdgeModel, over
+    # its unit, equals the Fraction formula it replaced: durations and
+    # times over ticks, amounts over unit, rates (units per tick) over
+    # unit / ticks, and a branch's slope per cycle over unit.
+    graphs = _reference_graphs()
+    bits = set()
+    for g in graphs:
+        one, unit = g.ticks, g.unit
+        bits.add((one.bit_length(), unit.bit_length()))
+        volume, work, duration = derive(g)
+        assert (g.input_volume, g.work) == (volume, work)
+        for s in g.stages:
+            assert Fraction(g.duration[s.id], one) == duration[s.id]
+            assert (per_cycle(g, g.in_rate[s.id]), per_cycle(g, g.out_rate[s.id])) == (
+                tau_in(s), tau_out(s))
+        for m, r in zip(edge_models(g), ref_models(g), strict=True):
+            assert (m.edge, m.key, m.is_global, m.ticks, m.unit) == (
+                r.edge, r.key, r.is_global, one, unit)
+            assert Fraction(m.volume, unit) == r.volume
+            assert (per_cycle(g, m.out_rate), per_cycle(g, m.in_rate)) == (r.out_rate, r.in_rate)
+            for name in TIMES:
+                assert Fraction(getattr(m, name), one) == getattr(r, name), (m.key, name)
+            assert (m.min_offset, m.max_floor_offset, m.window_steps) == (
+                r.min_offset, r.max_floor_offset, r.window_steps), m.key
+            assert [(Fraction(s, unit), Fraction(a, unit)) for s, a in m.branches] == list(
+                r.branches), m.key
+            (kinks, slopes), (ref_kinks, ref_slopes) = m.pieces, r.pieces
+            assert kinks == ref_kinks and [Fraction(x, unit) for x in slopes] == list(ref_slopes)
+            # g is linear but at its kinks, and flat past the last one.
+            far = r.min_offset + ceil(r.dur_p + r.drain) + 2
+            for d in {*range(r.min_offset - 2, r.min_offset + 3), far,
+                      *(k + j for k in ref_kinks for j in (-1, 0, 1))}:
+                assert Fraction(m.g(d), unit) == r.g(d), (m.key, d)
+                assert Fraction(m.peak(d), unit) == r.peak(d), (m.key, d)
+    assert len(graphs) == 939
+    # The bound on the units that the PipelineGraph docstring states.
+    assert max(t for t, _ in bits) <= 13 and max(u for _, u in bits) <= 16

@@ -6,6 +6,7 @@ from math import ceil
 import pytest
 
 from _pipegen import generate, suite
+from _reference import ref_models
 from conftest import reconvergent
 from pointpipe import optimizer, solver
 from pointpipe.graph import StageKind, parse_pipeline
@@ -55,7 +56,7 @@ def test_knn_stencil_pruned_row_budget(knn_stencil):
 
 def test_knn_stencil_unpruned_covers_windows(knn_stencil):
     counts = optimize(knn_stencil, horizon=200).constraint_counts
-    window = max(knn_stencil.duration.values())
+    window = F(max(knn_stencil.duration.values()), knn_stencil.ticks)
     assert counts["unpruned"] >= window
     assert counts["unpruned"] > counts["pruned"]
 
@@ -85,7 +86,7 @@ def test_global_consumer_starts_at_producer_end(global_edge):
     producer_end = (
         sol.start_cycles["src"]
         + g.stage("src").stage_depth
-        + g.duration["src"]
+        + F(g.duration["src"], g.ticks)
     )
     assert sol.start_cycles["sorter"] == producer_end
     assert sol.buffer_sizes["src->sorter"] == g.edge_volume[g.edges[0]]
@@ -110,9 +111,9 @@ def _window_family_floor(m):
 
 def test_pruning_preserves_optimum_sample():
     for g in suite(25):
-        for m in edge_models(g):
+        for m, r in zip(edge_models(g), ref_models(g)):
             if not m.is_global:
-                assert _window_family_floor(m) == m.min_offset, m.key
+                assert _window_family_floor(r) == m.min_offset, m.key
         # The unpruned count holds each local edge's whole window family.
         counts = optimize(g).constraint_counts
         family = sum(m.window_steps - 1 for m in edge_models(g) if not m.is_global)
@@ -128,7 +129,7 @@ def test_global_edges_dominate_local_rule():
             if g.stage(e.consumer).kind is not StageKind.GLOBAL:
                 continue
             p = g.stage(e.producer)
-            end = sol.start_cycles[e.producer] + p.stage_depth + g.duration[e.producer]
+            end = sol.start_cycles[e.producer] + p.stage_depth + F(g.duration[e.producer], g.ticks)
             assert sol.start_cycles[e.consumer] >= end
 
 
@@ -217,7 +218,7 @@ def test_pieces_are_g_at_every_integer_offset():
             assert len(slopes) == len(kinks) + 1
             assert all(a < b for a, b in zip(slopes, slopes[1:])), m.key
             (s1, a1), (s2, a2) = m.branches
-            cross = m.min_offset if s1 == s2 else ceil((a2 - a1) / (s1 - s2))
+            cross = m.min_offset if s1 == s2 else ceil(F(a2 - a1, s1 - s2))
             value = m.g(m.min_offset)
             for d in range(m.min_offset, max(m.min_offset, cross) + 4):
                 assert value == m.g(d), (m.key, d)
@@ -234,7 +235,7 @@ def test_max_floor_offset_is_where_the_peak_first_rises():
         for m in edge_models(g):
             least = m.peak(m.min_offset)
             hi = m.max_floor_offset
-            last = m.min_offset + ceil(m.depth_c + m.dur_c + m.dur_p + m.drain) + 4
+            last = m.min_offset + ceil(F(m.depth_c + m.dur_c + m.dur_p + m.drain, m.ticks)) + 4
             flat = [d for d in range(m.min_offset, last + 1) if m.peak(d) == least]
             # peak never falls, so the flat offsets are one run from min_offset
             assert flat == list(range(m.min_offset, flat[-1] + 1)), m.key
@@ -376,9 +377,10 @@ def four_diamond_chain():
 
 
 def test_four_diamond_chain_fits_the_set_cap(monkeypatch):
-    # The exhaustive oracle cannot check a 13-stage graph (ROADMAP item 2),
-    # so this pins the search's answer and its set count against
-    # regressions; it does not show that the total is the minimum.
+    # Pins the search's answer and its set count against regressions. The
+    # exhaustive oracle proves the same total and start vector with one
+    # candidate at the default horizon, shifting at the cuts between the
+    # diamonds and pricing each diamond's two paths together.
     solved = []
     least_optimal = solver.least_optimal
 
@@ -394,3 +396,5 @@ def test_four_diamond_chain_fits_the_set_cap(monkeypatch):
         "s7": 1037, "s8": 2016, "s9": 2017, "s10": 3391, "s11": 2018, "s12": 3734}
     assert len(solved) == 9905
     assert 3 * len(solved) < optimizer.MAX_SATURATED_SETS
+    g = four_diamond_chain()
+    assert exhaustive_minimum(g, default_horizon(g)) == (sol.total_buffer, sol.start_cycles, 1)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from _pipegen import diamond_chain, drawn, suite
+from _reference import ref_models
 from conftest import GOLDEN, reconvergent
 from pointpipe import oracle
 from pointpipe.cli import INCONCLUSIVE, USAGE, VERIFY_FAILED, main
@@ -130,8 +131,9 @@ def test_random_diamond_chains_never_mismatch(monkeypatch):
 
 def _scored_by_curves(model, offset):
     """An edge's (feasible, peak) at ``offset`` as the oracle scored it
-    before it moved only the consumer side: new curves at the offset, their
-    stall margin, and the largest occupancy over every occupancy kink."""
+    before it moved only the consumer side: new curves of the reference
+    model at the offset, their stall margin, and the largest occupancy over
+    every occupancy kink, in elements."""
     e = model.edge
     curves = curves_of(model, {e.producer: 0, e.consumer: offset})
     margin, _ = edge_stall_margin(curves)
@@ -139,6 +141,14 @@ def _scored_by_curves(model, offset):
     for t in occupancy_kinks(curves):
         peak = max(peak, occupancy(curves, t))
     return margin >= 0, peak
+
+
+def _in_units(unit, scored):
+    """(feasible, peak) with the peak in units, as ``_EdgeEval.evaluate``
+    returns it; the peak must be a whole number of them."""
+    ok, peak = scored
+    assert (peak * unit).denominator == 1
+    return ok, int(peak * unit)
 
 
 SCORED_SUITES = ((200, {"start_seed": 5000}), (100, {"shape": "tree"}),
@@ -151,10 +161,11 @@ def test_consumer_shift_scoring_equals_new_curves_at_every_offset():
     scored = 0
     for count, kw in SCORED_SUITES:
         for g in suite(count, **kw):
-            for m in edge_models(g):
+            for m, r in zip(edge_models(g), ref_models(g)):
                 ev = oracle._EdgeEval(m)
                 for d in range(ev.min_offset - 3, ev.sat_offset + 3):
-                    assert ev.evaluate(d) == _scored_by_curves(m, d), (m.key, d)
+                    assert ev.evaluate(d) == _in_units(g.unit, _scored_by_curves(r, d)), (
+                        m.key, d)
                     scored += 1
     assert scored > 20000
 
@@ -166,11 +177,12 @@ def test_walk_is_unchanged_by_the_consumer_shift_scoring(monkeypatch):
     for count, kw in SCORED_SUITES:
         for g in suite(count, **kw):
             latest = max(solve(build_constraints(g)).start_cycles.values())
+            refs = {r.key: r for r in ref_models(g)}
             for horizon in (latest - 1, latest + 2):
                 fast = exhaustive_minimum(g, horizon)
                 with monkeypatch.context() as patch:
-                    patch.setattr(oracle._EdgeEval, "evaluate",
-                                  lambda self, d: _scored_by_curves(self.model, d))
+                    patch.setattr(oracle._EdgeEval, "evaluate", lambda self, d: _in_units(
+                        g.unit, _scored_by_curves(refs[self.model.key], d)))
                     reference = exhaustive_minimum(g, horizon)
                 assert fast == reference, horizon
                 if fast[1] is not None:
@@ -180,9 +192,10 @@ def test_walk_is_unchanged_by_the_consumer_shift_scoring(monkeypatch):
 
 
 # The walk as it was before the translation prune and the integer tables:
-# every start vector in [0, latest]^n in lexicographic order, each edge
-# scored through a memo dict and summed as Fractions. The faster walk must
-# return the same total, starts (order included) and candidate count.
+# every start vector in [0, latest]^n in lexicographic order, each edge of
+# the reference model scored through a memo dict and summed as Fractions.
+# The faster walk must return the same total, starts (order included) and
+# candidate count.
 class _PlainEdgeEval:
     def __init__(self, model):
         self.model = model
@@ -208,7 +221,7 @@ class _PlainEdgeEval:
 
 def _plain_exhaustive_minimum(graph, horizon):
     order = graph.topo_order
-    evals = {m.edge: _PlainEdgeEval(m) for m in edge_models(graph)}
+    evals = {m.edge: _PlainEdgeEval(m) for m in ref_models(graph)}
     in_edges = {sid: [] for sid in order}
     for e in graph.edges:
         in_edges[e.consumer].append(e)
@@ -301,12 +314,13 @@ def test_seeded_threshold_equals_the_plain_bisection(monkeypatch):
     for graphs in (suite(300, start_seed=5000), suite(200, shape="tree"),
                    suite(300, start_seed=30000)):
         for g in graphs:
-            for m in edge_models(g):
+            for m, r in zip(edge_models(g), ref_models(g)):
                 built.clear()
                 seeded = oracle._EdgeEval(m)
                 assert len(built) == 1, m.key
-                plain = _PlainEdgeEval(m)
-                assert (seeded.min_offset, seeded.min_cost, seeded.sat_offset) == (
+                plain = _PlainEdgeEval(r)
+                assert (seeded.min_offset, Fraction(seeded.min_cost, g.unit),
+                        seeded.sat_offset) == (
                     plain.min_offset, plain.min_cost, plain.sat_offset), m.key
                 edges += 1
     assert edges > 2000
@@ -355,7 +369,8 @@ def test_whole_element_walk_equals_the_rounded_optimum(monkeypatch):
 
     def whole(self, offset):
         ok, peak = evaluate(self, offset)
-        return ok, Fraction(ceil(peak))
+        unit = self.model.unit
+        return ok, -(-peak // unit) * unit
 
     monkeypatch.setattr(oracle._EdgeEval, "evaluate", whole)
     graphs = fractional = 0
@@ -367,22 +382,3 @@ def test_whole_element_walk_equals_the_rounded_optimum(monkeypatch):
         graphs += 1
         fractional += any(size.denominator > 1 for size in sol.buffer_sizes.values())
     assert (graphs, fractional) == (380, 258)
-
-
-def test_peak_off_the_scale_is_an_internal_inconsistency(monkeypatch, capsys):
-    # knn_stencil's optimum, 3/2, has a peak of half an element: at scale 1
-    # the walk must stop with an input error, not round or restart.
-    init = oracle._EdgeEval.__init__
-
-    def unscaled(self, model):
-        init(self, model)
-        self.scale = 1
-
-    monkeypatch.setattr(oracle._EdgeEval, "__init__", unscaled)
-    graph = parse_pipeline(Path(KNN_STENCIL).read_text())
-    with pytest.raises(ScheduleError, match="internal inconsistency: peak "):
-        exhaustive_minimum(graph, 128)
-    assert main(["verify", KNN_STENCIL]) == USAGE
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: internal inconsistency: peak ")

@@ -9,6 +9,7 @@ from _pipegen import suite
 from conftest import GLOBAL_EDGE, KNN_STENCIL, LOCAL_CHAIN
 from pointpipe.graph import parse_pipeline
 from pointpipe.optimizer import (
+    _frac_to_json,
     build_constraints,
     edge_key,
     edge_models,
@@ -16,6 +17,7 @@ from pointpipe.optimizer import (
     solve,
 )
 from pointpipe.simulator import _peak, edge_ticks, simulate
+from _reference import ref_models, tau_in, tau_out
 
 
 def _clamp(x, lo, hi):
@@ -23,7 +25,8 @@ def _clamp(x, lo, hi):
 
 
 # The Fraction reference that the simulator's integer record replaced: one
-# edge's curve ends in cycles, built here from the model's fields, every
+# edge's curve ends in cycles, built here from the fields of the Fraction
+# reference model (``_reference.RefEdge``), every
 # occupancy kink (the roots of writes minus raw frees included), the curves
 # at a point, the stall margin at the four ramp ends, the occupancy summed
 # over the live chunks, and the peak scan over the kept kinks moved by the
@@ -46,7 +49,7 @@ class Curves(NamedTuple):
 
 
 def curves_of(model, starts, overwrite=None):
-    """``model``'s curves under ``starts``; ``overwrite`` is the absolute
+    """The curves of ``model``, a ``RefEdge``, under ``starts``; ``overwrite`` is the absolute
     overwrite start, by default the consumer's start plus its depth, and
     plus its duration on a Global edge."""
     m = model
@@ -181,8 +184,8 @@ def test_occupancy_matches_rate_formulas(knn_stencil, local_chain):
             key = edge_key(e)
             p, c = g.stage(e.producer), g.stage(e.consumer)
             v = F(g.edge_volume[e])
-            out_rate = p.tau_out
-            in_rate = c.tau_in
+            out_rate = tau_out(p)
+            in_rate = tau_in(c)
             w_start = F(sol.start_cycles[e.producer] + p.stage_depth)
             t_o = sol.overwrite_starts[key]
             for t in range(trace.completion_cycle + 1):
@@ -197,7 +200,7 @@ def test_conservation(knn_stencil, local_chain, global_edge):
     for g in (knn_stencil, local_chain, global_edge):
         sol = solve(build_constraints(g))
         trace = simulate(g, sol)
-        for m in edge_models(g):
+        for m in ref_models(g):
             c = curves_of(m, sol.start_cycles, sol.overwrite_starts[m.key])
             assert writes(c, c.drain_end) == frees(c, c.drain_end) == g.edge_volume[m.edge]
             assert trace.occupancy_at(m.key, c.drain_end) == 0
@@ -270,15 +273,15 @@ def test_edge_model_closed_form_matches_curves_offset_by_offset():
     # which read no closed form: stall margin and a scan of every kink.
     pairs = 0
     for g in suite(25, start_seed=5000):
-        for m in edge_models(g):
-            last = ceil(m.min_offset + m.dur_p + m.drain) + 5
+        for m, r in zip(edge_models(g), ref_models(g)):
+            last = ceil(r.min_offset + r.dur_p + r.drain) + 5
             for d in range(m.min_offset - 4, last + 1):
-                curves = curves_of(m, {m.edge.producer: 0, m.edge.consumer: d})
+                curves = curves_of(r, {m.edge.producer: 0, m.edge.consumer: d})
                 margin, _ = edge_stall_margin(curves)
                 assert (margin >= 0) == (d >= m.min_offset), (m.key, d)
                 if d >= m.min_offset:
                     scan = max(occupancy(curves, t) for t in occupancy_kinks(curves))
-                    assert m.peak(d) == scan, (m.key, d)
+                    assert F(m.peak(d), m.unit) == scan, (m.key, d)
                 pairs += 1
     assert pairs > 3000
 
@@ -294,7 +297,7 @@ def _variants(g, chunks):
     offset."""
     sol = schedule_chunks(solve(build_constraints(g)), g, chunks)
     yield sol
-    m = edge_models(g)[-1]
+    m = ref_models(g)[-1]
     c = curves_of(m, sol.start_cycles, sol.overwrite_starts[m.key])
     span = c.drain_end - c.write_start
     for interval in (F(0), F(1), *(span / (reach + F(1, 2)) for reach in range(3))):
@@ -335,7 +338,7 @@ def test_live_chunk_sums_equal_brute_force_over_every_chunk(chunks):
         graphs += [parse_pipeline(LOCAL_CHAIN), parse_pipeline(GLOBAL_EDGE)]
         graphs += suite(3, start_seed=900)
     for g in graphs:
-        models = edge_models(g)
+        models = ref_models(g)
         for sol in _variants(g, chunks):
             every = {m.key: [_chunk_curves(m, sol, k) for k in range(chunks)]
                      for m in models}
@@ -375,7 +378,7 @@ def test_live_chunk_sums_equal_brute_force_over_every_chunk(chunks):
             assert [(o.cycle, o.edge) for o in over] == sorted(want_overflows)
             stride = max(1, trace.completion_cycle // 40)
             assert list(trace.sample_rows(stride=stride)) == [
-                (cyc, key, brute(key, cyc))
+                (cyc, key, _frac_to_json(brute(key, cyc)))
                 for cyc in range(0, trace.completion_cycle + 1, stride)
                 for key in trace.edge_order
             ]
@@ -402,7 +405,7 @@ def test_swept_rows_equal_pointwise_live_occupancy(chunks):
             trace = simulate(g, sol, chunk_count=chunks)
             for stride in (1, 3):
                 assert list(trace.sample_rows(stride=stride)) == [
-                    (cyc, key, trace.occupancy_at(key, cyc))
+                    (cyc, key, _frac_to_json(trace.occupancy_at(key, cyc)))
                     for cyc in range(0, trace.completion_cycle + 1, stride)
                     for key in trace.edge_order
                 ], (sol.initiation_interval, stride)
@@ -418,7 +421,7 @@ def test_integer_record_equals_the_fraction_reference():
     # those variants repeat there and are skipped.
     roots = regrouped = 0
     for g in suite(200, start_seed=5000) + suite(60, shape="tree"):
-        models = edge_models(g)
+        models = list(zip(edge_models(g), ref_models(g)))
         reference = {}  # kinks and stall margin of each curves, shared by variants
         for chunks in (1, 2, 7, 32):
             seen = set()
@@ -431,8 +434,8 @@ def test_integer_record_equals_the_fraction_reference():
                 seen.add(schedule)
                 trace = simulate(g, sol, chunk_count=chunks)
                 want_stalls = []
-                for m in models:
-                    c = curves_of(m, sol.start_cycles, sol.overwrite_starts[m.key])
+                for m, r in models:
+                    c = curves_of(r, sol.start_cycles, sol.overwrite_starts[m.key])
                     if c not in reference:
                         reference[c] = occupancy_kinks(c), edge_stall_margin(c)
                     kinks, (margin, when) = reference[c]

@@ -39,6 +39,7 @@ from pathlib import Path
 import pytest
 
 from _pipegen import suite
+from _reference import ref_models
 from pointpipe import optimizer
 from pointpipe.optimizer import ScheduleError, build_constraints, solve
 from pointpipe.solver import Tension, least_optimal
@@ -174,7 +175,8 @@ def integer_lines(m):
     """``m.branches``, plus the chord through g(k) and g(k + 1) when b1 and
     b2 cross strictly between the integers k and k + 1: their maximum
     agrees with ``g`` at every integer offset and has its kinks only
-    there. Built from the lines alone, apart from ``EdgeModel.pieces``."""
+    there. ``m`` is the Fraction reference model, and this reads its lines
+    alone, not its ``pieces``."""
     (s1, a1), (s2, a2) = lines = m.branches
     if s1 == s2:
         return [max(lines)]
@@ -188,16 +190,16 @@ def integer_lines(m):
 
 def reference_set(system, saturated):
     """Optimal total and least start vector of one saturated set, by the
-    LP that priced it before: each free edge pays B - u above its
-    ``integer_lines``, B being ``g`` at the box's largest offset, and the
-    starts' sum is the tiebreak."""
+    LP that priced it before, on the Fraction reference models: each free
+    edge pays B - u above its ``integer_lines``, B being ``g`` at the box's
+    largest offset, and the starts' sum is the tiebreak."""
     prob = Problem()
     earliest, horizon = system.earliest, system.horizon
     start = {s.id: prob.add_variable(f"start[{s.id}]", lower=earliest[s.id], upper=horizon,
                                      tiebreak=1)
              for s in system.graph.stages}
     total = _ZERO
-    for i, m in enumerate(system.edges):
+    for i, m in enumerate(ref_models(system.graph)):
         sp, sc = start[m.edge.producer], start[m.edge.consumer]
         prob.add_le({sp: 1, sc: -1}, -m.min_offset)
         if i in saturated or m.max_floor_offset is None:
@@ -432,7 +434,7 @@ def compare_sweep(stride: int) -> int:
         for size in range(len(sets.rising) + 1):
             for z in combinations(sets.rising, size):
                 total, vector = sets.solve(z)
-                assert (F(total, sets.scale), vector) == reference_set(system, z), (
+                assert (F(total, system.graph.unit), vector) == reference_set(system, z), (
                     system.graph.stages, system.horizon, z)
                 compared += 1
     return compared
