@@ -6,6 +6,7 @@ from typing import NamedTuple
 import pytest
 
 from _pipegen import suite
+from _reference import ref_models, tau_in, tau_out
 from conftest import GLOBAL_EDGE, KNN_STENCIL, LOCAL_CHAIN
 from pointpipe.graph import parse_pipeline
 from pointpipe.optimizer import (
@@ -17,7 +18,6 @@ from pointpipe.optimizer import (
     solve,
 )
 from pointpipe.simulator import _peak, edge_ticks, simulate
-from _reference import ref_models, tau_in, tau_out
 
 
 def _clamp(x, lo, hi):
@@ -26,11 +26,11 @@ def _clamp(x, lo, hi):
 
 # The Fraction reference that the simulator's integer record replaced: one
 # edge's curve ends in cycles, built here from the fields of the Fraction
-# reference model (``_reference.RefEdge``), every
-# occupancy kink (the roots of writes minus raw frees included), the curves
-# at a point, the stall margin at the four ramp ends, the occupancy summed
-# over the live chunks, and the peak scan over the kept kinks moved by the
-# shifts 0 to m.
+# reference model (``_reference.RefEdge``), every occupancy kink (the
+# roots of writes minus raw frees included), the curves at a point, the
+# stall margin at the four ramp ends, the occupancy summed over the live
+# chunks, and the peak scan over the kept kinks moved by the shifts 0 to
+# m.
 
 class Curves(NamedTuple):
     """One edge's curve ends under one chunk's schedule, in cycles and
@@ -49,9 +49,10 @@ class Curves(NamedTuple):
 
 
 def curves_of(model, starts, overwrite=None):
-    """The curves of ``model``, a ``RefEdge``, under ``starts``; ``overwrite`` is the absolute
-    overwrite start, by default the consumer's start plus its depth, and
-    plus its duration on a Global edge."""
+    """The curves of ``model``, a ``RefEdge``, under ``starts``;
+    ``overwrite`` is the absolute overwrite start, by default the
+    consumer's start plus its depth, and plus its duration on a Global
+    edge."""
     m = model
     s_p, s_c = F(starts[m.edge.producer]), F(starts[m.edge.consumer])
     if overwrite is None:
