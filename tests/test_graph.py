@@ -200,7 +200,8 @@ def _reference_graphs():
     four reconvergent graphs."""
     graphs = (suite(600, start_seed=20000) + suite(200, start_seed=5000)
               + suite(100, shape="tree"))
-    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    path = ROOT / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     for pool in ("sched_tree", "sched_dag"):
@@ -244,12 +245,14 @@ def test_integer_model_equals_the_fraction_reference():
                 r.branches), m.key
             (kinks, slopes), (ref_kinks, ref_slopes) = m.pieces, r.pieces
             assert kinks == ref_kinks and [Fraction(x, unit) for x in slopes] == list(ref_slopes)
-            # g is linear but at its kinks, and flat past the last one.
+            # g is linear between its kinks: offsets around min_offset and
+            # each kink, and one far past them.
             far = r.min_offset + ceil(r.dur_p + r.drain) + 2
             for d in {*range(r.min_offset - 2, r.min_offset + 3), far,
                       *(k + j for k in ref_kinks for j in (-1, 0, 1))}:
                 assert Fraction(m.g(d), unit) == r.g(d), (m.key, d)
                 assert Fraction(m.peak(d), unit) == r.peak(d), (m.key, d)
-    assert len(graphs) == 939
+    # 900 suite graphs, 7 checked-in ones, and the pools (32 at this writing).
+    assert len(graphs) > 907
     # The bound on the units that the PipelineGraph docstring states.
     assert max(t for t, _ in bits) <= 13 and max(u for _, u in bits) <= 16
