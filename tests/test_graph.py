@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 import json
 import sys
@@ -20,7 +21,7 @@ from pointpipe.optimizer import edge_models
 
 from _pipegen import suite
 from _reference import derive, ref_models, tau_in, tau_out
-from conftest import KNN_STENCIL, reconvergent
+from conftest import GOLDEN, KNN_STENCIL, reconvergent
 
 ROOT = Path(__file__).parent.parent
 
@@ -256,3 +257,103 @@ def test_integer_model_equals_the_fraction_reference():
     assert len(graphs) > 907
     # The bound on the units that the PipelineGraph docstring states.
     assert max(t for t, _ in bits) <= 13 and max(u for _, u in bits) <= 16
+
+
+# -- single-fault documents ----------------------------------------------------
+
+FAULT_VALUES = (None, True, 0, -1, 1.5, "", "x", [], [1], [1, 2, 3], [True, 1], {})
+
+
+def _nodes(node, path=()):
+    """The path of every value under ``node``, depth first, root excluded."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from _nodes(child, path + (key,))
+
+
+def _faults(doc):
+    """(label, document) for each single fault of the pipeline ``doc``: a
+    key or item deleted, a value replaced by each of ``FAULT_VALUES``, an
+    unknown key added to an object, an edge made bad, dangling, self-looped,
+    reversed or duplicated, a stage duplicated, a stage given another
+    kind."""
+
+    def edited(path, change):
+        new = copy.deepcopy(doc)
+        parent = new
+        for key in path[:-1]:
+            parent = parent[key]
+        change(parent, path[-1])
+        return json.dumps(new)
+
+    def put(value):
+        def change(parent, key):
+            parent[key] = value
+        return change
+
+    def delete(parent, key):
+        del parent[key]
+
+    def append(value):
+        def change(parent, key):
+            parent[key].append(value)
+        return change
+
+    for path in _nodes(doc):
+        where = "/".join(map(str, path))
+        yield f"delete {where}", edited(path, delete)
+        for value in FAULT_VALUES:
+            yield f"{where} = {json.dumps(value)}", edited(path, put(copy.deepcopy(value)))
+    for path in [(), *_nodes(doc)]:
+        node = doc
+        for key in path:
+            node = node[key]
+        if isinstance(node, dict):
+            where = "/".join(map(str, path))
+            yield f"extra key in /{where}", edited((*path, "extra"), put(1))
+    for i, (p, c) in enumerate(doc["edges"]):
+        for fault, edge in (("bad", f"{p}->{c}"), ("dangling", [p, "ghost"]),
+                            ("self-looped", [p, p]), ("reversed", [c, p])):
+            yield f"edges/{i} {fault}", edited(("edges", i), put(edge))
+        yield f"edges/{i} duplicated", edited(("edges",), append([p, c]))
+    for i, stage in enumerate(doc["stages"]):
+        yield f"stages/{i} duplicated", edited(("stages",), append(copy.deepcopy(stage)))
+        for kind in StageKind:
+            if kind.value != stage["kind"]:
+                yield f"stages/{i}/kind = {kind.value}", edited(
+                    ("stages", i, "kind"), put(kind.value))
+
+
+def _fault_records() -> list[str]:
+    """One line per single-fault document of every shipped and reconvergent
+    pipeline: its label and what ``parse_pipeline`` makes of it, an
+    exception's class and message or "ok"."""
+    sources = sorted((ROOT / "pipelines").glob("*.json")) + sorted(
+        (GOLDEN / "reconvergent").glob("*/pipeline.json"))
+    lines = []
+    for source in sources:
+        name = source.relative_to(ROOT).as_posix()
+        for label, document in _faults(json.loads(source.read_text())):
+            try:
+                parse_pipeline(document)
+                outcome = ["ok", ""]
+            except Exception as exc:
+                outcome = [type(exc).__name__, str(exc)]
+            lines.append(json.dumps([f"{name}: {label}", *outcome]) + "\n")
+    return lines
+
+
+def test_single_fault_documents_keep_their_errors():
+    # Each field of a pipeline document is checked once, in the parser; this
+    # pins the class and message every check gives, byte for byte, over
+    # every single fault of the seven checked-in pipelines.
+    # tests/golden/parse_faults.jsonl holds one json.dumps([label, class,
+    # message]) a line.
+    golden = (GOLDEN / "parse_faults.jsonl").read_text().splitlines(keepends=True)
+    assert _fault_records() == golden
