@@ -32,6 +32,7 @@ from .graph import PipelineError, load_pipeline
 from .optimizer import (
     ScheduleError,
     ScheduleSolution,
+    edge_key,
     optimize,
     schedule_chunks,
     _frac_to_json,
@@ -194,17 +195,22 @@ def cmd_simulate(args) -> int:
     if args.stride < 1:
         raise CliError("--stride must be >= 1")
     graph = load_pipeline(args.graph)
+    edges = [edge_key(e) for e in graph.edges]
     try:
         with open(args.schedule, "r", encoding="utf-8") as fh:
             solution = ScheduleSolution.from_json_dict(json.load(fh))
+        # Every stage needs a start and every edge a capacity and an
+        # overwrite start: simulate and schedule_chunks read each one.
+        for key, names in (("start_cycles", [s.id for s in graph.stages]),
+                           ("buffer_sizes", edges), ("overwrite_starts", edges)):
+            missing = [name for name in names if name not in getattr(solution, key)]
+            if missing:
+                raise ValueError(f"{key} has no entry for {missing}")
     except (OSError, ValueError, KeyError) as exc:
         raise CliError(f"cannot read schedule {args.schedule!r}: {exc}") from exc
     if solution.initiation_interval is not None and solution.initiation_interval < 0:
         raise CliError(f"initiation_interval must be >= 0, got "
                        f"{_frac_to_json(solution.initiation_interval)}")
-    missing = [s.id for s in graph.stages if s.id not in solution.start_cycles]
-    if missing:
-        raise CliError(f"schedule missing stages: {missing}")
     if args.chunks > 1 and solution.initiation_interval is None:
         solution = schedule_chunks(solution, graph, args.chunks)
     trace = simulate(graph, solution, chunk_count=args.chunks)

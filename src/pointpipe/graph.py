@@ -9,6 +9,19 @@ All rate arithmetic is exact and in integers: ``validate`` fixes the
 graph's one cycle unit and one token unit (``PipelineGraph.ticks`` and
 ``unit``), and every derived duration, rate and volume is a whole number
 of them. No float enters any derivation here.
+
+A pipeline document is one JSON object. ``parse_pipeline`` checks each of
+its fields once, against the schema below, and raises ``ParseError`` on
+the first it rejects. Keys without a default are required, no other key is
+allowed, and an integer is a JSON integer (not ``true``, ``1.0`` or ``"1"``).
+
+- ``input_work``: integer >= 1.
+- ``stages``: list of objects with ``id`` (non-empty string), ``kind`` (a
+  ``StageKind`` value), ``i_shape`` and ``o_shape`` (``[rows, attrs]``,
+  integers >= 1), ``i_freq`` and ``o_freq`` (integers >= 1, default 1),
+  ``reuse`` (two integers >= 1, default ``[1, 1]``, the only value an
+  Elementwise or Reduction stage takes) and ``stage`` (depth, integer >= 0).
+- ``edges``: list of ``[producer, consumer]`` pairs of strings.
 """
 
 from __future__ import annotations
@@ -46,12 +59,6 @@ class Shape:
     rows: int
     attrs: int
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.rows, int) and isinstance(self.attrs, int)):
-            raise ValidationError(f"shape fields must be integers, got {self!r}")
-        if self.rows < 1 or self.attrs < 1:
-            raise ValidationError(f"shape dimensions must be >= 1, got {self!r}")
-
     @property
     def elements(self) -> int:
         return self.rows * self.attrs
@@ -88,21 +95,8 @@ class StageSpec:
     stage_depth: int = 0
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValidationError("stage id must be a non-empty string")
-        if self.i_freq < 1 or self.o_freq < 1:
-            raise ValidationError(f"stage {self.id!r}: frequencies must be >= 1")
-        if len(self.reuse) != 2 or any(r < 1 for r in self.reuse):
-            raise ValidationError(
-                f"stage {self.id!r}: reuse must be a pair of positive integers"
-            )
-        if self.stage_depth < 0:
-            raise ValidationError(f"stage {self.id!r}: stage depth must be >= 0")
-        if self.kind in (StageKind.ELEMENTWISE, StageKind.REDUCTION):
-            if self.reuse != (1, 1):
-                raise ValidationError(
-                    f"stage {self.id!r}: {self.kind.value} stages take reuse [1, 1]"
-                )
+        if self.kind in (StageKind.ELEMENTWISE, StageKind.REDUCTION) and self.reuse != (1, 1):
+            raise ValidationError(f"stage {self.id!r}: {self.kind.value} stages take reuse [1, 1]")
 
     @property
     def reuse_total(self) -> int:
@@ -183,8 +177,6 @@ class PipelineGraph:
         return [self.edges[i].producer for i in self.in_edges[stage_id]]
 
     def validate(self) -> None:
-        if self.input_work < 1:
-            raise ValidationError("input_work must be >= 1")
         if not self.stages:
             raise ValidationError("pipeline needs at least one stage")
         ids = [s.id for s in self.stages]
@@ -266,32 +258,30 @@ class PipelineGraph:
 # -- pipeline description files ---------------------------------------------
 
 _STAGE_KEYS = {"id", "kind", "i_shape", "o_shape", "i_freq", "o_freq", "reuse", "stage"}
-_TOP_KEYS = {"input_work", "stages", "edges"}
+_TOP_KEYS = ("input_work", "stages", "edges")
+
+
+def _is_pair(value: object) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value)
 
 
 def _as_shape(value: object, where: str) -> Shape:
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in value)
-    ):
+    if not _is_pair(value):
         raise ParseError(f"{where}: shape must be a [rows, attrs] pair of integers")
-    return Shape(rows=value[0], attrs=value[1])
+    if min(value) < 1:
+        raise ParseError(f"{where}: shape dimensions must be >= 1, got {Shape(*value)!r}")
+    return Shape(*value)
 
 
 def _as_int(value: object, where: str, minimum: int = 0) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+    if type(value) is not int or value < minimum:
         raise ParseError(f"{where}: expected an integer >= {minimum}")
     return value
 
 
 def parse_pipeline(document: str) -> PipelineGraph:
-    """Parse and validate a JSON pipeline description.
-
-    Raises ``ParseError`` with line/column for malformed JSON or schema
-    violations, ``ValidationError`` for semantic problems (dangling edges,
-    non-integer derived work, ...).
-    """
+    """Parse a JSON pipeline document (schema in the module docstring) and
+    validate its graph, raising ``ValidationError`` where it makes none."""
     try:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
@@ -300,7 +290,7 @@ def parse_pipeline(document: str) -> PipelineGraph:
         ) from exc
     if not isinstance(data, dict):
         raise ParseError("top-level document must be an object")
-    unknown = set(data) - _TOP_KEYS
+    unknown = set(data).difference(_TOP_KEYS)
     if unknown:
         raise ParseError(f"unknown top-level keys: {sorted(unknown)}")
     for key in _TOP_KEYS:
@@ -311,6 +301,7 @@ def parse_pipeline(document: str) -> PipelineGraph:
 
     if not isinstance(data["stages"], list):
         raise ParseError("'stages' must be a list")
+    kinds = {k.value: k for k in StageKind}
     stages = []
     for idx, raw in enumerate(data["stages"]):
         where = f"stages[{idx}]"
@@ -322,46 +313,35 @@ def parse_pipeline(document: str) -> PipelineGraph:
         for key in ("id", "kind", "i_shape", "o_shape", "stage"):
             if key not in raw:
                 raise ParseError(f"{where}: missing required key {key!r}")
-        if not isinstance(raw["id"], str):
+        sid, kind, reuse = raw["id"], raw["kind"], raw.get("reuse", [1, 1])
+        if type(sid) is not str:
             raise ParseError(f"{where}: id must be a string")
-        try:
-            kind = StageKind(raw["kind"])
-        except ValueError:
-            known = ", ".join(k.value for k in StageKind)
-            raise ParseError(
-                f"{where}: unknown stage kind {raw['kind']!r} (expected one of {known})"
-            ) from None
-        reuse_raw = raw.get("reuse", [1, 1])
-        if (
-            not isinstance(reuse_raw, list)
-            or len(reuse_raw) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in reuse_raw)
-        ):
+        if type(kind) is not str or kind not in kinds:
+            raise ParseError(f"{where}: unknown stage kind {kind!r} "
+                             f"(expected one of {', '.join(kinds)})")
+        if not _is_pair(reuse):
             raise ParseError(f"{where}: reuse must be a pair of integers")
+        i_shape = _as_shape(raw["i_shape"], where)
+        o_shape = _as_shape(raw["o_shape"], where)
+        i_freq = _as_int(raw.get("i_freq", 1), f"{where}.i_freq", minimum=1)
+        o_freq = _as_int(raw.get("o_freq", 1), f"{where}.o_freq", minimum=1)
+        depth = _as_int(raw["stage"], f"{where}.stage", minimum=0)
+        if not sid:
+            raise ParseError(f"{where}: stage id must be a non-empty string")
+        if min(reuse) < 1:
+            raise ParseError(f"{where}: stage {sid!r}: reuse must be a pair of positive integers")
         try:
-            stages.append(
-                StageSpec(
-                    id=raw["id"],
-                    kind=kind,
-                    i_shape=_as_shape(raw["i_shape"], where),
-                    o_shape=_as_shape(raw["o_shape"], where),
-                    i_freq=_as_int(raw.get("i_freq", 1), f"{where}.i_freq", minimum=1),
-                    o_freq=_as_int(raw.get("o_freq", 1), f"{where}.o_freq", minimum=1),
-                    reuse=(reuse_raw[0], reuse_raw[1]),
-                    stage_depth=_as_int(raw["stage"], f"{where}.stage", minimum=0),
-                )
-            )
+            stages.append(StageSpec(sid, kinds[kind], i_shape, o_shape, i_freq, o_freq,
+                                    tuple(reuse), depth))
         except ValidationError as exc:
             raise ParseError(f"{where}: {exc}") from exc
 
     if not isinstance(data["edges"], list):
         raise ParseError("'edges' must be a list")
-    edges = []
     for idx, raw in enumerate(data["edges"]):
         if not isinstance(raw, list) or len(raw) != 2 or not all(isinstance(v, str) for v in raw):
             raise ParseError(f"edges[{idx}]: edge must be a [producer, consumer] pair")
-        edges.append(Edge(producer=raw[0], consumer=raw[1]))
-
+    edges = [Edge(*raw) for raw in data["edges"]]
     return PipelineGraph(stages=stages, edges=edges, input_work=input_work)
 
 

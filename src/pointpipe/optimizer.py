@@ -51,6 +51,7 @@ optimum, and one longest-path pass gives its least optimal starts (see
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import ceil, gcd, lcm
@@ -324,19 +325,41 @@ class ScheduleSolution:
         return doc
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "ScheduleSolution":
-        def fractions(key: str) -> dict[str, Fraction]:
-            return {k: Fraction(v) for k, v in doc[key].items()}
+    def from_json_dict(cls, doc: object) -> "ScheduleSolution":
+        """The schedule ``to_json_dict`` wrote. Raises KeyError for a missing
+        key and ValueError for any other departure: a start cycle must be a
+        JSON integer, and an amount an integer or a string "n" or "n/d" of
+        integers, as ``_frac_to_json`` writes it."""
+        if not isinstance(doc, dict):
+            raise ValueError("a schedule must be a JSON object")
+
+        def amount(value: object, where: str) -> Fraction:
+            # The pattern keeps out exponents ("1e9999999" takes seconds) and d = 0.
+            if type(value) is int or (
+                    type(value) is str and re.fullmatch(r"-?\d+(/\d*[1-9]\d*)?", value)):
+                return Fraction(value)
+            raise ValueError(f"{where} must be an integer or an \"n/d\" string, "
+                             f"got {json.dumps(value)}")
+
+        def start(value: object, where: str) -> int:
+            if type(value) is not int:
+                raise ValueError(f"{where} must be an integer, got {json.dumps(value)}")
+            return value
+
+        def table(key: str, read) -> dict:
+            if not isinstance(doc[key], dict):
+                raise ValueError(f"{key} must be an object")
+            return {k: read(v, f"{key}[{json.dumps(k)}]") for k, v in doc[key].items()}
 
         return cls(
-            start_cycles={k: int(v) for k, v in doc["start_cycles"].items()},
-            buffer_sizes=fractions("buffer_sizes"),
-            overwrite_starts=fractions("overwrite_starts"),
-            total_buffer=Fraction(doc["total_buffer"]),
-            makespan=Fraction(doc["makespan"]),
-            initiation_interval=(Fraction(doc["initiation_interval"])
+            start_cycles=table("start_cycles", start),
+            buffer_sizes=table("buffer_sizes", amount),
+            overwrite_starts=table("overwrite_starts", amount),
+            total_buffer=amount(doc["total_buffer"], "total_buffer"),
+            makespan=amount(doc["makespan"], "makespan"),
+            initiation_interval=(amount(doc["initiation_interval"], "initiation_interval")
                                  if "initiation_interval" in doc else None),
-            bubbles=fractions("bubbles") if "bubbles" in doc else None,
+            bubbles=table("bubbles", amount) if "bubbles" in doc else None,
             chunk_count=doc.get("chunk_count", 1),
             constraint_counts=doc.get("constraint_counts", {}),
             horizon=doc.get("horizon"),

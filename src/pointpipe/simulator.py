@@ -357,8 +357,10 @@ def simulate(
 ) -> SimTrace:
     """Run the token model and record stalls, overflows, and exact peaks.
 
-    Violations are reported in the trace, never raised. ``chunk_count > 1``
-    requires the solution's initiation interval (see ``schedule_chunks``).
+    Violations are reported in the trace, never raised. ``solution`` holds
+    a start cycle for every stage and a buffer size and overwrite start for
+    every edge. ``chunk_count > 1`` requires the solution's initiation
+    interval (see ``schedule_chunks``).
     """
     if chunk_count < 1:
         raise ValueError("chunk_count must be >= 1")
@@ -375,7 +377,7 @@ def simulate(
 
     for m in edge_models(graph):
         key = m.key
-        e = ticks_by_key[key] = edge_ticks(m, starts, solution.overwrite_starts.get(key), interval)
+        e = ticks_by_key[key] = edge_ticks(m, starts, solution.overwrite_starts[key], interval)
 
         when = e.stall()
         if when is not None:
@@ -390,8 +392,8 @@ def simulate(
         peak, peak_t = _peak(e, chunk_count)
         peaks[key] = Fraction(peak, e.unit)
 
-        capacity = solution.buffer_sizes.get(key)
-        if capacity is not None and peaks[key] > capacity:
+        capacity = solution.buffer_sizes[key]
+        if peaks[key] > capacity:
             overflow_events.append(
                 OverflowEvent(cycle=-(-peak_t // e.ticks), edge=key,
                               occupancy=peaks[key], capacity=capacity)

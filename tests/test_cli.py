@@ -4,6 +4,8 @@ output bytes."""
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -87,6 +89,64 @@ def test_simulate_rejects_a_negative_interval(tmp_path, capsys):
         if code == USAGE:
             assert capsys.readouterr().err == (
                 f"error: initiation_interval must be >= 0, got {interval}\n")
+
+
+def _with(doc: dict, key: str, **entries) -> dict:
+    """``doc`` with entries of its ``key`` map replaced."""
+    return {**doc, key: {**doc[key], **entries}}
+
+
+# A schedule for KNN_STENCIL as optimize writes it, and (label, the
+# malformed document, --chunks): each must exit 2 with no traceback.
+EDGE = "knn->stencil"
+MALFORMED_SCHEDULES = [
+    *((f"{key} a list", lambda doc, key=key: {**doc, key: []}, "1")
+      for key in ("start_cycles", "buffer_sizes", "bubbles")),
+    ("null start cycle", lambda doc: _with(doc, "start_cycles", knn=None), "1"),
+    ("null buffer size", lambda doc: _with(doc, "buffer_sizes", **{EDGE: None}), "1"),
+    ("null overwrite start", lambda doc: _with(doc, "overwrite_starts", **{EDGE: None}), "1"),
+    ("null initiation_interval", lambda doc: {**doc, "initiation_interval": None}, "1"),
+    ("null total_buffer", lambda doc: {**doc, "total_buffer": None}, "1"),
+    ("a list", lambda doc: [doc], "1"),
+    ("no overwrite start, 4 chunks", lambda doc: {**doc, "overwrite_starts": {}}, "4"),
+    # Accepted once: the edge went unchecked, the overwrite start took its
+    # default, and int() read each start cycle.
+    ("no buffer size", lambda doc: {**doc, "buffer_sizes": {}}, "1"),
+    ("no overwrite start", lambda doc: {**doc, "overwrite_starts": {}}, "1"),
+    ("start cycle 1.7", lambda doc: _with(doc, "start_cycles", knn=1.7), "1"),
+    ("start cycle \"2\"", lambda doc: _with(doc, "start_cycles", knn="2"), "1"),
+    ("start cycle true", lambda doc: _with(doc, "start_cycles", knn=True), "1"),
+    # Fraction would read "1e9999999" for seconds, and "1/0" raises.
+    ("exponent amount", lambda doc: {**doc, "total_buffer": "1e9999999"}, "1"),
+    ("zero denominator", lambda doc: _with(doc, "buffer_sizes", **{EDGE: "1/0"}), "1"),
+]
+
+
+@pytest.mark.parametrize("label,malform,chunks", MALFORMED_SCHEDULES,
+                         ids=[case[0] for case in MALFORMED_SCHEDULES])
+def test_malformed_schedule_is_a_usage_error(label, malform, chunks, tmp_path, capsys):
+    schedule = tmp_path / "schedule.json"
+    assert main(["optimize", KNN_STENCIL, "--out", str(schedule)]) == 0
+    schedule.write_text(json.dumps(malform(json.loads(schedule.read_text()))))
+    capsys.readouterr()
+    assert main(["simulate", KNN_STENCIL, str(schedule), "--chunks", chunks]) == USAGE
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: cannot read schedule {str(schedule)!r}: ") and not out
+
+
+def test_missing_top_level_key_is_named_in_declaration_order(tmp_path):
+    # The parser once named the first missing key of a set, in hash order.
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    src = str(Path(__file__).parent.parent / "src")
+    errors = set()
+    for seed in ("1", "3"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        run = subprocess.run([sys.executable, "-m", "pointpipe.cli", "optimize", str(empty)],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == USAGE
+        errors.add(run.stderr)
+    assert errors == {"error: missing required key 'input_work'\n"}
 
 
 def _outputs(argv, directory: Path, capsys) -> tuple:
