@@ -20,13 +20,10 @@ from .graph import (
     parse_pipeline,
 )
 from .optimizer import (
-    ConstraintSystem,
     ScheduleError,
     ScheduleSolution,
-    build_constraints,
     optimize,
     schedule_chunks,
-    solve,
 )
 from .oracle import OracleReport, verify_against_oracle
 from .simulator import SimTrace, simulate
@@ -34,7 +31,6 @@ from .simulator import SimTrace, simulate
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConstraintSystem",
     "Edge",
     "OracleReport",
     "ParseError",
@@ -47,12 +43,10 @@ __all__ = [
     "StageKind",
     "StageSpec",
     "ValidationError",
-    "build_constraints",
     "load_pipeline",
     "optimize",
     "parse_pipeline",
     "schedule_chunks",
     "simulate",
-    "solve",
     "verify_against_oracle",
 ]

@@ -179,15 +179,12 @@ def cmd_optimize(args) -> int:
     if args.chunks != 1:  # schedule_chunks rejects a count below 1
         solution = schedule_chunks(solution, graph, args.chunks)
     _write(args.out, solution.dumps(element_bytes=args.element_bytes))
-    counts = solution.constraint_counts
     print(f"total buffer: {_frac_to_json(solution.total_buffer)} elements", file=sys.stderr)
     if args.element_bytes:
         doc = solution.to_json_dict(element_bytes=args.element_bytes)
         print(f"total buffer: {doc['total_buffer_bytes']} bytes "
               f"({args.element_bytes} B/element)", file=sys.stderr)
     print(f"makespan: {_frac_to_json(solution.makespan)} cycles", file=sys.stderr)
-    print(f"constraints: pruned {counts['pruned']}, unpruned {counts['unpruned']}",
-          file=sys.stderr)
     return OK
 
 
@@ -206,7 +203,7 @@ def cmd_simulate(args) -> int:
             missing = [name for name in names if name not in getattr(solution, key)]
             if missing:
                 raise ValueError(f"{key} has no entry for {missing}")
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, RecursionError) as exc:
         raise CliError(f"cannot read schedule {args.schedule!r}: {exc}") from exc
     if solution.initiation_interval is not None and solution.initiation_interval < 0:
         raise CliError(f"initiation_interval must be >= 0, got "

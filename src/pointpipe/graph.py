@@ -288,6 +288,8 @@ def parse_pipeline(document: str) -> PipelineGraph:
         raise ParseError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ParseError("document nests too deeply") from None
     if not isinstance(data, dict):
         raise ParseError("top-level document must be an object")
     unknown = set(data).difference(_TOP_KEYS)

@@ -16,9 +16,8 @@ through the offset d = s_c - s_p, and the model gives, as functions of d:
   after it is written, so a local consumer needs w_c >= w_p + 1, and the
   producer must stay ahead of the consumer's cumulative demand through the
   consumer's read window; both collapse to two linear endpoint rows (the
-  per-timestamp family they prune, counted as "unpruned", gives the same
-  bound). A Global consumer starts only after the producer has written
-  everything.
+  per-timestamp family over the window gives the same bound). A Global
+  consumer starts only after the producer has written everything.
 - ``overwrite_delay``: overwriting may not begin before the consumer retires
   data, at its first-read-capable cycle on local edges and at its
   completion on Global edges; minimization drives the overwrite start to
@@ -151,14 +150,6 @@ class EdgeModel:
         self.max_floor_offset = (
             None if self.peak(self.min_offset) == self.volume else self.min_offset)
 
-    @property
-    def window_steps(self) -> int:
-        """Rows of the unpruned availability family: the consumer's read
-        window on a grid fine enough to hit every demand kink."""
-        rates = self.unit // self.ticks
-        grid = lcm(rates // gcd(self.in_rate, rates), self.ticks // gcd(self.drain, self.ticks))
-        return self.drain * grid // self.ticks
-
     def g(self, d: int) -> int:
         """The peak at offset ``d`` before it is clamped to [0, V]."""
         return max(slope * d + at0 for slope, at0 in self.branches)
@@ -238,7 +229,7 @@ def earliest_starts(
 
 @dataclass
 class ConstraintSystem:
-    """The schedule program of one graph: each edge's model and the start
+    """What ``solve`` reads of one graph: each edge's model and the start
     box ``[earliest, horizon]``."""
 
     graph: PipelineGraph
@@ -248,32 +239,18 @@ class ConstraintSystem:
 
     @property
     def constraint_count(self) -> int:
-        """Rows of the formulation, not of the problems that ``solve`` solves: a
-        start bound per stage; per Global edge the dependency, the overwrite
-        start and the full buffer; per local edge the first-read and
-        window-endpoint dependencies, the overwrite start, the two peak
-        branches and the saturation cap."""
+        """Rows of the linear program this system once fed: a start bound
+        per stage, 3 rows per Global edge and 6 per local edge. No solver
+        builds that program and no output reports the count. It stays
+        because ``bench/tracing.py`` records it as
+        ``optimizer.build_constraints.rows``, and ``bench/run.py``'s solve
+        sweep calls ``build_constraints`` and ``solve`` directly."""
         return len(self.graph.stages) + sum(3 if m.is_global else 6 for m in self.edges)
-
-    @property
-    def constraint_counts(self) -> dict[str, int]:
-        """``constraint_count`` as "pruned", and as "unpruned" the count
-        with each endpoint row replaced by the per-timestamp availability
-        family over the read window: ``window_steps`` rows, on a grid fine
-        enough to hit every rate kink. The family's n-th row asks d >= 1 +
-        depth_p - depth_c + (n/steps) * (dur_p - drain), linear in n, so its
-        largest bound is at an end of the window, the first-read row or the
-        endpoint row, and both counts describe one bound: ``min_offset``."""
-        unpruned = self.constraint_count + sum(
-            m.window_steps - 1 for m in self.edges if not m.is_global
-        )
-        return {"pruned": self.constraint_count, "unpruned": unpruned}
 
 
 def build_constraints(graph: PipelineGraph, horizon: int | None = None) -> ConstraintSystem:
-    """The schedule program of ``graph``; raises if a stage cannot start
-    within the horizon. A local edge's availability rows bound its offset
-    from below: the first-read row and the read window's endpoint row."""
+    """The edge models and start box of ``graph``; raises if a stage cannot
+    start within the horizon."""
     if horizon is None:
         horizon = default_horizon(graph)
     models = edge_models(graph)
@@ -296,7 +273,6 @@ class ScheduleSolution:
     initiation_interval: Fraction | None = None
     bubbles: dict[str, Fraction] | None = None
     chunk_count: int = 1
-    constraint_counts: dict[str, int] = field(default_factory=dict)
     horizon: int | None = None
 
     def to_json_dict(self, element_bytes: int | None = None) -> dict:
@@ -309,7 +285,6 @@ class ScheduleSolution:
             "total_buffer": _frac_to_json(self.total_buffer),
             "makespan": _frac_to_json(self.makespan),
             "chunk_count": self.chunk_count,
-            "constraint_counts": self.constraint_counts,
             "horizon": self.horizon,
         }
         if self.initiation_interval is not None:
@@ -361,7 +336,6 @@ class ScheduleSolution:
                                  if "initiation_interval" in doc else None),
             bubbles=table("bubbles", amount) if "bubbles" in doc else None,
             chunk_count=doc.get("chunk_count", 1),
-            constraint_counts=doc.get("constraint_counts", {}),
             horizon=doc.get("horizon"),
         )
 
@@ -557,11 +531,9 @@ def solve(system: ConstraintSystem) -> ScheduleSolution:
 
 
 def optimize(graph: PipelineGraph, horizon: int | None = None) -> ScheduleSolution:
-    """Build the program, solve it, and attach its row counts."""
-    system = build_constraints(graph, horizon=horizon)
-    solution = solve(system)
-    solution.constraint_counts = system.constraint_counts
-    return solution
+    """The least optimal schedule of ``graph`` (see ``solve``) with every
+    start at most ``horizon``, by default ``default_horizon(graph)``."""
+    return solve(build_constraints(graph, horizon=horizon))
 
 
 def schedule_chunks(

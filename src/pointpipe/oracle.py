@@ -147,10 +147,9 @@ from .optimizer import (
     EdgeModel,
     ScheduleError,
     SearchLimitError,
-    build_constraints,
     default_horizon,
     edge_models,
-    solve,
+    optimize,
 )
 from .simulator import edge_ticks
 
@@ -520,7 +519,7 @@ def verify_against_oracle(
     solver_total: Fraction | None = None
     solver_starts: dict[str, int] | None = None
     try:
-        solution = solve(build_constraints(graph, horizon=horizon))
+        solution = optimize(graph, horizon=horizon)
         solver_total = solution.total_buffer
         solver_starts = solution.start_cycles
     except SearchLimitError:

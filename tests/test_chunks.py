@@ -4,12 +4,12 @@ import pytest
 
 from _pipegen import suite
 from pointpipe.graph import parse_pipeline
-from pointpipe.optimizer import build_constraints, schedule_chunks, solve
+from pointpipe.optimizer import optimize, schedule_chunks
 from pointpipe.simulator import simulate
 
 
 def test_single_chunk_is_identity(knn_stencil):
-    sol = solve(build_constraints(knn_stencil))
+    sol = optimize(knn_stencil)
     chunked = schedule_chunks(sol, knn_stencil, 1)
     assert chunked.start_cycles == sol.start_cycles
     assert chunked.buffer_sizes == sol.buffer_sizes
@@ -18,7 +18,7 @@ def test_single_chunk_is_identity(knn_stencil):
 
 
 def test_interval_is_longest_duration_on_local_chain(local_chain):
-    sol = solve(build_constraints(local_chain))
+    sol = optimize(local_chain)
     chunked = schedule_chunks(sol, local_chain, 4)
     assert chunked.initiation_interval == F(max(local_chain.duration.values()), local_chain.ticks)
 
@@ -32,7 +32,7 @@ def test_short_stages_get_bubbles_longest_gets_none():
         {"id": "tail", "kind": "Reduction", "i_shape": [2, 1], "o_shape": [1, 1], "o_freq": 2, "stage": 0}
     ], "edges": [["fast", "slow"], ["slow", "tail"]]}"""
     g = parse_pipeline(doc)
-    sol = solve(build_constraints(g))
+    sol = optimize(g)
     chunked = schedule_chunks(sol, g, 4)
     durations = g.duration
     longest = max(durations, key=lambda sid: durations[sid])
@@ -44,7 +44,7 @@ def test_short_stages_get_bubbles_longest_gets_none():
 
 def test_multi_chunk_peaks_interval_makespan(knn_stencil, local_chain, global_edge):
     for g in (knn_stencil, local_chain, global_edge):
-        sol = solve(build_constraints(g))
+        sol = optimize(g)
         base = simulate(g, sol)
         for c in (2, 4, 8, 16):
             chunked = schedule_chunks(sol, g, c)
@@ -61,7 +61,7 @@ def test_multi_chunk_peaks_interval_makespan(knn_stencil, local_chain, global_ed
 
 def test_multi_chunk_safety_random_sample():
     for g in suite(10, start_seed=777):
-        sol = solve(build_constraints(g))
+        sol = optimize(g)
         for c in (2, 8, 16):
             chunked = schedule_chunks(sol, g, c)
             trace = simulate(g, chunked, chunk_count=c)
@@ -70,6 +70,6 @@ def test_multi_chunk_safety_random_sample():
 
 
 def test_chunk_count_validated(knn_stencil):
-    sol = solve(build_constraints(knn_stencil))
+    sol = optimize(knn_stencil)
     with pytest.raises(ValueError):
         schedule_chunks(sol, knn_stencil, 0)

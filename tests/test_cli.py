@@ -134,6 +134,23 @@ def test_malformed_schedule_is_a_usage_error(label, malform, chunks, tmp_path, c
     assert err.startswith(f"error: cannot read schedule {str(schedule)!r}: ") and not out
 
 
+# json's decoder recurses once a level: 100,000 levels raised
+# RecursionError out of both readers, a traceback with exit 1.
+DEEP = {"arrays": "[" * 100_000, "objects": '{"a":' * 100_000}
+
+
+@pytest.mark.parametrize("nesting", DEEP)
+def test_deeply_nested_document_is_a_usage_error(nesting, tmp_path, capsys):
+    # as a pipeline and as a schedule
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP[nesting])
+    assert main(["optimize", str(deep)]) == USAGE
+    assert capsys.readouterr() == ("", "error: document nests too deeply\n")
+    assert main(["simulate", KNN_STENCIL, str(deep)]) == USAGE
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: cannot read schedule {str(deep)!r}: ") and not out
+
+
 def test_missing_top_level_key_is_named_in_declaration_order(tmp_path):
     # The parser once named the first missing key of a set, in hash order.
     empty = tmp_path / "empty.json"

@@ -240,8 +240,8 @@ def test_integer_model_equals_the_fraction_reference():
             assert (per_cycle(g, m.out_rate), per_cycle(g, m.in_rate)) == (r.out_rate, r.in_rate)
             for name in TIMES:
                 assert Fraction(getattr(m, name), one) == getattr(r, name), (m.key, name)
-            assert (m.min_offset, m.max_floor_offset, m.window_steps) == (
-                r.min_offset, r.max_floor_offset, r.window_steps), m.key
+            assert (m.min_offset, m.max_floor_offset) == (
+                r.min_offset, r.max_floor_offset), m.key
             assert [(Fraction(s, unit), Fraction(a, unit)) for s, a in m.branches] == list(
                 r.branches), m.key
             (kinks, slopes), (ref_kinks, ref_slopes) = m.pieces, r.pieces

@@ -38,12 +38,12 @@ def _reconvergent(count, **kw):
 
 @pytest.fixture
 def search_solve(monkeypatch):
-    """``solve`` with the closed form switched off: the saturated-edge
+    """``optimize`` with the closed form switched off: the saturated-edge
     search alone."""
-    def run(system):
+    def run(graph, horizon=None):
         with monkeypatch.context() as m:
             m.setattr(optimizer, "_tree_starts", lambda graph, models: None)
-            return solve(system)
+            return solve(build_constraints(graph, horizon=horizon))
 
     return run
 
@@ -51,14 +51,7 @@ def search_solve(monkeypatch):
 def test_knn_stencil_pruned_row_budget(knn_stencil):
     # 2 start bounds + 2 dependency endpoints + overwrite start + 2 buffer
     # branches + saturation cap.
-    assert optimize(knn_stencil).constraint_counts["pruned"] <= 8
-
-
-def test_knn_stencil_unpruned_covers_windows(knn_stencil):
-    counts = optimize(knn_stencil, horizon=200).constraint_counts
-    window = F(max(knn_stencil.duration.values()), knn_stencil.ticks)
-    assert counts["unpruned"] >= window
-    assert counts["unpruned"] > counts["pruned"]
+    assert build_constraints(knn_stencil).constraint_count <= 8
 
 
 def test_single_stage_zero_objective():
@@ -67,21 +60,21 @@ def test_single_stage_zero_objective():
             {"id": "only", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 0}
         ], "edges": []}"""
     )
-    sol = solve(build_constraints(g))
+    sol = optimize(g)
     assert sol.total_buffer == 0
     assert sol.buffer_sizes == {}
     assert sol.start_cycles == {"only": 0}
 
 
 def test_identical_rates_single_transfer_unit(identical_rates):
-    sol = solve(build_constraints(identical_rates))
+    sol = optimize(identical_rates)
     assert sol.total_buffer == 1
     # One-cycle write-to-read latency is the only gap between the stages.
     assert sol.start_cycles["b"] == sol.start_cycles["a"] + 1
 
 
 def test_global_consumer_starts_at_producer_end(global_edge):
-    sol = solve(build_constraints(global_edge))
+    sol = optimize(global_edge)
     g = global_edge
     producer_end = (
         sol.start_cycles["src"]
@@ -93,7 +86,7 @@ def test_global_consumer_starts_at_producer_end(global_edge):
 
 
 def test_image_stencil_three_row_budget(image_stencil):
-    sol = solve(build_constraints(image_stencil))
+    sol = optimize(image_stencil)
     assert sol.total_buffer <= 15
 
 
@@ -114,17 +107,13 @@ def test_pruning_preserves_optimum_sample():
         for m, r in zip(edge_models(g), ref_models(g)):
             if not m.is_global:
                 assert _window_family_floor(r) == m.min_offset, m.key
-        # The unpruned count holds each local edge's whole window family.
-        counts = optimize(g).constraint_counts
-        family = sum(m.window_steps - 1 for m in edge_models(g) if not m.is_global)
-        assert counts["unpruned"] == counts["pruned"] + family
 
 
 def test_global_edges_dominate_local_rule():
     # On every solved graph, a Global consumer's start is at or past its
     # producer's write end; local edges are free to overlap.
     for g in suite(25):
-        sol = solve(build_constraints(g))
+        sol = optimize(g)
         for e in g.edges:
             if g.stage(e.consumer).kind is not StageKind.GLOBAL:
                 continue
@@ -141,7 +130,7 @@ def test_monotone_in_input_work(local_chain):
     ], "edges": [["s1", "s2"], ["s2", "s3"]]}"""
     totals, spans = [], []
     for w0 in (12, 24, 48):
-        sol = solve(build_constraints(parse_pipeline(doc % w0)))
+        sol = optimize(parse_pipeline(doc % w0))
         totals.append(sol.total_buffer)
         spans.append(sol.makespan)
     assert totals == sorted(totals)
@@ -149,8 +138,8 @@ def test_monotone_in_input_work(local_chain):
 
 
 def test_solve_deterministic(knn_stencil):
-    a = solve(build_constraints(knn_stencil))
-    b = solve(build_constraints(knn_stencil))
+    a = optimize(knn_stencil)
+    b = optimize(knn_stencil)
     assert a.start_cycles == b.start_cycles
     assert a.buffer_sizes == b.buffer_sizes
     assert a.dumps() == b.dumps()
@@ -169,32 +158,29 @@ def test_solution_json_roundtrip(knn_stencil):
     assert back.buffer_sizes == sol.buffer_sizes
     assert back.total_buffer == sol.total_buffer
     assert back.makespan == sol.makespan
-
-
-def test_constraint_counts_attached(knn_stencil):
-    sol = optimize(knn_stencil)
-    assert sol.constraint_counts["pruned"] <= 8
-    assert sol.constraint_counts["unpruned"] > sol.constraint_counts["pruned"]
+    # Schedules written before the row counts were dropped still load.
+    older = ScheduleSolution.from_json_dict(
+        {**doc, "constraint_counts": {"pruned": 8, "unpruned": 23}})
+    assert older == back
 
 
 def test_suite_solutions_keep_their_digest():
     # sha256 of optimize(g).dumps() concatenated over the 600 graphs in
-    # suite order: every start, buffer, overwrite start, total, makespan
-    # and row count, byte for byte, as the Fraction model gave them.
+    # suite order: every start, buffer, overwrite start, total, makespan,
+    # chunk count and horizon, byte for byte, as the Fraction model gave
+    # them.
     digest = hashlib.sha256()
     for g in suite(600, start_seed=20000):
         digest.update(optimize(g).dumps().encode())
     assert digest.hexdigest() == (
-        "412d8f0f572cd95b581fed8a121b975e7674e051af9622d204a8d3ee8fa4bcd2")
+        "1ae93ee4ddd6fca2cf598bd81665baadefba56a1b8d64375d571ef034b58cb8f")
 
 
 def test_derived_row_counts_equal_both_builds():
-    # The formulation's rows, counted in closed form in either mode: the
-    # counts a build of every row gives.
-    counts = [(9, 9), (32, 106), (22, 60), (12, 15), (12, 65), (15, 91), (19, 121), (19, 55)]
-    for g, (pruned, unpruned) in zip(suite(8), counts):
-        assert build_constraints(g).constraint_count == pruned
-        assert optimize(g).constraint_counts == {"pruned": pruned, "unpruned": unpruned}
+    # The formulation's rows, counted in closed form: the counts a build of
+    # every row gave, and the benchmark's optimizer.build_constraints.rows.
+    counts = [9, 32, 22, 12, 12, 15, 19, 19]
+    assert [build_constraints(g).constraint_count for g in suite(8)] == counts
 
 
 # 9 elements written 4 a cycle and read 1 a cycle: b1 and b2 cross at
@@ -255,11 +241,10 @@ def test_closed_form_equals_search_on_trees(search_solve):
     # cycle 0 (a consumer deeper than its producer is pinned below it).
     assert any(sum(e.producer == sid for e in g.edges) > 1
                for g in trees for sid in g.topo_order)
-    assert any(solve(build_constraints(g)).start_cycles[sid] > 0
+    assert any(optimize(g).start_cycles[sid] > 0
                for g in trees for sid in g.topo_order if not g.producers_of(sid))
     for g in trees:
-        system = build_constraints(g)
-        closed, searched = solve(system), search_solve(system)
+        closed, searched = optimize(g), search_solve(g)
         assert closed.dumps() == searched.dumps()
         # verify prints the start dict, so its order counts too
         assert list(closed.start_cycles.items()) == list(searched.start_cycles.items())
@@ -267,7 +252,7 @@ def test_closed_form_equals_search_on_trees(search_solve):
 
 def test_closed_form_total_equals_exhaustive_minimum():
     for g in _trees(60, start_seed=5000) + _trees(30, shape="tree"):
-        sol = solve(build_constraints(g))
+        sol = optimize(g)
         total, _, _ = exhaustive_minimum(g, default_horizon(g))
         assert sol.total_buffer == total
 
@@ -276,12 +261,11 @@ def test_horizon_short_of_least_schedule_falls_back_to_search(search_solve):
     # Seed 5845's least optimal schedule starts s1 at cycle 2; a horizon of 1
     # still admits a schedule, just not an optimal one of the closed form.
     g = generate(5845)
-    least = solve(build_constraints(g)).start_cycles
+    least = optimize(g).start_cycles
     horizon = max(least.values()) - 1
-    system = build_constraints(g, horizon=horizon)
-    sol = solve(system)
+    sol = optimize(g, horizon=horizon)
     assert max(sol.start_cycles.values()) <= horizon
-    assert sol.dumps() == search_solve(system).dumps()
+    assert sol.dumps() == search_solve(g, horizon).dumps()
     total, starts, _ = exhaustive_minimum(g, horizon)
     assert (sol.total_buffer, sol.start_cycles) == (total, starts)
 
@@ -293,10 +277,10 @@ def test_reconvergent_graphs_equal_exhaustive_minimum():
     assert len(graphs) >= 200
     refuted = 0
     for g in graphs:
-        latest = max(solve(build_constraints(g)).start_cycles.values())
+        latest = max(optimize(g).start_cycles.values())
         for horizon in (latest - 1, latest + 2):
             try:
-                sol = solve(build_constraints(g, horizon=horizon))
+                sol = optimize(g, horizon=horizon)
                 expected = (sol.total_buffer, sol.start_cycles)
             except ScheduleError:
                 expected = (None, None)
@@ -323,7 +307,7 @@ JOIN = """{"input_work": 4, "stages": [
 @pytest.mark.parametrize("horizon", range(10, 15))
 def test_join_of_bridges_equals_exhaustive_minimum(horizon):
     g = parse_pipeline(JOIN)
-    sol = solve(build_constraints(g, horizon=horizon))
+    sol = optimize(g, horizon=horizon)
     total, starts, _ = exhaustive_minimum(g, horizon)
     assert (sol.total_buffer, sol.start_cycles) == (total, starts)
     if horizon == 10:
@@ -340,8 +324,7 @@ DIAMOND_CHAIN = reconvergent("diamond_chain")
 
 def test_diamond_chain_stays_far_below_the_set_cap(monkeypatch):
     g = parse_pipeline(DIAMOND_CHAIN)
-    system = build_constraints(g)
-    assert all(m.max_floor_offset is not None for m in system.edges)
+    assert all(m.max_floor_offset is not None for m in edge_models(g))
     solved = []
     least_optimal = solver.least_optimal
 
@@ -350,7 +333,7 @@ def test_diamond_chain_stays_far_below_the_set_cap(monkeypatch):
         return least_optimal(lower, upper, arcs)
 
     monkeypatch.setattr(solver, "least_optimal", counting)
-    sol = solve(system)
+    sol = optimize(g)
     assert sol.total_buffer == F(1363, 6)
     assert sol.start_cycles == {"s0": 0, "s1": 1, "s2": 16, "s3": 17, "s4": 75,
                                 "s5": 18, "s6": 89, "s7": 90}
@@ -358,10 +341,10 @@ def test_diamond_chain_stays_far_below_the_set_cap(monkeypatch):
     assert 64 * sets < optimizer.MAX_SATURATED_SETS
     # The cap counts exactly the sets solved.
     monkeypatch.setattr(optimizer, "MAX_SATURATED_SETS", sets)
-    assert solve(system).dumps() == sol.dumps()
+    assert optimize(g).dumps() == sol.dumps()
     monkeypatch.setattr(optimizer, "MAX_SATURATED_SETS", sets - 1)
     with pytest.raises(optimizer.SearchLimitError):
-        solve(system)
+        optimize(g)
 
 
 def four_diamond_chain():

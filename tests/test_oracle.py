@@ -11,7 +11,7 @@ from conftest import GOLDEN, reconvergent
 from pointpipe import oracle
 from pointpipe.cli import INCONCLUSIVE, USAGE, VERIFY_FAILED, main
 from pointpipe.graph import parse_pipeline
-from pointpipe.optimizer import ScheduleError, build_constraints, edge_models, solve
+from pointpipe.optimizer import ScheduleError, edge_models, optimize
 from pointpipe.oracle import exhaustive_minimum, verify_against_oracle
 from pointpipe.simulator import edge_ticks
 from test_simulator import curves_of, edge_stall_margin, occupancy, occupancy_kinks
@@ -54,7 +54,7 @@ def _infeasible(*args, **kwargs):
 
 
 def test_one_sided_infeasibility_is_a_mismatch(monkeypatch, capsys):
-    monkeypatch.setattr(oracle, "solve", _infeasible)
+    monkeypatch.setattr(oracle, "optimize", _infeasible)
     assert main(["verify", KNN_STENCIL]) == VERIFY_FAILED
     assert capsys.readouterr().out == (
         "MISMATCH: solver infeasible within horizon 64, oracle total 3/2 at "
@@ -176,7 +176,7 @@ def test_walk_is_unchanged_by_the_consumer_shift_scoring(monkeypatch):
     walks = 0
     for count, kw in SCORED_SUITES:
         for g in suite(count, **kw):
-            latest = max(solve(build_constraints(g)).start_cycles.values())
+            latest = max(optimize(g).start_cycles.values())
             refs = {r.key: r for r in ref_models(g)}
             for horizon in (latest - 1, latest + 2):
                 fast = exhaustive_minimum(g, horizon)
@@ -288,7 +288,7 @@ def test_pruned_walk_equals_the_plain_walk(shape):
         graphs = suite(12, start_seed=200, shape="tree")
     assert len(graphs) >= 11
     for g in graphs:
-        latest = max(solve(build_constraints(g)).start_cycles.values())
+        latest = max(optimize(g).start_cycles.values())
         # One cycle short of the least optimum's latest start, where the
         # horizon binds, and two past it, where it does not.
         for horizon in (latest - 1, latest + 2):
@@ -376,7 +376,7 @@ def test_whole_element_walk_equals_the_rounded_optimum(monkeypatch):
     graphs = fractional = 0
     for g in (suite(200, start_seed=5000) + suite(120, start_seed=30000)
               + suite(60, shape="tree")):
-        sol = solve(build_constraints(g))
+        sol = optimize(g)
         total, _, _ = exhaustive_minimum(g, max(sol.start_cycles.values()) + 2)
         assert total == sol.to_json_dict(element_bytes=1)["total_buffer_bytes"]
         graphs += 1

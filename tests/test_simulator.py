@@ -11,11 +11,10 @@ from conftest import GLOBAL_EDGE, KNN_STENCIL, LOCAL_CHAIN
 from pointpipe.graph import parse_pipeline
 from pointpipe.optimizer import (
     _frac_to_json,
-    build_constraints,
     edge_key,
     edge_models,
+    optimize,
     schedule_chunks,
-    solve,
 )
 from pointpipe.simulator import _peak, edge_ticks, simulate
 
@@ -179,7 +178,7 @@ def test_occupancy_matches_rate_formulas(knn_stencil, local_chain):
     # Independent recomputation of write/overwrite counts from the stage
     # declarations, compared against the trace at every integer cycle.
     for g in (knn_stencil, local_chain):
-        sol = solve(build_constraints(g))
+        sol = optimize(g)
         trace = simulate(g, sol)
         for e in g.edges:
             key = edge_key(e)
@@ -199,7 +198,7 @@ def test_conservation(knn_stencil, local_chain, global_edge):
     # By its drain end each edge has written and freed its whole volume,
     # and the trace holds nothing from then on.
     for g in (knn_stencil, local_chain, global_edge):
-        sol = solve(build_constraints(g))
+        sol = optimize(g)
         trace = simulate(g, sol)
         for m in ref_models(g):
             c = curves_of(m, sol.start_cycles, sol.overwrite_starts[m.key])
@@ -209,7 +208,7 @@ def test_conservation(knn_stencil, local_chain, global_edge):
 
 def test_optimized_schedules_run_clean():
     for g in suite(30):
-        sol = solve(build_constraints(g))
+        sol = optimize(g)
         trace = simulate(g, sol)
         assert trace.ok, (trace.stall_events, trace.overflow_events)
         assert trace.peaks == sol.buffer_sizes
@@ -217,7 +216,7 @@ def test_optimized_schedules_run_clean():
 
 def test_single_missing_element_overflows():
     for g in suite(12):
-        sol = solve(build_constraints(g))
+        sol = optimize(g)
         for key in sol.buffer_sizes:
             tampered = copy.deepcopy(sol)
             tampered.buffer_sizes[key] -= 1
@@ -226,7 +225,7 @@ def test_single_missing_element_overflows():
 
 
 def test_early_consumer_stalls(identical_rates):
-    sol = solve(build_constraints(identical_rates))
+    sol = optimize(identical_rates)
     bad = copy.deepcopy(sol)
     bad.start_cycles["b"] -= 1  # consumer now reads data not yet written
     bad.overwrite_starts[edge_key(identical_rates.edges[0])] -= 1
@@ -236,7 +235,7 @@ def test_early_consumer_stalls(identical_rates):
 
 
 def test_early_global_consumer_stalls(global_edge):
-    sol = solve(build_constraints(global_edge))
+    sol = optimize(global_edge)
     bad = copy.deepcopy(sol)
     bad.start_cycles["sorter"] -= 1
     trace = simulate(global_edge, bad)
@@ -244,7 +243,7 @@ def test_early_global_consumer_stalls(global_edge):
 
 
 def test_first_output_lags_first_read_by_depth(image_stencil):
-    sol = solve(build_constraints(image_stencil))
+    sol = optimize(image_stencil)
     trace = simulate(image_stencil, sol)
     lag = trace.first_output["stencil"] - trace.first_read["stencil"]
     assert lag == image_stencil.stage("stencil").stage_depth == 2
@@ -256,13 +255,13 @@ def test_empty_edge_map_for_single_stage():
             {"id": "only", "kind": "Elementwise", "i_shape": [1, 1], "o_shape": [1, 1], "stage": 0}
         ], "edges": []}"""
     )
-    trace = simulate(g, solve(build_constraints(g)))
+    trace = simulate(g, optimize(g))
     assert trace.peaks == {}
     assert trace.ok
 
 
 def test_trace_rows_are_samplable(knn_stencil):
-    sol = solve(build_constraints(knn_stencil))
+    sol = optimize(knn_stencil)
     trace = simulate(knn_stencil, sol)
     rows = list(trace.sample_rows(stride=4))
     assert rows[0][0] == 0
@@ -296,7 +295,7 @@ def _variants(g, chunks):
     before the write start or so that draining ends before writing, and
     with a consumer started a cycle early, which stalls it at its least
     offset."""
-    sol = schedule_chunks(solve(build_constraints(g)), g, chunks)
+    sol = schedule_chunks(optimize(g), g, chunks)
     yield sol
     m = ref_models(g)[-1]
     c = curves_of(m, sol.start_cycles, sol.overwrite_starts[m.key])

@@ -41,7 +41,7 @@ import pytest
 from _pipegen import suite
 from _reference import ref_models
 from pointpipe import optimizer
-from pointpipe.optimizer import ScheduleError, build_constraints, solve
+from pointpipe.optimizer import ScheduleError, build_constraints, optimize
 from pointpipe.solver import Tension, least_optimal
 
 OPTIMAL = "optimal"
@@ -414,7 +414,7 @@ def _reconvergent_systems(graphs):
         consumers = [e.consumer for e in g.edges]
         if len(consumers) == len(set(consumers)):
             continue
-        latest = max(solve(build_constraints(g)).start_cycles.values())
+        latest = max(optimize(g).start_cycles.values())
         for horizon in (latest - 1, latest + 2, None):
             try:
                 yield build_constraints(g, horizon=horizon)
