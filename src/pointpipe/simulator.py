@@ -17,7 +17,10 @@ The three per-edge cumulative curves:
 A stall is any instant where demand exceeds readable supply; an overflow is
 any instant where writes - frees exceeds the edge's allocated capacity. A
 consumer of Global kind must not start before its producer finishes
-writing; that check replaces the rate comparison on such edges.
+writing; that check replaces the rate comparison on such edges. An
+overwrite start before the consumer retires data (``overwrite_delay``
+after the consumer's start) is a stall of the consumer too, once a chunk:
+the frees would count data the consumer has not read.
 
 **One integer record per edge.** ``edge_ticks`` turns an edge's
 ``EdgeModel``, the stages' starts, the edge's overwrite start and the
@@ -374,20 +377,25 @@ def simulate(
     peaks: dict[str, Fraction] = {}
     ticks_by_key: dict[str, EdgeTicks] = {}
     completion_cycle = 0
+    one = graph.ticks
 
     for m in edge_models(graph):
         key = m.key
         e = ticks_by_key[key] = edge_ticks(m, starts, solution.overwrite_starts[key], interval)
 
+        stalls = []
         when = e.stall()
         if when is not None:
-            cause = ("producer incomplete at global consumer start" if e.is_global
-                     else "consumer demand outruns readable supply")
-            stall_events.extend(
-                StallEvent(cycle=-(-(when + k * e.interval) // e.ticks),
-                           stage=m.edge.consumer, cause=cause)
-                for k in range(chunk_count)
-            )
+            stalls.append((when, "producer incomplete at global consumer start" if e.is_global
+                           else "consumer demand outruns readable supply"))
+        # Overwriting may not begin before the consumer retires data.
+        if e.overwrite_start * one < (starts[m.edge.consumer] * one + m.overwrite_delay) * e.ticks:
+            stalls.append((e.overwrite_start, "overwrite starts before the consumer retires data"))
+        stall_events.extend(
+            StallEvent(cycle=-(-(when + k * e.interval) // e.ticks),
+                       stage=m.edge.consumer, cause=cause)
+            for when, cause in stalls for k in range(chunk_count)
+        )
 
         peak, peak_t = _peak(e, chunk_count)
         peaks[key] = Fraction(peak, e.unit)
@@ -403,7 +411,6 @@ def simulate(
         last = e.drain_end + max(0, (chunk_count - 1) * e.interval)
         completion_cycle = max(completion_cycle, -(-last // e.ticks))
 
-    one = graph.ticks
     first_read = {s.id: starts[s.id] + 1 for s in graph.stages}
     # The first output element lands unit / out_rate ticks after the depth.
     first_output = {s.id: starts[s.id] + s.stage_depth

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from pointpipe.cli import USAGE, VERIFY_FAILED, _json_text, build_parser, main
 from pointpipe.kernels.cloud import PointCloud
 from pointpipe.kernels.grid import split_grid
 from pointpipe.kernels.prng import synthetic_cloud
+from pointpipe.optimizer import _frac_to_json
 
 PIPELINES = sorted((Path(__file__).parent.parent / "pipelines").glob("*.json"))
 KNN_STENCIL = str(Path(__file__).parent.parent / "pipelines" / "knn_stencil.json")
@@ -132,6 +134,32 @@ def test_malformed_schedule_is_a_usage_error(label, malform, chunks, tmp_path, c
     assert main(["simulate", KNN_STENCIL, str(schedule), "--chunks", chunks]) == USAGE
     out, err = capsys.readouterr()
     assert err.startswith(f"error: cannot read schedule {str(schedule)!r}: ") and not out
+
+
+# Optimized schedules with every overwrite start moved before the consumer
+# retires data: far before it with every buffer 0, and one cycle before it.
+# Each simulated clean once.
+EARLY_OVERWRITES = {
+    "far early, no buffers": lambda doc: {
+        **doc, "overwrite_starts": dict.fromkeys(doc["overwrite_starts"], -1000),
+        "buffer_sizes": dict.fromkeys(doc["buffer_sizes"], 0)},
+    "a cycle early": lambda doc: {
+        **doc, "overwrite_starts": {k: _frac_to_json(Fraction(v) - 1)
+                                    for k, v in doc["overwrite_starts"].items()}},
+}
+
+
+@pytest.mark.parametrize("edit", EARLY_OVERWRITES)
+@pytest.mark.parametrize("path", PIPELINES, ids=[p.stem for p in PIPELINES])
+def test_early_overwrite_start_fails_simulation(path, edit, tmp_path, capsys):
+    schedule, summary = tmp_path / "schedule.json", tmp_path / "summary.json"
+    assert main(["optimize", str(path), "--out", str(schedule)]) == 0
+    schedule.write_text(json.dumps(EARLY_OVERWRITES[edit](json.loads(schedule.read_text()))))
+    argv = ["simulate", str(path), str(schedule), "--summary", str(summary)]
+    assert main(argv) == VERIFY_FAILED
+    stalls = json.loads(summary.read_text())["stalls"]
+    assert len(stalls) == len(json.loads(schedule.read_text())["overwrite_starts"])
+    assert {s["cause"] for s in stalls} == {"overwrite starts before the consumer retires data"}
 
 
 # json's decoder recurses once a level: 100,000 levels raised

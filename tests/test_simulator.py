@@ -292,9 +292,10 @@ def _variants(g, chunks):
     (0; 1, so that many chunks overlap; and the three that leave the last
     edge m = 0, 1 and 2 intervals of reach, m being the simulator's
     floor((drain_end - write_start) / II)), with an overwrite start moved
-    before the write start or so that draining ends before writing, and
-    with a consumer started a cycle early, which stalls it at its least
-    offset."""
+    before the write start or so that draining ends before writing (either
+    may also move it before the consumer retires data, a stall of the
+    consumer in each chunk), and with a consumer started a cycle early,
+    which stalls it at its least offset."""
     sol = schedule_chunks(optimize(g), g, chunks)
     yield sol
     m = ref_models(g)[-1]
@@ -351,9 +352,12 @@ def test_live_chunk_sums_equal_brute_force_over_every_chunk(chunks):
             if sol.initiation_interval > 0 and last.write_start <= last.drain_end:
                 reaches.add(floor((last.drain_end - last.write_start) / sol.initiation_interval))
             want_stalls = sorted(
-                (ceil(when), m.edge.consumer)
-                for m in models for c in every[m.key]
-                for margin, when in [edge_stall_margin(c)] if margin < 0
+                [(ceil(when), m.edge.consumer)
+                 for m in models for c in every[m.key]
+                 for margin, when in [edge_stall_margin(c)] if margin < 0]
+                + [(ceil(c.overwrite_start), m.edge.consumer)
+                   for m in models for c in every[m.key]
+                   if c.overwrite_start < c.consumer_start + m.overwrite_delay]
             )
             assert [(s.cycle, s.stage) for s in trace.stall_events] == want_stalls
             stalled += bool(want_stalls)
@@ -415,11 +419,12 @@ def test_swept_rows_equal_pointwise_live_occupancy(chunks):
 def test_integer_record_equals_the_fraction_reference():
     # The integer peak scan reads the four kept curve ends and no root; the
     # reference scans every kept kink in Fractions. Peaks, the earliest time
-    # of each, stall events, and occupancy_at at every reference kink, roots
-    # included, must agree on each variant schedule of two random suites at
-    # 1, 2, 7 and 32 chunks. One chunk makes the hand-set intervals moot, so
-    # those variants repeat there and are skipped.
-    roots = regrouped = 0
+    # of each, stall events (early overwrite starts judged by the
+    # reference's ``overwrite_delay``), and occupancy_at at every reference
+    # kink, roots included, must agree on each variant schedule of two
+    # random suites at 1, 2, 7 and 32 chunks. One chunk makes the hand-set
+    # intervals moot, so those variants repeat there and are skipped.
+    roots = regrouped = early = 0
     for g in suite(200, start_seed=5000) + suite(60, shape="tree"):
         models = list(zip(edge_models(g), ref_models(g)))
         reference = {}  # kinks and stall margin of each curves, shared by variants
@@ -452,6 +457,10 @@ def test_integer_record_equals_the_fraction_reference():
                     if margin < 0:
                         want_stalls += [(ceil(when + k * interval), m.edge.consumer)
                                         for k in range(chunks)]
+                    if c.overwrite_start < c.consumer_start + r.overwrite_delay:
+                        early += 1
+                        want_stalls += [(ceil(c.overwrite_start + k * interval),
+                                         m.edge.consumer) for k in range(chunks)]
                     roots += len(kinks) - len(
                         {c.write_start, c.write_end, c.overwrite_start, c.drain_end})
                     for t, want in values.items():
@@ -462,4 +471,4 @@ def test_integer_record_equals_the_fraction_reference():
                             assert live_occupancy(c, chunks, interval, t) == want
                             regrouped += 1
                 assert [(s.cycle, s.stage) for s in trace.stall_events] == sorted(want_stalls)
-    assert roots and regrouped >= 500
+    assert roots and regrouped >= 500 and early
