@@ -303,8 +303,9 @@ class ScheduleSolution:
     def from_json_dict(cls, doc: object) -> "ScheduleSolution":
         """The schedule ``to_json_dict`` wrote. Raises KeyError for a missing
         key and ValueError for any other departure: a start cycle must be a
-        JSON integer, and an amount an integer or a string "n" or "n/d" of
-        integers, as ``_frac_to_json`` writes it."""
+        JSON integer, the chunk count one >= 1 and the horizon one or null,
+        and an amount an integer or a string "n" or "n/d" of integers, as
+        ``_frac_to_json`` writes it."""
         if not isinstance(doc, dict):
             raise ValueError("a schedule must be a JSON object")
 
@@ -316,7 +317,7 @@ class ScheduleSolution:
             raise ValueError(f"{where} must be an integer or an \"n/d\" string, "
                              f"got {json.dumps(value)}")
 
-        def start(value: object, where: str) -> int:
+        def integer(value: object, where: str) -> int:
             if type(value) is not int:
                 raise ValueError(f"{where} must be an integer, got {json.dumps(value)}")
             return value
@@ -326,8 +327,12 @@ class ScheduleSolution:
                 raise ValueError(f"{key} must be an object")
             return {k: read(v, f"{key}[{json.dumps(k)}]") for k, v in doc[key].items()}
 
+        chunk_count = integer(doc.get("chunk_count", 1), "chunk_count")
+        if chunk_count < 1:
+            raise ValueError(f"chunk_count must be >= 1, got {chunk_count}")
+        horizon = doc.get("horizon")
         return cls(
-            start_cycles=table("start_cycles", start),
+            start_cycles=table("start_cycles", integer),
             buffer_sizes=table("buffer_sizes", amount),
             overwrite_starts=table("overwrite_starts", amount),
             total_buffer=amount(doc["total_buffer"], "total_buffer"),
@@ -335,8 +340,8 @@ class ScheduleSolution:
             initiation_interval=(amount(doc["initiation_interval"], "initiation_interval")
                                  if "initiation_interval" in doc else None),
             bubbles=table("bubbles", amount) if "bubbles" in doc else None,
-            chunk_count=doc.get("chunk_count", 1),
-            horizon=doc.get("horizon"),
+            chunk_count=chunk_count,
+            horizon=None if horizon is None else integer(horizon, "horizon"),
         )
 
     def dumps(self, element_bytes: int | None = None) -> str:

@@ -121,6 +121,9 @@ MALFORMED_SCHEDULES = [
     # Fraction would read "1e9999999" for seconds, and "1/0" raises.
     ("exponent amount", lambda doc: {**doc, "total_buffer": "1e9999999"}, "1"),
     ("zero denominator", lambda doc: _with(doc, "buffer_sizes", **{EDGE: "1/0"}), "1"),
+    ("chunk_count \"x\"", lambda doc: {**doc, "chunk_count": "x"}, "1"),
+    ("chunk_count 0", lambda doc: {**doc, "chunk_count": 0}, "1"),
+    ("horizon \"x\"", lambda doc: {**doc, "horizon": "x"}, "1"),
 ]
 
 
