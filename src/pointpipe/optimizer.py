@@ -28,19 +28,15 @@ through the offset d = s_c - s_p, and the model gives, as functions of d:
   ``pieces`` is g on the integers, with integer kinks. Global edges hold
   V outright.
 
-When no stage has two producers the graph is a forest: its edge offsets
-are independent and the total is the sum of each edge's ``peak(d)``. Each
-peak is least at ``min_offset`` and stays there up to ``max_floor_offset``
-(unbounded once the buffer holds all of V), so the optimal schedules are
-exactly the offset box ``min_offset <= s_c - s_p <= max_floor_offset`` with
-every start >= 0. ``solve`` returns the box's least member, found in two
-passes over the forest, with no saturated-set search.
+Every schedule pays at least the floor, each edge's ``peak(min_offset)``
+summed. ``solve`` finds the least schedule that pays it, if one does, by
+one longest-path pass over difference rows (Cormen et al., *Introduction
+to Algorithms*, "Difference constraints and shortest paths").
 
-Where paths reconverge (some stage has two or more producers), or when
-that least member starts a stage past the horizon, only the cap at V keeps
-the total from being convex in the starts. ``solve`` fixes the set Z of
-edges that pay V; every other edge pays its ``pieces``, and the rest is
-the convex-cost tension problem of min-register retiming (Leiserson and
+When no schedule within the horizon pays the floor, only the cap at V
+keeps the total from being convex in the starts. ``solve`` fixes the set
+Z of edges that pay V; every other edge pays its ``pieces``, and the rest
+is the convex-cost tension problem of min-register retiming (Leiserson and
 Saxe, "Retiming Synchronous Circuitry", Algorithmica 1991). Each set Z is
 solved in ints: a min-cost circulation, the problem's dual, gives Z's
 optimum, and one longest-path pass gives its least optimal starts (see
@@ -373,33 +369,22 @@ def _solution_from_starts(
     )
 
 
-def _tree_starts(graph: PipelineGraph, models: list[EdgeModel]) -> dict[str, int] | None:
-    """Least member of the optimal offset box (see the module docstring)
-    when no stage has two producers, else None.
-
-    Difference constraints are closed under componentwise min, so the box
-    has a least member, the lexicographic minimum in every stage order. Two
-    passes over the forest find it: the upper bounds lift each producer as
-    far as its subtree needs, then the lower bounds push each consumer down
-    the tree.
-    """
-    if any(len(ins) > 1 for ins in graph.in_edges.values()):
-        return None
-    into = {sid: models[ins[0]] for sid, ins in graph.in_edges.items() if ins}
-    need = {sid: 0 for sid in graph.topo_order}
-    for sid in reversed(graph.topo_order):
-        m = into.get(sid)
-        if m is not None and (hi := m.max_floor_offset) is not None:
-            p = m.edge.producer
-            need[p] = max(need[p], need[sid] - hi)
-    starts: dict[str, int] = {}
-    for sid in graph.topo_order:
-        m = into.get(sid)
-        starts[sid] = need[sid] if m is None else max(
-            need[sid], starts[m.edge.producer] + m.min_offset)
-    # Declaration order, as ``_search`` fills it: the order shows
-    # wherever the start vector is printed.
-    return {s.id: starts[s.id] for s in graph.stages}
+def _floor_starts(graph: PipelineGraph, models: list[EdgeModel]) -> dict[str, int] | None:
+    """The least start vector that pays the floor, by Bellman-Ford from all
+    zeros; None when a start still moves in round n, n the stage count,
+    which shows a positive cycle (see ``solve``)."""
+    starts = {s.id: 0 for s in graph.stages}
+    for _ in graph.stages:
+        moved = False
+        for m in models:
+            p, c, hi = m.edge.producer, m.edge.consumer, m.max_floor_offset
+            if starts[c] < starts[p] + m.min_offset:
+                starts[c], moved = starts[p] + m.min_offset, True
+            if hi is not None and starts[p] < starts[c] - hi:
+                starts[p], moved = starts[c] - hi, True
+        if not moved:
+            return starts
+    return None
 
 
 class _SaturatedSets:
@@ -481,14 +466,26 @@ def solve(system: ConstraintSystem) -> ScheduleSolution:
 
     Among all optimal schedules, returns the one with the lexicographically
     smallest start-cycle vector (stage declaration order), so repeated
-    solves are bit-identical. A graph in which no stage has two producers
-    gets that schedule in closed form (``_tree_starts``) whenever it fits
-    the horizon.
+    solves are bit-identical.
 
-    Every other graph is searched over the sets Z of rising edges (those
-    with a ``max_floor_offset``) that pay V. With Z fixed, every other edge
-    pays ``g``, which is convex and agrees with its ``pieces`` at the
-    integers:
+    ``_floor_starts`` gives that schedule with no search whenever the
+    optimum is the floor, each edge's ``peak(min_offset)`` summed, which
+    every schedule pays at least, since ``peak`` never falls:
+
+    - A schedule pays exactly the floor when each rising edge (one with a
+      ``max_floor_offset``, equal to its ``min_offset``; past it the peak
+      rises strictly) sits at ``min_offset`` and each other edge at or
+      above it: difference rows, with every start >= 0.
+    - Difference rows are closed under componentwise min, so their least
+      solution is the lexicographically least optimum, the one the search
+      below returns.
+    - If that solution starts past the horizon, every solution does, and
+      the search runs. A forest always has a solution: its only cycles
+      are an edge's two rows, of weight 0.
+
+    Otherwise the search runs over the sets Z of rising edges that pay V.
+    With Z fixed, every other edge pays ``g``, which is convex and agrees
+    with its ``pieces`` at the integers:
 
     - No Z undercuts the optimum, since each edge pays V or ``g``, at least
       its peak, and the optimum is reached by the Z of the edges whose
@@ -521,7 +518,7 @@ def solve(system: ConstraintSystem) -> ScheduleSolution:
     raised once ``MAX_SATURATED_SETS`` sets have been solved.
     """
     graph = system.graph
-    starts = _tree_starts(graph, system.edges)
+    starts = _floor_starts(graph, system.edges)
     if starts is not None and max(starts.values()) <= system.horizon:
         return _solution_from_starts(graph, starts, system)
     starts, units = _search(system)

@@ -64,11 +64,6 @@ LOCAL_CHAIN = """{
 }"""
 
 
-# Two paths from "a" reconverge at "d": the closed form does not apply, and
-# the saturated-edge search schedules it.
-DIAMOND = reconvergent("diamond")
-
-
 def naive_groups(grid):
     """Cells by one scan per cell, and each window's members as the sorted
     union of its cells, windows in origin order."""

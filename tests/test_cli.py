@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DIAMOND, naive_groups
+from conftest import GOLDEN, naive_groups, reconvergent
 from pointpipe import optimizer
 from pointpipe.cli import USAGE, VERIFY_FAILED, _json_text, build_parser, main
 from pointpipe.kernels.cloud import PointCloud
@@ -269,9 +269,10 @@ def test_no_prune_is_gone():
 @pytest.mark.parametrize("command", ["optimize", "verify"])
 def test_search_limit_is_a_schedule_error(command, tmp_path, monkeypatch, capsys):
     # verify must not read an unfinished search as an infeasible schedule
-    # (which would be an oracle mismatch, exit 1).
+    # (which would be an oracle mismatch, exit 1). This diamond's optimum is
+    # above the floor, so its schedule takes the search.
     diamond = tmp_path / "diamond.json"
-    diamond.write_text(DIAMOND)
+    diamond.write_text(reconvergent("diamond5_1"))
     monkeypatch.setattr(optimizer, "MAX_SATURATED_SETS", 0)
     assert main([command, str(diamond)]) == USAGE
     err = capsys.readouterr().err
@@ -280,13 +281,14 @@ def test_search_limit_is_a_schedule_error(command, tmp_path, monkeypatch, capsys
 
 @pytest.mark.parametrize("command", ["optimize", "verify"])
 def test_shipped_pipelines_never_reach_the_search(command, monkeypatch, capsys):
-    # Every shipped pipeline is single-producer: the closed form schedules it.
+    # Every shipped pipeline is single-producer, and the reconvergent diamond
+    # has its optimum on the floor: the floor pass schedules each.
     def refuse(*args, **kwargs):
         raise AssertionError("saturated-edge search called")
 
     monkeypatch.setattr(optimizer, "_search", refuse)
     assert PIPELINES
-    for path in PIPELINES:
+    for path in [*PIPELINES, GOLDEN / "reconvergent" / "diamond" / "pipeline.json"]:
         assert main([command, str(path)]) == 0, path
 
 

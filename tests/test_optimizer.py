@@ -38,11 +38,11 @@ def _reconvergent(count, **kw):
 
 @pytest.fixture
 def search_solve(monkeypatch):
-    """``optimize`` with the closed form switched off: the saturated-edge
+    """``optimize`` with the floor pass switched off: the saturated-edge
     search alone."""
     def run(graph, horizon=None):
         with monkeypatch.context() as m:
-            m.setattr(optimizer, "_tree_starts", lambda graph, models: None)
+            m.setattr(optimizer, "_floor_starts", lambda graph, models: None)
             return solve(build_constraints(graph, horizon=horizon))
 
     return run
@@ -234,7 +234,12 @@ def test_max_floor_offset_is_where_the_peak_first_rises():
     assert branches == {True, False}
 
 
-def test_closed_form_equals_search_on_trees(search_solve):
+def _fits_the_floor(g):
+    starts = optimizer._floor_starts(g, edge_models(g))
+    return starts is not None and max(starts.values()) <= default_horizon(g)
+
+
+def test_floor_starts_equal_search_wherever_they_fit(search_solve):
     trees = _trees(16, shape="tree") + _trees(40, start_seed=5000)[:15]
     assert len(trees) == 31
     # Branching trees, and trees whose least schedule lifts a source off
@@ -243,11 +248,15 @@ def test_closed_form_equals_search_on_trees(search_solve):
                for g in trees for sid in g.topo_order)
     assert any(optimize(g).start_cycles[sid] > 0
                for g in trees for sid in g.topo_order if not g.producers_of(sid))
-    for g in trees:
-        closed, searched = optimize(g), search_solve(g)
-        assert closed.dumps() == searched.dumps()
+    assert all(_fits_the_floor(g) for g in trees)
+    # Reconvergent graphs whose optimum is the floor skip the search too.
+    floored = [g for g in suite(600, start_seed=20000) if _fits_the_floor(g)]
+    assert sum(not _single_producer(g) for g in floored) >= 26
+    for g in trees + floored:
+        floor, searched = optimize(g), search_solve(g)
+        assert floor.dumps() == searched.dumps()
         # verify prints the start dict, so its order counts too
-        assert list(closed.start_cycles.items()) == list(searched.start_cycles.items())
+        assert list(floor.start_cycles.items()) == list(searched.start_cycles.items())
 
 
 def test_closed_form_total_equals_exhaustive_minimum():
@@ -259,7 +268,7 @@ def test_closed_form_total_equals_exhaustive_minimum():
 
 def test_horizon_short_of_least_schedule_falls_back_to_search(search_solve):
     # Seed 5845's least optimal schedule starts s1 at cycle 2; a horizon of 1
-    # still admits a schedule, just not an optimal one of the closed form.
+    # still admits a schedule, just not one that pays the floor.
     g = generate(5845)
     least = optimize(g).start_cycles
     horizon = max(least.values()) - 1
