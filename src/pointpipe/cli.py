@@ -6,11 +6,15 @@ come from a named deterministic generator whose identifier and seed are
 recorded in whatever the command writes. Each command accepts only the
 flags it reads; any other flag exits 2.
 
+``simulate`` checks every chunk a schedule holds, at its interval; only
+``optimize --chunks N`` chunks a schedule.
+
 Exit codes: 0 success (or verified), 1 verification failure (stalls,
 overflows, oracle mismatch, sort mismatch), 2 usage or input errors (among
-them a grid with more than ``kernels.grid.MAX_GRID_CELLS`` = 2**20 cells or
-window count times kernel volume, and an ``optimize`` or ``verify`` whose
-schedule search reaches ``optimizer.MAX_SATURATED_SETS`` sets, reported as
+them a ``simulate --chunks`` other than the schedule's count, a grid with
+more than ``kernels.grid.MAX_GRID_CELLS`` = 2**20 cells or window count
+times kernel volume, and an ``optimize`` or ``verify`` whose schedule
+search reaches ``optimizer.MAX_SATURATED_SETS`` sets, reported as
 ``error: schedule optimization stopped: ...``), 3 verification inconclusive
 (``verify``'s oracle ran out of its node budget, ``oracle.MAX_SEARCH_NODES``,
 before it proved a minimum).
@@ -197,7 +201,7 @@ def cmd_simulate(args) -> int:
         with open(args.schedule, "r", encoding="utf-8") as fh:
             solution = ScheduleSolution.from_json_dict(json.load(fh))
         # Every stage needs a start and every edge a capacity and an
-        # overwrite start: simulate and schedule_chunks read each one.
+        # overwrite start: simulate reads each one.
         for key, names in (("start_cycles", [s.id for s in graph.stages]),
                            ("buffer_sizes", edges), ("overwrite_starts", edges)):
             missing = [name for name in names if name not in getattr(solution, key)]
@@ -208,9 +212,10 @@ def cmd_simulate(args) -> int:
     if solution.initiation_interval is not None and solution.initiation_interval < 0:
         raise CliError(f"initiation_interval must be >= 0, got "
                        f"{_frac_to_json(solution.initiation_interval)}")
-    if args.chunks > 1 and solution.initiation_interval is None:
-        solution = schedule_chunks(solution, graph, args.chunks)
-    trace = simulate(graph, solution, chunk_count=args.chunks)
+    if args.chunks is not None and args.chunks != solution.chunk_count:
+        raise CliError(f"--chunks {args.chunks} is not the schedule's chunk_count, "
+                       f"{solution.chunk_count}; optimize --chunks N writes N chunks")
+    trace = simulate(graph, solution)
 
     if args.trace:
         lines = ["cycle,edge,occupancy"]
@@ -443,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="token-simulate a schedule")
     p.add_argument("graph")
     p.add_argument("schedule")
-    p.add_argument("--chunks", type=int, default=1)
+    p.add_argument("--chunks", type=int, help="the schedule's chunk_count; no other")
     p.add_argument("--trace", default=None, help="occupancy CSV path")
     p.add_argument("--summary", default=None, help="summary JSON path (default stdout)")
     p.add_argument("--stride", type=int, default=1, help="trace sampling stride")

@@ -299,9 +299,10 @@ class ScheduleSolution:
     def from_json_dict(cls, doc: object) -> "ScheduleSolution":
         """The schedule ``to_json_dict`` wrote. Raises KeyError for a missing
         key and ValueError for any other departure: a start cycle must be a
-        JSON integer, the chunk count one >= 1 and the horizon one or null,
-        and an amount an integer or a string "n" or "n/d" of integers, as
-        ``_frac_to_json`` writes it."""
+        JSON integer, the chunk count one >= 1 (above 1, with an initiation
+        interval) and the horizon one or null, and an amount an integer or
+        a string "n" or "n/d" of integers, as ``_frac_to_json`` writes
+        it."""
         if not isinstance(doc, dict):
             raise ValueError("a schedule must be a JSON object")
 
@@ -326,6 +327,8 @@ class ScheduleSolution:
         chunk_count = integer(doc.get("chunk_count", 1), "chunk_count")
         if chunk_count < 1:
             raise ValueError(f"chunk_count must be >= 1, got {chunk_count}")
+        if chunk_count > 1 and "initiation_interval" not in doc:
+            raise ValueError(f"chunk_count {chunk_count} needs an initiation_interval")
         horizon = doc.get("horizon")
         return cls(
             start_cycles=table("start_cycles", integer),

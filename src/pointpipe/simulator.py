@@ -50,6 +50,8 @@ integer tick, and between two consecutive integer ticks each chunk's
 occupancy, and any sum of them, is linear: ``occupancy_at`` reads a time
 between ticks off the line through the two.
 
+A schedule streams C chunks, its ``chunk_count``, one initiation interval
+II apart, both read from the schedule (``optimize --chunks`` writes them).
 Chunk k runs chunk 0's curves shifted by k*II, so each edge keeps chunk 0's
 curves alone: chunk k's value at t is chunk 0's at t - k*II, and its stall
 is chunk 0's, k*II later. A chunk's occupancy is zero up to its write start
@@ -57,48 +59,35 @@ and from its drain end on, for any overwrite start, so at time t only the
 chunks with ``write_start + k*II <= t <= drain_end + k*II`` are live, and
 an edge's occupancy is summed over those alone (``_live``).
 
-**The peak scan skips the roots.** A root r is a convex kink of max(0, f):
-f crosses 0 there and max(0, f) bends upward, so the slope just left of r
-is at most the slope just right of it. Let S be the summed occupancy and
-M > 0 its largest value, first reached at t*. S is continuous, piecewise
-linear, and below M just before t*, so its slope just left of t* is
-positive and t* is a kink of some chunk. A chunk's kinks are its ends in
-[write_start, drain_end] (outside it the occupancy is 0 nearby) and its
-root. Suppose no chunk has such an end at t*. Then each chunk with a kink
-there has its root there, a convex kink, and every other chunk is linear
-through t*; so the slope of S just right of t* is at least the one just
-left of it, S exceeds M just after t*, and M is not its largest value. So
-t* is some chunk's kept end (a root may lie there too), and the scan reads
-the four ends alone. When S is 0 throughout, the peak and its time are
-both 0.
+**The peak scan reads the kinks.** Chunk 0's occupancy is zero outside
+[write_start, drain_end] and linear between its kinks there: the curve
+ends in it and the root (an end outside it, an overwrite start before the
+write start, say, is none). The summed occupancy is thus continuous and
+piecewise linear with the chunks' kinks as breakpoints, so it first reaches
+its maximum at one of them; a peak of 0 is reported at time 0.
 
 **The peak scan is bounded in the chunk count.** Let D = drain_end -
-write_start and, for II > 0, m = floor(D / II). Chunk 0's occupancy is
-never negative, zero outside [write_start, drain_end] and linear between
-the kinks that lie in it; an end outside it (an overwrite start before the
-write start, say) is not a kink of the occupancy and is dropped. Take a
-kept end x and the scan point t = x + k*II. Chunk j is live at t only if
-write_start < x + (k-j)*II < drain_end, so |k - j| * II < D and
-|k - j| <= m: the occupancy at t is chunk 0's at x + i*II summed over the
-i in [-m, m] with 0 <= k - i < C, C being the chunk count. For k >= m
-those i only shrink as k grows, so no shift past m gives a higher
-occupancy than shift m does, and it comes later. By the paragraph above,
-the summed occupancy first reaches its peak at some chunk's kept end, so
-the shifts 0 to m give both the peak and the earliest time it is reached,
-which times an overflow: m + 1 shifts, 2 of 32 when m = 1. At II <= 0
-every shift is scanned.
+write_start and, for II > 0, m = floor(D / II). Take a kink x of chunk 0
+and the scan point t = x + k*II. Chunk j is live at t only if write_start
+< x + (k-j)*II < drain_end, so |k - j| * II < D and |k - j| <= m: the
+occupancy at t is chunk 0's at x + i*II summed over the i in [-m, m] with
+0 <= k - i < C. For k >= m those i only shrink as k grows, so no shift
+past m gives a higher occupancy than shift m does, and it comes later. By
+the paragraph above, the shifts 0 to m give both the peak and the earliest
+time it is reached, which times an overflow: m + 1 shifts, 2 of 32 when m
+= 1. At II <= 0 every shift is scanned.
 
-**Trace rows are swept, not sampled.** Let B be the set of chunk 0's kept
-kinks (its kept ends, and its root where that lies inside both ramps) moved
-by k*II, for every k < C. Chunk k's occupancy is chunk 0's moved k*II
-later: zero outside [write_start + k*II, drain_end + k*II], whose ends are
-in B, and linear between its kept kinks moved by k*II, which are in B too.
-Writes and frees are clamped ramps, so every occupancy is continuous. A sum
-of such functions is linear on each closed piece [b, b'] between
+**Trace rows are swept, not sampled.** Let B be the set of chunk 0's kinks
+moved by k*II, for every k < C (``_scan`` gives the peak scan the first m
++ 1 shifts and the trace all C). Chunk k's occupancy is chunk 0's moved
+k*II later: zero outside [write_start + k*II, drain_end + k*II], whose
+ends are in B, and linear between its kinks moved by k*II, which are in B
+too. Writes and frees are clamped ramps, so every occupancy is continuous.
+A sum of such functions is linear on each closed piece [b, b'] between
 consecutive points of B, and zero before min B and from max B on (B is
 empty, and the occupancy zero, when drain_end < write_start). That holds
-for any II: at II = 0, B is chunk 0's kept kinks and the sum is C times
-chunk 0's occupancy; at II < 0, min B is the last chunk's write start.
+for any II: at II = 0, B is chunk 0's kinks and the sum is C times chunk
+0's occupancy; at II < 0, min B is the last chunk's write start.
 ``sample_rows`` evaluates ``_live`` once at each point of B, in ticks, and
 writes the line through a piece's two end values as (A + S*t) / D, with
 integers A, S and D and t in cycles. An integer cycle t with b <= t*T < b'
@@ -170,14 +159,14 @@ class EdgeTicks:
                 worst, when = margin, t
         return when
 
-    def kinks(self, roots: bool) -> list[int]:
+    def kinks(self) -> list[int]:
         """Chunk 0's occupancy kinks in [write_start, drain_end], outside
-        which the occupancy is zero; with ``roots``, also the point inside
-        both ramps where writes cross the raw frees."""
+        which the occupancy is zero: the curve ends there, and the root,
+        the point inside both ramps where writes cross the raw frees."""
         ws, we, ow, de = self.write_start, self.write_end, self.overwrite_start, self.drain_end
         pts = {t for t in (ws, we, ow, de) if ws <= t <= de}
         out, inn = self.out_rate, self.in_rate
-        if roots and out != inn:
+        if out != inn:
             root = (out * ws - inn * ow) // (out - inn)
             if max(ws, ow) < root < min(we, de):
                 pts.add(root)
@@ -226,21 +215,22 @@ def _live(e: EdgeTicks, chunks: int, t: int) -> int:
     return sum(e.occupancy(t - k * ii) for k in range(lo, hi))
 
 
+def _scan(e: EdgeTicks, chunks: int, shifts: int) -> tuple[list[int], list[int]]:
+    """Chunk 0's kinks moved by the first ``shifts`` intervals, in time
+    order, and the occupancy summed over ``chunks`` chunks at each."""
+    pts = sorted({x + k * e.interval for x in e.kinks() for k in range(shifts)})
+    return pts, [_live(e, chunks, t) for t in pts]
+
+
 def _peak(e: EdgeTicks, chunks: int) -> tuple[int, int]:
     """(peak, earliest tick it is reached) of the summed occupancy, by the
     scan of the module docstring; (0, 0) when it is 0 throughout."""
-    kinks = e.kinks(roots=False)
-    ii = e.interval
-    shifts = chunks
-    if ii > 0 and kinks:
-        # No shift past m reaches a higher occupancy (see above).
-        shifts = min(chunks, (e.drain_end - e.write_start) // ii + 1)
-    peak = peak_t = 0
-    for t in sorted({x + k * ii for x in kinks for k in range(shifts)}):
-        occ = _live(e, chunks, t)
-        if occ > peak:
-            peak, peak_t = occ, t
-    return peak, peak_t
+    # No shift past m reaches a higher occupancy (see above).
+    shifts = chunks if e.interval <= 0 else min(
+        chunks, (e.drain_end - e.write_start) // e.interval + 1)
+    pts, vals = _scan(e, chunks, shifts)
+    peak = max(vals, default=0)
+    return (peak, pts[vals.index(peak)]) if peak else (0, 0)
 
 
 def _occupancy_pieces(e: EdgeTicks, chunks: int) -> list[tuple[int | float, int, int, int]]:
@@ -249,9 +239,8 @@ def _occupancy_pieces(e: EdgeTicks, chunks: int) -> list[tuple[int | float, int,
     the piece, A, S, D), the occupancy at an integer cycle c on the piece
     being (A + S*c) / D. Zero pieces come before the first point and from
     the last on."""
-    one, ii = e.ticks, e.interval
-    pts = sorted({x + k * ii for x in e.kinks(roots=True) for k in range(chunks)})
-    vals = [_live(e, chunks, t) for t in pts]
+    one = e.ticks
+    pts, vals = _scan(e, chunks, chunks)
     pieces = [(-(-pts[0] // one), 0, 0, 1)] if pts else []
     for t0, v0, t1, v1 in zip(pts, vals, pts[1:], vals[1:]):
         # v0 + (v1 - v0) * (c*one - t0) / (t1 - t0), in 1/unit tokens.
@@ -356,15 +345,18 @@ class SimTrace:
 def simulate(
     graph: PipelineGraph,
     solution: ScheduleSolution,
-    chunk_count: int = 1,
+    chunk_count: int | None = None,
 ) -> SimTrace:
     """Run the token model and record stalls, overflows, and exact peaks.
 
     Violations are reported in the trace, never raised. ``solution`` holds
     a start cycle for every stage and a buffer size and overwrite start for
-    every edge. ``chunk_count > 1`` requires the solution's initiation
-    interval (see ``schedule_chunks``).
+    every edge. It runs ``chunk_count`` chunks, by default the solution's
+    own, at the solution's initiation interval, which more than one chunk
+    requires (see ``schedule_chunks``).
     """
+    if chunk_count is None:
+        chunk_count = solution.chunk_count
     if chunk_count < 1:
         raise ValueError("chunk_count must be >= 1")
     if chunk_count > 1 and solution.initiation_interval is None:

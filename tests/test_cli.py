@@ -79,18 +79,54 @@ def test_simulate_rejects_zero_chunks(tmp_path, capsys):
 
 def test_simulate_rejects_a_negative_interval(tmp_path, capsys):
     # A negative interval overlaps every chunk with every other; the run
-    # would cost more than quadratic time in --chunks. Zero stays legal: the
-    # chunks run at once and overflow the one chunk's buffers.
+    # would cost more than quadratic time in the chunk count. Zero stays
+    # legal: the chunks run at once and overflow the one chunk's buffers.
     schedule = tmp_path / "schedule.json"
     assert main(["optimize", KNN_STENCIL, "--chunks", "4", "--out", str(schedule)]) == 0
-    doc = json.loads(schedule.read_text())
+    doc = {**json.loads(schedule.read_text()), "chunk_count": 400}
     for interval, code in (("-8", USAGE), ("-1/2", USAGE), (0, VERIFY_FAILED)):
         schedule.write_text(json.dumps({**doc, "initiation_interval": interval}))
         capsys.readouterr()
-        assert main(["simulate", KNN_STENCIL, str(schedule), "--chunks", "400"]) == code
+        assert main(["simulate", KNN_STENCIL, str(schedule)]) == code
         if code == USAGE:
             assert capsys.readouterr().err == (
                 f"error: initiation_interval must be >= 0, got {interval}\n")
+
+
+SCALE_SEARCH_MLP = str(Path(__file__).parent.parent / "pipelines" / "scale_search_mlp.json")
+
+
+def test_simulate_checks_every_chunk_a_schedule_holds(tmp_path, capsys):
+    # With no --chunks, simulate once checked one chunk of any schedule:
+    # this 4-chunk one, its chunks a cycle apart, simulated clean.
+    schedule = tmp_path / "schedule.json"
+    assert main(["optimize", SCALE_SEARCH_MLP, "--chunks", "4", "--out", str(schedule)]) == 0
+    schedule.write_text(json.dumps({**json.loads(schedule.read_text()),
+                                    "initiation_interval": 1}))
+    capsys.readouterr()
+    assert main(["simulate", SCALE_SEARCH_MLP, str(schedule)]) == VERIFY_FAILED
+    assert capsys.readouterr().err == (
+        "simulation violated the schedule: 0 stalls, 2 overflows\n")
+
+
+def test_chunked_schedule_simulates_to_its_golden_without_chunks_flag(tmp_path):
+    # The summary that --chunks 4 gives, where one chunk's was written once.
+    schedule, summary = tmp_path / "schedule.json", tmp_path / "summary.json"
+    assert main(["optimize", KNN_STENCIL, "--chunks", "4", "--out", str(schedule)]) == 0
+    assert main(["simulate", KNN_STENCIL, str(schedule), "--summary", str(summary)]) == 0
+    assert summary.read_bytes() == (GOLDEN / "knn_stencil" / "simulate.c4.json").read_bytes()
+
+
+@pytest.mark.parametrize("written, asked", [("1", "4"), ("4", "8")])
+def test_simulate_takes_only_the_schedules_chunk_count(written, asked, tmp_path, capsys):
+    # optimize --chunks is the one place that chunks a schedule.
+    schedule = tmp_path / "schedule.json"
+    assert main(["optimize", KNN_STENCIL, "--chunks", written, "--out", str(schedule)]) == 0
+    capsys.readouterr()
+    assert main(["simulate", KNN_STENCIL, str(schedule), "--chunks", asked]) == USAGE
+    out, err = capsys.readouterr()
+    assert not out and err == (f"error: --chunks {asked} is not the schedule's chunk_count, "
+                               f"{written}; optimize --chunks N writes N chunks\n")
 
 
 def _with(doc: dict, key: str, **entries) -> dict:
@@ -123,6 +159,7 @@ MALFORMED_SCHEDULES = [
     ("zero denominator", lambda doc: _with(doc, "buffer_sizes", **{EDGE: "1/0"}), "1"),
     ("chunk_count \"x\"", lambda doc: {**doc, "chunk_count": "x"}, "1"),
     ("chunk_count 0", lambda doc: {**doc, "chunk_count": 0}, "1"),
+    ("chunk_count 4, no interval", lambda doc: {**doc, "chunk_count": 4}, "4"),
     ("horizon \"x\"", lambda doc: {**doc, "horizon": "x"}, "1"),
 ]
 

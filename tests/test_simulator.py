@@ -417,8 +417,8 @@ def test_swept_rows_equal_pointwise_live_occupancy(chunks):
 
 
 def test_integer_record_equals_the_fraction_reference():
-    # The integer peak scan reads the four kept curve ends and no root; the
-    # reference scans every kept kink in Fractions. Peaks, the earliest time
+    # The integer peak scan and the reference both scan every kept kink,
+    # roots included, the reference in Fractions. Peaks, the earliest time
     # of each, stall events (early overwrite starts judged by the
     # reference's ``overwrite_delay``), and occupancy_at at every reference
     # kink, roots included, must agree on each variant schedule of two
