@@ -136,6 +136,13 @@ def _triple(text: str, name: str) -> tuple[int, int, int]:
     return vals  # type: ignore[return-value]
 
 
+def _read_cloud(path: str, fmt: str) -> PointCloud:
+    try:
+        return cloudio.load(path, fmt=fmt)
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot read cloud {path!r}: {exc}") from exc
+
+
 def _load_cloud(args) -> tuple[PointCloud, dict]:
     if args.synthetic is not None:
         if args.synthetic < 1:
@@ -146,18 +153,14 @@ def _load_cloud(args) -> tuple[PointCloud, dict]:
         return PointCloud(points=pts), meta
     if args.input is None:
         raise CliError("provide --input FILE or --synthetic N")
-    try:
-        c = cloudio.load(args.input, fmt=args.format)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read cloud {args.input!r}: {exc}") from exc
+    c = _read_cloud(args.input, args.format)
     meta = {"source": args.input, "format": args.format, "count": len(c)}
     return c, meta
 
 
-def _queries(args, cloud: PointCloud) -> np.ndarray:
+def _queries(args) -> np.ndarray:
     if args.query_input:
-        qc = cloudio.load(args.query_input, fmt=args.format)
-        return qc.points
+        return _read_cloud(args.query_input, args.format).points
     return synthetic_cloud(args.queries, args.seed + 1)
 
 
@@ -265,7 +268,7 @@ def _write_neighbors(path: str | None, results: list[SearchResult]) -> None:
 def cmd_knn(args) -> int:
     cloud, meta = _load_cloud(args)
     tree = kdtree_build(cloud.points, leaf_size=args.leaf_size)
-    queries = _queries(args, cloud)
+    queries = _queries(args)
     deadline = _parse_deadline(args.deadline)
 
     results = [knn_search(tree, q, args.k, deadline=deadline) for q in queries]
@@ -287,7 +290,7 @@ def cmd_knn(args) -> int:
 def cmd_range(args) -> int:
     cloud, meta = _load_cloud(args)
     tree = kdtree_build(cloud.points, leaf_size=args.leaf_size)
-    queries = _queries(args, cloud)
+    queries = _queries(args)
     deadline = _parse_deadline(args.deadline)
 
     results = [range_search(tree, q, args.radius, deadline=deadline) for q in queries]
@@ -302,7 +305,7 @@ def cmd_range(args) -> int:
 def cmd_profile_deadline(args) -> int:
     cloud, _ = _load_cloud(args)
     tree = kdtree_build(cloud.points, leaf_size=args.leaf_size)
-    queries = _queries(args, cloud)
+    queries = _queries(args)
     try:
         fraction = Fraction(args.fraction)
     except (ValueError, ZeroDivisionError):
@@ -321,7 +324,7 @@ def cmd_stats_chunks(args) -> int:
     dims = _triple(args.grid, "--grid")
     grid = split_grid(cloud, dims)
     tree = kdtree_build(cloud.points, leaf_size=args.leaf_size)
-    queries = _queries(args, cloud)
+    queries = _queries(args)
     try:
         ks = [int(v) for v in args.k_list.split(",") if v]
     except ValueError:

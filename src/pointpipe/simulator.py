@@ -25,11 +25,11 @@ the frees would count data the consumer has not read.
 **One integer record per edge.** ``edge_ticks`` turns an edge's
 ``EdgeModel``, the stages' starts, the edge's overwrite start and the
 initiation interval (II) into ``EdgeTicks``, and the stall check, the peak
-scan, ``SimTrace.occupancy_at``, the breakpoints of ``SimTrace.sample_rows``
-and the oracle's scoring all read that record alone. It counts in the
-graph's units (``PipelineGraph``), ticks of 1/T cycle and units of 1/L
-token, so writes, raw frees, readable supply, demand, occupancies and stall
-margins at an integer tick are integers. Every time the graph fixes is a
+scan, the breakpoints of ``SimTrace.sample_rows`` and the oracle's scoring
+all read that record alone. It counts in the graph's units
+(``PipelineGraph``), ticks of 1/T cycle and units of 1/L token, so
+writes, raw frees, readable supply, demand, occupancies and stall margins
+at an integer tick are integers. Every time the graph fixes is a
 multiple of |out - in| ticks, out and in being the edge's rates in units a
 tick. A schedule read from a file may put an overwrite start off such a
 multiple, or II off a tick; then that edge's record takes a finer tick, T
@@ -47,8 +47,7 @@ overwrite_start). Where writes are 0 or V, or the raw frees are 0 or V, f
 reaches 0 only at one of the four ends. ws and ow are multiples of |out -
 in|, so r is an integer. Every breakpoint of every chunk is thus an
 integer tick, and between two consecutive integer ticks each chunk's
-occupancy, and any sum of them, is linear: ``occupancy_at`` reads a time
-between ticks off the line through the two.
+occupancy, and any sum of them, is linear.
 
 A schedule streams C chunks, its ``chunk_count``, one initiation interval
 II apart, both read from the schedule (``optimize --chunks`` writes them).
@@ -284,20 +283,6 @@ class SimTrace:
     @property
     def ok(self) -> bool:
         return not self.stall_events and not self.overflow_events
-
-    def occupancy_at(self, key: str, t: Fraction | int) -> Fraction:
-        """The summed occupancy at ``t``; between two integer ticks it is
-        read off the line through them (see the module docstring)."""
-        e = self._ticks[key]
-        chunks = len(self.chunk_completions)
-        t = Fraction(t)
-        p, q = t.numerator * e.ticks, t.denominator
-        a = p // q
-        lo = _live(e, chunks, a)
-        if a * q == p:
-            return Fraction(lo, e.unit)
-        hi = _live(e, chunks, a + 1)
-        return Fraction(lo * q + (hi - lo) * (p - a * q), q * e.unit)
 
     def sample_rows(self, stride: int = 1):
         """Yield (cycle, edge, occupancy) rows at integer cycles, swept over

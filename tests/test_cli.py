@@ -4,6 +4,7 @@ output bytes."""
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -56,15 +57,63 @@ BAD_INPUTS = [
     ["optimize", KNN_STENCIL, "--element-bytes", "-4"],
     ["optimize", KNN_STENCIL, "--horizon", "-1"],
     ["verify", KNN_STENCIL, "--horizon", "-1"],
+    ["split", *POINTS, "--grid", "3x3"],
+    ["split", *POINTS, "--grid", "3xax1"],
+    ["split", *POINTS],
+    ["split", *POINTS, "--grid", "4x4x1", "--stride", "0x1x1"],
+    ["split", *POINTS, "--grid", "4x4x1", "--kernel", "9x1x1"],
+    ["knn", "--synthetic", "0"],
+    ["knn", "--queries", "3"],
+    ["knn", *CLOUD, "--deadline", "0"],
+    ["knn", *CLOUD, "--leaf-size", "0"],
+    ["stats-chunks", *CLOUD, "--grid", "2x2x1", "--k-list", "8,x"],
+    ["profile-deadline", *CLOUD, "--fraction", "0"],
+    ["profile-deadline", *CLOUD, "--fraction", "3/2"],
+    ["knn", "--queries", "3", "--format", "binary", "--input", "@short.bin"],
+    ["knn", "--queries", "3", "--format", "binary", "--input", "@truncated.bin"],
+    ["knn", "--queries", "3", "--format", "binary", "--input", "@empty.bin"],
+    ["optimize", "@empty.json"],
 ]
 
+# The files that BAD_INPUTS names as @name, written under each test's
+# tmp_path: a binary cloud shorter than its count header, one whose header
+# says 2 points but that holds 1, one of 0 points, and a pipeline that is
+# no object.
+BAD_FILES = {
+    "short.bin": bytes(4),
+    "truncated.bin": struct.pack("<Q3f", 2, 0, 0, 0),
+    "empty.bin": struct.pack("<Q", 0),
+    "empty.json": b"[]",
+}
 
-@pytest.mark.parametrize("argv", BAD_INPUTS, ids=lambda a: " ".join(a[:1] + a[-2:]))
+
+@pytest.mark.parametrize("argv", BAD_INPUTS,
+                         ids=lambda a: " ".join(a[:1] + a[max(1, len(a) - 2):]))
 def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
+    for name, data in BAD_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
     # verify writes no file, so it takes no --out.
     out = [] if argv[0] == "verify" else ["--out", str(tmp_path / "out")]
     assert main([*argv, *out]) == USAGE
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text", [None, "0 0 0\n1 0\n"], ids=["missing", "malformed"])
+def test_query_cloud_read_error_names_the_cloud(text, tmp_path, capsys):
+    # A query cloud is read as --input is, and fails the same way.
+    queries = tmp_path / "queries.xyz"
+    if text is not None:
+        queries.write_text(text)
+    assert main(["knn", *POINTS, "--query-input", str(queries),
+                 "--out", str(tmp_path / "out")]) == USAGE
+    assert capsys.readouterr().err.startswith(f"error: cannot read cloud {str(queries)!r}: ")
+
+
+def test_range_recall_matches_brute_force_on_every_query(tmp_path, capsys):
+    assert main(["range", "--synthetic", "3000", "--queries", "50", "--radius", "0.1",
+                 "--recall", "--out", str(tmp_path / "range.csv")]) == 0
+    assert capsys.readouterr().err == "exact matches vs brute force: 50/50\n"
 
 
 def test_simulate_rejects_zero_chunks(tmp_path, capsys):

@@ -16,7 +16,16 @@ from pointpipe.optimizer import (
     optimize,
     schedule_chunks,
 )
-from pointpipe.simulator import _peak, edge_ticks, simulate
+from pointpipe.simulator import _live, _peak, edge_ticks, simulate
+
+
+def occupancy_at(trace, key, t):
+    """The occupancy of edge ``key`` summed over the trace's chunks at
+    ``t`` cycles, which must fall on one of the edge's ticks."""
+    e = trace._ticks[key]
+    tick = F(t) * e.ticks
+    assert tick.denominator == 1, (key, t)
+    return F(_live(e, len(trace.chunk_completions), tick.numerator), e.unit)
 
 
 def _clamp(x, lo, hi):
@@ -191,7 +200,7 @@ def test_occupancy_matches_rate_formulas(knn_stencil, local_chain):
             for t in range(trace.completion_cycle + 1):
                 written = _clamp(out_rate * (t - w_start), F(0), v)
                 overwritten = min(written, _clamp(in_rate * (t - t_o), F(0), v))
-                assert trace.occupancy_at(key, t) == written - overwritten
+                assert occupancy_at(trace, key, t) == written - overwritten
 
 
 def test_conservation(knn_stencil, local_chain, global_edge):
@@ -203,7 +212,16 @@ def test_conservation(knn_stencil, local_chain, global_edge):
         for m in ref_models(g):
             c = curves_of(m, sol.start_cycles, sol.overwrite_starts[m.key])
             assert writes(c, c.drain_end) == frees(c, c.drain_end) == g.edge_volume[m.edge]
-            assert trace.occupancy_at(m.key, c.drain_end) == 0
+            assert occupancy_at(trace, m.key, c.drain_end) == 0
+
+
+def test_simulate_rejects_a_chunk_count_its_schedule_cannot_run(knn_stencil):
+    # No chunks at all, or several on a schedule with no interval.
+    sol = optimize(knn_stencil)
+    with pytest.raises(ValueError, match="chunk_count must be >= 1"):
+        simulate(knn_stencil, sol, chunk_count=0)
+    with pytest.raises(ValueError, match="multi-chunk simulation needs a chunked schedule"):
+        simulate(knn_stencil, sol, chunk_count=4)
 
 
 def test_optimized_schedules_run_clean():
@@ -369,10 +387,10 @@ def test_live_chunk_sums_equal_brute_force_over_every_chunk(chunks):
                 quiesce = [max(c.drain_end, c.write_end) for c in curves]
                 for c, done in zip(curves, quiesce):
                     assert writes(c, done) == frees(c, done) == c.volume
-                assert trace.occupancy_at(key, max(quiesce)) == 0
+                assert occupancy_at(trace, key, max(quiesce)) == 0
                 kinks = sorted({t for c in curves for t in occupancy_kinks(c)})
                 occ = [brute(key, t) for t in kinks]
-                assert [trace.occupancy_at(key, t) for t in kinks] == occ
+                assert [occupancy_at(trace, key, t) for t in kinks] == occ
                 peak = max(occ)
                 assert trace.peaks[key] == peak
                 if peak > 0:
@@ -409,7 +427,7 @@ def test_swept_rows_equal_pointwise_live_occupancy(chunks):
             trace = simulate(g, sol, chunk_count=chunks)
             for stride in (1, 3):
                 assert list(trace.sample_rows(stride=stride)) == [
-                    (cyc, key, _frac_to_json(trace.occupancy_at(key, cyc)))
+                    (cyc, key, _frac_to_json(occupancy_at(trace, key, cyc)))
                     for cyc in range(0, trace.completion_cycle + 1, stride)
                     for key in trace.edge_order
                 ], (sol.initiation_interval, stride)
@@ -464,7 +482,7 @@ def test_integer_record_equals_the_fraction_reference():
                     roots += len(kinks) - len(
                         {c.write_start, c.write_end, c.overwrite_start, c.drain_end})
                     for t, want in values.items():
-                        assert trace.occupancy_at(m.key, t) == want, (m.key, chunks, t)
+                        assert occupancy_at(trace, m.key, t) == want, (m.key, chunks, t)
                     if chunks == 7 and regrouped < 500:
                         # The regrouped sums are live_occupancy's.
                         for t, want in values.items():
