@@ -28,7 +28,6 @@ import json
 import sys
 from collections.abc import Iterable
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -76,53 +75,27 @@ def _write(path: str | None, text: str | Iterable[str]) -> None:
             fh.writelines(parts)
 
 
-class _Written(str):
-    """JSON text that ``_json_text`` copies as it stands."""
+# A lone NUL as json.dumps writes it. No path or argument holds a NUL, so in
+# a dumped manifest this stands only where a placeholder was put.
+_HOLE = json.dumps("\0")
 
 
-def _json_text(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
-    values with string keys.
+def _dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
 
-    With ``indent`` the json module falls back to its pure-Python encoder;
-    this writes a list of plain ints with one join instead of one encoder
-    step per item, which is most of a ``split`` manifest.
-    """
-    if isinstance(value, _Written):
-        return value
-    if isinstance(value, str):
-        return _json_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == float("inf"):
-            return "Infinity"
-        if value == float("-inf"):
-            return "-Infinity"
-        return float.__repr__(value)
+
+def _int_list(values: list[int], indent: str = "  ") -> str:
+    """``values`` as ``_dumps`` writes a list of ints closed at ``indent``,
+    as one join: with ``indent`` the json module falls back to its
+    pure-Python encoder, one step per item, and such lists fill a manifest."""
     inner = indent + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if set(map(type, value)) == {int}:  # bools take the slow path
-            items = map(int.__repr__, value)
-        else:
-            items = (_json_text(v, inner) for v in value)
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = (f"{_json_str(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items()))
-        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    body = f",\n{inner}".join(map(str, values))
+    return f"[\n{inner}{body}\n{indent}]" if body else "[]"
+
+
+def _at_least(flag: str, value: int | None, least: int) -> None:
+    if value is not None and value < least:
+        raise CliError(f"{flag} must be >= {least}")
 
 
 def _triple(text: str, name: str) -> tuple[int, int, int]:
@@ -161,6 +134,7 @@ def _load_cloud(args) -> tuple[PointCloud, dict]:
 def _queries(args) -> np.ndarray:
     if args.query_input:
         return _read_cloud(args.query_input, args.format).points
+    _at_least("--queries", args.queries, 1)
     return synthetic_cloud(args.queries, args.seed + 1)
 
 
@@ -171,19 +145,19 @@ def _parse_deadline(text: str | None) -> int | None:
         value = int(text)
     except ValueError:
         raise CliError("--deadline must be an integer or 'inf'") from None
-    if value < 1:
-        raise CliError("--deadline must be >= 1")
+    _at_least("--deadline", value, 1)
     return value
 
 
 # -- scheduling commands ------------------------------------------------------
 
 def cmd_optimize(args) -> int:
-    if args.element_bytes is not None and args.element_bytes < 1:
-        raise CliError("--element-bytes must be >= 1")
+    _at_least("--element-bytes", args.element_bytes, 1)
+    _at_least("--chunks", args.chunks, 1)
+    _at_least("--horizon", args.horizon, 0)
     graph = load_pipeline(args.graph)
     solution = optimize(graph, horizon=args.horizon)
-    if args.chunks != 1:  # schedule_chunks rejects a count below 1
+    if args.chunks != 1:
         solution = schedule_chunks(solution, graph, args.chunks)
     _write(args.out, solution.dumps(element_bytes=args.element_bytes))
     print(f"total buffer: {_frac_to_json(solution.total_buffer)} elements", file=sys.stderr)
@@ -196,8 +170,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.stride < 1:
-        raise CliError("--stride must be >= 1")
+    _at_least("--stride", args.stride, 1)
     graph = load_pipeline(args.graph)
     edges = [edge_key(e) for e in graph.edges]
     try:
@@ -228,7 +201,7 @@ def cmd_simulate(args) -> int:
     summary = trace.summary_dict()
     if solution.initiation_interval is not None:
         summary["initiation_interval"] = _frac_to_json(solution.initiation_interval)
-    _write(args.summary, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write(args.summary, _dumps(summary) + "\n")
     if trace.ok:
         print("simulation clean: no stalls, no overflows", file=sys.stderr)
         return OK
@@ -241,9 +214,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.horizon is not None and args.horizon < 0:
-        # No start vector fits, so "both infeasible" would be vacuous.
-        raise CliError("--horizon must be >= 0")
+    # No start vector fits a negative horizon: "both infeasible" is vacuous.
+    _at_least("--horizon", args.horizon, 0)
     graph = load_pipeline(args.graph)
     report = verify_against_oracle(graph, horizon=args.horizon)
     print(str(report))
@@ -338,29 +310,31 @@ def cmd_stats_chunks(args) -> int:
 
 
 def _grid_manifest(doc: dict, grid, members: bool) -> Iterable[str]:
-    """``doc`` and the grid's ``groups`` as ``_json_text`` writes them, in
-    pieces: the groups go where a NUL stands (JSON text holds none raw),
-    1024 windows at a time. Every window has the same number of cells, so
-    each group fills one template: a batch of groups is one ``%``."""
-    head, _, tail = _json_text({**doc, "groups": _Written("\0")}).partition("\0")
-    d = _Written("%d")
-    group = {"cells": [d] * grid.windows.shape[1], "origin": [d] * 3, "size": d}
+    """``_dumps`` of ``doc`` with the grid's ``cell_sizes`` and ``groups``,
+    in pieces: each goes where a ``_HOLE`` stands, the groups 1024 windows
+    at a time. Every window has the same number of cells, so each group
+    fills one template: a batch of groups is one ``%``."""
+    head, mid, tail = _dumps({**doc, "cell_sizes": "\0", "groups": "\0"}).split(_HOLE)
+    group = {"cells": ["%d"] * grid.windows.shape[1], "origin": ["%d"] * 3, "size": "%d"}
     rows = np.concatenate([grid.windows, grid.origins, grid.group_sizes[:, None]], 1)
     if members:
-        group["points"] = _Written("%s")
+        group["points"] = "%s"
         bounds = np.concatenate([[0], np.cumsum(grid.group_sizes)])
-    template, sep, item = _json_text(group, "    "), ",\n    ", ",\n        "
+    # The group as it stands in the groups list, its placeholders unquoted.
+    template = _dumps(group).replace('"%d"', "%d").replace('"%s"', "%s").replace("\n", "\n    ")
+    sep, item = ",\n    ", ",\n        "
+    yield head + _int_list(grid.cell_sizes.tolist()) + mid + "[\n    "
     for a in range(0, len(rows), 1024):
         batch = rows[a:a + 1024]
         if members:
             cuts = (bounds[a:a + 1025] - bounds[a]).tolist()
             words = list(map(str, grid.members[bounds[a]:bounds[a] + cuts[-1]].tolist()))
-            # _json_text of each window's list, as one join.
+            # _int_list of each window's list, as one join.
             points = [f"[\n        {item.join(words[i:j])}\n      ]" if i < j else "[]"
                       for i, j in zip(cuts, cuts[1:])]
             batch = np.insert(batch.astype(object), -1, points, axis=1)
         body = sep.join([template] * len(batch)) % tuple(batch.ravel().tolist())
-        yield (sep if a else head + "[\n    ") + body
+        yield (sep if a else "") + body
     yield "\n  ]" + tail + "\n"
 
 
@@ -370,13 +344,16 @@ def cmd_split(args) -> int:
     if args.serial is not None:
         if args.grid is not None or args.kernel is not None or args.stride is not None:
             raise CliError("--serial cannot be combined with --grid, --kernel or --stride")
+        _at_least("--serial", args.serial, 1)
         chunks = split_serial(cloud, args.serial)
-        doc["mode"] = "serial"
-        doc["points_per_chunk"] = args.serial
-        doc["chunk_sizes"] = [len(c) for c in chunks]
+        doc.update(mode="serial", points_per_chunk=args.serial, chunk_sizes="\0")
+        lists = [_int_list([len(c) for c in chunks])]
         if args.members:
-            doc["chunks"] = [c.tolist() for c in chunks]
-        _write(args.out, _json_text(doc) + "\n")
+            doc["chunks"] = ["\0"] * len(chunks)
+            lists += (_int_list(c.tolist(), "    ") for c in chunks)
+        # The holes in key order: chunk_sizes, then each chunk.
+        parts = _dumps(doc).split(_HOLE)
+        _write(args.out, map(str.__add__, parts, [*lists, "\n"]))
         return OK
     if args.grid is None:
         raise CliError("provide --grid AxBxC or --serial N")
@@ -384,8 +361,7 @@ def cmd_split(args) -> int:
     kernel = _triple(args.kernel, "--kernel") if args.kernel else (1, 1, 1)
     stride = _triple(args.stride, "--stride") if args.stride else (1, 1, 1)
     grid = split_grid(cloud, dims, kernel=kernel, stride=stride)
-    doc.update(mode="grid", dims=grid.dims, kernel=grid.kernel, stride=grid.stride,
-               cell_sizes=grid.cell_sizes.tolist())
+    doc.update(mode="grid", dims=grid.dims, kernel=grid.kernel, stride=grid.stride)
     _write(args.out, _grid_manifest(doc, grid, args.members))
     return OK
 
@@ -399,8 +375,7 @@ def cmd_sort(args) -> int:
         lo = float(cloud.points[:, axis].min())
         hi = float(cloud.points[:, axis].max())
         n = args.chunks
-        if n < 1:
-            raise CliError("--chunks must be >= 1")
+        _at_least("--chunks", n, 1)
         cuts = [lo + (hi - lo) * i / n for i in range(1, n)]
     perm = chunked_sort(cloud, axis, cuts)
     _write(args.out, "\n".join(map(str, perm.tolist())) + "\n")

@@ -49,7 +49,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import ceil, gcd, lcm
+from math import ceil, gcd
 
 from .graph import Edge, PipelineGraph, StageKind
 from . import solver
@@ -544,7 +544,7 @@ def optimize(graph: PipelineGraph, horizon: int | None = None) -> ScheduleSoluti
 def schedule_chunks(
     solution: ScheduleSolution, graph: PipelineGraph, chunk_count: int
 ) -> ScheduleSolution:
-    """Extend a single-chunk schedule to ``chunk_count`` back-to-back chunks.
+    """Extend a single-chunk ``optimize`` schedule to ``chunk_count`` chunks.
 
     Chunk k of stage i starts at ``start_cycles[i] + k*interval``; the
     initiation interval is the longest stage duration, stretched if needed so
@@ -552,28 +552,26 @@ def schedule_chunks(
     shorter than the interval idle for the difference at the top of every
     chunk; those are the reported bubbles. Per-edge peak occupancy is
     unchanged from the single-chunk solution.
+
+    Each edge's overwrite start is taken where ``optimize`` puts it, from
+    its ``EdgeModel`` at the start offset.
     """
     if chunk_count < 1:
         raise ValueError("chunk_count must be >= 1")
-    one = graph.ticks
-    # Ticks times ``den``: whole for any overwrite start a schedule holds.
-    den = lcm(*(x.denominator for x in solution.overwrite_starts.values()))
-    interval = max(graph.duration.values()) * den
+    interval = max(graph.duration.values())  # ticks
     for m in edge_models(graph):
-        ow = solution.overwrite_starts[m.key]
-        # Overwrite start past the producer's write start.
-        t_o = (ow.numerator * one * (den // ow.denominator)
-               - (solution.start_cycles[m.edge.producer] * one + m.depth_p) * den)
-        if t_o >= m.dur_p * den:
-            # Saturated edge: the next chunk's writes must never outrun the
-            # previous chunk's frees.
-            interval = max(interval, t_o + max(0, m.drain - m.dur_p) * den)
-    step = Fraction(interval, den * one)
+        d = solution.start_cycles[m.edge.consumer] - solution.start_cycles[m.edge.producer]
+        if m.peak(d) == m.volume:
+            # Saturated edge, overwritten from t_o ticks after the first
+            # write: the next chunk's writes must not outrun this one's frees.
+            t_o = d * m.ticks + m.overwrite_delay - m.depth_p
+            interval = max(interval, t_o + max(0, m.drain - m.dur_p))
+    step = Fraction(interval, graph.ticks)
     return replace(
         solution,
         makespan=solution.makespan + (chunk_count - 1) * step,
         initiation_interval=step,
-        bubbles={s.id: Fraction(interval - graph.duration[s.id] * den, den * one)
+        bubbles={s.id: Fraction(interval - graph.duration[s.id], graph.ticks)
                  for s in graph.stages},
         chunk_count=chunk_count,
     )

@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import GOLDEN, naive_groups, reconvergent
-from pointpipe import optimizer
-from pointpipe.cli import USAGE, VERIFY_FAILED, _json_text, build_parser, main
+from pointpipe import cli, optimizer
+from pointpipe.cli import USAGE, VERIFY_FAILED, build_parser, main
 from pointpipe.kernels.cloud import PointCloud
-from pointpipe.kernels.grid import split_grid
+from pointpipe.kernels.grid import chunked_sort, split_grid
 from pointpipe.kernels.prng import synthetic_cloud
 from pointpipe.optimizer import _frac_to_json
 
@@ -41,6 +41,7 @@ BAD_INPUTS = [
     ["profile-deadline", *CLOUD, "--fraction", "1/0"],
     ["knn", *CLOUD, "--k", "0"],
     ["knn", "--synthetic", "50", "--queries", "0"],
+    ["knn", "--synthetic", "50", "--queries", "-3"],
     ["split", *POINTS, "--grid", "0x1x1"],
     ["split", *POINTS, "--serial", "0"],
     ["split", *POINTS, "--serial", "10", "--grid", "2x2x2"],
@@ -97,6 +98,26 @@ def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
     out = [] if argv[0] == "verify" else ["--out", str(tmp_path / "out")]
     assert main([*argv, *out]) == USAGE
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# Rows of BAD_INPUTS whose value the called function would reject in its own
+# terms ("count must be >= 1"), and the message naming the flag instead.
+FLAG_ERRORS = [
+    (["knn", *POINTS, "--queries", "0"], "--queries must be >= 1"),
+    (["knn", *POINTS, "--queries", "-3"], "--queries must be >= 1"),
+    (["split", *POINTS, "--serial", "0"], "--serial must be >= 1"),
+    (["optimize", KNN_STENCIL, "--chunks", "0"], "--chunks must be >= 1"),
+    (["optimize", KNN_STENCIL, "--horizon", "-1"], "--horizon must be >= 0"),
+    (["verify", KNN_STENCIL, "--horizon", "-1"], "--horizon must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("argv,message", FLAG_ERRORS,
+                         ids=[" ".join(a[:1] + a[-2:]) for a, _ in FLAG_ERRORS])
+def test_size_error_names_its_flag(argv, message, capsys):
+    assert argv in BAD_INPUTS
+    assert main(argv) == USAGE
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("text", [None, "0 0 0\n1 0\n"], ids=["missing", "malformed"])
@@ -502,30 +523,16 @@ def test_search_outputs_match_golden(cloud, case, tmp_path, monkeypatch, capsys)
     assert err == (GOLDEN_SEARCH / f"{cloud}.{case}.stderr").read_text()
 
 
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
-                   | st.lists(st.integers()) | st.dictionaries(st.text(), inner)),
-    max_leaves=40,
-)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(value=json_values)
-def test_json_text_equals_indented_json_dumps(value):
-    # Floats include nan and both infinities; text includes non-ASCII.
-    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
-
-
-@pytest.mark.parametrize("value", [[1, True, 0, False], [True], [2**70, -1, 0]])
-def test_json_text_writes_bools_in_int_lists_as_json_bools(value):
-    # bool is an int subclass; only a list of exact ints takes the one-join path.
-    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
-
-
 def test_sort_writes_the_stable_permutation_one_index_a_line(tmp_path):
     out = tmp_path / "perm.txt"
     assert main(["sort", "--synthetic", "500", "--chunks", "7", "--out", str(out)]) == 0
     pts = synthetic_cloud(500, 0)
     want = "".join(f"{i}\n" for i in np.argsort(pts[:, 0], kind="stable").tolist())
     assert out.read_text() == want
+
+
+def test_sort_verify_reports_a_divergence(tmp_path, monkeypatch, capsys):
+    # A chunked sort that reverses its permutation is no stable sort.
+    monkeypatch.setattr(cli, "chunked_sort", lambda *args: chunked_sort(*args)[::-1])
+    assert main(["sort", *POINTS, "--verify", "--out", str(tmp_path / "perm.txt")]) == VERIFY_FAILED
+    assert capsys.readouterr().err == "chunked sort DIVERGES from global stable sort\n"
